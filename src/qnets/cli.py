@@ -49,6 +49,21 @@ def _load_elem(theory: Theory, raw: str):
     return jsonio.elem_from_json(theory, data)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnet",
@@ -65,15 +80,15 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reach", help="token-game reachability")
     p.add_argument("net")
     p.add_argument("--marking", required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_int_at_least(0), required=True)
     p.add_argument("--dot", action="store_true")
 
     p = sub.add_parser("homset", help="enumerate process classes between markings")
     p.add_argument("net")
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="tgt", required=True)
-    p.add_argument("--layers", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
+    p.add_argument("--layers", type=_int_at_least(1), required=True)
+    p.add_argument("--width", type=_int_at_least(1), required=True)
 
     p = sub.add_parser("homgroup", help="integer-lattice hom nonemptiness (ABGRP)")
     p.add_argument("net")
@@ -98,7 +113,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    choices=sorted(suites.SUITES) + ["all"])
     p.add_argument("--seed", type=lambda s: int(s) & (2 ** 64 - 1), default=0)
-    p.add_argument("--cases", type=int, default=None)
+    p.add_argument("--cases", type=_int_at_least(1), default=None)
     return parser
 
 

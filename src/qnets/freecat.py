@@ -52,7 +52,15 @@ DEFAULT_BUDGET = 10_000
 def default_budget() -> int:
     """Rewrite-search node budget; the QNET_BUDGET env var overrides it."""
     raw = os.environ.get("QNET_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise QnetError(f"QNET_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 class IllTypedTermError(QnetError):
@@ -589,6 +597,22 @@ def _search_connect(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
     return _distinct("rewrite closures are disjoint")
 
 
+def _closure(form: LayeredForm, ctx: _Ctx, gens_cap: int,
+             budget: int) -> set[LayeredForm] | None:
+    """The rewrite class of ``form`` within ``gens_cap`` generators, or None
+    once it holds more than ``budget`` forms."""
+    seen = {form}
+    queue = deque([form])
+    while queue:
+        for nxt in _neighbors(queue.popleft(), ctx, gens_cap):
+            if nxt not in seen:
+                seen.add(nxt)
+                if len(seen) > budget:
+                    return None
+                queue.append(nxt)
+    return seen
+
+
 def _forms_equal(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
                  budget: int | None = None) -> EqVerdict:
     th = ctx.net.theory
@@ -718,14 +742,25 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
                   max_width: int, budget: int | None = None) -> list[MorTerm]:
     """All process-term classes from ``x`` to ``y`` within the layer bounds.
 
-    Classes are deduplicated with :func:`mor_equal`; representatives are
-    returned in lexicographic (layer count, serialized form) order.
+    The layered forms are visited in lexicographic (layer count, serialized
+    form) order and each joins the first earlier representative it equals;
+    representatives are returned in that order. Forms are bucketed by
+    generator occurrence counts (one bucket for SEMILAT, where counts are not
+    invariant), and a form equals a representative in its bucket iff it lies
+    in the representative's rewrite closure, capped at the larger generator
+    count of the two as in :func:`mor_equal`. Each closure is computed once
+    and cached. A closure of more than ``budget`` forms falls back to the
+    pairwise :func:`mor_equal` decision for that pair. ``budget`` defaults to
+    :func:`default_budget`, which raises :class:`QnetError` for a
+    ``QNET_BUDGET`` that is not a positive integer.
     """
     if net.theory in GROUP_THEORIES:
         raise UnsupportedOperationError(
             f"hom-sets over {net.theory.value} are infinite whenever nonempty")
     if max_layers <= 0 or max_width <= 0:
         raise UnsupportedOperationError("layer and width bounds must be positive")
+    if budget is None:
+        budget = default_budget()
     ctx = _context(net)
     forms: list[LayeredForm] = []
 
@@ -739,9 +774,31 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
 
     rec(x, ())
     forms.sort(key=lambda f: (len(f.layers), tuple(l.payload for l in f.layers)))
+    # Merge and split are mutual converses within a generator cap (the same
+    # fact _search_connect's early exhaustion rests on), so a class is the
+    # closure of any member and pairwise equality is closure membership. A
+    # closure of at most ``budget`` forms also bounds the pairwise search's
+    # expansions, so that search would not have run out of budget either.
+    closures: dict[tuple[LayeredForm, int], set[LayeredForm] | None] = {}
+
+    def same_class(form: LayeredForm, rep: LayeredForm, cap: int) -> bool:
+        if (rep, cap) not in closures:
+            closures[rep, cap] = _closure(rep, ctx, cap, budget)
+        closure = closures[rep, cap]
+        if closure is None:
+            return _forms_equal(form, rep, ctx, budget).is_equal
+        return form in closure
+
+    buckets: dict[frozenset | None, list[tuple[LayeredForm, int]]] = {}
     reps: list[LayeredForm] = []
     for form in forms:
-        if not any(_forms_equal(form, rep, ctx, budget).is_equal for rep in reps):
+        key = None if net.theory is Theory.SEMILAT else \
+            frozenset(_form_occurrences(form).items())
+        gens = _form_gens_total(form)
+        bucket = buckets.setdefault(key, [])
+        if not any(same_class(form, rep, max(gens, rep_gens))
+                   for rep, rep_gens in bucket):
+            bucket.append((form, gens))
             reps.append(form)
     return [layered_to_term(rep, net) for rep in reps]
 

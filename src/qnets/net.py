@@ -32,9 +32,6 @@ class QNet:
     places: tuple[str, ...]
     transitions: Mapping[str, tuple[FreeElem, FreeElem]]
 
-    def arcs(self, name: str) -> tuple[FreeElem, FreeElem]:
-        return self.transitions[name]
-
 
 @dataclass(frozen=True)
 class NetMorphism:

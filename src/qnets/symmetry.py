@@ -222,7 +222,7 @@ def sym_layered(t: SymTerm, net: QNet) -> SymForm:
     return SymForm(src, _drop_trivial(layers))
 
 
-def _blocks(letters: tuple, lengths: list[int]) -> list[tuple[int, int]]:
+def _blocks(lengths: list[int]) -> list[tuple[int, int]]:
     out = []
     offset = 0
     for n in lengths:
@@ -244,7 +244,7 @@ def _slide_before_perm(layer: FreeElem, perm: _PermLayer, ctx) -> list[tuple[_Pe
         for l in letters]
     if any(len(w) == 0 for w in tgt_words + src_words):
         return []
-    blocks = _blocks(letters, [len(w) for w in tgt_words])
+    blocks = _blocks([len(w) for w in tgt_words])
     mapping = perm.mapping
     images = []
     for offset, size in blocks:
@@ -258,7 +258,7 @@ def _slide_before_perm(layer: FreeElem, perm: _PermLayer, ctx) -> list[tuple[_Pe
         freecat._reduced_elem(new_letters)
     if len(new_layer.payload) != len(new_letters):
         return []
-    src_blocks = _blocks(letters, [len(w) for w in src_words])
+    src_blocks = _blocks([len(w) for w in src_words])
     new_src_offsets = {}
     offset = 0
     for j in order:
@@ -291,7 +291,7 @@ def _slide_after_perm(perm: _PermLayer, layer: FreeElem, ctx) -> list[tuple[Free
         for l in letters]
     if any(len(w) == 0 for w in src_words + tgt_words):
         return []
-    blocks = _blocks(letters, [len(w) for w in src_words])
+    blocks = _blocks([len(w) for w in src_words])
     inverse = [None] * len(perm.mapping)
     for i, target in enumerate(perm.mapping):
         inverse[target] = i
@@ -307,7 +307,7 @@ def _slide_after_perm(perm: _PermLayer, layer: FreeElem, ctx) -> list[tuple[Free
         freecat._reduced_elem(new_letters)
     if len(new_layer.payload) != len(new_letters):
         return []
-    tgt_blocks = _blocks(letters, [len(w) for w in tgt_words])
+    tgt_blocks = _blocks([len(w) for w in tgt_words])
     new_tgt_offsets = {}
     offset = 0
     for j in order:

@@ -140,6 +140,30 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+def test_out_of_range_integers_are_usage_errors(tmp_path):
+    path = write_net(tmp_path, "net.json", petri("ab", {"t": ({"a": 1}, {"b": 1})}))
+    homset = ["homset", path, "--from", '{"a":1}', "--to", '{"b":1}']
+    for argv in (["reach", path, "--marking", '{"a":1}', "--steps", "-3"],
+                 ["reach", path, "--marking", '{"a":1}', "--steps", "two"],
+                 homset + ["--layers", "0", "--width", "1"],
+                 homset + ["--layers", "1", "--width", "0"],
+                 ["check", "--suite", "freecat", "--cases", "-1"],
+                 ["check", "--suite", "freecat", "--cases", "0"]):
+        code, out, _ = invoke(argv)
+        assert (code, out) == (2, ""), argv
+    code, out, _ = invoke(["reach", path, "--marking", '{"a":1}', "--steps", "0"])
+    assert code == 0 and json.loads(out)["steps"] == 0
+
+
+def test_bad_budget_env_is_domain_error(tmp_path, monkeypatch):
+    path = write_net(tmp_path, "net.json", petri("ab", {"t": ({"a": 1}, {"b": 1})}))
+    monkeypatch.setenv("QNET_BUDGET", "abc")
+    code, out, err = invoke(["homset", path, "--from", '{"a":1}', "--to", '{"b":1}',
+                             "--layers", "2", "--width", "2"])
+    assert (code, out) == (1, "")
+    assert "QNET_BUDGET" in json.loads(err)["error"]
+
+
 def test_net_json_roundtrip_identity(tmp_path):
     net = petri("ab", {"t": ({"a": 1}, {"b": 2})})
     path = write_net(tmp_path, "net.json", net)

@@ -22,6 +22,7 @@ from qnets.freecat import (
 )
 from qnets.net import validate_morphism
 from qnets.theory import (
+    QnetError,
     Theory,
     UnsupportedOperationError,
     finset,
@@ -234,6 +235,10 @@ def test_budget_env_override(monkeypatch):
     assert default_budget() == 10_000
     monkeypatch.setenv("QNET_BUDGET", "123")
     assert default_budget() == 123
+    for bad in ("abc", "1.5", "0", "-4"):
+        monkeypatch.setenv("QNET_BUDGET", bad)
+        with pytest.raises(QnetError, match="QNET_BUDGET"):
+            default_budget()
 
 
 def test_free_edges_morphism_validates():
