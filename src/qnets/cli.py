@@ -1,8 +1,8 @@
 """Command-line surface.
 
-One JSON object per output stream; domain errors print ``{"error": ...}`` on
-stderr and exit 1, usage errors exit 2. Marking arguments are inline JSON, or
-``@path`` to read a file.
+One JSON object per output stream; errors print one ``{"error": ...}`` line
+on stderr and exit 1 for domain errors, 2 for usage errors. Marking arguments
+are inline JSON, or ``@path`` to read a file.
 """
 
 from __future__ import annotations
@@ -64,8 +64,19 @@ def _int_at_least(low: int):
     return parse
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so :func:`run` can report it as JSON."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qnet",
         description="Nets over algebraic theories: validation, translation, semantics")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -122,7 +133,10 @@ def run(argv, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
+    except _UsageError as exc:
+        print(jsonio.dumps({"error": str(exc)}), file=stderr)
+        return 2
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
         return _dispatch(args, stdout)

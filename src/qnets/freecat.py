@@ -652,20 +652,37 @@ def mor_equal(t1: MorTerm, t2: MorTerm, net: QNet,
 # Layer enumeration, hom-sets, reachability
 
 
-def _fired_multisets(ctx: _Ctx, marking: FreeElem,
+def _arc_counts(net: QNet, end: int) -> dict[str, dict[str, int]]:
+    """Occurrence counts of each transition's source (``end`` 0) or target (1)."""
+    return {name: occurrences(arcs[end]) for name, arcs in net.transitions.items()}
+
+
+def _fire(counts: dict[str, int], fired: Mapping[str, int],
+          arcs: Mapping[str, Mapping[str, int]], sign: int) -> None:
+    """Add ``sign`` times the fired multiset's arc counts to ``counts`` in place."""
+    for name, k in fired.items():
+        for p, c in arcs[name].items():
+            counts[p] = counts.get(p, 0) + sign * k * c
+
+
+def _fired_multisets(pre: Mapping[str, Mapping[str, int]], room: Mapping[str, int],
                      max_width: int | None) -> Iterator[dict[str, int]]:
-    """Nonempty transition multisets whose combined source fits the marking."""
-    names = sorted(ctx.net.transitions)
+    """Nonempty transition multisets whose combined source fits ``room``.
+
+    ``pre`` maps each transition to its source counts (see :func:`_arc_counts`)
+    and ``room`` is the marking's counts. Multisets are yielded with names in
+    sorted order.
+    """
+    items = sorted(pre.items())
 
     def rec(idx: int, room: dict[str, int], width_left: int | None,
             acc: dict[str, int]) -> Iterator[dict[str, int]]:
-        if idx == len(names):
+        if idx == len(items):
             if acc:
                 yield dict(acc)
             return
         yield from rec(idx + 1, room, width_left, acc)
-        name = names[idx]
-        src = occurrences(ctx.net.transitions[name][0])
+        name, src = items[idx]
         count = 0
         local = dict(room)
         while width_left is None or count < width_left:
@@ -681,7 +698,7 @@ def _fired_multisets(ctx: _Ctx, marking: FreeElem,
             yield from rec(idx + 1, local, left, acc2)
         return
 
-    yield from rec(0, dict(occurrences(marking)), max_width, {})
+    yield from rec(0, dict(room), max_width, {})
 
 
 def _step_layers(ctx: _Ctx, marking: FreeElem,
@@ -690,11 +707,11 @@ def _step_layers(ctx: _Ctx, marking: FreeElem,
     th = ctx.net.theory
     out: set[FreeElem] = set()
     if th is Theory.CMON:
-        for fired in _fired_multisets(ctx, marking, max_width):
+        pre = _arc_counts(ctx.net, 0)
+        for fired in _fired_multisets(pre, dict(marking.payload), max_width):
             gens = multiset(th, fired)
-            frame_counts = dict(occurrences(marking))
-            for p, c in occurrences(_layer_src(gens, ctx)).items():
-                frame_counts[p] -= c
+            frame_counts = dict(marking.payload)
+            _fire(frame_counts, fired, pre, -1)
             frame = multiset(th, frame_counts)
             out.add(combine(th, gens, _identity_layer(th, frame)))
     elif th is Theory.SEMILAT:
@@ -853,14 +870,22 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
     """Breadth-first token game; the step rule is theory-specific.
 
     CMON fires any multiset of transitions whose combined source fits the
-    marking; MON rewrites one contiguous source factor; SEMILAT fires one
-    transition against any context whose union restores the marking.
+    marking, as count-vector arithmetic M - sum k*pre(t) + sum k*post(t);
+    MON rewrites one contiguous source factor; SEMILAT fires one transition
+    against any context whose union restores the marking.
+
+    Each distinct marking is built once, through the checked
+    :class:`FreeElem` constructor, and every edge into it shares that object.
+    Edge labels are deterministic JSON, encoded once per call for each
+    distinct step: ``{"fire":{t:k,...}}`` for CMON, ``{"at":i,"fire":t}``
+    for MON (``t`` rewrites the factor at position ``i``) and
+    ``{"fire":t,"keep":[...]}`` for SEMILAT (the context that stays marked).
     """
     th = net.theory
     if th in GROUP_THEORIES:
         raise UnsupportedOperationError(
             f"reachability over {th.value} is not a token game; use the lattice test")
-    ctx = _context(net)
+    _context(net)  # validates the net
     if m0.theory is not th:
         raise TheoryMismatchError("marking theory differs from net theory")
     if m0.atoms() - set(net.places):
@@ -869,55 +894,62 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
                                  for src, _ in net.transitions.values()):
         raise UnsupportedOperationError(
             "a transition with empty source makes the step relation infinitely branching")
+    pre, post = _arc_counts(net, 0), _arc_counts(net, 1)
+    labels: dict[tuple, str] = {}
 
-    def steps(m: FreeElem) -> Iterator[tuple[str, FreeElem]]:
+    def label(key: tuple, **fields) -> str:
+        text = labels.get(key)
+        if text is None:
+            text = labels[key] = jsonio.dumps(fields)
+        return text
+
+    def steps(m: tuple) -> Iterator[tuple[str, tuple]]:
+        """(label, successor payload) for each step from payload ``m``."""
         if th is Theory.CMON:
-            for fired in _fired_multisets(ctx, m, None):
-                gens = multiset(th, fired)
-                counts = dict(occurrences(m))
-                for p, c in occurrences(_layer_src(gens, ctx)).items():
-                    counts[p] = counts.get(p, 0) - c
-                for p, c in occurrences(_layer_tgt(gens, ctx)).items():
-                    counts[p] = counts.get(p, 0) + c
-                yield jsonio.dumps({"fire": fired}), multiset(th, counts)
+            for fired in _fired_multisets(pre, dict(m), None):
+                counts = dict(m)
+                _fire(counts, fired, pre, -1)
+                _fire(counts, fired, post, 1)
+                yield (label(tuple(fired.items()), fire=fired),
+                       tuple(sorted((p, c) for p, c in counts.items() if c)))
         elif th is Theory.MON:
             for name in sorted(net.transitions):
-                src, tgt = net.transitions[name]
-                for pos in range(len(m.payload) - len(src.payload) + 1):
-                    if m.payload[pos:pos + len(src.payload)] == src.payload:
-                        new = m.payload[:pos] + tgt.payload + m.payload[pos + len(src.payload):]
-                        yield jsonio.dumps({"at": pos, "fire": name}), FreeElem(th, new)
+                src, tgt = (arc.payload for arc in net.transitions[name])
+                for pos in range(len(m) - len(src) + 1):
+                    if m[pos:pos + len(src)] == src:
+                        yield (label((pos, name), at=pos, fire=name),
+                               m[:pos] + tgt + m[pos + len(src):])
         else:
-            marking_set = set(m.payload)
+            marking_set = set(m)
             for name in sorted(net.transitions):
-                src, tgt = net.transitions[name]
-                if not set(src.payload) <= marking_set:
+                src, tgt = (arc.payload for arc in net.transitions[name])
+                if not set(src) <= marking_set:
                     continue
-                base = marking_set - set(src.payload)
-                for bits in itertools.product((False, True), repeat=len(src.payload)):
-                    keep = {p for p, b in zip(src.payload, bits) if b}
-                    context = base | keep
-                    new = FreeElem(th, tuple(sorted(context | set(tgt.payload))))
-                    yield jsonio.dumps({"fire": name, "keep": sorted(context)}), new
+                base = marking_set - set(src)
+                for bits in itertools.product((False, True), repeat=len(src)):
+                    keep = tuple(sorted(base | {p for p, b in zip(src, bits) if b}))
+                    yield (label((name, keep), fire=name, keep=list(keep)),
+                           tuple(sorted(set(keep) | set(tgt))))
 
-    seen = {m0}
+    # Markings by payload: a payload seen before gets its checked object back.
+    seen = {m0.payload: m0}
     frontier = [m0]
-    edges: set[tuple[FreeElem, str, FreeElem]] = set()
+    edges: set[tuple[tuple, str, tuple]] = set()
     for _ in range(max_steps):
         nxt = []
         for m in frontier:
-            for label, m2 in steps(m):
-                edges.add((m, label, m2))
-                if m2 not in seen:
-                    seen.add(m2)
-                    nxt.append(m2)
+            for text, payload in steps(m.payload):
+                edges.add((m.payload, text, payload))
+                if payload not in seen:
+                    seen[payload] = FreeElem(th, payload)
+                    nxt.append(seen[payload])
         if not nxt:
             break
         frontier = nxt
     return ReachResult(
         m0, max_steps,
-        tuple(sorted(seen, key=lambda e: e.payload)),
-        tuple(sorted(edges, key=lambda e: (e[0].payload, e[1], e[2].payload))))
+        tuple(seen[p] for p in sorted(seen)),
+        tuple((seen[a], text, seen[b]) for a, text, b in sorted(edges)))
 
 
 def reachability_dot(result: ReachResult) -> str:

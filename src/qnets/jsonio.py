@@ -71,14 +71,21 @@ def net_from_json(data: Any):
         theory = Theory(data["theory"])
     except (KeyError, ValueError) as exc:
         raise QnetError(f"bad or missing theory tag: {exc}") from exc
-    places = tuple(data.get("places", []))
+    places = data.get("places", [])
+    if not isinstance(places, list) or not all(isinstance(p, str) for p in places):
+        raise QnetError("net \"places\" must be an array of strings")
+    raw_transitions = data.get("transitions", {})
+    if not isinstance(raw_transitions, dict):
+        raise QnetError("net \"transitions\" must be an object")
     transitions = {}
-    for name, arcs in data.get("transitions", {}).items():
+    for name, arcs in raw_transitions.items():
+        if not isinstance(arcs, dict) or not {"src", "tgt"} <= arcs.keys():
+            raise QnetError(f"transition {name!r} must be an object with \"src\" and \"tgt\"")
         transitions[name] = (
             elem_from_json(theory, arcs["src"]),
             elem_from_json(theory, arcs["tgt"]),
         )
-    return QNet(theory=theory, places=places, transitions=transitions)
+    return QNet(theory=theory, places=tuple(places), transitions=transitions)
 
 
 def morphism_to_json(h) -> dict:

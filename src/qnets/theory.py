@@ -127,7 +127,8 @@ def check_canonical(theory: Theory, payload: tuple) -> None:
         if names != sorted(names) or len(set(names)) != len(names):
             raise CanonicalFormError(f"{theory.value} payload must be sorted with unique names")
         for p, c in payload:
-            if not isinstance(p, str) or not isinstance(c, int):
+            # type(), not isinstance(): a bool is an int but not a count.
+            if not isinstance(p, str) or type(c) is not int:
                 raise CanonicalFormError("count payload entries must be (str, int)")
             if c == 0 or (theory is Theory.CMON and c < 0):
                 raise CanonicalFormError(f"invalid count {c} for {p!r} in {theory.value}")
@@ -137,7 +138,8 @@ def check_canonical(theory: Theory, payload: tuple) -> None:
     elif theory is Theory.GRP:
         for entry in payload:
             if not (isinstance(entry, tuple) and len(entry) == 2
-                    and isinstance(entry[0], str) and entry[1] in (1, -1)):
+                    and isinstance(entry[0], str) and type(entry[1]) is int
+                    and entry[1] in (1, -1)):
                 raise CanonicalFormError("GRP letters must be (name, +1|-1)")
         if _reduce_word(payload) != payload:
             raise CanonicalFormError("GRP payload must be a reduced word")
@@ -224,16 +226,6 @@ def invert(x: FreeElem) -> FreeElem:
     raise UnsupportedOperationError(f"{x.theory.value} has no inverse operation")
 
 
-def power(x: FreeElem, n: int) -> FreeElem:
-    """n-fold combine of ``x`` with itself; negative n only for group theories."""
-    if n < 0:
-        return power(invert(x), -n)
-    out = neutral(x.theory)
-    for _ in range(n):
-        out = combine(x.theory, out, x)
-    return out
-
-
 def lift(theory: Theory, mapping: Mapping[str, str], x: FreeElem) -> FreeElem:
     """Apply the homomorphic extension of a renaming of places, recanonicalizing."""
     if x.theory is not theory:
@@ -265,11 +257,18 @@ def extend(theory: Theory, images: Mapping[str, FreeElem], x: FreeElem) -> FreeE
     missing = x.atoms() - images.keys()
     if missing:
         raise UnmappedNameError(f"unmapped generators: {sorted(missing)}")
-    out = neutral(theory)
     if theory in COUNT_THEORIES:
+        counts: dict[str, int] = {}
         for p, c in x.payload:
-            out = combine(theory, out, power(images[p], c))
-    elif theory is Theory.MON:
+            image = images[p]
+            if image.theory is not theory:
+                raise TheoryMismatchError(
+                    f"extend over {theory.value} got a {image.theory.value} image for {p!r}")
+            for q, d in image.payload:
+                counts[q] = counts.get(q, 0) + c * d
+        return _from_counts(theory, counts)
+    out = neutral(theory)
+    if theory is Theory.MON:
         for p in x.payload:
             out = combine(theory, out, images[p])
     elif theory is Theory.GRP:

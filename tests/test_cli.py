@@ -133,11 +133,25 @@ def test_check_suite_and_determinism(tmp_path):
     assert body["ok"] and body["suites"][0]["name"] == "monad"
 
 
+def assert_json_error(err):
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]
+
+
 def test_usage_error_exit_code():
-    code, _, _ = invoke(["translate"])
-    assert code == 2
-    code, _, _ = invoke([])
-    assert code == 2
+    code, out, err = invoke(["translate"])
+    assert (code, out) == (2, "")
+    assert_json_error(err)
+    code, out, err = invoke([])
+    assert (code, out) == (2, "")
+    assert_json_error(err)
+
+
+def test_help_exits_zero_without_error_line(capsys):
+    code, _, err = invoke(["reach", "--help"])
+    assert (code, err) == (0, "")
+    assert capsys.readouterr().out.startswith("usage: qnet reach")
 
 
 def test_out_of_range_integers_are_usage_errors(tmp_path):
@@ -149,10 +163,45 @@ def test_out_of_range_integers_are_usage_errors(tmp_path):
                  homset + ["--layers", "1", "--width", "0"],
                  ["check", "--suite", "freecat", "--cases", "-1"],
                  ["check", "--suite", "freecat", "--cases", "0"]):
-        code, out, _ = invoke(argv)
+        code, out, err = invoke(argv)
         assert (code, out) == (2, ""), argv
+        assert_json_error(err)
     code, out, _ = invoke(["reach", path, "--marking", '{"a":1}', "--steps", "0"])
     assert code == 0 and json.loads(out)["steps"] == 0
+
+
+def test_bool_counts_are_domain_errors(tmp_path):
+    path = write_net(tmp_path, "net.json", petri("ab", {"t": ({"a": 1}, {"b": 1})}))
+    bool_net = tmp_path / "bool.json"
+    bool_net.write_text(json.dumps({
+        "theory": "CMON", "places": ["a"],
+        "transitions": {"t": {"src": {"a": True}, "tgt": {}}}}), encoding="utf-8")
+    for argv in (["reach", path, "--marking", '{"a":true}', "--steps", "1"],
+                 ["translate", "--via", "b", str(bool_net)]):
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, ""), argv
+        assert_json_error(err)
+
+
+def test_malformed_net_json_is_domain_error(tmp_path):
+    good = {"theory": "CMON", "places": ["a", "b"],
+            "transitions": {"t": {"src": {"a": 1}, "tgt": {"b": 1}}}}
+    bad = [
+        {**good, "transitions": {"t": {"src": {"a": 1}}}},
+        {**good, "transitions": {"t": {"tgt": {"b": 1}}}},
+        {**good, "transitions": {"t": [{"a": 1}, {"b": 1}]}},
+        {**good, "transitions": [{"src": {"a": 1}, "tgt": {"b": 1}}]},
+        {**good, "places": [1, "b"]},
+        {**good, "places": "ab"},
+    ]
+    for i, data in enumerate(bad):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        for argv in (["validate", str(path)],
+                     ["reach", str(path), "--marking", '{"a":1}', "--steps", "1"]):
+            code, out, err = invoke(argv)
+            assert (code, out) == (1, ""), (data, argv)
+            assert_json_error(err)
 
 
 def test_bad_budget_env_is_domain_error(tmp_path, monkeypatch):

@@ -1,0 +1,169 @@
+"""Differential tests: reachable's count-vector steps, interned markings and
+memoized labels against the element-arithmetic token game they replaced."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qnets import QNet, jsonio
+from qnets.freecat import ReachResult, reachable
+from qnets.theory import (
+    FreeElem,
+    Theory,
+    UnsupportedOperationError,
+    combine,
+    combine_all,
+    finset,
+    multiset,
+    occurrences,
+    unit,
+    word,
+)
+
+from netzoo import (
+    ELEMENTARY_NETS,
+    EQUALITY_NETS,
+    PRE_NETS,
+    SYMMETRY_NETS,
+    TOKEN_GAME_NETS,
+)
+
+TOKEN_GAMES = (Theory.CMON, Theory.MON, Theory.SEMILAT)
+
+
+def _fired_multisets(net, marking):
+    """Every nonempty transition multiset whose combined source fits."""
+    names = sorted(net.transitions)
+
+    def rec(idx, room, acc):
+        if idx == len(names):
+            if acc:
+                yield dict(acc)
+            return
+        yield from rec(idx + 1, room, acc)
+        src = occurrences(net.transitions[names[idx]][0])
+        local = dict(room)
+        count = 0
+        while all(local.get(p, 0) >= c for p, c in src.items()):
+            for p, c in src.items():
+                local[p] -= c
+            count += 1
+            yield from rec(idx + 1, local, {**acc, names[idx]: count})
+
+    yield from rec(0, occurrences(marking), {})
+
+
+def _fired_image(net, fired, end):
+    """The fired multiset's source (end 0) or target (1) by repeated combine."""
+    th = net.theory
+    return combine_all(th, (net.transitions[name][end]
+                            for name, k in fired.items() for _ in range(k)))
+
+
+def reference_reachable(net, m0, max_steps):
+    """Reference on valid inputs: one FreeElem per edge by element arithmetic,
+    and a label encoded per edge."""
+    th = net.theory
+
+    def steps(m):
+        if th is Theory.CMON:
+            for fired in _fired_multisets(net, m):
+                counts = occurrences(m)
+                for p, c in occurrences(_fired_image(net, fired, 0)).items():
+                    counts[p] = counts.get(p, 0) - c
+                for p, c in occurrences(_fired_image(net, fired, 1)).items():
+                    counts[p] = counts.get(p, 0) + c
+                yield jsonio.dumps({"fire": fired}), multiset(th, counts)
+        elif th is Theory.MON:
+            for name in sorted(net.transitions):
+                src, tgt = net.transitions[name]
+                for pos in range(len(m.payload) - len(src.payload) + 1):
+                    if m.payload[pos:pos + len(src.payload)] == src.payload:
+                        new = m.payload[:pos] + tgt.payload + m.payload[pos + len(src.payload):]
+                        yield jsonio.dumps({"at": pos, "fire": name}), FreeElem(th, new)
+        else:
+            marking_set = set(m.payload)
+            for name in sorted(net.transitions):
+                src, tgt = net.transitions[name]
+                if not set(src.payload) <= marking_set:
+                    continue
+                base = marking_set - set(src.payload)
+                for bits in itertools.product((False, True), repeat=len(src.payload)):
+                    context = base | {p for p, b in zip(src.payload, bits) if b}
+                    new = combine(th, finset(context), tgt)
+                    yield jsonio.dumps({"fire": name, "keep": sorted(context)}), new
+
+    seen = {m0}
+    frontier = [m0]
+    edges = set()
+    for _ in range(max_steps):
+        nxt = []
+        for m in frontier:
+            for label, m2 in steps(m):
+                edges.add((m, label, m2))
+                if m2 not in seen:
+                    seen.add(m2)
+                    nxt.append(m2)
+        if not nxt:
+            break
+        frontier = nxt
+    return ReachResult(
+        m0, max_steps,
+        tuple(sorted(seen, key=lambda e: e.payload)),
+        tuple(sorted(edges, key=lambda e: (e[0].payload, e[1], e[2].payload))))
+
+
+def _starts(net):
+    """Arc markings, the all-places marking and a doubled source."""
+    starts = {elem for arcs in net.transitions.values() for elem in arcs}
+    starts.add(combine_all(net.theory, (unit(net.theory, p) for p in net.places)))
+    if net.theory is Theory.CMON:
+        for src, _ in net.transitions.values():
+            starts.add(combine(net.theory, src, src))
+    return sorted(starts, key=lambda e: e.payload)
+
+
+def test_zoo_matches_reference():
+    nets = [n for n in TOKEN_GAME_NETS + PRE_NETS + ELEMENTARY_NETS
+            + EQUALITY_NETS + SYMMETRY_NETS if n.theory in TOKEN_GAMES]
+    compared = 0
+    for net in nets:
+        for m0 in _starts(net):
+            for steps in range(5):
+                want = reference_reachable(net, m0, steps)
+                assert reachable(net, m0, steps) == want, (net, m0, steps)
+                compared += len(want.edges)
+    assert compared > 1000
+
+
+def test_reached_markings_are_shared_objects():
+    net = TOKEN_GAME_NETS[2]
+    result = reachable(net, multiset(Theory.CMON, {"a": 2}), 4)
+    objects = {id(m) for m in result.markings}
+    assert all(id(a) in objects and id(b) in objects for a, _, b in result.edges)
+
+
+def _element(theory, draw, places, max_size):
+    letters = draw(st.lists(st.sampled_from(places), max_size=max_size))
+    if theory is Theory.CMON:
+        return multiset(theory, {p: letters.count(p) for p in places})
+    return word(letters) if theory is Theory.MON else finset(letters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TOKEN_GAMES), st.data())
+def test_random_nets_match_reference(theory, data):
+    draw = data.draw
+    places = "abc"[:draw(st.integers(1, 3))]
+    names = draw(st.lists(st.sampled_from("tuv"), max_size=3, unique=True))
+    net = QNet(theory, tuple(places), {
+        name: (_element(theory, draw, places, 2), _element(theory, draw, places, 2))
+        for name in names})
+    m0 = _element(theory, draw, places, 3)
+    steps = draw(st.integers(0, 4))
+    if theory is Theory.CMON and any(src.is_neutral() for src, _ in net.transitions.values()):
+        with pytest.raises(UnsupportedOperationError):
+            reachable(net, m0, steps)
+        return
+    assert reachable(net, m0, steps) == reference_reachable(net, m0, steps)

@@ -121,6 +121,27 @@ def test_canonical_form_rejections():
         FreeElem(Theory.SEMILAT, ("a", "a"))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: multiset(Theory.CMON, {"a": True}),
+    lambda: multiset(Theory.ABGRP, {"a": -1, "b": True}),
+    lambda: FreeElem(Theory.GRP, (("a", True),)),
+    lambda: FreeElem(Theory.GRP, (("a", 1.0),)),
+])
+def test_bools_and_floats_are_not_counts_or_signs(build):
+    with pytest.raises(CanonicalFormError):
+        build()
+
+
+def test_extend_rejects_an_image_of_another_theory():
+    x = multiset(Theory.ABGRP, {"a": -1})
+    with pytest.raises(TheoryMismatchError):
+        extend(Theory.ABGRP, {"a": multiset(Theory.CMON, {"b": 1})}, x)
+    with pytest.raises(TheoryMismatchError):
+        extend(Theory.CMON, {"a": word("b")}, multiset(Theory.CMON, {"a": 2}))
+    assert extend(Theory.ABGRP, {"a": multiset(Theory.ABGRP, {"b": 2, "c": -1})},
+                  multiset(Theory.ABGRP, {"a": -3})).payload == (("b", -6), ("c", 3))
+
+
 @given(THEORIES, st.data())
 def test_monoid_laws(theory, data):
     x = data.draw(elems(theory))
