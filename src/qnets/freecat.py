@@ -37,12 +37,12 @@ from .theory import (
     TheoryMismatchError,
     UnsupportedOperationError,
     combine,
-    combine_all,
     extend,
     invert,
     lift,
     multiset,
     occurrences,
+    signed_word,
     unit,
 )
 
@@ -220,42 +220,7 @@ def layered_repr(form: LayeredForm) -> str:
 
 
 def _endpoints(t: MorTerm, ctx: _Ctx) -> tuple[FreeElem, FreeElem]:
-    th = ctx.net.theory
-    if isinstance(t, Gen):
-        if t.name not in ctx.net.transitions:
-            raise IllTypedTermError(f"unknown transition {t.name!r}")
-        return ctx.net.transitions[t.name]
-    if isinstance(t, Ident):
-        if t.obj.theory is not th:
-            raise IllTypedTermError(
-                f"identity object has theory {t.obj.theory.value}, net is {th.value}")
-        if t.obj.atoms() - set(ctx.net.places):
-            raise IllTypedTermError("identity object mentions undeclared places")
-        return t.obj, t.obj
-    if isinstance(t, Comp):
-        src_b, tgt_b = _endpoints(t.before, ctx)
-        src_a, tgt_a = _endpoints(t.after, ctx)
-        if tgt_b != src_a:
-            raise IllTypedTermError(
-                f"composite mismatch: before ends at {tgt_b.payload}, after starts at"
-                f" {src_a.payload}")
-        return src_b, tgt_a
-    if isinstance(t, Oper):
-        if t.op == "combine":
-            if len(t.args) < 2:
-                raise IllTypedTermError("combine needs at least two arguments")
-            ends = [_endpoints(a, ctx) for a in t.args]
-            return (combine_all(th, (s for s, _ in ends)),
-                    combine_all(th, (g for _, g in ends)))
-        if t.op == "invert":
-            if th not in GROUP_THEORIES:
-                raise IllTypedTermError(f"{th.value} morphisms have no inverses")
-            if len(t.args) != 1:
-                raise IllTypedTermError("invert takes exactly one argument")
-            s, g = _endpoints(t.args[0], ctx)
-            return invert(s), invert(g)
-        raise IllTypedTermError(f"unknown operation {t.op!r}")
-    raise IllTypedTermError(f"not a process term: {t!r}")
+    return _layers_of(t, ctx)[:2]
 
 
 def mor_src(t: MorTerm, net: QNet) -> FreeElem:
@@ -267,40 +232,64 @@ def mor_tgt(t: MorTerm, net: QNet) -> FreeElem:
 
 
 def _layers_of(t: MorTerm, ctx: _Ctx) -> tuple[FreeElem, FreeElem, tuple[FreeElem, ...]]:
-    """Recursive layering; may contain pure-id layers, normalized by callers."""
+    """Source, target and layers of a term; layers may be pure-id, normalized
+    by callers. An explicit stack keeps deep terms off the Python call stack:
+    each node is checked when first popped, and folded from its children's
+    results, left to right, when popped again."""
     th = ctx.net.theory
-    if isinstance(t, Gen):
-        src, tgt = _endpoints(t, ctx)
-        return src, tgt, (unit(th, t.name),)
-    if isinstance(t, Ident):
-        src, tgt = _endpoints(t, ctx)
-        return src, src, ()
-    if isinstance(t, Comp):
-        src_b, tgt_b, layers_b = _layers_of(t.before, ctx)
-        src_a, tgt_a, layers_a = _layers_of(t.after, ctx)
-        if tgt_b != src_a:
-            raise IllTypedTermError(
-                f"composite mismatch: before ends at {tgt_b.payload}, after starts at"
-                f" {src_a.payload}")
-        return src_b, tgt_a, layers_b + layers_a
-    if isinstance(t, Oper) and t.op == "invert":
-        if th not in GROUP_THEORIES:
-            raise IllTypedTermError(f"{th.value} morphisms have no inverses")
-        if len(t.args) != 1:
-            raise IllTypedTermError("invert takes exactly one argument")
-        src, tgt, layers = _layers_of(t.args[0], ctx)
-        return invert(src), invert(tgt), tuple(invert(l) for l in layers)
-    if isinstance(t, Oper) and t.op == "combine":
-        if len(t.args) < 2:
-            raise IllTypedTermError("combine needs at least two arguments")
-        src, tgt, layers = _layers_of(t.args[0], ctx)
-        for arg in t.args[1:]:
-            src_b, tgt_b, layers_b = _layers_of(arg, ctx)
-            layers = _zip_layers(th, (src, layers), (src_b, layers_b))
-            src = combine(th, src, src_b)
-            tgt = combine(th, tgt, tgt_b)
-        return src, tgt, layers
-    raise IllTypedTermError(f"not a process term: {t!r}")
+    done: list[tuple[FreeElem, FreeElem, tuple[FreeElem, ...]]] = []
+    stack: list[tuple[MorTerm, bool]] = [(t, False)]
+    while stack:
+        t, fold = stack.pop()
+        if fold and isinstance(t, Comp):
+            src_a, tgt_a, layers_a = done.pop()
+            src_b, tgt_b, layers_b = done.pop()
+            if tgt_b != src_a:
+                raise IllTypedTermError(
+                    f"composite mismatch: before ends at {tgt_b.payload}, after starts at"
+                    f" {src_a.payload}")
+            done.append((src_b, tgt_a, layers_b + layers_a))
+        elif fold and t.op == "invert":
+            src, tgt, layers = done.pop()
+            done.append((invert(src), invert(tgt), tuple(invert(l) for l in layers)))
+        elif fold:
+            args = done[-len(t.args):]
+            del done[-len(t.args):]
+            src, tgt, layers = args[0]
+            for src_b, tgt_b, layers_b in args[1:]:
+                layers = _zip_layers(th, (src, layers), (src_b, layers_b))
+                src = combine(th, src, src_b)
+                tgt = combine(th, tgt, tgt_b)
+            done.append((src, tgt, layers))
+        elif isinstance(t, Gen):
+            if t.name not in ctx.net.transitions:
+                raise IllTypedTermError(f"unknown transition {t.name!r}")
+            done.append((*ctx.net.transitions[t.name], (unit(th, t.name),)))
+        elif isinstance(t, Ident):
+            if t.obj.theory is not th:
+                raise IllTypedTermError(
+                    f"identity object has theory {t.obj.theory.value}, net is {th.value}")
+            if t.obj.atoms() - set(ctx.net.places):
+                raise IllTypedTermError("identity object mentions undeclared places")
+            done.append((t.obj, t.obj, ()))
+        elif isinstance(t, Comp):
+            stack += [(t, True), (t.after, False), (t.before, False)]
+        elif isinstance(t, Oper):
+            if t.op == "combine":
+                if len(t.args) < 2:
+                    raise IllTypedTermError("combine needs at least two arguments")
+            elif t.op == "invert":
+                if th not in GROUP_THEORIES:
+                    raise IllTypedTermError(f"{th.value} morphisms have no inverses")
+                if len(t.args) != 1:
+                    raise IllTypedTermError("invert takes exactly one argument")
+            else:
+                raise IllTypedTermError(f"unknown operation {t.op!r}")
+            stack.append((t, True))
+            stack += [(a, False) for a in reversed(t.args)]
+        else:
+            raise IllTypedTermError(f"not a process term: {t!r}")
+    return done[0]
 
 
 def _zip_layers(th: Theory,
@@ -317,13 +306,13 @@ def _zip_layers(th: Theory,
 
 def layered(t: MorTerm, net: QNet) -> LayeredForm:
     """Canonical-ish sequentialization of a term; denotes the same morphism."""
-    ctx = _context(net)
-    return _layered_ctx(t, ctx)
+    return _layered_ctx(t, _context(net))[0]
 
 
-def _layered_ctx(t: MorTerm, ctx: _Ctx) -> LayeredForm:
-    src, _tgt, layers = _layers_of(t, ctx)
-    return LayeredForm(src, tuple(l for l in layers if not _pure_id(l)))
+def _layered_ctx(t: MorTerm, ctx: _Ctx) -> tuple[LayeredForm, FreeElem]:
+    """The layered form of a term and the term's target, from one walk."""
+    src, tgt, layers = _layers_of(t, ctx)
+    return LayeredForm(src, tuple(l for l in layers if not _pure_id(l))), tgt
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +352,16 @@ def _merge_candidates(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
     return _merge_words(l1, l2, ctx)
 
 
-def _letter_elem(th: Theory, letter) -> FreeElem:
-    return FreeElem(th, (letter,))
+def _is_id_letter(letter) -> bool:
+    """Whether a word-layer letter (a name, or a GRP ``(name, sign)``) is held."""
+    return _is_id_sym(letter[0] if isinstance(letter, tuple) else letter)
+
+
+def _held(letter, end: int, ctx: _Ctx) -> tuple:
+    """The id letters holding one layer letter's source (``end`` 0) or target (1)."""
+    th = ctx.net.theory
+    arc = _layer_tgt if end else _layer_src
+    return _identity_layer(th, arc(FreeElem(th, (letter,)), ctx)).payload
 
 
 def _merge_words(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
@@ -373,45 +370,25 @@ def _merge_words(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
     w1, w2 = l1.payload, l2.payload
     results: set[tuple] = set()
 
-    def is_id_letter(letter) -> bool:
-        name = letter[0] if th is Theory.GRP else letter
-        return _is_id_sym(name)
-
     def rec(i: int, j: int, acc: tuple) -> None:
         if i == len(w1) and j == len(w2):
             results.add(acc)
             return
-        if (i < len(w1) and j < len(w2) and is_id_letter(w1[i])
+        if (i < len(w1) and j < len(w2) and _is_id_letter(w1[i])
                 and w1[i] == w2[j]):
             rec(i + 1, j + 1, acc + (w1[i],))
-        if i < len(w1) and not is_id_letter(w1[i]):
-            held = _identity_layer(th, _layer_tgt(_letter_elem(th, w1[i]), ctx)).payload
+        if i < len(w1) and not _is_id_letter(w1[i]):
+            held = _held(w1[i], 1, ctx)
             if w2[j:j + len(held)] == held:
                 rec(i + 1, j + len(held), acc + (w1[i],))
-        if j < len(w2) and not is_id_letter(w2[j]):
-            held = _identity_layer(th, _layer_src(_letter_elem(th, w2[j]), ctx)).payload
+        if j < len(w2) and not _is_id_letter(w2[j]):
+            held = _held(w2[j], 0, ctx)
             if w1[i:i + len(held)] == held:
                 rec(i + len(held), j + 1, acc + (w2[j],))
 
     rec(0, 0, ())
-    out = set()
-    for acc in results:
-        if th is Theory.GRP:
-            out.add(FreeElem(th, acc) if _is_reduced(acc) else _reduced_elem(acc))
-        else:
-            out.add(FreeElem(th, acc))
+    out = {signed_word(acc) if th is Theory.GRP else FreeElem(th, acc) for acc in results}
     return sorted(out, key=lambda e: e.payload)
-
-
-def _is_reduced(pairs: tuple) -> bool:
-    return all(not (pairs[i][0] == pairs[i + 1][0] and pairs[i][1] == -pairs[i + 1][1])
-               for i in range(len(pairs) - 1))
-
-
-def _reduced_elem(pairs: tuple) -> FreeElem:
-    from .theory import signed_word
-
-    return signed_word(pairs)
 
 
 def _split_candidates(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeElem]]:
@@ -460,13 +437,8 @@ def _split_candidates(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeEl
 
 def _split_word(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeElem]]:
     th = ctx.net.theory
-
-    def is_id_letter(letter) -> bool:
-        name = letter[0] if th is Theory.GRP else letter
-        return _is_id_sym(name)
-
     gen_positions = [k for k, letter in enumerate(layer.payload)
-                     if not is_id_letter(letter)]
+                     if not _is_id_letter(letter)]
     out = []
     for assign in itertools.product((True, False), repeat=len(gen_positions)):
         early = {pos for pos, fl in zip(gen_positions, assign) if fl}
@@ -475,19 +447,17 @@ def _split_word(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeElem]]:
         w1: list = []
         w2: list = []
         for k, letter in enumerate(layer.payload):
-            if is_id_letter(letter):
+            if _is_id_letter(letter):
                 w1.append(letter)
                 w2.append(letter)
             elif k in early:
                 w1.append(letter)
-                w2.extend(_identity_layer(
-                    th, _layer_tgt(_letter_elem(th, letter), ctx)).payload)
+                w2.extend(_held(letter, 1, ctx))
             else:
-                w1.extend(_identity_layer(
-                    th, _layer_src(_letter_elem(th, letter), ctx)).payload)
+                w1.extend(_held(letter, 0, ctx))
                 w2.append(letter)
         if th is Theory.GRP:
-            out.append((_reduced_elem(tuple(w1)), _reduced_elem(tuple(w2))))
+            out.append((signed_word(w1), signed_word(w2)))
         else:
             out.append((FreeElem(th, tuple(w1)), FreeElem(th, tuple(w2))))
     return out
@@ -552,20 +522,20 @@ def _form_occurrences(form: LayeredForm) -> dict[str, int]:
     return {n: c for n, c in totals.items() if c != 0}
 
 
-def _search_connect(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
-                    budget: int) -> EqVerdict:
+def _search_connect(f1, f2, neighbors, budget: int, early_exhaust: bool,
+                    render) -> EqVerdict:
+    """Bidirectional breadth-first search (Pohl 1971) between two forms.
+
+    ``neighbors`` gives one form's moves, and the smaller frontier is expanded
+    first. With ``early_exhaust``, a side whose queue empties proves the
+    closures disjoint. An ``Equal`` witness is the full rewrite path from
+    ``f1`` to ``f2``, each form shown by ``render``.
+    """
     sides: tuple[dict, dict] = ({f1: None}, {f2: None})
     queues = (deque([f1]), deque([f2]))
     expansions = 0
-    gens_cap = max(_form_gens_total(f1), _form_gens_total(f2))
-    # Within the capped form space the move relation is symmetric for theories
-    # without inverses (merge and split are mutual converses), so exhausting
-    # one side enumerates its whole class. With inverses, merges can cancel a
-    # layer away without a converse insertion move, so both sides must be
-    # exhausted; equal ABGRP forms still always meet at their full merge.
-    early_exhaust = ctx.net.theory not in GROUP_THEORIES
 
-    def witness(meet: LayeredForm) -> tuple[str, ...]:
+    def witness(meet) -> tuple[str, ...]:
         chains = []
         for side in (0, 1):
             chain = []
@@ -575,7 +545,7 @@ def _search_connect(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
                 node = sides[side][node]
             chains.append(chain)
         path = list(reversed(chains[0])) + chains[1][1:]
-        return tuple(layered_repr(f) for f in path)
+        return tuple(render(f) for f in path)
 
     if f2 in sides[0]:
         return _equal("identical layered forms")
@@ -585,7 +555,7 @@ def _search_connect(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
         expansions += 1
         if expansions > budget:
             return _unknown(f"budget of {budget} nodes exhausted")
-        for nxt in _neighbors(node, ctx, gens_cap):
+        for nxt in neighbors(node):
             if nxt in sides[side]:
                 continue
             sides[side][nxt] = node
@@ -629,7 +599,14 @@ def _forms_equal(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
     if g1 == g2:
         return _equal("greedy canonical forms agree",
                       (layered_repr(f1), layered_repr(g1), layered_repr(f2)))
-    verdict = _search_connect(f1, f2, ctx, budget)
+    cap = max(_form_gens_total(f1), _form_gens_total(f2))
+    # Within the capped form space the move relation is symmetric for theories
+    # without inverses (merge and split are mutual converses), so exhausting
+    # one side enumerates its whole class. With inverses, merges can cancel a
+    # layer away without a converse insertion move, so both sides must be
+    # exhausted; equal ABGRP forms still always meet at their full merge.
+    verdict = _search_connect(f1, f2, lambda f: _neighbors(f, ctx, cap), budget,
+                              th not in GROUP_THEORIES, layered_repr)
     if verdict.is_distinct and th is Theory.GRP:
         # Word reduction can hide merge patterns for GRP, so exhaustion of the
         # explored closure is not a proof there.
@@ -641,11 +618,11 @@ def mor_equal(t1: MorTerm, t2: MorTerm, net: QNet,
               budget: int | None = None) -> EqVerdict:
     """Decide equality of two process terms in the free category on ``net``."""
     ctx = _context(net)
-    e1 = _endpoints(t1, ctx)
-    e2 = _endpoints(t2, ctx)
-    if e1 != e2:
+    f1, tgt1 = _layered_ctx(t1, ctx)
+    f2, tgt2 = _layered_ctx(t2, ctx)
+    if (f1.start, tgt1) != (f2.start, tgt2):
         return _distinct("source/target pairs differ")
-    return _forms_equal(_layered_ctx(t1, ctx), _layered_ctx(t2, ctx), ctx, budget)
+    return _forms_equal(f1, f2, ctx, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,10 @@ def reflexive_from_json(data: Any):
     from .reflexive import ReflexiveQNet
 
     net = net_from_json(data)
-    return ReflexiveQNet(net=net, e=dict(data.get("e", {})))
+    e = data.get("e", {})
+    if not isinstance(e, dict) or not all(isinstance(t, str) for t in e.values()):
+        raise QnetError("reflexive net \"e\" must be an object of transition names")
+    return ReflexiveQNet(net=net, e=dict(e))
 
 
 def qgraph_to_json(g) -> dict:
@@ -135,21 +138,32 @@ def term_to_json(t) -> Any:
 def term_from_json(theory: Theory, data: Any):
     from . import freecat, symmetry
 
+    def bad() -> QnetError:
+        return QnetError(f"bad term JSON: {data!r}")
+
     if not isinstance(data, dict) or len(data) not in (1, 2):
-        raise QnetError(f"bad term JSON: {data!r}")
+        raise bad()
     if "gen" in data:
+        if not isinstance(data["gen"], str):
+            raise bad()
         return freecat.Gen(data["gen"])
     if "id" in data:
         return freecat.Ident(elem_from_json(theory, data["id"]))
     if "comp" in data:
+        if not isinstance(data["comp"], list) or len(data["comp"]) != 2:
+            raise bad()
         after, before = data["comp"]
         return freecat.Comp(term_from_json(theory, after), term_from_json(theory, before))
     if "op" in data:
+        if not isinstance(data["op"], str) or not isinstance(data.get("args"), list):
+            raise bad()
         args = tuple(term_from_json(theory, a) for a in data["args"])
         return freecat.Oper(data["op"], args)
     if "perm" in data:
-        return symmetry.Perm(
-            elem_from_json(theory, data["perm"]["word"]),
-            tuple(data["perm"]["map"]),
-        )
-    raise QnetError(f"bad term JSON: {data!r}")
+        perm = data["perm"]
+        if (not isinstance(perm, dict) or not {"word", "map"} <= perm.keys()
+                or not isinstance(perm["map"], list)
+                or not all(type(i) is int for i in perm["map"])):
+            raise bad()
+        return symmetry.Perm(elem_from_json(theory, perm["word"]), tuple(perm["map"]))
+    raise bad()

@@ -12,7 +12,6 @@ abelianization preimage: every ordering of every arc payload.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -40,6 +39,7 @@ from .theory import (
     UnsupportedOperationError,
     combine,
     invert,
+    signed_word,
     translate,
 )
 
@@ -63,6 +63,11 @@ def _apply_perm(payload: tuple, mapping: tuple[int, ...]) -> tuple:
     return tuple(out)
 
 
+def _is_reduced(pairs: tuple) -> bool:
+    return all(not (pairs[i][0] == pairs[i + 1][0] and pairs[i][1] == -pairs[i + 1][1])
+               for i in range(len(pairs) - 1))
+
+
 def _check_perm(t: Perm, theory: Theory) -> None:
     if theory not in (Theory.MON, Theory.GRP):
         raise IllTypedTermError("permutations need a word theory")
@@ -71,13 +76,9 @@ def _check_perm(t: Perm, theory: Theory) -> None:
     n = len(t.word.payload)
     if sorted(t.mapping) != list(range(n)):
         raise IllTypedTermError("mapping is not a permutation of the letter positions")
-    if theory is Theory.GRP:
-        permuted = _apply_perm(t.word.payload, t.mapping)
-        if any(permuted[i][0] == permuted[i + 1][0]
-               and permuted[i][1] == -permuted[i + 1][1]
-               for i in range(len(permuted) - 1)):
-            raise UnsupportedOperationError(
-                "permutation target would cancel; not representable letterwise")
+    if theory is Theory.GRP and not _is_reduced(_apply_perm(t.word.payload, t.mapping)):
+        raise UnsupportedOperationError(
+            "permutation target would cancel; not representable letterwise")
 
 
 def perm_tgt(t: Perm) -> FreeElem:
@@ -174,9 +175,7 @@ def _sym_layers(t: SymTerm, ctx) -> tuple[FreeElem, FreeElem, tuple[SymLayer, ..
         tgt = perm_tgt(t)
         return t.word, tgt, (_PermLayer(t.word, t.mapping),)
     if isinstance(t, (Gen, Ident)):
-        src, tgt = freecat._endpoints(t, ctx)
-        layers = freecat._layers_of(t, ctx)[2]
-        return src, tgt, layers
+        return freecat._layers_of(t, ctx)
     if isinstance(t, Comp):
         src_b, tgt_b, layers_b = _sym_layers(t.before, ctx)
         src_a, tgt_a, layers_a = _sym_layers(t.after, ctx)
@@ -231,100 +230,58 @@ def _blocks(lengths: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _slide_before_perm(layer: FreeElem, perm: _PermLayer, ctx) -> list[tuple[_PermLayer, FreeElem]]:
-    """Rewrite [gen layer, perm] as [perm', gen layer'] when the permutation
-    moves whole target blocks of the layer."""
-    th = ctx.net.theory
-    letters = layer.payload
-    tgt_words = [freecat._identity_layer(
-        th, freecat._layer_tgt(freecat._letter_elem(th, l), ctx)).payload
-        for l in letters]
-    src_words = [freecat._identity_layer(
-        th, freecat._layer_src(freecat._letter_elem(th, l), ctx)).payload
-        for l in letters]
-    if any(len(w) == 0 for w in tgt_words + src_words):
-        return []
-    blocks = _blocks([len(w) for w in tgt_words])
-    mapping = perm.mapping
-    images = []
-    for offset, size in blocks:
-        positions = [mapping[offset + k] for k in range(size)]
-        if any(positions[k + 1] != positions[k] + 1 for k in range(size - 1)):
-            return []
-        images.append(positions[0])
-    order = sorted(range(len(letters)), key=lambda j: images[j])
-    new_letters = tuple(letters[j] for j in order)
-    new_layer = FreeElem(th, new_letters) if th is Theory.MON else \
-        freecat._reduced_elem(new_letters)
-    if len(new_layer.payload) != len(new_letters):
-        return []
-    src_blocks = _blocks([len(w) for w in src_words])
-    new_src_offsets = {}
-    offset = 0
-    for j in order:
-        new_src_offsets[j] = offset
-        offset += len(src_words[j])
-    new_mapping = [None] * sum(len(w) for w in src_words)
-    for j, (off, size) in enumerate(src_blocks):
-        for k in range(size):
-            new_mapping[off + k] = new_src_offsets[j] + k
-    prev_word = _sym_layer_src(layer, ctx)
-    if len(prev_word.payload) != len(new_mapping):
-        return []
-    new_perm = _PermLayer(prev_word, tuple(new_mapping))
-    if th is Theory.GRP and not freecat._is_reduced(
-            _apply_perm(prev_word.payload, new_perm.mapping)):
-        return []
-    return [(new_perm, new_layer)]
+def _inverse(mapping) -> tuple[int, ...]:
+    out = [0] * len(mapping)
+    for i, target in enumerate(mapping):
+        out[target] = i
+    return tuple(out)
 
 
-def _slide_after_perm(perm: _PermLayer, layer: FreeElem, ctx) -> list[tuple[FreeElem, _PermLayer]]:
-    """Rewrite [perm, gen layer] as [gen layer', perm'] when the permutation's
-    inverse moves whole source blocks of the layer."""
+def _slide(layer: FreeElem, perm: _PermLayer, ctx,
+           before: bool) -> list[tuple[SymLayer, SymLayer]]:
+    """Slide a generator layer across an adjacent permutation that moves whole
+    blocks of it: [layer, perm] becomes [perm', layer'] when the layer fires
+    ``before`` the permutation, and [perm, layer] becomes [layer', perm']
+    otherwise. The layer's end next to the permutation fixes the new letter
+    order; its far end gives the blocks of the new permutation."""
     th = ctx.net.theory
     letters = layer.payload
-    src_words = [freecat._identity_layer(
-        th, freecat._layer_src(freecat._letter_elem(th, l), ctx)).payload
-        for l in letters]
-    tgt_words = [freecat._identity_layer(
-        th, freecat._layer_tgt(freecat._letter_elem(th, l), ctx)).payload
-        for l in letters]
-    if any(len(w) == 0 for w in src_words + tgt_words):
+    near = [freecat._held(l, 1 if before else 0, ctx) for l in letters]
+    far = [freecat._held(l, 0 if before else 1, ctx) for l in letters]
+    # A near end that cancels (GRP) does not spell the permuted word letterwise.
+    if any(len(w) == 0 for w in near + far) or sum(map(len, near)) != len(perm.mapping):
         return []
-    blocks = _blocks([len(w) for w in src_words])
-    inverse = [None] * len(perm.mapping)
-    for i, target in enumerate(perm.mapping):
-        inverse[target] = i
+    # Where each near-end position goes when read from the layer's side.
+    moved = perm.mapping if before else _inverse(perm.mapping)
     starts = []
-    for offset, size in blocks:
-        positions = [inverse[offset + k] for k in range(size)]
+    for offset, size in _blocks([len(w) for w in near]):
+        positions = [moved[offset + k] for k in range(size)]
         if any(positions[k + 1] != positions[k] + 1 for k in range(size - 1)):
             return []
         starts.append(positions[0])
     order = sorted(range(len(letters)), key=lambda j: starts[j])
     new_letters = tuple(letters[j] for j in order)
-    new_layer = FreeElem(th, new_letters) if th is Theory.MON else \
-        freecat._reduced_elem(new_letters)
+    new_layer = FreeElem(th, new_letters) if th is Theory.MON else signed_word(new_letters)
     if len(new_layer.payload) != len(new_letters):
         return []
-    tgt_blocks = _blocks([len(w) for w in tgt_words])
-    new_tgt_offsets = {}
+    new_offsets = {}
     offset = 0
     for j in order:
-        new_tgt_offsets[j] = offset
-        offset += len(tgt_words[j])
-    new_mapping = [None] * sum(len(w) for w in tgt_words)
-    for j, (off, size) in enumerate(tgt_blocks):
+        new_offsets[j] = offset
+        offset += len(far[j])
+    # Far-end block positions of the old letter order -> the new order.
+    forward = [0] * offset
+    for j, (off, size) in enumerate(_blocks([len(w) for w in far])):
         for k in range(size):
-            new_mapping[new_tgt_offsets[j] + k] = off + k
-    new_word = _sym_layer_tgt(new_layer, ctx)
-    if len(new_word.payload) != len(new_mapping):
+            forward[off + k] = new_offsets[j] + k
+    new_mapping = tuple(forward) if before else _inverse(forward)
+    word = _sym_layer_src(layer, ctx) if before else _sym_layer_tgt(new_layer, ctx)
+    if len(word.payload) != len(new_mapping):
         return []
-    new_perm = _PermLayer(new_word, tuple(new_mapping))
-    if th is Theory.GRP and not freecat._is_reduced(
-            _apply_perm(new_word.payload, new_perm.mapping)):
+    if th is Theory.GRP and not _is_reduced(_apply_perm(word.payload, new_mapping)):
         return []
-    return [(new_layer, new_perm)]
+    new_perm = _PermLayer(word, new_mapping)
+    return [(new_perm, new_layer) if before else (new_layer, new_perm)]
 
 
 def _sym_neighbors(form: SymForm, ctx) -> Iterator[SymForm]:
@@ -343,12 +300,10 @@ def _sym_neighbors(form: SymForm, ctx) -> Iterator[SymForm]:
             for n in freecat._merge_candidates(a, b, ctx):
                 mid = () if freecat._pure_id(n) else (n,)
                 yield SymForm(form.start, layers[:i] + mid + layers[i + 2:])
-        elif not _is_perm_layer(a) and _is_perm_layer(b):
-            for p, l in _slide_before_perm(a, b, ctx):
-                yield SymForm(form.start, layers[:i] + (p, l) + layers[i + 2:])
         else:
-            for l, p in _slide_after_perm(a, b, ctx):
-                yield SymForm(form.start, layers[:i] + (l, p) + layers[i + 2:])
+            before = not _is_perm_layer(a)
+            for pair in _slide(a if before else b, b if before else a, ctx, before):
+                yield SymForm(form.start, layers[:i] + pair + layers[i + 2:])
     for i, layer in enumerate(layers):
         if not _is_perm_layer(layer):
             for x, y in freecat._split_candidates(layer, ctx):
@@ -398,24 +353,11 @@ def sym_equal(t1: SymTerm, t2: SymTerm, net: QNet,
         return _equal("identical layered forms")
     if _sym_occurrences(f1) != _sym_occurrences(f2):
         return _distinct("generator occurrence counts differ")
-    sides: tuple[dict, dict] = ({f1: None}, {f2: None})
-    queues = (deque([f1]), deque([f2]))
-    expansions = 0
-    while queues[0] or queues[1]:
-        side = 0 if (queues[0] and (not queues[1] or len(queues[0]) <= len(queues[1]))) else 1
-        node = queues[side].popleft()
-        expansions += 1
-        if expansions > budget:
-            return _unknown(f"budget of {budget} nodes exhausted")
-        for nxt in _sym_neighbors(node, ctx):
-            if nxt in sides[side]:
-                continue
-            sides[side][nxt] = node
-            if nxt in sides[1 - side]:
-                return _equal("rewrite path found",
-                              (sym_repr(f1), sym_repr(nxt), sym_repr(f2)))
-            queues[side].append(nxt)
-    return _unknown("closures exhausted; symmetric move set is not known complete")
+    verdict = freecat._search_connect(f1, f2, lambda f: _sym_neighbors(f, ctx), budget,
+                                      False, sym_repr)
+    if verdict.is_distinct:
+        return _unknown("closures exhausted; symmetric move set is not known complete")
+    return verdict
 
 
 def erase_symmetries(t: SymTerm) -> MorTerm:

@@ -44,7 +44,6 @@ class Theory(Enum):
 
 
 COUNT_THEORIES = frozenset({Theory.CMON, Theory.ABGRP})
-WORD_THEORIES = frozenset({Theory.MON, Theory.GRP})
 GROUP_THEORIES = frozenset({Theory.ABGRP, Theory.GRP})
 COMMUTATIVE_THEORIES = frozenset({Theory.CMON, Theory.ABGRP, Theory.SEMILAT})
 

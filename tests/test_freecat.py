@@ -250,3 +250,17 @@ def test_free_edges_morphism_validates():
     q = petri("c", {"s": ({"c": 1}, {"c": 1})})
     m = add_identities_morphism(NetMorphism(p, q, {"t": "s"}, {"a": "c", "b": "c"}))
     assert validate_graph_morphism(free_edges_morphism(m)) == []
+
+
+def test_deep_composite_chain_stays_off_the_call_stack():
+    a = Ident(cmon({"a": 1}))
+    term = a
+    for _ in range(3000):
+        term = Comp(a, term)
+    assert mor_src(term, LOOP) == cmon({"a": 1})
+    assert mor_equal(term, a, LOOP).is_equal
+    steps = Gen("t")
+    for name in ["u", "t"] * 1500:
+        steps = Comp(Gen(name), steps)
+    assert mor_tgt(steps, LOOP) == cmon({"a": 1})
+    assert len(layered(steps, LOOP).layers) == 3001

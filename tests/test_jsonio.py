@@ -8,6 +8,7 @@ from qnets.reflexive import add_identities, free_edges
 from qnets.symmetry import Perm
 from qnets.theory import (
     CanonicalFormError,
+    QnetError,
     Theory,
     finset,
     multiset,
@@ -76,3 +77,29 @@ def test_perm_roundtrip():
     data = jsonio.term_to_json(perm)
     assert data == {"perm": {"word": ["a", "b"], "map": [1, 0]}}
     assert jsonio.term_from_json(Theory.MON, data) == perm
+
+
+@pytest.mark.parametrize("data", [
+    {"comp": 5},
+    {"comp": [{"gen": "t"}]},
+    {"op": "combine"},
+    {"op": "combine", "args": 5},
+    {"op": 3, "args": []},
+    {"perm": 3},
+    {"perm": {"word": ["a"]}},
+    {"perm": {"word": ["a"], "map": [True]}},
+    {"gen": 5},
+    {"comp": [{"gen": "t"}, {"gen": 5}]},
+    [],
+])
+def test_term_from_json_rejects_malformed(data):
+    with pytest.raises(QnetError):
+        jsonio.term_from_json(Theory.MON, data)
+
+
+@pytest.mark.parametrize("e", [[1, 2], "x", {"a": 5}])
+def test_reflexive_from_json_rejects_malformed_e(e):
+    data = jsonio.reflexive_to_json(add_identities(petri("a", {"t": ({"a": 1}, {"a": 1})})))
+    data["e"] = e
+    with pytest.raises(QnetError):
+        jsonio.reflexive_from_json(data)

@@ -13,7 +13,8 @@ from qnets.symmetry import (
     sym_equal,
     translate_term,
 )
-from qnets.theory import Theory, TheoryArrow, UnsupportedOperationError, word
+from qnets.net import QNet
+from qnets.theory import Theory, TheoryArrow, UnsupportedOperationError, signed_word, word
 
 from netzoo import cmon, petri, prenet
 
@@ -137,3 +138,18 @@ def test_unique_linearization_when_multiplicities_flat():
     net = petri("ab", {"t": ({"a": 1}, {"b": 1})})
     summed = linearization_sum(net)
     assert len(summed.transitions) == 1
+
+
+def test_slide_skips_a_grp_layer_whose_source_cancels():
+    # t^-1.u.v.x has source a^-1.a.b.c = b.c: its held source blocks are
+    # longer than the swap in front of it, so no slide applies.
+    def w(*names):
+        return signed_word([(n, 1) for n in names])
+
+    net = QNet(Theory.GRP, ("a", "b", "c"), {
+        "t": (w("a"), w("a")), "u": (w("a"), w("a")),
+        "v": (w("b"), w("b")), "x": (w("c"), w("c"))})
+    swap = braiding(w("c"), w("b"))
+    layer = Oper("combine", (Oper("invert", (Gen("t"),)), Gen("u"), Gen("v"), Gen("x")))
+    other = Oper("combine", (Oper("invert", (Gen("t"),)), Gen("u"), Gen("x"), Gen("v")))
+    assert sym_equal(Comp(layer, swap), Comp(swap, other), net).is_unknown
