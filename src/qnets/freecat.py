@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
 from . import jsonio
@@ -101,6 +101,16 @@ class LayeredForm:
     start: FreeElem
     layers: tuple[FreeElem, ...]
 
+    def __post_init__(self):
+        # Hashed once, by the dataclass formula, as :class:`FreeElem` is.
+        object.__setattr__(self, "_hash", hash((self.start, self.layers)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return LayeredForm, (self.start, self.layers)
+
 
 @dataclass(frozen=True)
 class EqVerdict:
@@ -139,9 +149,21 @@ def _unknown(reason: str) -> EqVerdict:
 
 @dataclass(frozen=True)
 class _Ctx:
+    """A validated net and its symbol images, built once per call of
+    :func:`mor_equal`, :func:`hom_enumerate` or ``symmetry.sym_equal``.
+
+    The move caches live only as long as the context, so for that one call.
+    Merge and split moves and layer generator counts are pure functions of
+    the net, so each distinct input is computed once and every repeat gets
+    the same, already checked, elements back.
+    """
+
     net: QNet
     src_images: Mapping[str, FreeElem]
     tgt_images: Mapping[str, FreeElem]
+    merges: dict = field(default_factory=dict, repr=False, compare=False)
+    splits: dict = field(default_factory=dict, repr=False, compare=False)
+    gens_totals: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _context(net: QNet) -> _Ctx:
@@ -472,6 +494,31 @@ def _form_gens_total(form: LayeredForm) -> int:
     return sum(_layer_gens_total(layer) for layer in form.layers)
 
 
+# The moves through the per-call caches of ``ctx``. The uncached functions
+# are looked up at call time, so a wrapper installed on them sees each miss.
+
+
+def _merges(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
+    out = ctx.merges.get((l1, l2))
+    if out is None:
+        out = ctx.merges[l1, l2] = _merge_candidates(l1, l2, ctx)
+    return out
+
+
+def _splits(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeElem]]:
+    out = ctx.splits.get(layer)
+    if out is None:
+        out = ctx.splits[layer] = _split_candidates(layer, ctx)
+    return out
+
+
+def _gens_total(layer: FreeElem, ctx: _Ctx) -> int:
+    out = ctx.gens_totals.get(layer)
+    if out is None:
+        out = ctx.gens_totals[layer] = _layer_gens_total(layer)
+    return out
+
+
 def _neighbors(form: LayeredForm, ctx: _Ctx,
                gens_cap: int | None = None) -> Iterator[LayeredForm]:
     """Adjacent-layer merges and splits; splits may not push the total
@@ -479,15 +526,15 @@ def _neighbors(form: LayeredForm, ctx: _Ctx,
     unbounded)."""
     layers = form.layers
     for i in range(len(layers) - 1):
-        for merged in _merge_candidates(layers[i], layers[i + 1], ctx):
+        for merged in _merges(layers[i], layers[i + 1], ctx):
             mid = () if _pure_id(merged) else (merged,)
             yield LayeredForm(form.start, layers[:i] + mid + layers[i + 2:])
-    total = _form_gens_total(form)
+    gens = [_gens_total(layer, ctx) for layer in layers]
+    total = sum(gens)
     for i, layer in enumerate(layers):
-        here = _layer_gens_total(layer)
-        for a, b in _split_candidates(layer, ctx):
+        for a, b in _splits(layer, ctx):
             if gens_cap is not None:
-                grown = total - here + _layer_gens_total(a) + _layer_gens_total(b)
+                grown = total - gens[i] + _gens_total(a, ctx) + _gens_total(b, ctx)
                 if grown > gens_cap:
                     continue
             yield LayeredForm(form.start, layers[:i] + (a, b) + layers[i + 1:])
@@ -499,7 +546,7 @@ def _greedy(form: LayeredForm, ctx: _Ctx) -> LayeredForm:
     layers = list(form.layers)
     i = 0
     while i + 1 < len(layers):
-        cands = _merge_candidates(layers[i], layers[i + 1], ctx)
+        cands = _merges(layers[i], layers[i + 1], ctx)
         if cands:
             merged = min(cands, key=lambda e: e.payload)
             layers[i:i + 2] = [] if _pure_id(merged) else [merged]
@@ -757,14 +804,19 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
         budget = default_budget()
     ctx = _context(net)
     forms: list[LayeredForm] = []
+    # Each marking's layers and their targets, built once for all paths.
+    steps: dict[FreeElem, list[tuple[FreeElem, FreeElem]]] = {}
 
     def rec(marking: FreeElem, acc: tuple[FreeElem, ...]) -> None:
         if marking == y:
             forms.append(LayeredForm(x, acc))
         if len(acc) == max_layers:
             return
-        for layer in _step_layers(ctx, marking, max_width):
-            rec(_layer_tgt(layer, ctx), acc + (layer,))
+        if marking not in steps:
+            steps[marking] = [(layer, _layer_tgt(layer, ctx))
+                              for layer in _step_layers(ctx, marking, max_width)]
+        for layer, tgt in steps[marking]:
+            rec(tgt, acc + (layer,))
 
     rec(x, ())
     forms.sort(key=lambda f: (len(f.layers), tuple(l.payload for l in f.layers)))

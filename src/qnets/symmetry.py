@@ -167,52 +167,69 @@ def _pad_before(prefix: FreeElem, layer: SymLayer, ctx) -> SymLayer:
 
 
 def _sym_layers(t: SymTerm, ctx) -> tuple[FreeElem, FreeElem, tuple[SymLayer, ...]]:
+    """Source, target and layers of a symmetric term. Like
+    :func:`freecat._layers_of`, it walks with an explicit stack: each node is
+    checked when first popped, and folded from its children's results, left
+    to right, when popped again."""
     th = ctx.net.theory
-    if isinstance(t, Perm):
-        _check_perm(t, th)
-        if t.word.atoms() - set(ctx.net.places):
-            raise IllTypedTermError("permutation word mentions undeclared places")
-        tgt = perm_tgt(t)
-        return t.word, tgt, (_PermLayer(t.word, t.mapping),)
-    if isinstance(t, (Gen, Ident)):
-        return freecat._layers_of(t, ctx)
-    if isinstance(t, Comp):
-        src_b, tgt_b, layers_b = _sym_layers(t.before, ctx)
-        src_a, tgt_a, layers_a = _sym_layers(t.after, ctx)
-        if tgt_b != src_a:
-            raise IllTypedTermError("composite mismatch in symmetric term")
-        return src_b, tgt_a, layers_b + layers_a
-    if isinstance(t, Oper) and t.op == "combine":
-        if len(t.args) < 2:
-            raise IllTypedTermError("combine needs at least two arguments")
-        src, tgt, layers = _sym_layers(t.args[0], ctx)
-        for arg in t.args[1:]:
-            src_b, tgt_b, layers_b = _sym_layers(arg, ctx)
-            if (all(not _is_perm_layer(l) for l in layers)
-                    and all(not _is_perm_layer(l) for l in layers_b)):
-                layers = freecat._zip_layers(th, (src, layers), (src_b, layers_b))
-            else:
-                layers = tuple(_pad_after(l, src_b, ctx) for l in layers) + \
-                    tuple(_pad_before(tgt, l, ctx) for l in layers_b)
-            src = combine(th, src, src_b)
-            tgt = combine(th, tgt, tgt_b)
-        return src, tgt, layers
-    if isinstance(t, Oper) and t.op == "invert":
-        if th is not Theory.GRP:
-            raise IllTypedTermError("invert needs the GRP theory")
-        if len(t.args) != 1:
-            raise IllTypedTermError("invert takes exactly one argument")
-        src, tgt, layers = _sym_layers(t.args[0], ctx)
-        inverted = []
-        for layer in layers:
-            if _is_perm_layer(layer):
-                n = len(layer.word.payload)
-                mapping = tuple(n - 1 - layer.mapping[n - 1 - i] for i in range(n))
-                inverted.append(_PermLayer(invert(layer.word), mapping))
-            else:
-                inverted.append(invert(layer))
-        return invert(src), invert(tgt), tuple(inverted)
-    raise IllTypedTermError(f"not a symmetric process term: {t!r}")
+    done: list[tuple[FreeElem, FreeElem, tuple[SymLayer, ...]]] = []
+    stack: list[tuple[SymTerm, bool]] = [(t, False)]
+    while stack:
+        t, fold = stack.pop()
+        if fold and isinstance(t, Comp):
+            src_a, tgt_a, layers_a = done.pop()
+            src_b, tgt_b, layers_b = done.pop()
+            if tgt_b != src_a:
+                raise IllTypedTermError("composite mismatch in symmetric term")
+            done.append((src_b, tgt_a, layers_b + layers_a))
+        elif fold and t.op == "invert":
+            src, tgt, layers = done.pop()
+            done.append((invert(src), invert(tgt), tuple(_invert_layer(l) for l in layers)))
+        elif fold:
+            args = done[-len(t.args):]
+            del done[-len(t.args):]
+            src, tgt, layers = args[0]
+            for src_b, tgt_b, layers_b in args[1:]:
+                if (all(not _is_perm_layer(l) for l in layers)
+                        and all(not _is_perm_layer(l) for l in layers_b)):
+                    layers = freecat._zip_layers(th, (src, layers), (src_b, layers_b))
+                else:
+                    layers = tuple(_pad_after(l, src_b, ctx) for l in layers) + \
+                        tuple(_pad_before(tgt, l, ctx) for l in layers_b)
+                src = combine(th, src, src_b)
+                tgt = combine(th, tgt, tgt_b)
+            done.append((src, tgt, layers))
+        elif isinstance(t, Perm):
+            _check_perm(t, th)
+            if t.word.atoms() - set(ctx.net.places):
+                raise IllTypedTermError("permutation word mentions undeclared places")
+            done.append((t.word, perm_tgt(t), (_PermLayer(t.word, t.mapping),)))
+        elif isinstance(t, (Gen, Ident)):
+            done.append(freecat._layers_of(t, ctx))
+        elif isinstance(t, Comp):
+            stack += [(t, True), (t.after, False), (t.before, False)]
+        elif isinstance(t, Oper) and t.op == "combine":
+            if len(t.args) < 2:
+                raise IllTypedTermError("combine needs at least two arguments")
+            stack.append((t, True))
+            stack += [(a, False) for a in reversed(t.args)]
+        elif isinstance(t, Oper) and t.op == "invert":
+            if th is not Theory.GRP:
+                raise IllTypedTermError("invert needs the GRP theory")
+            if len(t.args) != 1:
+                raise IllTypedTermError("invert takes exactly one argument")
+            stack += [(t, True), (t.args[0], False)]
+        else:
+            raise IllTypedTermError(f"not a symmetric process term: {t!r}")
+    return done[0]
+
+
+def _invert_layer(layer: SymLayer) -> SymLayer:
+    if _is_perm_layer(layer):
+        n = len(layer.word.payload)
+        mapping = tuple(n - 1 - layer.mapping[n - 1 - i] for i in range(n))
+        return _PermLayer(invert(layer.word), mapping)
+    return invert(layer)
 
 
 def sym_layered(t: SymTerm, net: QNet) -> SymForm:
@@ -297,7 +314,7 @@ def _sym_neighbors(form: SymForm, ctx) -> Iterator[SymForm]:
                 merged = (_PermLayer(a.word, composed),)
             yield SymForm(form.start, layers[:i] + merged + layers[i + 2:])
         elif not _is_perm_layer(a) and not _is_perm_layer(b):
-            for n in freecat._merge_candidates(a, b, ctx):
+            for n in freecat._merges(a, b, ctx):
                 mid = () if freecat._pure_id(n) else (n,)
                 yield SymForm(form.start, layers[:i] + mid + layers[i + 2:])
         else:
@@ -306,7 +323,7 @@ def _sym_neighbors(form: SymForm, ctx) -> Iterator[SymForm]:
                 yield SymForm(form.start, layers[:i] + pair + layers[i + 2:])
     for i, layer in enumerate(layers):
         if not _is_perm_layer(layer):
-            for x, y in freecat._split_candidates(layer, ctx):
+            for x, y in freecat._splits(layer, ctx):
                 yield SymForm(form.start, layers[:i] + (x, y) + layers[i + 1:])
 
 
@@ -360,29 +377,50 @@ def sym_equal(t1: SymTerm, t2: SymTerm, net: QNet,
     return verdict
 
 
+def _map_leaves(t: SymTerm, leaf) -> SymTerm:
+    """Rebuild ``t`` with every node other than ``Comp`` and ``Oper`` replaced
+    by ``leaf(node)``. Leaves are visited in written order (a ``Comp``'s
+    ``after`` first), with an explicit stack so deep terms stay off the Python
+    call stack."""
+    done: list[SymTerm] = []
+    stack: list[tuple[SymTerm, bool]] = [(t, False)]
+    while stack:
+        t, fold = stack.pop()
+        if fold and isinstance(t, Comp):
+            before = done.pop()
+            done.append(Comp(done.pop(), before))
+        elif fold:
+            cut = len(done) - len(t.args)
+            args = tuple(done[cut:])
+            del done[cut:]
+            done.append(Oper(t.op, args))
+        elif isinstance(t, Comp):
+            stack += [(t, True), (t.before, False), (t.after, False)]
+        elif isinstance(t, Oper):
+            stack.append((t, True))
+            stack += [(a, False) for a in reversed(t.args)]
+        else:
+            done.append(leaf(t))
+    return done[0]
+
+
 def erase_symmetries(t: SymTerm) -> MorTerm:
     """Replace every permutation node by the identity on its word."""
-    if isinstance(t, Perm):
-        return Ident(t.word)
-    if isinstance(t, Comp):
-        return Comp(erase_symmetries(t.after), erase_symmetries(t.before))
-    if isinstance(t, Oper):
-        return Oper(t.op, tuple(erase_symmetries(a) for a in t.args))
-    return t
+    return _map_leaves(t, lambda leaf: Ident(leaf.word) if isinstance(leaf, Perm) else leaf)
 
 
 def translate_term(arrow: TheoryArrow, t: MorTerm) -> MorTerm:
     """Push a process term along a catalog arrow (objects are translated,
     generators keep their names)."""
-    if isinstance(t, Gen):
-        return t
-    if isinstance(t, Ident):
-        return Ident(translate(arrow, t.obj))
-    if isinstance(t, Comp):
-        return Comp(translate_term(arrow, t.after), translate_term(arrow, t.before))
-    if isinstance(t, Oper):
-        return Oper(t.op, tuple(translate_term(arrow, a) for a in t.args))
-    raise IllTypedTermError(f"not a process term: {t!r}")
+
+    def leaf(t: MorTerm) -> MorTerm:
+        if isinstance(t, Gen):
+            return t
+        if isinstance(t, Ident):
+            return Ident(translate(arrow, t.obj))
+        raise IllTypedTermError(f"not a process term: {t!r}")
+
+    return _map_leaves(t, leaf)
 
 
 def _distinct_orderings(letters: list) -> list[tuple]:

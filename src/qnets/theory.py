@@ -100,6 +100,17 @@ class FreeElem:
 
     def __post_init__(self):
         check_canonical(self.theory, self.payload)
+        # Elements are set and dict keys throughout the layer search, so the
+        # hash is computed once, by the formula the dataclass would use.
+        object.__setattr__(self, "_hash", hash((self.theory, self.payload)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: pickle and copy rebuild the
+        # element through the checked constructor instead of carrying _hash.
+        return FreeElem, (self.theory, self.payload)
 
     def atoms(self) -> frozenset[str]:
         """Every name mentioned by the payload."""

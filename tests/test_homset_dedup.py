@@ -1,23 +1,29 @@
 """Differential tests: hom_enumerate's closure-based class dedup against the
-pairwise mor_equal dedup it replaced."""
+pairwise mor_equal dedup it replaced, and the per-call move caches against
+the uncached moves."""
 
 from hypothesis import given, settings, strategies as st
 
 from qnets import QNet, freecat
 from qnets.freecat import (
+    Gen,
     LayeredForm,
+    Oper,
+    _closure,
     _context,
     _forms_equal,
     _layer_tgt,
     _step_layers,
     hom_enumerate,
+    layered,
     layered_to_term,
 )
-from qnets.theory import Theory, finset, multiset, unit, word
+from qnets.theory import Theory, finset, multiset, signed_word, unit, word
 
 from netzoo import (
     ELEMENTARY_NETS,
     EQUALITY_NETS,
+    INTEGER_NETS,
     PRE_NETS,
     SYMMETRY_NETS,
     TOKEN_GAME_NETS,
@@ -29,8 +35,8 @@ LOOP = petri("a", {"t": ({"a": 1}, {"a": 1}), "u": ({"a": 1}, {"a": 1})})
 ENUMERABLE = (Theory.CMON, Theory.MON, Theory.SEMILAT)
 
 
-def pairwise_hom_enumerate(net, x, y, max_layers, max_width, budget=None):
-    """Reference: each form is compared with every earlier representative."""
+def _hom_forms(net, x, y, max_layers, max_width):
+    """The layered forms from ``x`` to ``y`` in hom_enumerate's visiting order."""
     ctx = _context(net)
     forms = []
 
@@ -43,9 +49,14 @@ def pairwise_hom_enumerate(net, x, y, max_layers, max_width, budget=None):
             rec(_layer_tgt(layer, ctx), acc + (layer,))
 
     rec(x, ())
-    forms.sort(key=lambda f: (len(f.layers), tuple(l.payload for l in f.layers)))
+    return sorted(forms, key=lambda f: (len(f.layers), tuple(l.payload for l in f.layers)))
+
+
+def pairwise_hom_enumerate(net, x, y, max_layers, max_width, budget=None):
+    """Reference: each form is compared with every earlier representative."""
+    ctx = _context(net)
     reps = []
-    for form in forms:
+    for form in _hom_forms(net, x, y, max_layers, max_width):
         if not any(_forms_equal(form, rep, ctx, budget).is_equal for rep in reps):
             reps.append(form)
     return [layered_to_term(rep, net) for rep in reps]
@@ -58,9 +69,14 @@ def _objects(net):
     return sorted(objs, key=lambda e: e.payload)
 
 
+ZOO = TOKEN_GAME_NETS + PRE_NETS + ELEMENTARY_NETS + EQUALITY_NETS + SYMMETRY_NETS
+GROUP_ZOO = INTEGER_NETS + [QNet(Theory.GRP, ("a", "b"), {
+    "t": (signed_word([("a", 1)]), signed_word([("b", 1)])),
+    "u": (signed_word([("b", 1), ("a", -1)]), signed_word([]))})]
+
+
 def test_zoo_matches_pairwise_reference():
-    nets = [n for n in TOKEN_GAME_NETS + PRE_NETS + ELEMENTARY_NETS
-            + EQUALITY_NETS + SYMMETRY_NETS if n.theory in ENUMERABLE]
+    nets = [n for n in ZOO if n.theory in ENUMERABLE]
     compared = 0
     for net in nets:
         for x in _objects(net):
@@ -120,3 +136,79 @@ def test_budget_fallback_uses_pairwise_search(monkeypatch):
     assert calls
     assert tight == want
     assert len(tight) >= len(full)
+
+
+def test_three_layer_semilat_class_matches_pairwise_reference():
+    # Large SEMILAT rewrite classes: this took seconds per call when every
+    # neighbor rebuilt its merge and split moves.
+    net = EQUALITY_NETS[3]
+    got = hom_enumerate(net, finset("ab"), finset("ab"), 3, 2)
+    assert len(got) == 26
+    assert got == pairwise_hom_enumerate(net, finset("ab"), finset("ab"), 3, 2)
+
+
+# ---------------------------------------------------------------------------
+# Per-call move caches against the uncached moves
+
+
+def _neighbors_ref(form, ctx, gens_cap):
+    """The move generator as it was before the caches, on the uncached moves."""
+    layers = form.layers
+    for i in range(len(layers) - 1):
+        for merged in freecat._merge_candidates(layers[i], layers[i + 1], ctx):
+            mid = () if freecat._pure_id(merged) else (merged,)
+            yield LayeredForm(form.start, layers[:i] + mid + layers[i + 2:])
+    total = freecat._form_gens_total(form)
+    for i, layer in enumerate(layers):
+        here = freecat._layer_gens_total(layer)
+        for a, b in freecat._split_candidates(layer, ctx):
+            grown = total - here + freecat._layer_gens_total(a) + freecat._layer_gens_total(b)
+            if grown <= gens_cap:
+                yield LayeredForm(form.start, layers[:i] + (a, b) + layers[i + 1:])
+
+
+def _start_forms(net):
+    """Every hom-set form of an enumerable net; for the group theories, whose
+    hom-sets are infinite, every parallel pair of generators."""
+    if net.theory in ENUMERABLE:
+        for x in _objects(net):
+            for y in _objects(net):
+                for bounds in ((3, 1), (2, 2)):
+                    yield from _hom_forms(net, x, y, *bounds)
+    else:
+        for t in sorted(net.transitions):
+            for u in sorted(net.transitions):
+                yield layered(Oper("combine", (Gen(t), Gen(u))), net)
+
+
+def _check_moves(form, cached, plain, cap):
+    """Every move of ``form`` agrees, in order, with the uncached move."""
+    layers = form.layers
+    for l1, l2 in zip(layers, layers[1:]):
+        want = freecat._merge_candidates(l1, l2, plain)
+        assert freecat._merges(l1, l2, cached) == want
+        assert freecat._merges(l1, l2, cached) is freecat._merges(l1, l2, cached)
+    for layer in layers:
+        assert freecat._splits(layer, cached) == freecat._split_candidates(layer, plain)
+        assert freecat._gens_total(layer, cached) == freecat._layer_gens_total(layer)
+    assert list(freecat._neighbors(form, cached, cap)) == list(_neighbors_ref(form, plain, cap))
+
+
+def test_cached_moves_match_uncached_moves_on_whole_closures():
+    checked = 0
+    for net in ZOO + GROUP_ZOO:
+        cached = _context(net)  # one context, as one hom_enumerate call has
+        plain = _context(net)   # only passed to the uncached moves
+        done = set()
+        for form in _start_forms(net):
+            cap = freecat._form_gens_total(form)
+            if (form, cap) in done:
+                continue
+            closure = _closure(form, cached, cap, 5_000)
+            assert closure is not None, (net, form)
+            for member in closure:
+                done.add((member, cap))
+                _check_moves(member, cached, plain, cap)
+                checked += 1
+        assert cached.merges or cached.splits or not net.transitions
+    assert checked > 800

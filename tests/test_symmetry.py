@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qnets.freecat import Comp, Gen, Ident, Oper, mor_equal
+from qnets import freecat, symmetry
+from qnets.freecat import Comp, Gen, Ident, IllTypedTermError, Oper, mor_equal
 from qnets.net import apply_net_functor
 from qnets.symmetry import (
     Perm,
@@ -14,7 +16,16 @@ from qnets.symmetry import (
     translate_term,
 )
 from qnets.net import QNet
-from qnets.theory import Theory, TheoryArrow, UnsupportedOperationError, signed_word, word
+from qnets.theory import (
+    Theory,
+    TheoryArrow,
+    UnsupportedOperationError,
+    combine,
+    invert,
+    signed_word,
+    translate,
+    word,
+)
 
 from netzoo import cmon, petri, prenet
 
@@ -153,3 +164,147 @@ def test_slide_skips_a_grp_layer_whose_source_cancels():
     layer = Oper("combine", (Oper("invert", (Gen("t"),)), Gen("u"), Gen("v"), Gen("x")))
     other = Oper("combine", (Oper("invert", (Gen("t"),)), Gen("u"), Gen("x"), Gen("v")))
     assert sym_equal(Comp(layer, swap), Comp(swap, other), net).is_unknown
+
+
+def test_deep_symmetric_chain_stays_off_the_call_stack():
+    a = Ident(word("a"))
+    term = a
+    for _ in range(3000):
+        term = Comp(a, term)
+    assert sym_equal(term, a, PRENET).is_equal
+    assert mor_equal(erase_symmetries(term), a, PRENET).is_equal
+    assert mor_equal(translate_term(TheoryArrow.FREE_GROUP, term),
+                     Ident(signed_word([("a", 1)])),
+                     apply_net_functor(TheoryArrow.FREE_GROUP, PRENET)).is_equal
+    still = Perm(word("ab"), (0, 1))
+    perms = still
+    for _ in range(3000):
+        perms = Comp(still, perms)
+    assert sym_equal(perms, Ident(word("ab")), PRENET).is_equal
+    assert mor_equal(erase_symmetries(perms), Ident(word("ab")), PRENET).is_equal
+
+
+# ---------------------------------------------------------------------------
+# The iterative walks against the recursive code they replaced
+
+
+def _sym_layers_ref(t, ctx):
+    th = ctx.net.theory
+    if isinstance(t, Perm):
+        symmetry._check_perm(t, th)
+        if t.word.atoms() - set(ctx.net.places):
+            raise IllTypedTermError("permutation word mentions undeclared places")
+        return t.word, perm_tgt(t), (symmetry._PermLayer(t.word, t.mapping),)
+    if isinstance(t, (Gen, Ident)):
+        return freecat._layers_of(t, ctx)
+    if isinstance(t, Comp):
+        src_b, tgt_b, layers_b = _sym_layers_ref(t.before, ctx)
+        src_a, tgt_a, layers_a = _sym_layers_ref(t.after, ctx)
+        if tgt_b != src_a:
+            raise IllTypedTermError("composite mismatch in symmetric term")
+        return src_b, tgt_a, layers_b + layers_a
+    if isinstance(t, Oper) and t.op == "combine":
+        if len(t.args) < 2:
+            raise IllTypedTermError("combine needs at least two arguments")
+        src, tgt, layers = _sym_layers_ref(t.args[0], ctx)
+        for arg in t.args[1:]:
+            src_b, tgt_b, layers_b = _sym_layers_ref(arg, ctx)
+            if not any(map(symmetry._is_perm_layer, layers + layers_b)):
+                layers = freecat._zip_layers(th, (src, layers), (src_b, layers_b))
+            else:
+                layers = tuple(symmetry._pad_after(l, src_b, ctx) for l in layers) + \
+                    tuple(symmetry._pad_before(tgt, l, ctx) for l in layers_b)
+            src = combine(th, src, src_b)
+            tgt = combine(th, tgt, tgt_b)
+        return src, tgt, layers
+    if isinstance(t, Oper) and t.op == "invert":
+        if th is not Theory.GRP:
+            raise IllTypedTermError("invert needs the GRP theory")
+        if len(t.args) != 1:
+            raise IllTypedTermError("invert takes exactly one argument")
+        src, tgt, layers = _sym_layers_ref(t.args[0], ctx)
+        inverted = []
+        for layer in layers:
+            if symmetry._is_perm_layer(layer):
+                n = len(layer.word.payload)
+                mapping = tuple(n - 1 - layer.mapping[n - 1 - i] for i in range(n))
+                inverted.append(symmetry._PermLayer(invert(layer.word), mapping))
+            else:
+                inverted.append(invert(layer))
+        return invert(src), invert(tgt), tuple(inverted)
+    raise IllTypedTermError(f"not a symmetric process term: {t!r}")
+
+
+def _erase_ref(t):
+    if isinstance(t, Perm):
+        return Ident(t.word)
+    if isinstance(t, Comp):
+        return Comp(_erase_ref(t.after), _erase_ref(t.before))
+    if isinstance(t, Oper):
+        return Oper(t.op, tuple(_erase_ref(a) for a in t.args))
+    return t
+
+
+def _translate_ref(arrow, t):
+    if isinstance(t, Gen):
+        return t
+    if isinstance(t, Ident):
+        return Ident(translate(arrow, t.obj))
+    if isinstance(t, Comp):
+        return Comp(_translate_ref(arrow, t.after), _translate_ref(arrow, t.before))
+    if isinstance(t, Oper):
+        return Oper(t.op, tuple(_translate_ref(arrow, a) for a in t.args))
+    raise IllTypedTermError(f"not a process term: {t!r}")
+
+
+def _outcome(fn, *args):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # compared by the caller, not swallowed
+        return "raised", type(exc).__name__, str(exc)
+
+
+def _signed(text):
+    return signed_word([(p, 1) for p in text])
+
+
+_WALK_NETS = [
+    PRENET,
+    prenet("ab", {"t": ("ab", "ba"), "u": ("a", "a")}),
+    QNet(Theory.GRP, ("a", "b"), {"t": (_signed("a"), _signed("b")),
+                                  "u": (_signed("ab"), _signed("ba"))}),
+    petri("ab", {"t": ({"a": 1}, {"b": 1})}),
+]
+
+
+def _sym_terms(theory):
+    make = word if theory is not Theory.GRP else _signed
+    leaves = st.one_of(
+        st.sampled_from(["t", "u", "x"]).map(Gen),
+        st.sampled_from(["a", "b", "ab", "ba", "z"]).map(lambda w: Ident(make(w))),
+        st.sampled_from([("a", "b"), ("ab", "a"), ("b", "")]).map(
+            lambda xy: braiding(make(xy[0]), make(xy[1]))),
+        st.sampled_from([("ab", (0, 1)), ("ab", (0, 0)), ("az", (1, 0)), ("aa", (1, 0))]).map(
+            lambda wm: Perm(make(wm[0]), wm[1])),
+        st.sampled_from([("ab", "a"), ("a", "ba")]).map(
+            lambda xy: Oper("invert", (braiding(make(xy[0]), make(xy[1])),))),
+        st.just(Ident(word("a") if theory is Theory.GRP else _signed("a"))))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda ab: Comp(*ab)),
+        st.tuples(st.sampled_from(["combine", "invert", "swap"]),
+                  st.lists(sub, max_size=3)).map(lambda oa: Oper(oa[0], tuple(oa[1]))),
+        st.just("not a term")), max_leaves=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_WALK_NETS).flatmap(
+    lambda net: st.tuples(st.just(net), _sym_terms(net.theory))))
+def test_symmetric_walks_match_recursive_reference(case):
+    net, term = case
+    ctx = freecat._context(net)
+    assert _outcome(symmetry._sym_layers, term, ctx) == _outcome(_sym_layers_ref, term, ctx)
+    assert _outcome(erase_symmetries, term) == _outcome(_erase_ref, term)
+    arrow = TheoryArrow.GROUP_SIGNED if net.theory is Theory.GRP else TheoryArrow.ABELIANIZE
+    erased = erase_symmetries(term)
+    assert _outcome(translate_term, arrow, erased) == _outcome(_translate_ref, arrow, erased)

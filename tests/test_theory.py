@@ -204,3 +204,75 @@ def test_extend_is_homomorphic(data):
     assert left == right
     for p in PLACES:
         assert extend(theory, images, unit(theory, p)) == images[p]
+
+
+# ---------------------------------------------------------------------------
+# Stored hashes: FreeElem and LayeredForm keep their hash, which must not
+# travel through pickle or copy, since string hashes differ between processes.
+
+_HASHED = [multiset(Theory.CMON, {"a": 2, "b": 1}), word("aba"),
+           signed_word([("a", 1), ("b", -1)]), finset("ba"), neutral(Theory.ABGRP)]
+
+
+def _layered():
+    from qnets.freecat import LayeredForm
+
+    return LayeredForm(word("ab"), (word(["t", "id.b"]), word(["id.b", "u"])))
+
+
+def test_hash_keeps_the_dataclass_formula():
+    for elem in _HASHED:
+        assert hash(elem) == hash((elem.theory, elem.payload))
+    form = _layered()
+    assert hash(form) == hash((form.start, form.layers))
+
+
+def test_pickle_and_copy_rebuild_equal_hashable_objects():
+    import copy
+    import pickle
+
+    for value in _HASHED + [_layered()]:
+        for back in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                     copy.deepcopy(value)):
+            assert back == value and hash(back) == hash(value)
+            assert {value: "found"}[back] == "found"
+        assert b"_hash" not in pickle.dumps(value)
+
+
+def test_unpickling_in_another_process_rehashes():
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    import qnets
+
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = os.path.dirname(os.path.dirname(qnets.__file__))
+    code = ("import pickle, sys\n"
+            "from qnets.theory import word\n"
+            "from qnets.freecat import LayeredForm\n"
+            "form = LayeredForm(word('ab'), (word(['t', 'id.b']), word(['id.b', 'u'])))\n"
+            "sys.stdout.buffer.write(pickle.dumps((hash(form), form)))\n")
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         check=True).stdout
+    their_hash, form = pickle.loads(out)
+    assert their_hash != hash(form)  # string hashes really differ across processes
+    assert form == _layered() and hash(form) == hash(_layered())
+    assert hash(form.start) == hash(word("ab"))
+    assert {_layered(): "found"}[form] == "found"
+
+
+def test_unpickling_a_non_canonical_payload_is_rejected():
+    import pickle
+
+    data = pickle.dumps(multiset(Theory.CMON, {"a": 7}), protocol=0)
+    assert data.count(b"I7\n") == 1
+    with pytest.raises(CanonicalFormError):
+        pickle.loads(data.replace(b"I7\n", b"I0\n"))
+    data = pickle.dumps(finset("ab"), protocol=0)
+    assert data.count(b"Va\n") == 1
+    with pytest.raises(CanonicalFormError):
+        pickle.loads(data.replace(b"Va\n", b"Vc\n"))  # payload ("c", "b")
