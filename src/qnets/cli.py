@@ -17,14 +17,17 @@ from .theory import QnetError, Theory, TheoryArrow
 
 
 def _load_net(path: str) -> QNet:
+    # Decoding deeply nested JSON runs out of stack: RecursionError is an
+    # input error here, like malformed JSON.
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return jsonio.net_from_json(json.load(fh))
     except OSError as exc:
         raise QnetError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise QnetError(f"{path} is not valid JSON: {exc}") from exc
-    return jsonio.net_from_json(data)
+    except RecursionError as exc:
+        raise QnetError(f"{path} is nested too deeply") from exc
 
 
 def _checked_net(path: str) -> QNet:
@@ -43,10 +46,11 @@ def _load_elem(theory: Theory, raw: str):
         except OSError as exc:
             raise QnetError(f"cannot read {raw[1:]}: {exc}") from exc
     try:
-        data = json.loads(raw)
+        return jsonio.elem_from_json(theory, json.loads(raw))
     except json.JSONDecodeError as exc:
         raise QnetError(f"marking is not valid JSON: {exc}") from exc
-    return jsonio.elem_from_json(theory, data)
+    except RecursionError as exc:
+        raise QnetError("marking is nested too deeply") from exc
 
 
 def _int_at_least(low: int):

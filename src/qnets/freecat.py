@@ -29,8 +29,6 @@ from .intlattice import IntLattice
 from .net import QNet, validate_net
 from .reflexive import ID_PREFIX, InvalidNetError
 from .theory import (
-    COUNT_THEORIES,
-    GROUP_THEORIES,
     FreeElem,
     QnetError,
     Theory,
@@ -42,7 +40,6 @@ from .theory import (
     lift,
     multiset,
     occurrences,
-    signed_word,
     unit,
 )
 
@@ -173,15 +170,9 @@ def _context(net: QNet) -> _Ctx:
     if any(t.startswith(ID_PREFIX) for t in net.transitions):
         raise InvalidNetError(
             f"process semantics reserves the {ID_PREFIX!r} transition prefix")
-    src_images = {}
-    tgt_images = {}
-    for name, (src, tgt) in net.transitions.items():
-        src_images[name] = src
-        tgt_images[name] = tgt
-    for p in net.places:
-        src_images[ID_PREFIX + p] = unit(net.theory, p)
-        tgt_images[ID_PREFIX + p] = unit(net.theory, p)
-    return _Ctx(net, src_images, tgt_images)
+    held = {ID_PREFIX + p: unit(net.theory, p) for p in net.places}
+    return _Ctx(net, {name: arcs[0] for name, arcs in net.transitions.items()} | held,
+                {name: arcs[1] for name, arcs in net.transitions.items()} | held)
 
 
 def _is_id_sym(name: str) -> bool:
@@ -198,25 +189,15 @@ def _identity_layer(th: Theory, marking: FreeElem) -> FreeElem:
 
 def _ids_marking(th: Theory, layer: FreeElem) -> FreeElem:
     """Marking held by the id letters of a layer (gens are dropped)."""
-    if th in COUNT_THEORIES:
-        return FreeElem(th, tuple((p[len(ID_PREFIX):], c)
-                                  for p, c in layer.payload if _is_id_sym(p)))
-    if th is Theory.GRP:
-        return FreeElem(th, tuple((p[len(ID_PREFIX):], s)
-                                  for p, s in layer.payload if _is_id_sym(p)))
-    if th is Theory.MON:
-        return FreeElem(th, tuple(p[len(ID_PREFIX):]
-                                  for p in layer.payload if _is_id_sym(p)))
-    return FreeElem(th, tuple(sorted(p[len(ID_PREFIX):]
-                                     for p in layer.payload if _is_id_sym(p))))
+    ops = th.ops
+    return FreeElem(th, ops.spell((p[len(ID_PREFIX):], c)
+                                  for p, c in ops.letters(layer.payload) if _is_id_sym(p)))
 
 
 def _gens_part(th: Theory, layer: FreeElem) -> FreeElem:
-    if th in COUNT_THEORIES:
-        return FreeElem(th, tuple(e for e in layer.payload if not _is_id_sym(e[0])))
-    if th is Theory.GRP:
-        return FreeElem(th, tuple(e for e in layer.payload if not _is_id_sym(e[0])))
-    return FreeElem(th, tuple(p for p in layer.payload if not _is_id_sym(p)))
+    ops = th.ops
+    return FreeElem(th, ops.spell((p, c) for p, c in ops.letters(layer.payload)
+                                  if not _is_id_sym(p)))
 
 
 def _layer_src(layer: FreeElem, ctx: _Ctx) -> FreeElem:
@@ -301,7 +282,7 @@ def _layers_of(t: MorTerm, ctx: _Ctx) -> tuple[FreeElem, FreeElem, tuple[FreeEle
                 if len(t.args) < 2:
                     raise IllTypedTermError("combine needs at least two arguments")
             elif t.op == "invert":
-                if th not in GROUP_THEORIES:
+                if not th.ops.group:
                     raise IllTypedTermError(f"{th.value} morphisms have no inverses")
                 if len(t.args) != 1:
                     raise IllTypedTermError("invert takes exactly one argument")
@@ -343,40 +324,32 @@ def _layered_ctx(t: MorTerm, ctx: _Ctx) -> tuple[LayeredForm, FreeElem]:
 
 def _merge_candidates(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
     th = ctx.net.theory
-    if th in (Theory.CMON, Theory.ABGRP):
-        g1 = _gens_part(th, l1)
-        g2 = _gens_part(th, l2)
-        held = occurrences(_ids_marking(th, l1))
-        needed = occurrences(_layer_src(g2, ctx))
-        frame = dict(held)
-        for p, c in needed.items():
+    ops = th.ops
+    if not ops.commutative:
+        return _merge_words(l1, l2, ctx)
+    g1 = _gens_part(th, l1)
+    g2 = _gens_part(th, l2)
+    if not ops.idempotent:
+        frame = occurrences(_ids_marking(th, l1))
+        for p, c in occurrences(_layer_src(g2, ctx)).items():
             frame[p] = frame.get(p, 0) - c
-        if th is Theory.CMON and any(c < 0 for c in frame.values()):
+        if not ops.group and any(c < 0 for c in frame.values()):
             return []
         merged = combine(th, combine(th, g1, g2),
                          _identity_layer(th, multiset(th, frame)))
         return [merged]
-    if th is Theory.SEMILAT:
-        g1 = _gens_part(th, l1)
-        g2 = _gens_part(th, l2)
-        ids1 = set(_ids_marking(th, l1).payload)
-        ids2 = set(_ids_marking(th, l2).payload)
-        src_g2 = set(_layer_src(g2, ctx).payload)
-        tgt_g1 = set(_layer_tgt(g1, ctx).payload)
-        out = []
-        shared = sorted(ids1 & ids2)
-        for bits in itertools.product((False, True), repeat=len(shared)):
-            w = {p for p, keep in zip(shared, bits) if keep}
-            if (w | src_g2) == ids1 and (w | tgt_g1) == ids2:
-                frame = FreeElem(th, tuple(sorted(w)))
-                out.append(combine(th, combine(th, g1, g2), _identity_layer(th, frame)))
-        return sorted(set(out), key=lambda e: e.payload)
-    return _merge_words(l1, l2, ctx)
-
-
-def _is_id_letter(letter) -> bool:
-    """Whether a word-layer letter (a name, or a GRP ``(name, sign)``) is held."""
-    return _is_id_sym(letter[0] if isinstance(letter, tuple) else letter)
+    ids1 = set(_ids_marking(th, l1).payload)
+    ids2 = set(_ids_marking(th, l2).payload)
+    src_g2 = set(_layer_src(g2, ctx).payload)
+    tgt_g1 = set(_layer_tgt(g1, ctx).payload)
+    out = []
+    shared = sorted(ids1 & ids2)
+    for bits in itertools.product((False, True), repeat=len(shared)):
+        w = {p for p, keep in zip(shared, bits) if keep}
+        if (w | src_g2) == ids1 and (w | tgt_g1) == ids2:
+            frame = FreeElem(th, tuple(sorted(w)))
+            out.append(combine(th, combine(th, g1, g2), _identity_layer(th, frame)))
+    return sorted(set(out), key=lambda e: e.payload)
 
 
 def _held(letter, end: int, ctx: _Ctx) -> tuple:
@@ -390,77 +363,66 @@ def _merge_words(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
     """Interleaved merges for word theories, by matching held blocks."""
     th = ctx.net.theory
     w1, w2 = l1.payload, l2.payload
+    ids1, ids2 = ([_is_id_sym(n) for n in th.ops.names(w)] for w in (w1, w2))
     results: set[tuple] = set()
 
     def rec(i: int, j: int, acc: tuple) -> None:
         if i == len(w1) and j == len(w2):
             results.add(acc)
             return
-        if (i < len(w1) and j < len(w2) and _is_id_letter(w1[i])
-                and w1[i] == w2[j]):
+        if i < len(w1) and j < len(w2) and ids1[i] and w1[i] == w2[j]:
             rec(i + 1, j + 1, acc + (w1[i],))
-        if i < len(w1) and not _is_id_letter(w1[i]):
+        if i < len(w1) and not ids1[i]:
             held = _held(w1[i], 1, ctx)
             if w2[j:j + len(held)] == held:
                 rec(i + 1, j + len(held), acc + (w1[i],))
-        if j < len(w2) and not _is_id_letter(w2[j]):
+        if j < len(w2) and not ids2[j]:
             held = _held(w2[j], 0, ctx)
             if w1[i:i + len(held)] == held:
                 rec(i + len(held), j + 1, acc + (w2[j],))
 
     rec(0, 0, ())
-    out = {signed_word(acc) if th is Theory.GRP else FreeElem(th, acc) for acc in results}
+    out = {FreeElem(th, th.ops.canon(acc)) for acc in results}
     return sorted(out, key=lambda e: e.payload)
 
 
 def _split_candidates(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeElem]]:
     th = ctx.net.theory
-    if th in (Theory.CMON, Theory.ABGRP):
-        gens = _gens_part(th, layer)
-        held = _ids_marking(th, layer)
+    ops = th.ops
+    if not ops.commutative:
+        return _split_word(layer, ctx)
+    gens = _gens_part(th, layer)
+    held = _ids_marking(th, layer)
+    parts = []  # the generator parts (g1, g2) of the two new layers
+    if ops.idempotent:
+        for assign in itertools.product(("L", "R", "B"), repeat=len(gens.payload)):
+            left = tuple(g for g, a in zip(gens.payload, assign) if a in ("L", "B"))
+            right = tuple(g for g, a in zip(gens.payload, assign) if a in ("R", "B"))
+            if left and right:
+                parts.append((FreeElem(th, left), FreeElem(th, right)))
+    else:
         choices = []
         for name, count in gens.payload:
             step = 1 if count > 0 else -1
             choices.append([(name, step * k) for k in range(abs(count) + 1)])
-        out = []
         for pick in itertools.product(*choices):
             part1 = {n: c for n, c in pick if c != 0}
             part2 = {n: c - part1.get(n, 0) for n, c in gens.payload
                      if c - part1.get(n, 0) != 0}
-            if not part1 or not part2:
-                continue
-            g1 = multiset(th, part1)
-            g2 = multiset(th, part2)
-            l1 = combine(th, g1, _identity_layer(
-                th, combine(th, held, _layer_src(g2, ctx))))
-            l2 = combine(th, g2, _identity_layer(
-                th, combine(th, held, _layer_tgt(g1, ctx))))
-            out.append((l1, l2))
-        return out
-    if th is Theory.SEMILAT:
-        gens = sorted(_gens_part(th, layer).payload)
-        held = _ids_marking(th, layer)
-        out = []
-        for assign in itertools.product(("L", "R", "B"), repeat=len(gens)):
-            left = {g for g, a in zip(gens, assign) if a in ("L", "B")}
-            right = {g for g, a in zip(gens, assign) if a in ("R", "B")}
-            if not left or not right:
-                continue
-            g1 = FreeElem(th, tuple(sorted(left)))
-            g2 = FreeElem(th, tuple(sorted(right)))
-            l1 = combine(th, g1, _identity_layer(
-                th, combine(th, held, _layer_src(g2, ctx))))
-            l2 = combine(th, g2, _identity_layer(
-                th, combine(th, held, _layer_tgt(g1, ctx))))
-            out.append((l1, l2))
-        return sorted(set(out), key=lambda pair: (pair[0].payload, pair[1].payload))
-    return _split_word(layer, ctx)
+            if part1 and part2:
+                parts.append((multiset(th, part1), multiset(th, part2)))
+    out = [(combine(th, g1, _identity_layer(th, combine(th, held, _layer_src(g2, ctx)))),
+            combine(th, g2, _identity_layer(th, combine(th, held, _layer_tgt(g1, ctx)))))
+           for g1, g2 in parts]
+    if ops.idempotent:
+        out = sorted(set(out), key=lambda pair: (pair[0].payload, pair[1].payload))
+    return out
 
 
 def _split_word(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeElem]]:
     th = ctx.net.theory
-    gen_positions = [k for k, letter in enumerate(layer.payload)
-                     if not _is_id_letter(letter)]
+    ids = [_is_id_sym(n) for n in th.ops.names(layer.payload)]
+    gen_positions = [k for k, held in enumerate(ids) if not held]
     out = []
     for assign in itertools.product((True, False), repeat=len(gen_positions)):
         early = {pos for pos, fl in zip(gen_positions, assign) if fl}
@@ -469,7 +431,7 @@ def _split_word(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeElem]]:
         w1: list = []
         w2: list = []
         for k, letter in enumerate(layer.payload):
-            if _is_id_letter(letter):
+            if ids[k]:
                 w1.append(letter)
                 w2.append(letter)
             elif k in early:
@@ -478,10 +440,8 @@ def _split_word(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeElem]]:
             else:
                 w1.extend(_held(letter, 0, ctx))
                 w2.append(letter)
-        if th is Theory.GRP:
-            out.append((signed_word(w1), signed_word(w2)))
-        else:
-            out.append((FreeElem(th, tuple(w1)), FreeElem(th, tuple(w2))))
+        out.append((FreeElem(th, th.ops.canon(tuple(w1))),
+                    FreeElem(th, th.ops.canon(tuple(w2)))))
     return out
 
 
@@ -633,13 +593,14 @@ def _closure(form: LayeredForm, ctx: _Ctx, gens_cap: int,
 def _forms_equal(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
                  budget: int | None = None) -> EqVerdict:
     th = ctx.net.theory
+    ops = th.ops
     if budget is None:
         budget = default_budget()
     if f1.start != f2.start or form_tgt(f1, ctx) != form_tgt(f2, ctx):
         return _distinct("endpoints differ")
     if f1 == f2:
         return _equal("identical layered forms")
-    if th is not Theory.SEMILAT and _form_occurrences(f1) != _form_occurrences(f2):
+    if not ops.idempotent and _form_occurrences(f1) != _form_occurrences(f2):
         return _distinct("generator occurrence counts differ")
     g1 = _greedy(f1, ctx)
     g2 = _greedy(f2, ctx)
@@ -653,7 +614,7 @@ def _forms_equal(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
     # layer away without a converse insertion move, so both sides must be
     # exhausted; equal ABGRP forms still always meet at their full merge.
     verdict = _search_connect(f1, f2, lambda f: _neighbors(f, ctx, cap), budget,
-                              th not in GROUP_THEORIES, layered_repr)
+                              not ops.group, layered_repr)
     if verdict.is_distinct and th is Theory.GRP:
         # Word reduction can hide merge patterns for GRP, so exhaustion of the
         # explored closure is not a proof there.
@@ -698,39 +659,41 @@ def _fired_multisets(pre: Mapping[str, Mapping[str, int]], room: Mapping[str, in
     sorted order.
     """
     items = sorted(pre.items())
-
-    def rec(idx: int, room: dict[str, int], width_left: int | None,
-            acc: dict[str, int]) -> Iterator[dict[str, int]]:
+    # Depth-first over the items, with an explicit stack of
+    # (idx, room, width_left, acc): each node pushes one child per count of
+    # item ``idx`` that still fits, smallest count on top.
+    stack = [(0, dict(room), max_width, {})]
+    while stack:
+        idx, room, width_left, acc = stack.pop()
         if idx == len(items):
             if acc:
-                yield dict(acc)
-            return
-        yield from rec(idx + 1, room, width_left, acc)
+                yield acc
+            continue
         name, src = items[idx]
-        count = 0
+        children = [(idx + 1, room, width_left, acc)]
         local = dict(room)
+        count = 0
         while width_left is None or count < width_left:
-            ok = all(local.get(p, 0) >= c for p, c in src.items())
-            if not ok:
+            if not all(local.get(p, 0) >= c for p, c in src.items()):
                 break
             for p, c in src.items():
-                local[p] = local[p] - c
+                local[p] -= c
             count += 1
-            acc2 = dict(acc)
-            acc2[name] = count
             left = None if width_left is None else width_left - count
-            yield from rec(idx + 1, local, left, acc2)
-        return
-
-    yield from rec(0, dict(room), max_width, {})
+            children.append((idx + 1, dict(local), left, {**acc, name: count}))
+        stack.extend(reversed(children))
 
 
 def _step_layers(ctx: _Ctx, marking: FreeElem,
                  max_width: int | None) -> list[FreeElem]:
     """All single firing layers whose source is exactly ``marking``."""
     th = ctx.net.theory
+    ops = th.ops
+    if ops.group:
+        raise UnsupportedOperationError(
+            f"single-layer enumeration is not finite over {th.value}")
     out: set[FreeElem] = set()
-    if th is Theory.CMON:
+    if ops.commutative and not ops.idempotent:
         pre = _arc_counts(ctx.net, 0)
         for fired in _fired_multisets(pre, dict(marking.payload), max_width):
             gens = multiset(th, fired)
@@ -738,7 +701,7 @@ def _step_layers(ctx: _Ctx, marking: FreeElem,
             _fire(frame_counts, fired, pre, -1)
             frame = multiset(th, frame_counts)
             out.add(combine(th, gens, _identity_layer(th, frame)))
-    elif th is Theory.SEMILAT:
+    elif ops.idempotent:
         names = sorted(ctx.net.transitions)
         marking_set = set(marking.payload)
         for r in range(1, len(names) + 1):
@@ -757,7 +720,7 @@ def _step_layers(ctx: _Ctx, marking: FreeElem,
                     frame = FreeElem(th, tuple(sorted(base | keep)))
                     gens = FreeElem(th, tuple(sorted(group)))
                     out.add(combine(th, gens, _identity_layer(th, frame)))
-    elif th is Theory.MON:
+    else:
         letters = marking.payload
 
         def rec(pos: int, width_left: int, acc: tuple) -> None:
@@ -773,9 +736,6 @@ def _step_layers(ctx: _Ctx, marking: FreeElem,
                 rec(pos + 1, width_left, acc + (ID_PREFIX + letters[pos],))
 
         rec(0, max_width if max_width is not None else len(letters) + 1, ())
-    else:
-        raise UnsupportedOperationError(
-            f"single-layer enumeration is not finite over {th.value}")
     return sorted(out, key=lambda e: e.payload)
 
 
@@ -795,7 +755,8 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     :func:`default_budget`, which raises :class:`QnetError` for a
     ``QNET_BUDGET`` that is not a positive integer.
     """
-    if net.theory in GROUP_THEORIES:
+    ops = net.theory.ops
+    if ops.group:
         raise UnsupportedOperationError(
             f"hom-sets over {net.theory.value} are infinite whenever nonempty")
     if max_layers <= 0 or max_width <= 0:
@@ -838,43 +799,31 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     buckets: dict[frozenset | None, list[tuple[LayeredForm, int]]] = {}
     reps: list[LayeredForm] = []
     for form in forms:
-        key = None if net.theory is Theory.SEMILAT else \
-            frozenset(_form_occurrences(form).items())
+        key = None if ops.idempotent else frozenset(_form_occurrences(form).items())
         gens = _form_gens_total(form)
         bucket = buckets.setdefault(key, [])
         if not any(same_class(form, rep, max(gens, rep_gens))
                    for rep, rep_gens in bucket):
             bucket.append((form, gens))
             reps.append(form)
-    return [layered_to_term(rep, net) for rep in reps]
+    return [_form_term(rep, net.theory) for rep in reps]
 
 
 def layered_to_term(form: LayeredForm, net: QNet) -> MorTerm:
     """Convert a layered form back into a process term."""
-    th = net.theory
-    ctx = _context(net)
+    _context(net)  # validates the net
+    return _form_term(form, net.theory)
 
-    def letter_term(letter) -> MorTerm:
-        if th is Theory.GRP:
-            name, sign = letter
-            base = Ident(unit(th, name[len(ID_PREFIX):])) if _is_id_sym(name) \
-                else Gen(name)
-            return Oper("invert", (base,)) if sign < 0 else base
-        if _is_id_sym(letter):
-            return Ident(unit(th, letter[len(ID_PREFIX):]))
-        return Gen(letter)
 
+def _form_term(form: LayeredForm, th: Theory) -> MorTerm:
     def layer_term(layer: FreeElem) -> MorTerm:
         items: list[MorTerm] = []
-        if th in COUNT_THEORIES:
-            for name, count in layer.payload:
-                piece = Ident(unit(th, name[len(ID_PREFIX):])) if _is_id_sym(name) \
-                    else Gen(name)
-                if count < 0:
-                    piece = Oper("invert", (piece,))
-                items.extend([piece] * abs(count))
-        else:
-            items.extend(letter_term(l) for l in layer.payload)
+        for name, count in th.ops.letters(layer.payload):
+            piece = Ident(unit(th, name[len(ID_PREFIX):])) if _is_id_sym(name) \
+                else Gen(name)
+            if count < 0:
+                piece = Oper("invert", (piece,))
+            items.extend([piece] * abs(count))
         if len(items) == 1:
             return items[0]
         return Oper("combine", tuple(items))
@@ -911,7 +860,8 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
     ``{"fire":t,"keep":[...]}`` for SEMILAT (the context that stays marked).
     """
     th = net.theory
-    if th in GROUP_THEORIES:
+    ops = th.ops
+    if ops.group:
         raise UnsupportedOperationError(
             f"reachability over {th.value} is not a token game; use the lattice test")
     _context(net)  # validates the net
@@ -919,8 +869,8 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
         raise TheoryMismatchError("marking theory differs from net theory")
     if m0.atoms() - set(net.places):
         raise InvalidNetError("marking mentions undeclared places")
-    if th is Theory.CMON and any(src.is_neutral()
-                                 for src, _ in net.transitions.values()):
+    vectors = ops.commutative and not ops.idempotent  # CMON steps on count vectors
+    if vectors and any(src.is_neutral() for src, _ in net.transitions.values()):
         raise UnsupportedOperationError(
             "a transition with empty source makes the step relation infinitely branching")
     pre, post = _arc_counts(net, 0), _arc_counts(net, 1)
@@ -934,14 +884,14 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
 
     def steps(m: tuple) -> Iterator[tuple[str, tuple]]:
         """(label, successor payload) for each step from payload ``m``."""
-        if th is Theory.CMON:
+        if vectors:
             for fired in _fired_multisets(pre, dict(m), None):
                 counts = dict(m)
                 _fire(counts, fired, pre, -1)
                 _fire(counts, fired, post, 1)
                 yield (label(tuple(fired.items()), fire=fired),
                        tuple(sorted((p, c) for p, c in counts.items() if c)))
-        elif th is Theory.MON:
+        elif not ops.commutative:
             for name in sorted(net.transitions):
                 src, tgt = (arc.payload for arc in net.transitions[name])
                 for pos in range(len(m) - len(src) + 1):
@@ -1013,26 +963,26 @@ def hom_nonempty_group(net: QNet, x: FreeElem, y: FreeElem) -> bool:
     diags = validate_net(net)
     if diags:
         raise InvalidNetError("; ".join(diags))
-    if x.theory is not Theory.ABGRP or y.theory is not Theory.ABGRP:
+    if x.theory is not net.theory or y.theory is not net.theory:
         raise TheoryMismatchError("markings must be ABGRP elements")
     places = list(net.places)
     index = {p: i for i, p in enumerate(places)}
     if (x.atoms() | y.atoms()) - set(places):
         raise InvalidNetError("marking mentions undeclared places")
+
+    def difference(a: FreeElem, b: FreeElem) -> list[int]:
+        """The integer vector b - a over the places."""
+        out = [0] * len(places)
+        for p, c in b.payload:
+            out[index[p]] += c
+        for p, c in a.payload:
+            out[index[p]] -= c
+        return out
+
     lattice = IntLattice(len(places))
-    for name, (src, tgt) in net.transitions.items():
-        effect = [0] * len(places)
-        for p, c in tgt.payload:
-            effect[index[p]] += c
-        for p, c in src.payload:
-            effect[index[p]] -= c
-        lattice.add(effect)
-    goal = [0] * len(places)
-    for p, c in y.payload:
-        goal[index[p]] += c
-    for p, c in x.payload:
-        goal[index[p]] -= c
-    return goal in lattice
+    for src, tgt in net.transitions.values():
+        lattice.add(difference(src, tgt))
+    return difference(x, y) in lattice
 
 
 @dataclass(frozen=True)
@@ -1054,7 +1004,7 @@ def underlying_net(net: QNet, bound: int) -> UnderlyingNet:
     """
     if bound <= 0:
         raise UnsupportedOperationError("enumeration bound must be positive")
-    if net.theory in GROUP_THEORIES:
+    if net.theory.ops.group:
         raise UnsupportedOperationError(
             f"underlying-net truncation is not available over {net.theory.value}")
     ctx = _context(net)

@@ -9,13 +9,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .theory import (
-    COUNT_THEORIES,
-    CanonicalFormError,
-    FreeElem,
-    QnetError,
-    Theory,
-)
+from .theory import CanonicalFormError, FreeElem, QnetError, Theory
 
 
 def dumps(obj: Any) -> str:
@@ -24,29 +18,12 @@ def dumps(obj: Any) -> str:
 
 
 def elem_to_json(x: FreeElem) -> Any:
-    if x.theory in COUNT_THEORIES:
-        return {p: c for p, c in x.payload}
-    if x.theory is Theory.GRP:
-        return [[p, "+" if s > 0 else "-"] for p, s in x.payload]
-    return list(x.payload)
+    return x.theory.ops.to_json(x.payload)
 
 
 def elem_from_json(theory: Theory, data: Any) -> FreeElem:
     try:
-        if theory in COUNT_THEORIES:
-            if not isinstance(data, dict):
-                raise CanonicalFormError(f"{theory.value} element must be an object")
-            return FreeElem(theory, tuple(sorted((p, c) for p, c in data.items())))
-        if not isinstance(data, list):
-            raise CanonicalFormError(f"{theory.value} element must be an array")
-        if theory is Theory.GRP:
-            letters = []
-            for entry in data:
-                if (not isinstance(entry, list)) or len(entry) != 2 or entry[1] not in ("+", "-"):
-                    raise CanonicalFormError("GRP letters must look like [\"a\",\"+\"]")
-                letters.append((entry[0], 1 if entry[1] == "+" else -1))
-            return FreeElem(theory, tuple(letters))
-        return FreeElem(theory, tuple(data))
+        return FreeElem(theory, theory.ops.from_json(theory, data))
     except TypeError as exc:
         raise CanonicalFormError(str(exc)) from exc
 

@@ -180,21 +180,21 @@ def _count_tables(rows: list[tuple[str, int]], cols: list[tuple[str, int]]) -> I
 
 def _marginal_fiber(th: Theory, a: FreeElem, b: FreeElem) -> list[FreeElem]:
     """All elements over paired places projecting to ``a`` and ``b``."""
-    if th is Theory.CMON:
-        rows = list(a.payload)
-        cols = list(b.payload)
-        return [multiset(th, table) for table in _count_tables(rows, cols)]
-    if th is Theory.MON:
+    ops = th.ops
+    if not ops.commutative:
         if len(a.payload) != len(b.payload):
             return []
         return [word(_pair_name(x, y) for x, y in zip(a.payload, b.payload))]
+    if not ops.idempotent:
+        rows = list(a.payload)
+        cols = list(b.payload)
+        return [multiset(th, table) for table in _count_tables(rows, cols)]
     subsets_of = list(itertools.product(sorted(a.payload), sorted(b.payload)))
     out = []
     for bits in itertools.product((False, True), repeat=len(subsets_of)):
         chosen = [pair for pair, keep in zip(subsets_of, bits) if keep]
         if {x for x, _ in chosen} == set(a.payload) and {y for _, y in chosen} == set(b.payload):
-            out.append(FreeElem(Theory.SEMILAT,
-                                tuple(sorted(_pair_name(x, y) for x, y in chosen))))
+            out.append(FreeElem(th, tuple(sorted(_pair_name(x, y) for x, y in chosen))))
     return out
 
 
@@ -209,7 +209,7 @@ def product(p1: QNet, p2: QNet) -> tuple[QNet, NetMorphism, NetMorphism]:
     if p1.theory is not p2.theory:
         raise TheoryMismatchError("product needs a shared theory")
     th = p1.theory
-    if th not in (Theory.CMON, Theory.MON, Theory.SEMILAT):
+    if th.ops.group:
         raise UnsupportedOperationError(
             f"product over {th.value} is not finitely representable")
     places = tuple(_pair_name(x, y) for x in p1.places for y in p2.places)

@@ -45,8 +45,6 @@ from .reflexive import (
     validate_reflexive_morphism,
 )
 from .theory import (
-    COMMUTATIVE_THEORIES,
-    GROUP_THEORIES,
     FreeElem,
     Theory,
     TheoryArrow,
@@ -87,7 +85,7 @@ def rand_elem(rng: random.Random, theory: Theory, places, max_size: int = 4) -> 
     out = neutral(theory)
     for _ in range(rng.randint(0, max_size)):
         e = unit(theory, rng.choice(places))
-        if theory in GROUP_THEORIES and rng.random() < 0.4:
+        if theory.ops.group and rng.random() < 0.4:
             e = invert(e)
         out = combine(theory, out, e)
     return out
@@ -112,6 +110,7 @@ def suite_monad(seed: int = 0, cases: int = 200) -> SuiteResult:
     result = SuiteResult("monad", cases * len(Theory))
     for theory in Theory:
         rng = _rng(seed, f"monad:{theory.value}")
+        ops = theory.ops
         for i in range(cases):
             places = PLACE_POOL[:rng.randint(1, 4)]
             x = rand_elem(rng, theory, places)
@@ -135,12 +134,12 @@ def suite_monad(seed: int = 0, cases: int = 200) -> SuiteResult:
             result.check(combine(theory, x, neutral(theory)) == x
                          and combine(theory, neutral(theory), x) == x,
                          f"{tag}: neutral is not a unit")
-            if theory in COMMUTATIVE_THEORIES:
+            if ops.commutative:
                 result.check(combine(theory, x, y) == combine(theory, y, x),
                              f"{tag}: combine is not commutative")
-            if theory is Theory.SEMILAT:
+            if ops.idempotent:
                 result.check(combine(theory, x, x) == x, f"{tag}: combine is not idempotent")
-            if theory in GROUP_THEORIES:
+            if ops.group:
                 result.check(combine(theory, x, invert(x)) == neutral(theory),
                              f"{tag}: inverse law fails")
             for value in (x, combine(theory, x, y), lift(theory, g, x)):
@@ -470,7 +469,7 @@ def _rand_term(rng: random.Random, net: QNet):
             step = Oper("combine", (Gen(name), Ident(frame))) if frame.payload else Gen(name)
             if freecat.mor_src(step, net) == tgt:
                 term = Comp(step, term)
-        elif theory in GROUP_THEORIES:
+        elif theory.ops.group:
             term = Oper("invert", (term,))
     return term
 

@@ -39,7 +39,7 @@ from .theory import (
     UnsupportedOperationError,
     combine,
     invert,
-    signed_word,
+    neutral,
     translate,
 )
 
@@ -63,20 +63,15 @@ def _apply_perm(payload: tuple, mapping: tuple[int, ...]) -> tuple:
     return tuple(out)
 
 
-def _is_reduced(pairs: tuple) -> bool:
-    return all(not (pairs[i][0] == pairs[i + 1][0] and pairs[i][1] == -pairs[i + 1][1])
-               for i in range(len(pairs) - 1))
-
-
 def _check_perm(t: Perm, theory: Theory) -> None:
-    if theory not in (Theory.MON, Theory.GRP):
+    if theory.ops.commutative:
         raise IllTypedTermError("permutations need a word theory")
     if t.word.theory is not theory:
         raise IllTypedTermError("permutation word has the wrong theory")
     n = len(t.word.payload)
     if sorted(t.mapping) != list(range(n)):
         raise IllTypedTermError("mapping is not a permutation of the letter positions")
-    if theory is Theory.GRP and not _is_reduced(_apply_perm(t.word.payload, t.mapping)):
+    if not theory.ops.is_normal(_apply_perm(t.word.payload, t.mapping)):
         raise UnsupportedOperationError(
             "permutation target would cancel; not representable letterwise")
 
@@ -87,7 +82,7 @@ def perm_tgt(t: Perm) -> FreeElem:
 
 def braiding(x: FreeElem, y: FreeElem) -> Perm:
     """The block swap x.y -> y.x."""
-    if x.theory is not y.theory or x.theory not in (Theory.MON, Theory.GRP):
+    if x.theory is not y.theory or x.theory.ops.commutative:
         raise UnsupportedOperationError("braiding is defined for word markings")
     word = combine(x.theory, x, y)
     if len(word.payload) != len(x.payload) + len(y.payload):
@@ -146,24 +141,17 @@ def _drop_trivial(layers: tuple[SymLayer, ...]) -> tuple[SymLayer, ...]:
     return tuple(out)
 
 
-def _pad_after(layer: SymLayer, suffix: FreeElem, ctx) -> SymLayer:
-    th = suffix.theory
-    if _is_perm_layer(layer):
-        n = len(layer.word.payload)
-        word = combine(th, layer.word, suffix)
-        mapping = layer.mapping + tuple(n + k for k in range(len(suffix.payload)))
-        return _PermLayer(word, mapping)
-    return combine(th, layer, freecat._identity_layer(th, suffix))
-
-
-def _pad_before(prefix: FreeElem, layer: SymLayer, ctx) -> SymLayer:
+def _pad(prefix: FreeElem, layer: SymLayer, suffix: FreeElem) -> SymLayer:
+    """``layer`` between identities on ``prefix`` and ``suffix``."""
     th = prefix.theory
     if _is_perm_layer(layer):
-        m = len(prefix.payload)
-        word = combine(th, prefix, layer.word)
-        mapping = tuple(range(m)) + tuple(m + t for t in layer.mapping)
+        m, n = len(prefix.payload), len(layer.mapping)
+        word = combine(th, combine(th, prefix, layer.word), suffix)
+        mapping = (tuple(range(m)) + tuple(m + t for t in layer.mapping)
+                   + tuple(range(m + n, m + n + len(suffix.payload))))
         return _PermLayer(word, mapping)
-    return combine(th, freecat._identity_layer(th, prefix), layer)
+    return combine(th, combine(th, freecat._identity_layer(th, prefix), layer),
+                   freecat._identity_layer(th, suffix))
 
 
 def _sym_layers(t: SymTerm, ctx) -> tuple[FreeElem, FreeElem, tuple[SymLayer, ...]]:
@@ -194,8 +182,8 @@ def _sym_layers(t: SymTerm, ctx) -> tuple[FreeElem, FreeElem, tuple[SymLayer, ..
                         and all(not _is_perm_layer(l) for l in layers_b)):
                     layers = freecat._zip_layers(th, (src, layers), (src_b, layers_b))
                 else:
-                    layers = tuple(_pad_after(l, src_b, ctx) for l in layers) + \
-                        tuple(_pad_before(tgt, l, ctx) for l in layers_b)
+                    layers = tuple(_pad(neutral(th), l, src_b) for l in layers) + \
+                        tuple(_pad(tgt, l, neutral(th)) for l in layers_b)
                 src = combine(th, src, src_b)
                 tgt = combine(th, tgt, tgt_b)
             done.append((src, tgt, layers))
@@ -278,9 +266,9 @@ def _slide(layer: FreeElem, perm: _PermLayer, ctx,
         starts.append(positions[0])
     order = sorted(range(len(letters)), key=lambda j: starts[j])
     new_letters = tuple(letters[j] for j in order)
-    new_layer = FreeElem(th, new_letters) if th is Theory.MON else signed_word(new_letters)
-    if len(new_layer.payload) != len(new_letters):
+    if not th.ops.is_normal(new_letters):
         return []
+    new_layer = FreeElem(th, new_letters)
     new_offsets = {}
     offset = 0
     for j in order:
@@ -295,7 +283,7 @@ def _slide(layer: FreeElem, perm: _PermLayer, ctx,
     word = _sym_layer_src(layer, ctx) if before else _sym_layer_tgt(new_layer, ctx)
     if len(word.payload) != len(new_mapping):
         return []
-    if th is Theory.GRP and not _is_reduced(_apply_perm(word.payload, new_mapping)):
+    if not th.ops.is_normal(_apply_perm(word.payload, new_mapping)):
         return []
     new_perm = _PermLayer(word, new_mapping)
     return [(new_perm, new_layer) if before else (new_layer, new_perm)]
@@ -355,7 +343,7 @@ def sym_equal(t1: SymTerm, t2: SymTerm, net: QNet,
     ``Distinct`` comes only from invariants (endpoints, generator counts);
     the search certifies ``Equal`` and otherwise reports ``Unknown``.
     """
-    if net.theory not in (Theory.MON, Theory.GRP):
+    if net.theory.ops.commutative:
         raise UnsupportedOperationError("symmetric terms need a word-marked net")
     if budget is None:
         budget = default_budget()
@@ -428,16 +416,20 @@ def _distinct_orderings(letters: list) -> list[tuple]:
     return sorted(set(itertools.permutations(letters)))
 
 
-def _payload_letters(x: FreeElem) -> list:
-    if x.theory is Theory.CMON:
-        out = []
-        for p, c in x.payload:
-            out.extend([p] * c)
-        return out
-    out = []
-    for p, c in x.payload:
-        out.extend([(p, 1 if c > 0 else -1)] * abs(c))
-    return out
+def _payload_letters(x: FreeElem, target: Theory) -> tuple:
+    """``x`` spelled one letter at a time in the word theory ``target``."""
+    return target.ops.spell((p, 1 if c > 0 else -1)
+                            for p, c in x.theory.ops.letters(x.payload) for _ in range(abs(c)))
+
+
+def _abelianization(theory: Theory) -> TheoryArrow | None:
+    """The catalog arrow that forgets a word theory's letter order onto
+    ``theory``, if there is one."""
+    for arrow in TheoryArrow:
+        if (arrow.target is theory and theory.ops.commutative
+                and not arrow.source.ops.commutative):
+            return arrow
+    return None
 
 
 def linearizations(p: QNet) -> list[QNet]:
@@ -447,20 +439,18 @@ def linearizations(p: QNet) -> list[QNet]:
     GRP nets over the fixed signed-letter spelling of each arc, positives
     before negatives, which truncates the infinite true preimage.
     """
-    if p.theory is Theory.CMON:
-        target = Theory.MON
-    elif p.theory is Theory.ABGRP:
-        target = Theory.GRP
-    else:
+    arrow = _abelianization(p.theory)
+    if arrow is None:
         raise UnsupportedOperationError(
             f"linearization applies to CMON or ABGRP nets, not {p.theory.value}")
+    target = arrow.source
     names = sorted(p.transitions)
     per_transition = []
     for name in names:
         src, tgt = p.transitions[name]
         pairs = [(FreeElem(target, s), FreeElem(target, t))
-                 for s in _distinct_orderings(_payload_letters(src))
-                 for t in _distinct_orderings(_payload_letters(tgt))]
+                 for s in _distinct_orderings(_payload_letters(src, target))
+                 for t in _distinct_orderings(_payload_letters(tgt, target))]
         per_transition.append(pairs)
     out = []
     for assignment in itertools.product(*per_transition):
@@ -476,8 +466,7 @@ def linearization_count(p: QNet) -> int:
     total = 1
     for src, tgt in p.transitions.values():
         for elem in (src, tgt):
-            letters = _payload_letters(elem)
-            ways = math.factorial(len(letters))
+            ways = math.factorial(elem.size())
             for _, c in elem.payload:
                 ways //= math.factorial(abs(c))
             total *= ways

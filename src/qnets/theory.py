@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Any, Iterable, Mapping
 
 
 class QnetError(Exception):
@@ -42,10 +45,10 @@ class Theory(Enum):
     GRP = "GRP"
     SEMILAT = "SEMILAT"
 
-
-COUNT_THEORIES = frozenset({Theory.CMON, Theory.ABGRP})
-GROUP_THEORIES = frozenset({Theory.ABGRP, Theory.GRP})
-COMMUTATIVE_THEORIES = frozenset({Theory.CMON, Theory.ABGRP, Theory.SEMILAT})
+    @cached_property
+    def ops(self) -> "_Family":
+        """How this theory's free model stores and combines its elements."""
+        return _OPS[self]
 
 
 class TheoryArrow(Enum):
@@ -75,24 +78,14 @@ _ARROW_ENDS = {
 }
 
 
-def _reduce_word(pairs: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    # Free-group reduction is confluent, so one stack pass is canonical.
-    out: list[tuple[str, int]] = []
-    for place, sign in pairs:
-        if out and out[-1][0] == place and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append((place, sign))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class FreeElem:
     """A canonical element of the free model of ``theory`` on a set of names.
 
-    Payload shapes: CMON/ABGRP sorted ``(name, count)`` pairs with nonzero
-    counts (CMON strictly positive); MON a tuple of names; GRP a reduced tuple
-    of ``(name, +1 | -1)`` letters; SEMILAT a strictly sorted tuple of names.
+    Payload shapes (see the theory table below): CMON/ABGRP sorted ``(name,
+    count)`` pairs with nonzero counts (CMON strictly positive); MON a tuple
+    of names; GRP a reduced tuple of ``(name, +1 | -1)`` letters; SEMILAT a
+    strictly sorted tuple of names.
     """
 
     theory: Theory
@@ -114,25 +107,79 @@ class FreeElem:
 
     def atoms(self) -> frozenset[str]:
         """Every name mentioned by the payload."""
-        if self.theory in COUNT_THEORIES or self.theory is Theory.GRP:
-            return frozenset(p for p, _ in self.payload)
-        return frozenset(self.payload)
+        return frozenset(self.theory.ops.names(self.payload))
 
     def size(self) -> int:
         """Total number of letter occurrences (absolute for signed theories)."""
-        if self.theory in COUNT_THEORIES:
-            return sum(abs(c) for _, c in self.payload)
-        return len(self.payload)
+        return sum(abs(c) for _, c in self.theory.ops.letters(self.payload))
 
     def is_neutral(self) -> bool:
         return not self.payload
 
 
-def check_canonical(theory: Theory, payload: tuple) -> None:
-    """Raise CanonicalFormError unless ``payload`` is in normal form."""
-    if not isinstance(payload, tuple):
-        raise CanonicalFormError(f"payload must be a tuple, got {type(payload).__name__}")
-    if theory in COUNT_THEORIES:
+# ---------------------------------------------------------------------------
+# The theory table: one payload format per family of free models
+
+
+class _Family:
+    """The payload format of one family of free models.
+
+    ``letters`` reads a payload as ``(name, coefficient)`` pairs, coefficient
+    1 where the theory has no counts or signs, and ``names`` as the names
+    alone. Only group words are read backwards, so the other families may
+    return one-pass iterators. ``norm`` gives the canonical payload of the
+    product of any letters, and ``spell`` writes letters back as a payload
+    without normalising them. The JSON decode does not normalise either, so
+    that :class:`FreeElem` rejects a non-canonical input.
+    """
+
+    group = False        # every element has an inverse
+    commutative = False  # letter order is forgotten
+    idempotent = False   # x.x = x
+
+    def letters(self, payload: tuple) -> Iterable[tuple[str, int]]:
+        return payload
+
+    def names(self, payload: tuple) -> Iterable[str]:
+        return map(itemgetter(0), payload)
+
+    def spell(self, letters: Iterable[tuple[str, int]]) -> tuple:
+        return tuple(letters)
+
+    def canon(self, payload: tuple) -> tuple:
+        """The normal form of a payload-shaped tuple."""
+        return self.norm(self.letters(payload))
+
+    def is_normal(self, payload: tuple) -> bool:
+        return self.canon(payload) == payload
+
+    def to_json(self, payload: tuple) -> Any:
+        return list(payload)
+
+    def from_json(self, theory: Theory, data: Any) -> tuple:
+        if not isinstance(data, list):
+            raise CanonicalFormError(f"{theory.value} element must be an array")
+        return tuple(data)
+
+
+class _Counts(_Family):
+    """CMON and ABGRP: sorted ``(name, count)`` pairs, counts nonzero, and
+    positive unless ``group``."""
+
+    commutative = True
+
+    def __init__(self, group: bool):
+        self.group = group
+
+    def norm(self, letters: Iterable[tuple[str, int]]) -> tuple:
+        counts: dict = {}
+        for p, c in letters:
+            # A name's first count is kept as given: a bool is not coerced
+            # into an int here, so that ``check`` rejects it.
+            counts[p] = counts[p] + c if p in counts else c
+        return tuple(sorted((p, c) for p, c in counts.items() if c != 0))
+
+    def check(self, theory: Theory, payload: tuple) -> None:
         names = [p for p, _ in payload]
         if names != sorted(names) or len(set(names)) != len(names):
             raise CanonicalFormError(f"{theory.value} payload must be sorted with unique names")
@@ -140,38 +187,111 @@ def check_canonical(theory: Theory, payload: tuple) -> None:
             # type(), not isinstance(): a bool is an int but not a count.
             if not isinstance(p, str) or type(c) is not int:
                 raise CanonicalFormError("count payload entries must be (str, int)")
-            if c == 0 or (theory is Theory.CMON and c < 0):
+            if c == 0 or (not self.group and c < 0):
                 raise CanonicalFormError(f"invalid count {c} for {p!r} in {theory.value}")
-    elif theory is Theory.MON:
+
+    def to_json(self, payload: tuple) -> Any:
+        return dict(payload)
+
+    def from_json(self, theory: Theory, data: Any) -> tuple:
+        if not isinstance(data, dict):
+            raise CanonicalFormError(f"{theory.value} element must be an object")
+        return tuple(sorted(data.items()))
+
+
+class _Words(_Family):
+    """MON: a tuple of names."""
+
+    def letters(self, payload: tuple) -> Iterable[tuple[str, int]]:
+        return zip(payload, repeat(1))
+
+    def names(self, payload: tuple) -> Iterable[str]:
+        return payload
+
+    def spell(self, letters: Iterable[tuple[str, int]]) -> tuple:
+        return tuple(map(itemgetter(0), letters))
+
+    norm = spell
+
+    def check(self, theory: Theory, payload: tuple) -> None:
         if not all(isinstance(p, str) for p in payload):
-            raise CanonicalFormError("MON payload must be a tuple of names")
-    elif theory is Theory.GRP:
+            raise CanonicalFormError(f"{theory.value} payload must be a tuple of names")
+
+
+class _Sets(_Words):
+    """SEMILAT: a strictly sorted tuple of names."""
+
+    commutative = idempotent = True
+
+    def norm(self, letters: Iterable[tuple[str, int]]) -> tuple:
+        return tuple(sorted({p for p, _ in letters}))
+
+    def check(self, theory: Theory, payload: tuple) -> None:
+        super().check(theory, payload)
+        if list(payload) != sorted(set(payload)):
+            raise CanonicalFormError(f"{theory.value} payload must be sorted and duplicate-free")
+
+
+class _SignedWords(_Family):
+    """GRP: a freely reduced tuple of ``(name, +1 | -1)`` letters."""
+
+    group = True
+
+    def norm(self, letters: Iterable[tuple[str, int]]) -> tuple:
+        # Free-group reduction is confluent, so one stack pass is canonical.
+        out: list[tuple[str, int]] = []
+        for place, sign in letters:
+            if out and out[-1][0] == place and out[-1][1] == -sign:
+                out.pop()
+            else:
+                out.append((place, sign))
+        return tuple(out)
+
+    def check(self, theory: Theory, payload: tuple) -> None:
         for entry in payload:
             if not (isinstance(entry, tuple) and len(entry) == 2
                     and isinstance(entry[0], str) and type(entry[1]) is int
                     and entry[1] in (1, -1)):
                 raise CanonicalFormError("GRP letters must be (name, +1|-1)")
-        if _reduce_word(payload) != payload:
+        if not self.is_normal(payload):
             raise CanonicalFormError("GRP payload must be a reduced word")
-    elif theory is Theory.SEMILAT:
-        if not all(isinstance(p, str) for p in payload):
-            raise CanonicalFormError("SEMILAT payload must be a tuple of names")
-        if list(payload) != sorted(set(payload)):
-            raise CanonicalFormError("SEMILAT payload must be sorted and duplicate-free")
-    else:  # pragma: no cover - closed enumeration
+
+    def to_json(self, payload: tuple) -> Any:
+        return [[p, "+" if s > 0 else "-"] for p, s in payload]
+
+    def from_json(self, theory: Theory, data: Any) -> tuple:
+        letters = []
+        for entry in super().from_json(theory, data):
+            if (not isinstance(entry, list)) or len(entry) != 2 or entry[1] not in ("+", "-"):
+                raise CanonicalFormError("GRP letters must look like [\"a\",\"+\"]")
+            letters.append((entry[0], 1 if entry[1] == "+" else -1))
+        return tuple(letters)
+
+
+_OPS = {
+    Theory.CMON: _Counts(group=False),
+    Theory.ABGRP: _Counts(group=True),
+    Theory.MON: _Words(),
+    Theory.GRP: _SignedWords(),
+    Theory.SEMILAT: _Sets(),
+}
+
+
+def check_canonical(theory: Theory, payload: tuple) -> None:
+    """Raise CanonicalFormError unless ``payload`` is in normal form."""
+    if not isinstance(payload, tuple):
+        raise CanonicalFormError(f"payload must be a tuple, got {type(payload).__name__}")
+    if not isinstance(theory, Theory):  # pragma: no cover - not a Theory member
         raise CanonicalFormError(f"unknown theory {theory}")
-
-
-def _from_counts(theory: Theory, counts: Mapping[str, int]) -> FreeElem:
-    payload = tuple(sorted((p, c) for p, c in counts.items() if c != 0))
-    return FreeElem(theory, payload)
+    theory.ops.check(theory, payload)
 
 
 def multiset(theory: Theory, counts: Mapping[str, int]) -> FreeElem:
     """Build a CMON or ABGRP element from a name-to-count mapping."""
-    if theory not in COUNT_THEORIES:
+    ops = theory.ops
+    if ops.idempotent or not ops.commutative:
         raise TheoryMismatchError(f"{theory.value} elements are not count vectors")
-    return _from_counts(theory, counts)
+    return FreeElem(theory, ops.norm(counts.items()))
 
 
 def word(letters: Iterable[str]) -> FreeElem:
@@ -181,7 +301,7 @@ def word(letters: Iterable[str]) -> FreeElem:
 
 def signed_word(letters: Iterable[tuple[str, int]]) -> FreeElem:
     """Build a GRP element; the input is reduced to canonical form."""
-    return FreeElem(Theory.GRP, _reduce_word(letters))
+    return FreeElem(Theory.GRP, _OPS[Theory.GRP].norm(letters))
 
 
 def finset(names: Iterable[str]) -> FreeElem:
@@ -191,11 +311,7 @@ def finset(names: Iterable[str]) -> FreeElem:
 
 def unit(theory: Theory, place: str) -> FreeElem:
     """The canonical singleton image of one name."""
-    if theory in COUNT_THEORIES:
-        return FreeElem(theory, ((place, 1),))
-    if theory is Theory.GRP:
-        return FreeElem(theory, ((place, 1),))
-    return FreeElem(theory, (place,))
+    return FreeElem(theory, theory.ops.spell(((place, 1),)))
 
 
 def neutral(theory: Theory) -> FreeElem:
@@ -208,16 +324,8 @@ def combine(theory: Theory, x: FreeElem, y: FreeElem) -> FreeElem:
     if x.theory is not theory or y.theory is not theory:
         raise TheoryMismatchError(
             f"combine over {theory.value} got {x.theory.value} and {y.theory.value}")
-    if theory in COUNT_THEORIES:
-        counts = dict(x.payload)
-        for p, c in y.payload:
-            counts[p] = counts.get(p, 0) + c
-        return _from_counts(theory, counts)
-    if theory is Theory.MON:
-        return FreeElem(theory, x.payload + y.payload)
-    if theory is Theory.GRP:
-        return FreeElem(theory, _reduce_word(x.payload + y.payload))
-    return FreeElem(theory, tuple(sorted(set(x.payload) | set(y.payload))))
+    ops = theory.ops
+    return FreeElem(theory, ops.norm(chain(ops.letters(x.payload), ops.letters(y.payload))))
 
 
 def combine_all(theory: Theory, elems: Iterable[FreeElem]) -> FreeElem:
@@ -229,11 +337,13 @@ def combine_all(theory: Theory, elems: Iterable[FreeElem]) -> FreeElem:
 
 def invert(x: FreeElem) -> FreeElem:
     """Group inverse; rejected for theories without an inverse operation."""
-    if x.theory is Theory.ABGRP:
-        return FreeElem(x.theory, tuple((p, -c) for p, c in x.payload))
-    if x.theory is Theory.GRP:
-        return FreeElem(x.theory, tuple((p, -s) for p, s in reversed(x.payload)))
-    raise UnsupportedOperationError(f"{x.theory.value} has no inverse operation")
+    ops = x.theory.ops
+    if not ops.group:
+        raise UnsupportedOperationError(f"{x.theory.value} has no inverse operation")
+    letters = ops.letters(x.payload)
+    if not ops.commutative:
+        letters = reversed(letters)
+    return FreeElem(x.theory, ops.spell((p, -c) for p, c in letters))
 
 
 def lift(theory: Theory, mapping: Mapping[str, str], x: FreeElem) -> FreeElem:
@@ -243,17 +353,8 @@ def lift(theory: Theory, mapping: Mapping[str, str], x: FreeElem) -> FreeElem:
     missing = x.atoms() - mapping.keys()
     if missing:
         raise UnmappedNameError(f"unmapped names: {sorted(missing)}")
-    if theory in COUNT_THEORIES:
-        counts: dict[str, int] = {}
-        for p, c in x.payload:
-            q = mapping[p]
-            counts[q] = counts.get(q, 0) + c
-        return _from_counts(theory, counts)
-    if theory is Theory.MON:
-        return FreeElem(theory, tuple(mapping[p] for p in x.payload))
-    if theory is Theory.GRP:
-        return FreeElem(theory, _reduce_word((mapping[p], s) for p, s in x.payload))
-    return FreeElem(theory, tuple(sorted({mapping[p] for p in x.payload})))
+    ops = theory.ops
+    return FreeElem(theory, ops.norm((mapping[p], c) for p, c in ops.letters(x.payload)))
 
 
 def extend(theory: Theory, images: Mapping[str, FreeElem], x: FreeElem) -> FreeElem:
@@ -267,61 +368,35 @@ def extend(theory: Theory, images: Mapping[str, FreeElem], x: FreeElem) -> FreeE
     missing = x.atoms() - images.keys()
     if missing:
         raise UnmappedNameError(f"unmapped generators: {sorted(missing)}")
-    if theory in COUNT_THEORIES:
-        counts: dict[str, int] = {}
-        for p, c in x.payload:
-            image = images[p]
-            if image.theory is not theory:
-                raise TheoryMismatchError(
-                    f"extend over {theory.value} got a {image.theory.value} image for {p!r}")
-            for q, d in image.payload:
-                counts[q] = counts.get(q, 0) + c * d
-        return _from_counts(theory, counts)
-    out = neutral(theory)
-    if theory is Theory.MON:
-        for p in x.payload:
-            out = combine(theory, out, images[p])
-    elif theory is Theory.GRP:
-        for p, s in x.payload:
-            img = images[p] if s > 0 else invert(images[p])
-            out = combine(theory, out, img)
-    else:
-        for p in x.payload:
-            out = combine(theory, out, images[p])
-    return out
+    ops = theory.ops
+    out: list[tuple[str, int]] = []
+    for p, c in ops.letters(x.payload):
+        image = images[p]
+        if image.theory is not theory:
+            raise TheoryMismatchError(
+                f"extend over {theory.value} got a {image.theory.value} image for {p!r}")
+        letters = ops.letters(image.payload)
+        if c < 0 and not ops.commutative:
+            letters = reversed(letters)  # an inverse word reads backwards
+        out.extend((q, c * d) for q, d in letters)
+    return FreeElem(theory, ops.norm(out))
 
 
 def translate(arrow: TheoryArrow, x: FreeElem) -> FreeElem:
-    """Move an element along a catalog arrow (the monad-morphism component)."""
+    """Move an element along a catalog arrow (the monad-morphism component).
+
+    Every catalog arrow sends each generator to a generator, so an element
+    moves by reading its letters in the target theory.
+    """
     if x.theory is not arrow.source:
         raise TheoryMismatchError(
             f"arrow {arrow.value} starts at {arrow.source.value}, got {x.theory.value}")
-    if arrow is TheoryArrow.SUPPORT:
-        return FreeElem(Theory.SEMILAT, tuple(sorted(p for p, _ in x.payload)))
-    if arrow is TheoryArrow.SIGNED:
-        return FreeElem(Theory.ABGRP, x.payload)
-    if arrow is TheoryArrow.ABELIANIZE:
-        counts: dict[str, int] = {}
-        for p in x.payload:
-            counts[p] = counts.get(p, 0) + 1
-        return _from_counts(Theory.CMON, counts)
-    if arrow is TheoryArrow.FREE_GROUP:
-        return FreeElem(Theory.GRP, tuple((p, 1) for p in x.payload))
-    counts = {}
-    for p, s in x.payload:
-        counts[p] = counts.get(p, 0) + s
-    return _from_counts(Theory.ABGRP, counts)
+    return FreeElem(arrow.target, arrow.target.ops.norm(x.theory.ops.letters(x.payload)))
 
 
 def occurrences(x: FreeElem) -> dict[str, int]:
     """Name-to-count view of any element (signed for group theories)."""
-    if x.theory in COUNT_THEORIES:
-        return dict(x.payload)
     counts: dict[str, int] = {}
-    if x.theory is Theory.GRP:
-        for p, s in x.payload:
-            counts[p] = counts.get(p, 0) + s
-        return {p: c for p, c in counts.items() if c != 0}
-    for p in x.payload:
-        counts[p] = counts.get(p, 0) + 1
-    return counts
+    for p, c in x.theory.ops.letters(x.payload):
+        counts[p] = counts.get(p, 0) + c
+    return {p: c for p, c in counts.items() if c != 0}

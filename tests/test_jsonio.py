@@ -38,6 +38,12 @@ def test_elem_from_json_rejects_noncanonical():
         jsonio.elem_from_json(Theory.GRP, [["a", "+"], ["a", "-"]])
     with pytest.raises(CanonicalFormError):
         jsonio.elem_from_json(Theory.CMON, {"a": 0})
+    # The decode does not normalise: each of these is refused, not repaired.
+    for theory, data in [(Theory.ABGRP, {"a": 0}), (Theory.CMON, {"a": True}),
+                         (Theory.CMON, {"a": -1}), (Theory.SEMILAT, ["a", "a"]),
+                         (Theory.MON, [1]), (Theory.MON, {"a": 1}), (Theory.CMON, ["a"])]:
+        with pytest.raises(CanonicalFormError):
+            jsonio.elem_from_json(theory, data)
 
 
 def test_net_roundtrip():

@@ -188,6 +188,24 @@ def test_deep_symmetric_chain_stays_off_the_call_stack():
 # The iterative walks against the recursive code they replaced
 
 
+def _pad_after_ref(layer, suffix):
+    th = suffix.theory
+    if symmetry._is_perm_layer(layer):
+        n = len(layer.word.payload)
+        mapping = layer.mapping + tuple(n + k for k in range(len(suffix.payload)))
+        return symmetry._PermLayer(combine(th, layer.word, suffix), mapping)
+    return combine(th, layer, freecat._identity_layer(th, suffix))
+
+
+def _pad_before_ref(prefix, layer):
+    th = prefix.theory
+    if symmetry._is_perm_layer(layer):
+        m = len(prefix.payload)
+        mapping = tuple(range(m)) + tuple(m + t for t in layer.mapping)
+        return symmetry._PermLayer(combine(th, prefix, layer.word), mapping)
+    return combine(th, freecat._identity_layer(th, prefix), layer)
+
+
 def _sym_layers_ref(t, ctx):
     th = ctx.net.theory
     if isinstance(t, Perm):
@@ -212,8 +230,8 @@ def _sym_layers_ref(t, ctx):
             if not any(map(symmetry._is_perm_layer, layers + layers_b)):
                 layers = freecat._zip_layers(th, (src, layers), (src_b, layers_b))
             else:
-                layers = tuple(symmetry._pad_after(l, src_b, ctx) for l in layers) + \
-                    tuple(symmetry._pad_before(tgt, l, ctx) for l in layers_b)
+                layers = tuple(_pad_after_ref(l, src_b) for l in layers) + \
+                    tuple(_pad_before_ref(tgt, l) for l in layers_b)
             src = combine(th, src, src_b)
             tgt = combine(th, tgt, tgt_b)
         return src, tgt, layers
