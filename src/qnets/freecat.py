@@ -8,7 +8,8 @@ place names (the held frame). Layer-level equalities of the theory hold
 definitionally in that representation; the remaining equations (category
 axioms and the requirement that composition is a model homomorphism) are
 explored by a budgeted bidirectional rewrite search over layer merges and
-splits.
+splits. A symmetric term over a word-marked net may also hold :class:`Perm`
+leaves, which become permutation layers of the same forms.
 
 ``Distinct`` verdicts are sound with respect to that rewrite closure: they are
 issued when invariants differ or when one term's entire closure was
@@ -39,6 +40,7 @@ from .theory import (
     invert,
     lift,
     multiset,
+    neutral,
     occurrences,
     unit,
 )
@@ -86,17 +88,36 @@ class Oper:
     args: tuple["MorTerm", ...]
 
 
+@dataclass(frozen=True)
+class Perm:
+    """Position permutation of a word marking: letter ``i`` of ``word`` moves
+    to position ``mapping[i]`` of the target word."""
+
+    word: FreeElem
+    mapping: tuple[int, ...]
+
+
 MorTerm = Union[Gen, Ident, Comp, Oper]
+SymTerm = Union[MorTerm, Perm]
+
+
+@dataclass(frozen=True)
+class _PermLayer:
+    """The layer of a :class:`Perm`: ``word`` permuted by ``mapping``."""
+
+    word: FreeElem
+    mapping: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class LayeredForm:
     """Sequential decomposition: ``layers[0]`` fires first. Layers are
-    elements over transition names and ``id.`` place names; pure-identity
-    layers are never stored, so the empty tuple is the identity on ``start``."""
+    elements over transition names and ``id.`` place names, or permutation
+    layers in a symmetric process; identity layers are never stored, so the
+    empty tuple is the identity on ``start``."""
 
     start: FreeElem
-    layers: tuple[FreeElem, ...]
+    layers: tuple[FreeElem | _PermLayer, ...]
 
     def __post_init__(self):
         # Hashed once, by the dataclass formula, as :class:`FreeElem` is.
@@ -222,6 +243,65 @@ def layered_repr(form: LayeredForm) -> str:
 # Term endpoints and layering
 
 
+def _is_perm_layer(layer) -> bool:
+    return isinstance(layer, _PermLayer)
+
+
+def _trivial(layer) -> bool:
+    """Whether a layer is an identity: held letters only, or a permutation
+    that fixes every position."""
+    if _is_perm_layer(layer):
+        return layer.mapping == tuple(range(len(layer.mapping)))
+    return _pure_id(layer)
+
+
+def _apply_perm(payload: tuple, mapping: tuple[int, ...]) -> tuple:
+    out: list = [None] * len(payload)
+    for i, letter in enumerate(payload):
+        out[mapping[i]] = letter
+    return tuple(out)
+
+
+def _check_perm(t: Perm, theory: Theory) -> None:
+    if theory.ops.commutative:
+        raise IllTypedTermError("permutations need a word theory")
+    if t.word.theory is not theory:
+        raise IllTypedTermError("permutation word has the wrong theory")
+    if sorted(t.mapping) != list(range(len(t.word.payload))):
+        raise IllTypedTermError("mapping is not a permutation of the letter positions")
+    if not theory.ops.is_normal(_apply_perm(t.word.payload, t.mapping)):
+        raise UnsupportedOperationError(
+            "permutation target would cancel; not representable letterwise")
+
+
+def perm_tgt(t: Perm) -> FreeElem:
+    return FreeElem(t.word.theory, _apply_perm(t.word.payload, t.mapping))
+
+
+def _pad(prefix: FreeElem, layer, suffix: FreeElem):
+    """``layer`` between identities on ``prefix`` and ``suffix``."""
+    th = prefix.theory
+    if _is_perm_layer(layer):
+        m, n = len(prefix.payload), len(layer.mapping)
+        word = combine(th, combine(th, prefix, layer.word), suffix)
+        if len(word.payload) != m + n + len(suffix.payload):
+            raise UnsupportedOperationError(
+                "a permutation beside a cancelling boundary is not representable letterwise")
+        mapping = (tuple(range(m)) + tuple(m + t for t in layer.mapping)
+                   + tuple(range(m + n, m + n + len(suffix.payload))))
+        return _PermLayer(word, mapping)
+    return combine(th, combine(th, _identity_layer(th, prefix), layer),
+                   _identity_layer(th, suffix))
+
+
+def _invert_layer(layer):
+    if _is_perm_layer(layer):
+        n = len(layer.word.payload)
+        mapping = tuple(n - 1 - layer.mapping[n - 1 - i] for i in range(n))
+        return _PermLayer(invert(layer.word), mapping)
+    return invert(layer)
+
+
 def _endpoints(t: MorTerm, ctx: _Ctx) -> tuple[FreeElem, FreeElem]:
     return _layers_of(t, ctx)[:2]
 
@@ -234,14 +314,17 @@ def mor_tgt(t: MorTerm, net: QNet) -> FreeElem:
     return _endpoints(t, _context(net))[1]
 
 
-def _layers_of(t: MorTerm, ctx: _Ctx) -> tuple[FreeElem, FreeElem, tuple[FreeElem, ...]]:
-    """Source, target and layers of a term; layers may be pure-id, normalized
-    by callers. An explicit stack keeps deep terms off the Python call stack:
-    each node is checked when first popped, and folded from its children's
-    results, left to right, when popped again."""
+def _layers_of(t: SymTerm, ctx: _Ctx,
+               symmetric: bool = False) -> tuple[FreeElem, FreeElem, tuple]:
+    """Source, target and layers of a term; layers may be identities, dropped
+    by callers. :class:`Perm` leaves are terms only when ``symmetric``; a
+    combination holding a permutation layer stacks its arguments' layers
+    one after the other instead of side by side. An explicit stack keeps deep
+    terms off the Python call stack: each node is checked when first popped,
+    and folded from its children's results, left to right, when popped again."""
     th = ctx.net.theory
-    done: list[tuple[FreeElem, FreeElem, tuple[FreeElem, ...]]] = []
-    stack: list[tuple[MorTerm, bool]] = [(t, False)]
+    done: list[tuple[FreeElem, FreeElem, tuple]] = []
+    stack: list[tuple[SymTerm, bool]] = [(t, False)]
     while stack:
         t, fold = stack.pop()
         if fold and isinstance(t, Comp):
@@ -254,13 +337,17 @@ def _layers_of(t: MorTerm, ctx: _Ctx) -> tuple[FreeElem, FreeElem, tuple[FreeEle
             done.append((src_b, tgt_a, layers_b + layers_a))
         elif fold and t.op == "invert":
             src, tgt, layers = done.pop()
-            done.append((invert(src), invert(tgt), tuple(invert(l) for l in layers)))
+            done.append((invert(src), invert(tgt), tuple(map(_invert_layer, layers))))
         elif fold:
             args = done[-len(t.args):]
             del done[-len(t.args):]
             src, tgt, layers = args[0]
             for src_b, tgt_b, layers_b in args[1:]:
-                layers = _zip_layers(th, (src, layers), (src_b, layers_b))
+                if any(map(_is_perm_layer, layers + layers_b)):
+                    layers = tuple(_pad(neutral(th), l, src_b) for l in layers) + \
+                        tuple(_pad(tgt, l, neutral(th)) for l in layers_b)
+                else:
+                    layers = _zip_layers(th, (src, layers), (src_b, layers_b))
                 src = combine(th, src, src_b)
                 tgt = combine(th, tgt, tgt_b)
             done.append((src, tgt, layers))
@@ -290,6 +377,11 @@ def _layers_of(t: MorTerm, ctx: _Ctx) -> tuple[FreeElem, FreeElem, tuple[FreeEle
                 raise IllTypedTermError(f"unknown operation {t.op!r}")
             stack.append((t, True))
             stack += [(a, False) for a in reversed(t.args)]
+        elif symmetric and isinstance(t, Perm):
+            _check_perm(t, th)
+            if t.word.atoms() - set(ctx.net.places):
+                raise IllTypedTermError("permutation word mentions undeclared places")
+            done.append((t.word, perm_tgt(t), (_PermLayer(t.word, t.mapping),)))
         else:
             raise IllTypedTermError(f"not a process term: {t!r}")
     return done[0]
@@ -312,10 +404,11 @@ def layered(t: MorTerm, net: QNet) -> LayeredForm:
     return _layered_ctx(t, _context(net))[0]
 
 
-def _layered_ctx(t: MorTerm, ctx: _Ctx) -> tuple[LayeredForm, FreeElem]:
+def _layered_ctx(t: SymTerm, ctx: _Ctx,
+                 symmetric: bool = False) -> tuple[LayeredForm, FreeElem]:
     """The layered form of a term and the term's target, from one walk."""
-    src, tgt, layers = _layers_of(t, ctx)
-    return LayeredForm(src, tuple(l for l in layers if not _pure_id(l))), tgt
+    src, tgt, layers = _layers_of(t, ctx, symmetric)
+    return LayeredForm(src, tuple(l for l in layers if not _trivial(l))), tgt
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +458,23 @@ def _merge_words(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
     w1, w2 = l1.payload, l2.payload
     ids1, ids2 = ([_is_id_sym(n) for n in th.ops.names(w)] for w in (w1, w2))
     results: set[tuple] = set()
-
-    def rec(i: int, j: int, acc: tuple) -> None:
+    # Worklist of (i, j, acc): letters w1[:i] and w2[:j] are merged into acc.
+    stack = [(0, 0, ())]
+    while stack:
+        i, j, acc = stack.pop()
         if i == len(w1) and j == len(w2):
             results.add(acc)
-            return
+            continue
         if i < len(w1) and j < len(w2) and ids1[i] and w1[i] == w2[j]:
-            rec(i + 1, j + 1, acc + (w1[i],))
+            stack.append((i + 1, j + 1, acc + (w1[i],)))
         if i < len(w1) and not ids1[i]:
             held = _held(w1[i], 1, ctx)
             if w2[j:j + len(held)] == held:
-                rec(i + 1, j + len(held), acc + (w1[i],))
+                stack.append((i + 1, j + len(held), acc + (w1[i],)))
         if j < len(w2) and not ids2[j]:
             held = _held(w2[j], 0, ctx)
             if w1[i:i + len(held)] == held:
-                rec(i + len(held), j + 1, acc + (w2[j],))
-
-    rec(0, 0, ())
+                stack.append((i + len(held), j + 1, acc + (w2[j],)))
     out = {FreeElem(th, th.ops.canon(acc)) for acc in results}
     return sorted(out, key=lambda e: e.payload)
 
@@ -523,6 +616,8 @@ def _greedy(form: LayeredForm, ctx: _Ctx) -> LayeredForm:
 def _form_occurrences(form: LayeredForm) -> dict[str, int]:
     totals: dict[str, int] = {}
     for layer in form.layers:
+        if _is_perm_layer(layer):
+            continue
         for name, count in occurrences(layer).items():
             if not _is_id_sym(name):
                 totals[name] = totals.get(name, 0) + count
@@ -722,20 +817,19 @@ def _step_layers(ctx: _Ctx, marking: FreeElem,
                     out.add(combine(th, gens, _identity_layer(th, frame)))
     else:
         letters = marking.payload
-
-        def rec(pos: int, width_left: int, acc: tuple) -> None:
+        # Worklist of (pos, width_left, acc): acc spells letters[:pos].
+        stack = [(0, max_width if max_width is not None else len(letters) + 1, ())]
+        while stack:
+            pos, width_left, acc = stack.pop()
             if pos == len(letters) and not all(_is_id_sym(x) for x in acc):
                 out.add(FreeElem(th, acc))
-            for name in sorted(ctx.net.transitions):
-                if width_left == 0:
-                    break
-                src = ctx.net.transitions[name][0].payload
-                if letters[pos:pos + len(src)] == src:
-                    rec(pos + len(src), width_left - 1, acc + (name,))
+            if width_left != 0:
+                for name in sorted(ctx.net.transitions):
+                    src = ctx.net.transitions[name][0].payload
+                    if letters[pos:pos + len(src)] == src:
+                        stack.append((pos + len(src), width_left - 1, acc + (name,)))
             if pos < len(letters):
-                rec(pos + 1, width_left, acc + (ID_PREFIX + letters[pos],))
-
-        rec(0, max_width if max_width is not None else len(letters) + 1, ())
+                stack.append((pos + 1, width_left, acc + (ID_PREFIX + letters[pos],)))
     return sorted(out, key=lambda e: e.payload)
 
 
@@ -768,18 +862,19 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     # Each marking's layers and their targets, built once for all paths.
     steps: dict[FreeElem, list[tuple[FreeElem, FreeElem]]] = {}
 
-    def rec(marking: FreeElem, acc: tuple[FreeElem, ...]) -> None:
+    # Worklist of (marking, layers fired from x to reach it); the forms are
+    # sorted below, so the visiting order does not matter.
+    stack = [(x, ())]
+    while stack:
+        marking, acc = stack.pop()
         if marking == y:
             forms.append(LayeredForm(x, acc))
         if len(acc) == max_layers:
-            return
+            continue
         if marking not in steps:
             steps[marking] = [(layer, _layer_tgt(layer, ctx))
                               for layer in _step_layers(ctx, marking, max_width)]
-        for layer, tgt in steps[marking]:
-            rec(tgt, acc + (layer,))
-
-    rec(x, ())
+        stack += [(tgt, acc + (layer,)) for layer, tgt in steps[marking]]
     forms.sort(key=lambda f: (len(f.layers), tuple(l.payload for l in f.layers)))
     # Merge and split are mutual converses within a generator cap (the same
     # fact _search_connect's early exhaustion rests on), so a class is the

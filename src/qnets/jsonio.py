@@ -44,10 +44,10 @@ def net_from_json(data: Any):
 
     if not isinstance(data, dict):
         raise QnetError("net JSON must be an object")
-    try:
-        theory = Theory(data["theory"])
-    except (KeyError, ValueError) as exc:
-        raise QnetError(f"bad or missing theory tag: {exc}") from exc
+    tags = [th.value for th in Theory]
+    if data.get("theory") not in tags:
+        raise QnetError(f"bad or missing theory tag: expected one of {', '.join(tags)}")
+    theory = Theory(data["theory"])
     places = data.get("places", [])
     if not isinstance(places, list) or not all(isinstance(p, str) for p in places):
         raise QnetError("net \"places\" must be an array of strings")
@@ -97,7 +97,7 @@ def qgraph_to_json(g) -> dict:
 
 
 def term_to_json(t) -> Any:
-    from . import freecat, symmetry
+    from . import freecat
 
     if isinstance(t, freecat.Gen):
         return {"gen": t.name}
@@ -107,13 +107,13 @@ def term_to_json(t) -> Any:
         return {"comp": [term_to_json(t.after), term_to_json(t.before)]}
     if isinstance(t, freecat.Oper):
         return {"op": t.op, "args": [term_to_json(a) for a in t.args]}
-    if isinstance(t, symmetry.Perm):
+    if isinstance(t, freecat.Perm):
         return {"perm": {"word": elem_to_json(t.word), "map": list(t.mapping)}}
     raise QnetError(f"not a process term: {t!r}")
 
 
 def term_from_json(theory: Theory, data: Any):
-    from . import freecat, symmetry
+    from . import freecat
 
     def bad() -> QnetError:
         return QnetError(f"bad term JSON: {data!r}")
@@ -142,5 +142,5 @@ def term_from_json(theory: Theory, data: Any):
                 or not isinstance(perm["map"], list)
                 or not all(type(i) is int for i in perm["map"])):
             raise bad()
-        return symmetry.Perm(elem_from_json(theory, perm["word"]), tuple(perm["map"]))
+        return freecat.Perm(elem_from_json(theory, perm["word"]), tuple(perm["map"]))
     raise bad()

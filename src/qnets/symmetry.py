@@ -1,9 +1,11 @@
 """Freely added symmetries for word-marked nets, and linearizations.
 
 Symmetries are represented extensionally as position permutations of a word
-marking, so permutation composition and the braid axioms hold definitionally;
-the interesting interaction is sliding a firing layer past a permutation,
-which the equality search performs in both directions.
+marking, so permutation composition and the braid axioms hold definitionally.
+A symmetric process is an ordinary :class:`~qnets.freecat.LayeredForm` whose
+layers may include permutation layers; the interesting interaction is sliding
+a firing layer past a permutation, which the equality search performs in both
+directions.
 
 Linearization sends a multiset-marked net to the word-marked nets in its
 abelianization preimage: every ordering of every arc payload.
@@ -12,10 +14,12 @@ abelianization preimage: every ordering of every arc payload.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 from . import freecat
+
+# Perm, SymTerm and perm_tgt live with the term walker in freecat and are
+# part of this module's interface as well.
 from .freecat import (
     Comp,
     EqVerdict,
@@ -25,11 +29,18 @@ from .freecat import (
     LayeredForm,
     MorTerm,
     Oper,
+    Perm,
+    SymTerm,
+    _PermLayer,
+    _apply_perm,
+    _check_perm,
     _context,
     _distinct,
     _equal,
+    _is_perm_layer,
     _unknown,
     default_budget,
+    perm_tgt,
 )
 from .net import QNet
 from .theory import (
@@ -38,46 +49,8 @@ from .theory import (
     TheoryArrow,
     UnsupportedOperationError,
     combine,
-    invert,
-    neutral,
     translate,
 )
-
-
-@dataclass(frozen=True)
-class Perm:
-    """Position permutation of a word marking: letter ``i`` of ``word`` moves
-    to position ``mapping[i]`` of the target word."""
-
-    word: FreeElem
-    mapping: tuple[int, ...]
-
-
-SymTerm = Union[MorTerm, Perm]
-
-
-def _apply_perm(payload: tuple, mapping: tuple[int, ...]) -> tuple:
-    out: list = [None] * len(payload)
-    for i, letter in enumerate(payload):
-        out[mapping[i]] = letter
-    return tuple(out)
-
-
-def _check_perm(t: Perm, theory: Theory) -> None:
-    if theory.ops.commutative:
-        raise IllTypedTermError("permutations need a word theory")
-    if t.word.theory is not theory:
-        raise IllTypedTermError("permutation word has the wrong theory")
-    n = len(t.word.payload)
-    if sorted(t.mapping) != list(range(n)):
-        raise IllTypedTermError("mapping is not a permutation of the letter positions")
-    if not theory.ops.is_normal(_apply_perm(t.word.payload, t.mapping)):
-        raise UnsupportedOperationError(
-            "permutation target would cancel; not representable letterwise")
-
-
-def perm_tgt(t: Perm) -> FreeElem:
-    return FreeElem(t.word.theory, _apply_perm(t.word.payload, t.mapping))
 
 
 def braiding(x: FreeElem, y: FreeElem) -> Perm:
@@ -95,155 +68,23 @@ def braiding(x: FreeElem, y: FreeElem) -> Perm:
     return perm
 
 
-@dataclass(frozen=True)
-class _PermLayer:
-    word: FreeElem
-    mapping: tuple[int, ...]
-
-
-SymLayer = Union[FreeElem, _PermLayer]
-
-
-@dataclass(frozen=True)
-class SymForm:
-    start: FreeElem
-    layers: tuple[SymLayer, ...]
-
-
-def _is_perm_layer(layer: SymLayer) -> bool:
-    return isinstance(layer, _PermLayer)
-
-
-def _sym_layer_src(layer: SymLayer, ctx) -> FreeElem:
-    if _is_perm_layer(layer):
-        return layer.word
-    return freecat._layer_src(layer, ctx)
-
-
-def _sym_layer_tgt(layer: SymLayer, ctx) -> FreeElem:
-    if _is_perm_layer(layer):
-        return FreeElem(layer.word.theory, _apply_perm(layer.word.payload, layer.mapping))
-    return freecat._layer_tgt(layer, ctx)
-
-
-def _identity_mapping(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
-def _drop_trivial(layers: tuple[SymLayer, ...]) -> tuple[SymLayer, ...]:
-    out = []
-    for layer in layers:
-        if _is_perm_layer(layer):
-            if layer.mapping != _identity_mapping(len(layer.mapping)):
-                out.append(layer)
-        elif not freecat._pure_id(layer):
-            out.append(layer)
-    return tuple(out)
-
-
-def _pad(prefix: FreeElem, layer: SymLayer, suffix: FreeElem) -> SymLayer:
-    """``layer`` between identities on ``prefix`` and ``suffix``."""
-    th = prefix.theory
-    if _is_perm_layer(layer):
-        m, n = len(prefix.payload), len(layer.mapping)
-        word = combine(th, combine(th, prefix, layer.word), suffix)
-        mapping = (tuple(range(m)) + tuple(m + t for t in layer.mapping)
-                   + tuple(range(m + n, m + n + len(suffix.payload))))
-        return _PermLayer(word, mapping)
-    return combine(th, combine(th, freecat._identity_layer(th, prefix), layer),
-                   freecat._identity_layer(th, suffix))
-
-
-def _sym_layers(t: SymTerm, ctx) -> tuple[FreeElem, FreeElem, tuple[SymLayer, ...]]:
-    """Source, target and layers of a symmetric term. Like
-    :func:`freecat._layers_of`, it walks with an explicit stack: each node is
-    checked when first popped, and folded from its children's results, left
-    to right, when popped again."""
-    th = ctx.net.theory
-    done: list[tuple[FreeElem, FreeElem, tuple[SymLayer, ...]]] = []
-    stack: list[tuple[SymTerm, bool]] = [(t, False)]
-    while stack:
-        t, fold = stack.pop()
-        if fold and isinstance(t, Comp):
-            src_a, tgt_a, layers_a = done.pop()
-            src_b, tgt_b, layers_b = done.pop()
-            if tgt_b != src_a:
-                raise IllTypedTermError("composite mismatch in symmetric term")
-            done.append((src_b, tgt_a, layers_b + layers_a))
-        elif fold and t.op == "invert":
-            src, tgt, layers = done.pop()
-            done.append((invert(src), invert(tgt), tuple(_invert_layer(l) for l in layers)))
-        elif fold:
-            args = done[-len(t.args):]
-            del done[-len(t.args):]
-            src, tgt, layers = args[0]
-            for src_b, tgt_b, layers_b in args[1:]:
-                if (all(not _is_perm_layer(l) for l in layers)
-                        and all(not _is_perm_layer(l) for l in layers_b)):
-                    layers = freecat._zip_layers(th, (src, layers), (src_b, layers_b))
-                else:
-                    layers = tuple(_pad(neutral(th), l, src_b) for l in layers) + \
-                        tuple(_pad(tgt, l, neutral(th)) for l in layers_b)
-                src = combine(th, src, src_b)
-                tgt = combine(th, tgt, tgt_b)
-            done.append((src, tgt, layers))
-        elif isinstance(t, Perm):
-            _check_perm(t, th)
-            if t.word.atoms() - set(ctx.net.places):
-                raise IllTypedTermError("permutation word mentions undeclared places")
-            done.append((t.word, perm_tgt(t), (_PermLayer(t.word, t.mapping),)))
-        elif isinstance(t, (Gen, Ident)):
-            done.append(freecat._layers_of(t, ctx))
-        elif isinstance(t, Comp):
-            stack += [(t, True), (t.after, False), (t.before, False)]
-        elif isinstance(t, Oper) and t.op == "combine":
-            if len(t.args) < 2:
-                raise IllTypedTermError("combine needs at least two arguments")
-            stack.append((t, True))
-            stack += [(a, False) for a in reversed(t.args)]
-        elif isinstance(t, Oper) and t.op == "invert":
-            if th is not Theory.GRP:
-                raise IllTypedTermError("invert needs the GRP theory")
-            if len(t.args) != 1:
-                raise IllTypedTermError("invert takes exactly one argument")
-            stack += [(t, True), (t.args[0], False)]
-        else:
-            raise IllTypedTermError(f"not a symmetric process term: {t!r}")
-    return done[0]
-
-
-def _invert_layer(layer: SymLayer) -> SymLayer:
-    if _is_perm_layer(layer):
-        n = len(layer.word.payload)
-        mapping = tuple(n - 1 - layer.mapping[n - 1 - i] for i in range(n))
-        return _PermLayer(invert(layer.word), mapping)
-    return invert(layer)
-
-
-def sym_layered(t: SymTerm, net: QNet) -> SymForm:
-    ctx = _context(net)
-    src, _tgt, layers = _sym_layers(t, ctx)
-    return SymForm(src, _drop_trivial(layers))
+def sym_layered(t: SymTerm, net: QNet) -> LayeredForm:
+    """The layered form of a symmetric term: a :class:`LayeredForm` whose
+    layers may include permutation layers."""
+    return freecat._layered_ctx(t, _context(net), True)[0]
 
 
 def _blocks(lengths: list[int]) -> list[tuple[int, int]]:
-    out = []
-    offset = 0
-    for n in lengths:
-        out.append((offset, n))
-        offset += n
-    return out
+    """(offset, length) of consecutive blocks of the given lengths."""
+    return list(zip(itertools.accumulate(lengths, initial=0), lengths))
 
 
 def _inverse(mapping) -> tuple[int, ...]:
-    out = [0] * len(mapping)
-    for i, target in enumerate(mapping):
-        out[target] = i
-    return tuple(out)
+    return _apply_perm(tuple(range(len(mapping))), mapping)
 
 
 def _slide(layer: FreeElem, perm: _PermLayer, ctx,
-           before: bool) -> list[tuple[SymLayer, SymLayer]]:
+           before: bool) -> list[tuple]:
     """Slide a generator layer across an adjacent permutation that moves whole
     blocks of it: [layer, perm] becomes [perm', layer'] when the layer fires
     ``before`` the permutation, and [perm, layer] becomes [layer', perm']
@@ -280,7 +121,7 @@ def _slide(layer: FreeElem, perm: _PermLayer, ctx,
         for k in range(size):
             forward[off + k] = new_offsets[j] + k
     new_mapping = tuple(forward) if before else _inverse(forward)
-    word = _sym_layer_src(layer, ctx) if before else _sym_layer_tgt(new_layer, ctx)
+    word = freecat._layer_src(layer, ctx) if before else freecat._layer_tgt(new_layer, ctx)
     if len(word.payload) != len(new_mapping):
         return []
     if not th.ops.is_normal(_apply_perm(word.payload, new_mapping)):
@@ -289,44 +130,31 @@ def _slide(layer: FreeElem, perm: _PermLayer, ctx,
     return [(new_perm, new_layer) if before else (new_layer, new_perm)]
 
 
-def _sym_neighbors(form: SymForm, ctx) -> Iterator[SymForm]:
+def _sym_neighbors(form: LayeredForm, ctx) -> Iterator[LayeredForm]:
+    """Merges of adjacent layers (permutations compose), slides of a layer
+    across an adjacent permutation, and splits of generator layers."""
     layers = form.layers
     for i in range(len(layers) - 1):
         a, b = layers[i], layers[i + 1]
         if _is_perm_layer(a) and _is_perm_layer(b):
-            composed = tuple(b.mapping[a.mapping[k]] for k in range(len(a.mapping)))
-            merged: tuple[SymLayer, ...]
-            if composed == _identity_mapping(len(composed)):
-                merged = ()
-            else:
-                merged = (_PermLayer(a.word, composed),)
-            yield SymForm(form.start, layers[:i] + merged + layers[i + 2:])
+            merges = [_PermLayer(a.word, tuple(b.mapping[k] for k in a.mapping))]
         elif not _is_perm_layer(a) and not _is_perm_layer(b):
-            for n in freecat._merges(a, b, ctx):
-                mid = () if freecat._pure_id(n) else (n,)
-                yield SymForm(form.start, layers[:i] + mid + layers[i + 2:])
+            merges = freecat._merges(a, b, ctx)
         else:
             before = not _is_perm_layer(a)
             for pair in _slide(a if before else b, b if before else a, ctx, before):
-                yield SymForm(form.start, layers[:i] + pair + layers[i + 2:])
+                yield LayeredForm(form.start, layers[:i] + pair + layers[i + 2:])
+            continue
+        for merged in merges:
+            mid = () if freecat._trivial(merged) else (merged,)
+            yield LayeredForm(form.start, layers[:i] + mid + layers[i + 2:])
     for i, layer in enumerate(layers):
         if not _is_perm_layer(layer):
             for x, y in freecat._splits(layer, ctx):
-                yield SymForm(form.start, layers[:i] + (x, y) + layers[i + 1:])
+                yield LayeredForm(form.start, layers[:i] + (x, y) + layers[i + 1:])
 
 
-def _sym_occurrences(form: SymForm) -> dict[str, int]:
-    totals: dict[str, int] = {}
-    for layer in form.layers:
-        if _is_perm_layer(layer):
-            continue
-        for name, count in freecat._form_occurrences(
-                LayeredForm(form.start, (layer,))).items():
-            totals[name] = totals.get(name, 0) + count
-    return {n: c for n, c in totals.items() if c != 0}
-
-
-def sym_repr(form: SymForm) -> str:
+def sym_repr(form: LayeredForm) -> str:
     parts = []
     for layer in form.layers:
         if _is_perm_layer(layer):
@@ -348,15 +176,13 @@ def sym_equal(t1: SymTerm, t2: SymTerm, net: QNet,
     if budget is None:
         budget = default_budget()
     ctx = _context(net)
-    src1, tgt1, layers1 = _sym_layers(t1, ctx)
-    src2, tgt2, layers2 = _sym_layers(t2, ctx)
-    if (src1, tgt1) != (src2, tgt2):
+    f1, tgt1 = freecat._layered_ctx(t1, ctx, True)
+    f2, tgt2 = freecat._layered_ctx(t2, ctx, True)
+    if (f1.start, tgt1) != (f2.start, tgt2):
         return _distinct("source/target pairs differ")
-    f1 = SymForm(src1, _drop_trivial(layers1))
-    f2 = SymForm(src2, _drop_trivial(layers2))
     if f1 == f2:
         return _equal("identical layered forms")
-    if _sym_occurrences(f1) != _sym_occurrences(f2):
+    if freecat._form_occurrences(f1) != freecat._form_occurrences(f2):
         return _distinct("generator occurrence counts differ")
     verdict = freecat._search_connect(f1, f2, lambda f: _sym_neighbors(f, ctx), budget,
                                       False, sym_repr)
@@ -411,9 +237,23 @@ def translate_term(arrow: TheoryArrow, t: MorTerm) -> MorTerm:
     return _map_leaves(t, leaf)
 
 
-def _distinct_orderings(letters: list) -> list[tuple]:
-    """Sorted distinct permutations of a letter multiset."""
-    return sorted(set(itertools.permutations(letters)))
+MAX_LINEARIZATIONS = 10_000
+
+
+def _distinct_orderings(letters: tuple) -> list[tuple]:
+    """Sorted distinct permutations of a letter multiset, each found from the
+    last by the next-permutation step: the work follows their number, not the
+    factorial of the letter count."""
+    word = sorted(letters)
+    out = [tuple(word)]
+    while True:
+        j = next((j for j in range(len(word) - 2, -1, -1) if word[j] < word[j + 1]), None)
+        if j is None:
+            return out
+        k = max(k for k in range(j + 1, len(word)) if word[k] > word[j])
+        word[j], word[k] = word[k], word[j]
+        word[j + 1:] = reversed(word[j + 1:])
+        out.append(tuple(word))
 
 
 def _payload_letters(x: FreeElem, target: Theory) -> tuple:
@@ -437,12 +277,17 @@ def linearizations(p: QNet) -> list[QNet]:
 
     CMON nets yield MON nets (all orderings of every arc); ABGRP nets yield
     GRP nets over the fixed signed-letter spelling of each arc, positives
-    before negatives, which truncates the infinite true preimage.
+    before negatives, which truncates the infinite true preimage. More than
+    :data:`MAX_LINEARIZATIONS` of them is an error, found from
+    :func:`linearization_count` before any is built.
     """
     arrow = _abelianization(p.theory)
     if arrow is None:
         raise UnsupportedOperationError(
             f"linearization applies to CMON or ABGRP nets, not {p.theory.value}")
+    if linearization_count(p) > MAX_LINEARIZATIONS:
+        raise UnsupportedOperationError(
+            f"the net has more than {MAX_LINEARIZATIONS} linearizations")
     target = arrow.source
     names = sorted(p.transitions)
     per_transition = []
@@ -460,16 +305,18 @@ def linearizations(p: QNet) -> list[QNet]:
 
 
 def linearization_count(p: QNet) -> int:
-    """Closed form for ``len(linearizations(p))``: a product of multinomials."""
+    """Closed form for ``len(linearizations(p))``: a product of multinomials,
+    each taken as a product of binomials, so a large count on one place costs
+    no large factorial."""
     import math
 
     total = 1
     for src, tgt in p.transitions.values():
         for elem in (src, tgt):
-            ways = math.factorial(elem.size())
+            size = 0
             for _, c in elem.payload:
-                ways //= math.factorial(abs(c))
-            total *= ways
+                size += abs(c)
+                total *= math.comb(size, abs(c))
     return total
 
 

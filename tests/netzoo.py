@@ -2,7 +2,25 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 from qnets import QNet, Theory, finset, multiset, word
+
+
+@contextmanager
+def shallow_stack(frames: int = 100):
+    """Lower the recursion limit to ``frames`` above the caller's depth, so
+    code whose recursion follows its input fails on a small input."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def cmon(counts) -> object:

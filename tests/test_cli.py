@@ -1,10 +1,11 @@
 import io
 import json
+import time
 
 from qnets import jsonio
 from qnets.cli import run
 
-from netzoo import petri, prenet
+from netzoo import petri, prenet, shallow_stack
 
 
 def invoke(argv):
@@ -227,3 +228,27 @@ def test_output_determinism_across_commands(tmp_path):
     first = invoke(["reach", path, "--marking", '{"a":2}', "--steps", "2"])
     second = invoke(["reach", path, "--marking", '{"a":2}', "--steps", "2"])
     assert first == second
+
+
+def test_homset_too_deep_to_print_is_domain_error(tmp_path):
+    # At the default limit, 900 layers on this self-loop enumerate but
+    # overflow the JSON encoding; 200 layers do under a 100-frame stack.
+    path = write_net(tmp_path, "loop.json", petri("a", {"t": ({"a": 1}, {"a": 1})}))
+    with shallow_stack():
+        code, out, err = invoke(["homset", path, "--from", '{"a":1}', "--to", '{"a":1}',
+                                 "--layers", "200", "--width", "1"])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert "too deeply" in json.loads(err)["error"]
+
+
+def test_lin_refuses_too_many_linearizations_before_building_any(tmp_path):
+    arc = {"a": 3, "b": 3, "c": 3}  # 1,680 orderings each way: 2,822,400 nets
+    path = write_net(tmp_path, "net.json", petri("abc", {"t": (arc, arc)}))
+    for command in ("lin", "linsum"):
+        started = time.monotonic()
+        code, out, err = invoke([command, path])
+        assert time.monotonic() - started < 1.0
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert "10000 linearizations" in json.loads(err)["error"]

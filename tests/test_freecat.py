@@ -30,7 +30,7 @@ from qnets.theory import (
     word,
 )
 
-from netzoo import cmon, elementary, integer_net, intvec, petri, prenet
+from netzoo import cmon, elementary, integer_net, intvec, petri, prenet, shallow_stack
 from oracle_rewrite import oracle_equal
 
 CHAIN = petri("abc", {"t": ({"a": 1}, {"b": 1}), "u": ({"b": 1}, {"c": 1})})
@@ -264,3 +264,34 @@ def test_deep_composite_chain_stays_off_the_call_stack():
         steps = Comp(Gen(name), steps)
     assert mor_tgt(steps, LOOP) == cmon({"a": 1})
     assert len(layered(steps, LOOP).layers) == 3001
+
+
+# Each case runs out of stack at the default recursion limit on the stated
+# input if the code recurses once per letter or layer; 300 letters or layers
+# under a stack 100 frames deep show the same.
+
+
+def test_hom_enumerate_depth_stays_off_the_call_stack():
+    # Full size: 990 layers on the one-place self-loop.
+    loop = petri("a", {"t": ({"a": 1}, {"a": 1})})
+    with shallow_stack():
+        classes = hom_enumerate(loop, cmon({"a": 1}), cmon({"a": 1}), 300, 1)
+    assert len(classes) == 301
+
+
+def test_word_step_layers_stay_off_the_call_stack():
+    # Full size: one layer over a 1,200-letter word (``_step_layers``).
+    loop = prenet("a", {"t": ("a", "a")})
+    with shallow_stack():
+        classes = hom_enumerate(loop, word("a" * 300), word("a" * 300), 1, 1)
+    assert len(classes) == 301  # the identity and t at each position
+
+
+def test_word_merges_stay_off_the_call_stack():
+    # Full size: the interchange square on a 1,200-letter word (``_merge_words``).
+    loop = prenet("a", {"t": ("a", "a")})
+    rest = Ident(word("a" * 299))
+    left, right = Oper("combine", (Gen("t"), rest)), Oper("combine", (rest, Gen("t")))
+    with shallow_stack():
+        verdict = mor_equal(Comp(left, right), Comp(right, left), loop)
+    assert (verdict.status, verdict.reason) == ("equal", "greedy canonical forms agree")

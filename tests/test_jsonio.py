@@ -109,3 +109,20 @@ def test_reflexive_from_json_rejects_malformed_e(e):
     data["e"] = e
     with pytest.raises(QnetError):
         jsonio.reflexive_from_json(data)
+
+
+@pytest.mark.parametrize("tag", ["x" * 5000, ["x" * 5000], None])
+def test_bad_theory_tag_message_is_bounded(tag):
+    with pytest.raises(QnetError) as info:
+        jsonio.net_from_json({"theory": tag})
+    assert str(info.value) == \
+        "bad or missing theory tag: expected one of CMON, MON, ABGRP, GRP, SEMILAT"
+
+
+def test_deep_theory_tag_message_is_bounded():
+    tag = []
+    for _ in range(900):
+        tag = [tag]
+    with pytest.raises(QnetError, match="expected one of") as info:
+        jsonio.net_from_json({"theory": tag})
+    assert len(str(info.value)) < 100

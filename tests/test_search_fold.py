@@ -15,8 +15,8 @@ from collections import deque
 from hypothesis import given, settings, strategies as st
 
 from qnets import QNet, freecat, symmetry
-from qnets.freecat import Comp, Gen, Ident, IllTypedTermError, Oper
-from qnets.symmetry import Perm, SymForm, _PermLayer
+from qnets.freecat import Comp, Gen, Ident, IllTypedTermError, LayeredForm, Oper
+from qnets.symmetry import Perm, _PermLayer
 from qnets.theory import (
     FreeElem,
     Theory,
@@ -82,7 +82,7 @@ def _slide_before_perm_ref(layer, perm, ctx):
     for j, (off, size) in enumerate(src_blocks):
         for k in range(size):
             new_mapping[off + k] = new_src_offsets[j] + k
-    prev_word = symmetry._sym_layer_src(layer, ctx)
+    prev_word = freecat._layer_src(layer, ctx)
     if len(prev_word.payload) != len(new_mapping):
         return []
     new_perm = _PermLayer(prev_word, tuple(new_mapping))
@@ -124,7 +124,7 @@ def _slide_after_perm_ref(perm, layer, ctx):
     for j, (off, size) in enumerate(tgt_blocks):
         for k in range(size):
             new_mapping[new_tgt_offsets[j] + k] = off + k
-    new_word = symmetry._sym_layer_tgt(new_layer, ctx)
+    new_word = freecat._layer_tgt(new_layer, ctx)
     if len(new_word.payload) != len(new_mapping):
         return []
     new_perm = _PermLayer(new_word, tuple(new_mapping))
@@ -143,21 +143,21 @@ def _sym_neighbors_ref(form, ctx):
             composed = tuple(b.mapping[a.mapping[k]] for k in range(len(a.mapping)))
             merged = () if composed == tuple(range(len(composed))) \
                 else (_PermLayer(a.word, composed),)
-            yield SymForm(form.start, layers[:i] + merged + layers[i + 2:])
+            yield LayeredForm(form.start, layers[:i] + merged + layers[i + 2:])
         elif not is_perm(a) and not is_perm(b):
             for n in freecat._merge_candidates(a, b, ctx):
                 mid = () if freecat._pure_id(n) else (n,)
-                yield SymForm(form.start, layers[:i] + mid + layers[i + 2:])
+                yield LayeredForm(form.start, layers[:i] + mid + layers[i + 2:])
         elif not is_perm(a):
             for p, l in _slide_before_perm_ref(a, b, ctx):
-                yield SymForm(form.start, layers[:i] + (p, l) + layers[i + 2:])
+                yield LayeredForm(form.start, layers[:i] + (p, l) + layers[i + 2:])
         else:
             for l, p in _slide_after_perm_ref(a, b, ctx):
-                yield SymForm(form.start, layers[:i] + (l, p) + layers[i + 2:])
+                yield LayeredForm(form.start, layers[:i] + (l, p) + layers[i + 2:])
     for i, layer in enumerate(layers):
         if not is_perm(layer):
             for x, y in freecat._split_candidates(layer, ctx):
-                yield SymForm(form.start, layers[:i] + (x, y) + layers[i + 1:])
+                yield LayeredForm(form.start, layers[:i] + (x, y) + layers[i + 1:])
 
 
 def _sym_equal_ref(t1, t2, net, budget=None, expanded=None):
@@ -166,15 +166,13 @@ def _sym_equal_ref(t1, t2, net, budget=None, expanded=None):
     if budget is None:
         budget = freecat.default_budget()
     ctx = freecat._context(net)
-    src1, tgt1, layers1 = symmetry._sym_layers(t1, ctx)
-    src2, tgt2, layers2 = symmetry._sym_layers(t2, ctx)
-    if (src1, tgt1) != (src2, tgt2):
+    f1, tgt1 = freecat._layered_ctx(t1, ctx, True)
+    f2, tgt2 = freecat._layered_ctx(t2, ctx, True)
+    if (f1.start, tgt1) != (f2.start, tgt2):
         return "distinct", "source/target pairs differ"
-    f1 = SymForm(src1, symmetry._drop_trivial(layers1))
-    f2 = SymForm(src2, symmetry._drop_trivial(layers2))
     if f1 == f2:
         return "equal", "identical layered forms"
-    if symmetry._sym_occurrences(f1) != symmetry._sym_occurrences(f2):
+    if freecat._form_occurrences(f1) != freecat._form_occurrences(f2):
         return "distinct", "generator occurrence counts differ"
     sides = ({f1: None}, {f2: None})
     queues = (deque([f1]), deque([f2]))
@@ -380,7 +378,7 @@ def _layer_and_perm(draw):
     else:
         layer = word(draw(st.lists(st.sampled_from(names), max_size=4)))
     before = draw(st.booleans())
-    end = symmetry._sym_layer_tgt(layer, ctx) if before else symmetry._sym_layer_src(layer, ctx)
+    end = freecat._layer_tgt(layer, ctx) if before else freecat._layer_src(layer, ctx)
     mapping = tuple(draw(st.permutations(range(len(end.payload)))))
     return ctx, layer, _PermLayer(end, mapping), before
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,6 +126,25 @@ def test_linearization_count_formula():
     assert len(linearizations(net)) == linearization_count(net)
 
 
+def test_linearizations_are_bounded_by_their_count():
+    seven = {p: 1 for p in "abcdefg"}
+    net = petri("abcdefg", {"t": (seven, {"a": 1, "b": 1})})  # 5,040 * 2 nets
+    assert linearization_count(net) == 10_080 > symmetry.MAX_LINEARIZATIONS
+    with pytest.raises(UnsupportedOperationError, match="more than 10000"):
+        linearizations(net)
+    # Twelve tokens on one place have one ordering, found without 12! steps.
+    assert len(linearizations(petri("a", {"t": ({"a": 12}, {})}))) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from("abc"), max_size=7),
+    st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1))), max_size=7)))
+def test_distinct_orderings_match_permutation_reference(letters):
+    assert symmetry._distinct_orderings(tuple(letters)) \
+        == sorted(set(itertools.permutations(letters)))
+
+
 def test_linearizations_abgrp_signed_normal_form():
     from netzoo import integer_net
 
@@ -188,12 +209,18 @@ def test_deep_symmetric_chain_stays_off_the_call_stack():
 # The iterative walks against the recursive code they replaced
 
 
+_CANCEL = "a permutation beside a cancelling boundary is not representable letterwise"
+
+
 def _pad_after_ref(layer, suffix):
     th = suffix.theory
     if symmetry._is_perm_layer(layer):
         n = len(layer.word.payload)
         mapping = layer.mapping + tuple(n + k for k in range(len(suffix.payload)))
-        return symmetry._PermLayer(combine(th, layer.word, suffix), mapping)
+        word = combine(th, layer.word, suffix)
+        if len(word.payload) != len(mapping):
+            raise UnsupportedOperationError(_CANCEL)
+        return symmetry._PermLayer(word, mapping)
     return combine(th, layer, freecat._identity_layer(th, suffix))
 
 
@@ -202,7 +229,10 @@ def _pad_before_ref(prefix, layer):
     if symmetry._is_perm_layer(layer):
         m = len(prefix.payload)
         mapping = tuple(range(m)) + tuple(m + t for t in layer.mapping)
-        return symmetry._PermLayer(combine(th, prefix, layer.word), mapping)
+        word = combine(th, prefix, layer.word)
+        if len(word.payload) != len(mapping):
+            raise UnsupportedOperationError(_CANCEL)
+        return symmetry._PermLayer(word, mapping)
     return combine(th, freecat._identity_layer(th, prefix), layer)
 
 
@@ -219,7 +249,9 @@ def _sym_layers_ref(t, ctx):
         src_b, tgt_b, layers_b = _sym_layers_ref(t.before, ctx)
         src_a, tgt_a, layers_a = _sym_layers_ref(t.after, ctx)
         if tgt_b != src_a:
-            raise IllTypedTermError("composite mismatch in symmetric term")
+            raise IllTypedTermError(
+                f"composite mismatch: before ends at {tgt_b.payload}, after starts at"
+                f" {src_a.payload}")
         return src_b, tgt_a, layers_b + layers_a
     if isinstance(t, Oper) and t.op == "combine":
         if len(t.args) < 2:
@@ -237,7 +269,7 @@ def _sym_layers_ref(t, ctx):
         return src, tgt, layers
     if isinstance(t, Oper) and t.op == "invert":
         if th is not Theory.GRP:
-            raise IllTypedTermError("invert needs the GRP theory")
+            raise IllTypedTermError(f"{th.value} morphisms have no inverses")
         if len(t.args) != 1:
             raise IllTypedTermError("invert takes exactly one argument")
         src, tgt, layers = _sym_layers_ref(t.args[0], ctx)
@@ -250,7 +282,9 @@ def _sym_layers_ref(t, ctx):
             else:
                 inverted.append(invert(layer))
         return invert(src), invert(tgt), tuple(inverted)
-    raise IllTypedTermError(f"not a symmetric process term: {t!r}")
+    if isinstance(t, Oper):
+        raise IllTypedTermError(f"unknown operation {t.op!r}")
+    raise IllTypedTermError(f"not a process term: {t!r}")
 
 
 def _erase_ref(t):
@@ -296,6 +330,15 @@ _WALK_NETS = [
 ]
 
 
+def test_permutation_beside_cancelling_boundary_is_refused():
+    # a^-1 b^-1 a^-1 beside a reduces to a^-1 b^-1, which the inverted
+    # braiding's positions no longer describe.
+    term = Oper("combine", (Oper("invert", (braiding(_signed("ab"), _signed("a")),)),
+                            Gen("t")))
+    with pytest.raises(UnsupportedOperationError, match="cancelling boundary"):
+        symmetry.sym_layered(term, _WALK_NETS[2])
+
+
 def _sym_terms(theory):
     make = word if theory is not Theory.GRP else _signed
     leaves = st.one_of(
@@ -321,7 +364,7 @@ def _sym_terms(theory):
 def test_symmetric_walks_match_recursive_reference(case):
     net, term = case
     ctx = freecat._context(net)
-    assert _outcome(symmetry._sym_layers, term, ctx) == _outcome(_sym_layers_ref, term, ctx)
+    assert _outcome(freecat._layers_of, term, ctx, True) == _outcome(_sym_layers_ref, term, ctx)
     assert _outcome(erase_symmetries, term) == _outcome(_erase_ref, term)
     arrow = TheoryArrow.GROUP_SIGNED if net.theory is Theory.GRP else TheoryArrow.ABELIANIZE
     erased = erase_symmetries(term)
