@@ -732,51 +732,55 @@ def mor_equal(t1: MorTerm, t2: MorTerm, net: QNet,
 # Layer enumeration, hom-sets, reachability
 
 
-def _arc_counts(net: QNet, end: int) -> dict[str, dict[str, int]]:
-    """Occurrence counts of each transition's source (``end`` 0) or target (1)."""
-    return {name: occurrences(arcs[end]) for name, arcs in net.transitions.items()}
+def _vector_net(net: QNet, places: list[str]) -> tuple[list[str], list, list]:
+    """Name-sorted transitions, each with its source counts (``need``) and its
+    target minus source counts (``effect``) as (index into ``places``, count)
+    pairs, for stepping on place-indexed count vectors."""
+    index = {p: j for j, p in enumerate(places)}
+    names = sorted(net.transitions)
+    need, effect = [], []
+    for name in names:
+        src, tgt = (occurrences(arc) for arc in net.transitions[name])
+        need.append(tuple((index[p], c) for p, c in src.items()))
+        effect.append(tuple((index[p], tgt.get(p, 0) - src.get(p, 0))
+                            for p in sorted(src.keys() | tgt.keys()) if tgt.get(p) != src.get(p)))
+    return names, need, effect
 
 
-def _fire(counts: dict[str, int], fired: Mapping[str, int],
-          arcs: Mapping[str, Mapping[str, int]], sign: int) -> None:
-    """Add ``sign`` times the fired multiset's arc counts to ``counts`` in place."""
-    for name, k in fired.items():
-        for p, c in arcs[name].items():
-            counts[p] = counts.get(p, 0) + sign * k * c
-
-
-def _fired_multisets(pre: Mapping[str, Mapping[str, int]], room: Mapping[str, int],
-                     max_width: int | None) -> Iterator[dict[str, int]]:
-    """Nonempty transition multisets whose combined source fits ``room``.
-
-    ``pre`` maps each transition to its source counts (see :func:`_arc_counts`)
-    and ``room`` is the marking's counts. Multisets are yielded with names in
-    sorted order.
+def _firings(need: list, effect: list, counts: list[int],
+             max_width: int | None) -> Iterator[tuple[tuple, list[int], list[int]]]:
+    """Nonempty transition multisets of at most ``max_width`` firings (no bound
+    for None, which needs nonempty sources) that fit the count vector
+    ``counts``, as ``(fired, room, out)``: ``(i, k)`` pairs with k > 0 by
+    transition index, ``counts`` less the fired sources, and ``counts`` plus
+    the fired effects (tables from :func:`_vector_net`). The order is that of
+    the count sequences ``(k_0, k_1, ...)``: sorted names, smallest count first.
     """
-    items = sorted(pre.items())
-    # Depth-first over the items, with an explicit stack of
-    # (idx, room, width_left, acc): each node pushes one child per count of
-    # item ``idx`` that still fits, smallest count on top.
-    stack = [(0, dict(room), max_width, {})]
+    # A stack node is a multiset over transitions below i, yielded when
+    # popped; its children add k firings of one j >= i, pushed for j
+    # ascending and k descending so that the largest j, smallest k pops next.
+    stack = [(0, counts, counts, (), max_width)]
     while stack:
-        idx, room, width_left, acc = stack.pop()
-        if idx == len(items):
-            if acc:
-                yield acc
-            continue
-        name, src = items[idx]
-        children = [(idx + 1, room, width_left, acc)]
-        local = dict(room)
-        count = 0
-        while width_left is None or count < width_left:
-            if not all(local.get(p, 0) >= c for p, c in src.items()):
-                break
-            for p, c in src.items():
-                local[p] -= c
-            count += 1
-            left = None if width_left is None else width_left - count
-            children.append((idx + 1, dict(local), left, {**acc, name: count}))
-        stack.extend(reversed(children))
+        i, room, out, fired, left = stack.pop()
+        if fired:
+            yield fired, room, out
+        for j in range(i, len(need)):
+            top = min([room[p] // c for p, c in need[j]], default=left)
+            if left is not None and top > left:
+                top = left
+            if not top:
+                continue
+            children = []
+            r, o = room, out
+            for k in range(1, top + 1):
+                r, o = r[:], o[:]
+                for p, c in need[j]:
+                    r[p] -= c
+                for p, d in effect[j]:
+                    o[p] += d
+                children.append((j + 1, r, o, fired + ((j, k),),
+                                 None if left is None else left - k))
+            stack += reversed(children)
 
 
 def _step_layers(ctx: _Ctx, marking: FreeElem,
@@ -789,12 +793,13 @@ def _step_layers(ctx: _Ctx, marking: FreeElem,
             f"single-layer enumeration is not finite over {th.value}")
     out: set[FreeElem] = set()
     if ops.commutative and not ops.idempotent:
-        pre = _arc_counts(ctx.net, 0)
-        for fired in _fired_multisets(pre, dict(marking.payload), max_width):
-            gens = multiset(th, fired)
-            frame_counts = dict(marking.payload)
-            _fire(frame_counts, fired, pre, -1)
-            frame = multiset(th, frame_counts)
+        counts = dict(marking.payload)
+        places = sorted(counts.keys() | set(ctx.net.places))
+        names, need, effect = _vector_net(ctx.net, places)
+        for fired, room, _ in _firings(need, effect, [counts.get(p, 0) for p in places],
+                                       max_width):
+            gens = multiset(th, {names[i]: k for i, k in fired})
+            frame = multiset(th, dict(zip(places, room)))
             out.add(combine(th, gens, _identity_layer(th, frame)))
     elif ops.idempotent:
         names = sorted(ctx.net.transitions)
@@ -901,21 +906,26 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
                    for rep, rep_gens in bucket):
             bucket.append((form, gens))
             reps.append(form)
-    return [_form_term(rep, net.theory) for rep in reps]
+    leaves: dict[str, MorTerm] = {}
+    return [_form_term(rep, net.theory, leaves) for rep in reps]
 
 
 def layered_to_term(form: LayeredForm, net: QNet) -> MorTerm:
     """Convert a layered form back into a process term."""
     _context(net)  # validates the net
-    return _form_term(form, net.theory)
+    return _form_term(form, net.theory, {})
 
 
-def _form_term(form: LayeredForm, th: Theory) -> MorTerm:
+def _form_term(form: LayeredForm, th: Theory, leaves: dict[str, MorTerm]) -> MorTerm:
+    """The process term of ``form``. ``leaves`` caches the leaf of each layer
+    letter, so a caller converting many forms builds each identity once."""
     def layer_term(layer: FreeElem) -> MorTerm:
         items: list[MorTerm] = []
         for name, count in th.ops.letters(layer.payload):
-            piece = Ident(unit(th, name[len(ID_PREFIX):])) if _is_id_sym(name) \
-                else Gen(name)
+            piece = leaves.get(name)
+            if piece is None:
+                piece = leaves[name] = Ident(unit(th, name[len(ID_PREFIX):])) \
+                    if _is_id_sym(name) else Gen(name)
             if count < 0:
                 piece = Oper("invert", (piece,))
             items.extend([piece] * abs(count))
@@ -937,22 +947,26 @@ class ReachResult:
     max_steps: int
     markings: tuple[FreeElem, ...]
     edges: tuple[tuple[FreeElem, str, FreeElem], ...]
+    saturated: bool  # a round found no new marking, so max_steps did not cut it off
 
 
 def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
     """Breadth-first token game; the step rule is theory-specific.
 
     CMON fires any multiset of transitions whose combined source fits the
-    marking, as count-vector arithmetic M - sum k*pre(t) + sum k*post(t);
-    MON rewrites one contiguous source factor; SEMILAT fires one transition
-    against any context whose union restores the marking.
+    marking, on count vectors indexed by the sorted places: M - sum k*pre(t)
+    + sum k*post(t), enumerated by :func:`_firings` as for
+    :func:`_step_layers`; MON rewrites one contiguous source factor; SEMILAT
+    fires one transition against any context whose union restores the marking.
 
     Each distinct marking is built once, through the checked
     :class:`FreeElem` constructor, and every edge into it shares that object.
-    Edge labels are deterministic JSON, encoded once per call for each
-    distinct step: ``{"fire":{t:k,...}}`` for CMON, ``{"at":i,"fire":t}``
-    for MON (``t`` rewrites the factor at position ``i``) and
-    ``{"fire":t,"keep":[...]}`` for SEMILAT (the context that stays marked).
+    Edge labels are the text of :func:`jsonio.dumps` on ``{"fire":{t:k,...}}``
+    for CMON, ``{"at":i,"fire":t}`` for MON (``t`` rewrites the factor at
+    position ``i``) and ``{"fire":t,"keep":[...]}`` for SEMILAT (the context
+    that stays marked), joined from names quoted once per call; each distinct
+    label is built once per call. ``saturated`` tells a fixpoint from a search
+    cut off by ``max_steps``.
     """
     th = net.theory
     ops = th.ops
@@ -968,62 +982,71 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
     if vectors and any(src.is_neutral() for src, _ in net.transitions.values()):
         raise UnsupportedOperationError(
             "a transition with empty source makes the step relation infinitely branching")
-    pre, post = _arc_counts(net, 0), _arc_counts(net, 1)
-    labels: dict[tuple, str] = {}
+    names = sorted(net.transitions)
+    quoted = {x: jsonio.dumps(x) for x in itertools.chain(names, net.places)}
 
-    def label(key: tuple, **fields) -> str:
-        text = labels.get(key)
-        if text is None:
-            text = labels[key] = jsonio.dumps(fields)
-        return text
+    if vectors:
+        places = sorted(net.places)
+        _, need, effect = _vector_net(net, places)
 
-    def steps(m: tuple) -> Iterator[tuple[str, tuple]]:
-        """(label, successor payload) for each step from payload ``m``."""
-        if vectors:
-            for fired in _fired_multisets(pre, dict(m), None):
-                counts = dict(m)
-                _fire(counts, fired, pre, -1)
-                _fire(counts, fired, post, 1)
-                yield (label(tuple(fired.items()), fire=fired),
-                       tuple(sorted((p, c) for p, c in counts.items() if c)))
-        elif not ops.commutative:
-            for name in sorted(net.transitions):
+        def steps(m: tuple) -> Iterator[tuple[tuple, tuple]]:
+            counts = dict(m)
+            for fired, _, out in _firings(need, effect, [counts.get(p, 0) for p in places],
+                                          None):
+                yield fired, tuple(itertools.compress(zip(places, out), out))
+
+        def encode(fired: tuple) -> str:
+            return '{"fire":{%s}}' % ",".join(f"{quoted[names[i]]}:{k}" for i, k in fired)
+    elif not ops.commutative:
+        def steps(m: tuple) -> Iterator[tuple[tuple, tuple]]:
+            for name in names:
                 src, tgt = (arc.payload for arc in net.transitions[name])
                 for pos in range(len(m) - len(src) + 1):
                     if m[pos:pos + len(src)] == src:
-                        yield (label((pos, name), at=pos, fire=name),
-                               m[:pos] + tgt + m[pos + len(src):])
-        else:
+                        yield (pos, name), m[:pos] + tgt + m[pos + len(src):]
+
+        def encode(key: tuple) -> str:
+            return '{"at":%d,"fire":%s}' % (key[0], quoted[key[1]])
+    else:
+        def steps(m: tuple) -> Iterator[tuple[tuple, tuple]]:
             marking_set = set(m)
-            for name in sorted(net.transitions):
+            for name in names:
                 src, tgt = (arc.payload for arc in net.transitions[name])
                 if not set(src) <= marking_set:
                     continue
                 base = marking_set - set(src)
                 for bits in itertools.product((False, True), repeat=len(src)):
                     keep = tuple(sorted(base | {p for p, b in zip(src, bits) if b}))
-                    yield (label((name, keep), fire=name, keep=list(keep)),
-                           tuple(sorted(set(keep) | set(tgt))))
+                    yield (name, keep), tuple(sorted(set(keep) | set(tgt)))
 
+        def encode(key: tuple) -> str:
+            return '{"fire":%s,"keep":[%s]}' % (quoted[key[0]],
+                                                 ",".join(quoted[p] for p in key[1]))
+
+    labels: dict[tuple, str] = {}
     # Markings by payload: a payload seen before gets its checked object back.
     seen = {m0.payload: m0}
     frontier = [m0]
     edges: set[tuple[tuple, str, tuple]] = set()
+    saturated = False
     for _ in range(max_steps):
         nxt = []
         for m in frontier:
-            for text, payload in steps(m.payload):
+            for key, payload in steps(m.payload):
+                text = labels.get(key) or labels.setdefault(key, encode(key))
                 edges.add((m.payload, text, payload))
                 if payload not in seen:
                     seen[payload] = FreeElem(th, payload)
                     nxt.append(seen[payload])
         if not nxt:
+            saturated = True
             break
         frontier = nxt
     return ReachResult(
         m0, max_steps,
         tuple(seen[p] for p in sorted(seen)),
-        tuple((seen[a], text, seen[b]) for a, text, b in sorted(edges)))
+        tuple((seen[a], text, seen[b]) for a, text, b in sorted(edges)),
+        saturated)
 
 
 def reachability_dot(result: ReachResult) -> str:

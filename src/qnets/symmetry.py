@@ -14,6 +14,7 @@ abelianization preimage: every ordering of every arc payload.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator
 
 from . import freecat
@@ -285,9 +286,13 @@ def linearizations(p: QNet) -> list[QNet]:
     if arrow is None:
         raise UnsupportedOperationError(
             f"linearization applies to CMON or ABGRP nets, not {p.theory.value}")
-    if linearization_count(p) > MAX_LINEARIZATIONS:
-        raise UnsupportedOperationError(
-            f"the net has more than {MAX_LINEARIZATIONS} linearizations")
+    total = 1
+    for n, k in _binomials(p):
+        # C(n, k) >= n for 0 < k < n, so a large n needs no slow huge binomial.
+        total *= n if k < n and n > MAX_LINEARIZATIONS else math.comb(n, k)
+        if total > MAX_LINEARIZATIONS:
+            raise UnsupportedOperationError(
+                f"the net has more than {MAX_LINEARIZATIONS} linearizations")
     target = arrow.source
     names = sorted(p.transitions)
     per_transition = []
@@ -304,20 +309,21 @@ def linearizations(p: QNet) -> list[QNet]:
     return out
 
 
-def linearization_count(p: QNet) -> int:
-    """Closed form for ``len(linearizations(p))``: a product of multinomials,
-    each taken as a product of binomials, so a large count on one place costs
-    no large factorial."""
-    import math
-
-    total = 1
+def _binomials(p: QNet) -> Iterator[tuple[int, int]]:
+    """``(n, k)`` of each binomial C(n, k) in :func:`linearization_count`."""
     for src, tgt in p.transitions.values():
         for elem in (src, tgt):
             size = 0
             for _, c in elem.payload:
                 size += abs(c)
-                total *= math.comb(size, abs(c))
-    return total
+                yield size, abs(c)
+
+
+def linearization_count(p: QNet) -> int:
+    """Closed form for ``len(linearizations(p))``: a product of multinomials,
+    each taken as a product of binomials, so a large count on one place costs
+    no large factorial."""
+    return math.prod(math.comb(n, k) for n, k in _binomials(p))
 
 
 def linearization_sum(p: QNet) -> QNet:

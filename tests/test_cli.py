@@ -252,3 +252,16 @@ def test_lin_refuses_too_many_linearizations_before_building_any(tmp_path):
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
         assert "10000 linearizations" in json.loads(err)["error"]
+
+
+def test_lin_refuses_a_huge_arc_before_computing_its_binomial(tmp_path):
+    # C(2000000, 1000000) orderings of the source: computing that binomial
+    # takes tens of seconds, while its n alone already exceeds the bound.
+    arc = {"a": 1_000_000, "b": 1_000_000}
+    path = write_net(tmp_path, "net.json", petri("ab", {"t": (arc, {"a": 1})}))
+    for command in ("lin", "linsum"):
+        started = time.monotonic()
+        code, out, err = invoke([command, path])
+        assert time.monotonic() - started < 1.0
+        assert (code, out) == (1, "")
+        assert "10000 linearizations" in json.loads(err)["error"]

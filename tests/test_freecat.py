@@ -1,5 +1,6 @@
 import pytest
 
+from qnets import freecat
 from qnets.freecat import (
     Comp,
     Gen,
@@ -285,6 +286,17 @@ def test_word_step_layers_stay_off_the_call_stack():
     with shallow_stack():
         classes = hom_enumerate(loop, word("a" * 300), word("a" * 300), 1, 1)
     assert len(classes) == 301  # the identity and t at each position
+
+
+def test_hom_enumerate_builds_each_identity_leaf_once(monkeypatch):
+    loop = prenet("a", {"t": ("a", "a")})
+    calls = []
+    real = freecat.unit
+    monkeypatch.setattr(freecat, "unit", lambda th, p: calls.append(p) or real(th, p))
+    classes = hom_enumerate(loop, word("a" * 300), word("a" * 300), 1, 1)
+    assert len(classes) == 301
+    assert sum(isinstance(leaf, Ident) for leaf in classes[1].args) == 299
+    assert calls == ["a", "a"]  # the net's held letter and one identity leaf
 
 
 def test_word_merges_stay_off_the_call_stack():

@@ -2,6 +2,7 @@
 memoized labels against the element-arithmetic token game they replaced."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +98,7 @@ def reference_reachable(net, m0, max_steps):
     seen = {m0}
     frontier = [m0]
     edges = set()
+    saturated = False
     for _ in range(max_steps):
         nxt = []
         for m in frontier:
@@ -106,12 +108,14 @@ def reference_reachable(net, m0, max_steps):
                     seen.add(m2)
                     nxt.append(m2)
         if not nxt:
+            saturated = True
             break
         frontier = nxt
     return ReachResult(
         m0, max_steps,
         tuple(sorted(seen, key=lambda e: e.payload)),
-        tuple(sorted(edges, key=lambda e: (e[0].payload, e[1], e[2].payload))))
+        tuple(sorted(edges, key=lambda e: (e[0].payload, e[1], e[2].payload))),
+        saturated)
 
 
 def _starts(net):
@@ -135,6 +139,56 @@ def test_zoo_matches_reference():
                 assert reachable(net, m0, steps) == want, (net, m0, steps)
                 compared += len(want.edges)
     assert compared > 1000
+
+
+def test_saturated_when_a_round_finds_nothing_new():
+    net = TOKEN_GAME_NETS[2]  # t: a -> b, u: b -> c
+    result = reachable(net, multiset(Theory.CMON, {"a": 1}), 5)
+    assert result.saturated
+    assert [m.payload for m in result.markings] == [(("a", 1),), (("b", 1),), (("c", 1),)]
+
+
+def test_not_saturated_when_the_step_bound_cuts_off():
+    net = TOKEN_GAME_NETS[2]
+    assert not reachable(net, multiset(Theory.CMON, {"a": 1}), 2).saturated
+    assert not reachable(net, multiset(Theory.CMON, {"a": 1}), 0).saturated
+
+
+# Quotes, backslashes, a control character, non-ASCII and digits-only names,
+# which sort "10" before "9" as strings.
+AWKWARD = ('"q', "back\\slash", "ctl\x01", "\u00e9t\u00e9", "\u2603", "10", "9")
+
+
+def _awkward_nets():
+    a, b, c, d, e, p10, p9 = AWKWARD
+    cmon = QNet(Theory.CMON, AWKWARD, {
+        a: (multiset(Theory.CMON, {b: 1}), multiset(Theory.CMON, {c: 1, d: 1})),
+        e: (multiset(Theory.CMON, {c: 1}), multiset(Theory.CMON, {p10: 1})),
+        p10: (multiset(Theory.CMON, {d: 1}), multiset(Theory.CMON, {p9: 2})),
+        p9: (multiset(Theory.CMON, {p9: 1}), multiset(Theory.CMON, {b: 1})),
+    })
+    mon = QNet(Theory.MON, AWKWARD, {
+        a: (word([b, c]), word([c, b])),
+        p10: (word([b]), word([d, e])),
+        p9: (word([e]), word([p10, p9])),
+    })
+    semilat = QNet(Theory.SEMILAT, AWKWARD, {
+        a: (finset([b, c]), finset([d])),
+        p10: (finset([d]), finset([e, p9])),
+        p9: (finset([p9]), finset([a, b])),
+    })
+    return [(cmon, multiset(Theory.CMON, {b: 2, p9: 1})),
+            (mon, word([b, c, b])),
+            (semilat, finset([b, c, p9]))]
+
+
+@pytest.mark.parametrize("net,m0", _awkward_nets(), ids=["CMON", "MON", "SEMILAT"])
+def test_labels_are_canonical_json_for_awkward_names(net, m0):
+    result = reachable(net, m0, 4)
+    assert result == reference_reachable(net, m0, 4)
+    assert len(result.edges) > 10
+    for _, label, _ in result.edges:
+        assert label == jsonio.dumps(json.loads(label))
 
 
 def test_reached_markings_are_shared_objects():

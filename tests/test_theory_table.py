@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnets import freecat, jsonio
-from qnets.freecat import _arc_counts, _fired_multisets, hom_enumerate
+from qnets.freecat import _firings, _vector_net, hom_enumerate
+from qnets.net import QNet
 from qnets.theory import (
     FreeElem,
     Theory,
@@ -18,6 +19,7 @@ from qnets.theory import (
     extend,
     invert,
     lift,
+    multiset,
     neutral,
     occurrences,
     translate,
@@ -146,6 +148,17 @@ def ref_unit_payload(theory, place):
     return ((place, 1),) if theory in COUNTS or theory is Theory.GRP else (place,)
 
 
+def fired_multisets(pre, room, max_width):
+    """The library's vector enumerator, with each yield turned back into a
+    name-to-count dict."""
+    places = sorted(room.keys() | {p for src in pre.values() for p in src})
+    net = QNet(Theory.CMON, tuple(places), {
+        name: (multiset(Theory.CMON, src), neutral(Theory.CMON)) for name, src in pre.items()})
+    names, need, effect = _vector_net(net, places)
+    for fired, _, _ in _firings(need, effect, [room.get(p, 0) for p in places], max_width):
+        yield {names[i]: k for i, k in fired}
+
+
 def ref_fired_multisets(pre, room, max_width):
     """The recursive enumeration the explicit stack replaced."""
     items = sorted(pre.items())
@@ -245,12 +258,12 @@ def test_normal_form_test():
 def test_fired_multisets_match_recursive_reference_on_zoo():
     compared = 0
     for net in TOKEN_GAME_NETS:
-        pre = _arc_counts(net, 0)
+        pre = {name: occurrences(src) for name, (src, _) in net.transitions.items()}
         for counts in itertools.product(range(4), repeat=len(net.places)):
             room = {p: c for p, c in zip(net.places, counts) if c}
             for width in (None, 1, 2, 3):
                 want = list(ref_fired_multisets(pre, room, width))
-                got = list(_fired_multisets(pre, room, width))
+                got = list(fired_multisets(pre, room, width))
                 assert got == want, (net, room, width)
                 assert [list(m) for m in got] == [list(m) for m in want]
                 compared += len(want)
@@ -264,7 +277,7 @@ def test_fired_multisets_match_recursive_reference_on_zoo():
        st.dictionaries(st.sampled_from(PLACES), st.integers(0, 5)),
        st.one_of(st.none(), st.integers(0, 4)))
 def test_fired_multisets_match_recursive_reference(pre, room, width):
-    assert list(_fired_multisets(pre, room, width)) \
+    assert list(fired_multisets(pre, room, width)) \
         == list(ref_fired_multisets(pre, room, width))
 
 
