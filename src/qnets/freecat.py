@@ -9,7 +9,7 @@ definitionally in that representation; the remaining equations (category
 axioms and the requirement that composition is a model homomorphism) are
 explored by a budgeted bidirectional rewrite search over layer merges and
 splits. A symmetric term over a word-marked net may also hold :class:`Perm`
-leaves, which become permutation layers of the same forms.
+leaves, each of which is a layer of the same forms as it stands.
 
 ``Distinct`` verdicts are sound with respect to that rewrite closure: they are
 issued when invariants differ or when one term's entire closure was
@@ -19,6 +19,7 @@ budget exhaustion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections import deque
@@ -102,22 +103,14 @@ SymTerm = Union[MorTerm, Perm]
 
 
 @dataclass(frozen=True)
-class _PermLayer:
-    """The layer of a :class:`Perm`: ``word`` permuted by ``mapping``."""
-
-    word: FreeElem
-    mapping: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class LayeredForm:
     """Sequential decomposition: ``layers[0]`` fires first. Layers are
-    elements over transition names and ``id.`` place names, or permutation
-    layers in a symmetric process; identity layers are never stored, so the
-    empty tuple is the identity on ``start``."""
+    elements over transition names and ``id.`` place names, or, in a
+    symmetric process, :class:`Perm` leaves, each its own layer; identity
+    layers are never stored, so the empty tuple is the identity on ``start``."""
 
     start: FreeElem
-    layers: tuple[FreeElem | _PermLayer, ...]
+    layers: tuple[FreeElem | Perm, ...]
 
     def __post_init__(self):
         # Hashed once, by the dataclass formula, as :class:`FreeElem` is.
@@ -243,14 +236,10 @@ def layered_repr(form: LayeredForm) -> str:
 # Term endpoints and layering
 
 
-def _is_perm_layer(layer) -> bool:
-    return isinstance(layer, _PermLayer)
-
-
 def _trivial(layer) -> bool:
     """Whether a layer is an identity: held letters only, or a permutation
     that fixes every position."""
-    if _is_perm_layer(layer):
+    if isinstance(layer, Perm):
         return layer.mapping == tuple(range(len(layer.mapping)))
     return _pure_id(layer)
 
@@ -281,7 +270,7 @@ def perm_tgt(t: Perm) -> FreeElem:
 def _pad(prefix: FreeElem, layer, suffix: FreeElem):
     """``layer`` between identities on ``prefix`` and ``suffix``."""
     th = prefix.theory
-    if _is_perm_layer(layer):
+    if isinstance(layer, Perm):
         m, n = len(prefix.payload), len(layer.mapping)
         word = combine(th, combine(th, prefix, layer.word), suffix)
         if len(word.payload) != m + n + len(suffix.payload):
@@ -289,16 +278,16 @@ def _pad(prefix: FreeElem, layer, suffix: FreeElem):
                 "a permutation beside a cancelling boundary is not representable letterwise")
         mapping = (tuple(range(m)) + tuple(m + t for t in layer.mapping)
                    + tuple(range(m + n, m + n + len(suffix.payload))))
-        return _PermLayer(word, mapping)
+        return Perm(word, mapping)
     return combine(th, combine(th, _identity_layer(th, prefix), layer),
                    _identity_layer(th, suffix))
 
 
 def _invert_layer(layer):
-    if _is_perm_layer(layer):
+    if isinstance(layer, Perm):
         n = len(layer.word.payload)
         mapping = tuple(n - 1 - layer.mapping[n - 1 - i] for i in range(n))
-        return _PermLayer(invert(layer.word), mapping)
+        return Perm(invert(layer.word), mapping)
     return invert(layer)
 
 
@@ -343,7 +332,7 @@ def _layers_of(t: SymTerm, ctx: _Ctx,
             del done[-len(t.args):]
             src, tgt, layers = args[0]
             for src_b, tgt_b, layers_b in args[1:]:
-                if any(map(_is_perm_layer, layers + layers_b)):
+                if any(isinstance(l, Perm) for l in layers + layers_b):
                     layers = tuple(_pad(neutral(th), l, src_b) for l in layers) + \
                         tuple(_pad(tgt, l, neutral(th)) for l in layers_b)
                 else:
@@ -381,7 +370,7 @@ def _layers_of(t: SymTerm, ctx: _Ctx,
             _check_perm(t, th)
             if t.word.atoms() - set(ctx.net.places):
                 raise IllTypedTermError("permutation word mentions undeclared places")
-            done.append((t.word, perm_tgt(t), (_PermLayer(t.word, t.mapping),)))
+            done.append((t.word, perm_tgt(t), (t,)))
         else:
             raise IllTypedTermError(f"not a process term: {t!r}")
     return done[0]
@@ -480,61 +469,48 @@ def _merge_words(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
 
 
 def _split_candidates(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeElem]]:
+    """Every way to fire ``layer`` as two layers, one after the other: the law
+    ``f ⊗ g = (f ⊗ id) ; (id ⊗ g)`` read letter by letter, the same for every
+    theory. A held letter stays in both halves. A generator letter with
+    coefficient ``c`` fires ``k`` times in the first half and ``c - k`` in the
+    second: for counts ``k`` runs up from 0 to ``c`` (signed in ABGRP), a word
+    letter fires wholly first or wholly second, in that order, and an
+    idempotent letter may also fire in both. Each half holds the ends of what
+    fires in the other, and both must fire something. Set splits come sorted
+    and deduplicated."""
     th = ctx.net.theory
     ops = th.ops
-    if not ops.commutative:
-        return _split_word(layer, ctx)
-    gens = _gens_part(th, layer)
-    held = _ids_marking(th, layer)
-    parts = []  # the generator parts (g1, g2) of the two new layers
-    if ops.idempotent:
-        for assign in itertools.product(("L", "R", "B"), repeat=len(gens.payload)):
-            left = tuple(g for g, a in zip(gens.payload, assign) if a in ("L", "B"))
-            right = tuple(g for g, a in zip(gens.payload, assign) if a in ("R", "B"))
-            if left and right:
-                parts.append((FreeElem(th, left), FreeElem(th, right)))
-    else:
-        choices = []
-        for name, count in gens.payload:
-            step = 1 if count > 0 else -1
-            choices.append([(name, step * k) for k in range(abs(count) + 1)])
-        for pick in itertools.product(*choices):
-            part1 = {n: c for n, c in pick if c != 0}
-            part2 = {n: c - part1.get(n, 0) for n, c in gens.payload
-                     if c - part1.get(n, 0) != 0}
-            if part1 and part2:
-                parts.append((multiset(th, part1), multiset(th, part2)))
-    out = [(combine(th, g1, _identity_layer(th, combine(th, held, _layer_src(g2, ctx)))),
-            combine(th, g2, _identity_layer(th, combine(th, held, _layer_tgt(g1, ctx)))))
-           for g1, g2 in parts]
+
+    @functools.cache
+    def held(name: str, k: int, end: int) -> tuple:
+        """The id letters holding one end of ``k`` firings of ``name``."""
+        return tuple(ops.letters(_held(ops.spell(((name, k),))[0], end, ctx)))
+
+    letters = list(ops.letters(layer.payload))
+    choices = []  # per letter, its (first-half, second-half) firing counts
+    for name, c in letters:
+        step = 1 if c > 0 else -1
+        ks = range(0, c + step, step) if ops.commutative else (c, 0)
+        choices.append([(0, 0)] if _is_id_sym(name) else
+                       [(k, c - k) for k in ks] + ([(c, c)] if ops.idempotent else []))
+    out = []
+    for pick in itertools.product(*choices):
+        if not (any(k1 for k1, _ in pick) and any(k2 for _, k2 in pick)):
+            continue
+        first, second = [], []
+        for (name, c), (k1, k2) in zip(letters, pick):
+            if _is_id_sym(name):
+                first.append((name, c))
+                second.append((name, c))
+            if k1:
+                first.append((name, k1))
+                second += held(name, k1, 1)
+            if k2:
+                first += held(name, k2, 0)
+                second.append((name, k2))
+        out.append((FreeElem(th, ops.norm(first)), FreeElem(th, ops.norm(second))))
     if ops.idempotent:
         out = sorted(set(out), key=lambda pair: (pair[0].payload, pair[1].payload))
-    return out
-
-
-def _split_word(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeElem]]:
-    th = ctx.net.theory
-    ids = [_is_id_sym(n) for n in th.ops.names(layer.payload)]
-    gen_positions = [k for k, held in enumerate(ids) if not held]
-    out = []
-    for assign in itertools.product((True, False), repeat=len(gen_positions)):
-        early = {pos for pos, fl in zip(gen_positions, assign) if fl}
-        if not early or len(early) == len(gen_positions):
-            continue
-        w1: list = []
-        w2: list = []
-        for k, letter in enumerate(layer.payload):
-            if ids[k]:
-                w1.append(letter)
-                w2.append(letter)
-            elif k in early:
-                w1.append(letter)
-                w2.extend(_held(letter, 1, ctx))
-            else:
-                w1.extend(_held(letter, 0, ctx))
-                w2.append(letter)
-        out.append((FreeElem(th, th.ops.canon(tuple(w1))),
-                    FreeElem(th, th.ops.canon(tuple(w2)))))
     return out
 
 
@@ -616,7 +592,7 @@ def _greedy(form: LayeredForm, ctx: _Ctx) -> LayeredForm:
 def _form_occurrences(form: LayeredForm) -> dict[str, int]:
     totals: dict[str, int] = {}
     for layer in form.layers:
-        if _is_perm_layer(layer):
+        if isinstance(layer, Perm):
             continue
         for name, count in occurrences(layer).items():
             if not _is_id_sym(name):
@@ -687,12 +663,12 @@ def _closure(form: LayeredForm, ctx: _Ctx, gens_cap: int,
 
 def _forms_equal(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
                  budget: int | None = None) -> EqVerdict:
+    """Equality of two forms with the same endpoints, which every caller
+    has already checked."""
     th = ctx.net.theory
     ops = th.ops
     if budget is None:
         budget = default_budget()
-    if f1.start != f2.start or form_tgt(f1, ctx) != form_tgt(f2, ctx):
-        return _distinct("endpoints differ")
     if f1 == f2:
         return _equal("identical layered forms")
     if not ops.idempotent and _form_occurrences(f1) != _form_occurrences(f2):
@@ -1125,7 +1101,7 @@ def underlying_net(net: QNet, bound: int) -> UnderlyingNet:
     if net.theory.ops.group:
         raise UnsupportedOperationError(
             f"underlying-net truncation is not available over {net.theory.value}")
-    ctx = _context(net)
+    _context(net)  # validates the net: sorting a mixed-theory net's objects would raise
     objects: set[FreeElem] = set()
     for src, tgt in net.transitions.values():
         objects.add(src)

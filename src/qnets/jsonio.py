@@ -99,48 +99,53 @@ def qgraph_to_json(g) -> dict:
 def term_to_json(t) -> Any:
     from . import freecat
 
-    if isinstance(t, freecat.Gen):
-        return {"gen": t.name}
-    if isinstance(t, freecat.Ident):
-        return {"id": elem_to_json(t.obj)}
-    if isinstance(t, freecat.Comp):
-        return {"comp": [term_to_json(t.after), term_to_json(t.before)]}
-    if isinstance(t, freecat.Oper):
-        return {"op": t.op, "args": [term_to_json(a) for a in t.args]}
-    if isinstance(t, freecat.Perm):
-        return {"perm": {"word": elem_to_json(t.word), "map": list(t.mapping)}}
-    raise QnetError(f"not a process term: {t!r}")
+    def walk(t) -> Any:
+        if isinstance(t, freecat.Gen):
+            return {"gen": t.name}
+        if isinstance(t, freecat.Ident):
+            return {"id": elem_to_json(t.obj)}
+        if isinstance(t, freecat.Comp):
+            return {"comp": [walk(t.after), walk(t.before)]}
+        if isinstance(t, freecat.Oper):
+            return {"op": t.op, "args": [walk(a) for a in t.args]}
+        if isinstance(t, freecat.Perm):
+            return {"perm": {"word": elem_to_json(t.word), "map": list(t.mapping)}}
+        raise QnetError(f"not a process term: {t!r}")
+
+    return walk(t)
 
 
 def term_from_json(theory: Theory, data: Any):
     from . import freecat
 
-    def bad() -> QnetError:
-        return QnetError(f"bad term JSON: {data!r}")
+    def walk(data: Any):
+        def bad() -> QnetError:
+            return QnetError(f"bad term JSON: {data!r}")
 
-    if not isinstance(data, dict) or len(data) not in (1, 2):
+        if not isinstance(data, dict) or len(data) not in (1, 2):
+            raise bad()
+        if "gen" in data:
+            if not isinstance(data["gen"], str):
+                raise bad()
+            return freecat.Gen(data["gen"])
+        if "id" in data:
+            return freecat.Ident(elem_from_json(theory, data["id"]))
+        if "comp" in data:
+            if not isinstance(data["comp"], list) or len(data["comp"]) != 2:
+                raise bad()
+            after, before = data["comp"]
+            return freecat.Comp(walk(after), walk(before))
+        if "op" in data:
+            if not isinstance(data["op"], str) or not isinstance(data.get("args"), list):
+                raise bad()
+            return freecat.Oper(data["op"], tuple(walk(a) for a in data["args"]))
+        if "perm" in data:
+            perm = data["perm"]
+            if (not isinstance(perm, dict) or not {"word", "map"} <= perm.keys()
+                    or not isinstance(perm["map"], list)
+                    or not all(type(i) is int for i in perm["map"])):
+                raise bad()
+            return freecat.Perm(elem_from_json(theory, perm["word"]), tuple(perm["map"]))
         raise bad()
-    if "gen" in data:
-        if not isinstance(data["gen"], str):
-            raise bad()
-        return freecat.Gen(data["gen"])
-    if "id" in data:
-        return freecat.Ident(elem_from_json(theory, data["id"]))
-    if "comp" in data:
-        if not isinstance(data["comp"], list) or len(data["comp"]) != 2:
-            raise bad()
-        after, before = data["comp"]
-        return freecat.Comp(term_from_json(theory, after), term_from_json(theory, before))
-    if "op" in data:
-        if not isinstance(data["op"], str) or not isinstance(data.get("args"), list):
-            raise bad()
-        args = tuple(term_from_json(theory, a) for a in data["args"])
-        return freecat.Oper(data["op"], args)
-    if "perm" in data:
-        perm = data["perm"]
-        if (not isinstance(perm, dict) or not {"word", "map"} <= perm.keys()
-                or not isinstance(perm["map"], list)
-                or not all(type(i) is int for i in perm["map"])):
-            raise bad()
-        return freecat.Perm(elem_from_json(theory, perm["word"]), tuple(perm["map"]))
-    raise bad()
+
+    return walk(data)

@@ -241,13 +241,9 @@ def enumerate_morphisms(p: QNet, q: QNet) -> list[NetMorphism]:
     src_places = list(p.places)
     src_trans = sorted(p.transitions)
     out = []
-    place_choices = itertools.product(q.places, repeat=len(src_places)) \
-        if src_places else [()]
-    for g_imgs in place_choices:
+    for g_imgs in itertools.product(q.places, repeat=len(src_places)):
         g = dict(zip(src_places, g_imgs))
-        trans_choices = itertools.product(sorted(q.transitions), repeat=len(src_trans)) \
-            if src_trans else [()]
-        for f_imgs in trans_choices:
+        for f_imgs in itertools.product(sorted(q.transitions), repeat=len(src_trans)):
             f = dict(zip(src_trans, f_imgs))
             h = NetMorphism(p, q, f, g)
             if not validate_morphism(h):

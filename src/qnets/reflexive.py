@@ -14,13 +14,19 @@ equality on generators.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import jsonio
-from .net import NetMorphism, QNet, validate_morphism, validate_net
+from .net import (
+    NetMorphism,
+    QNet,
+    compose,
+    enumerate_morphisms,
+    validate_morphism,
+    validate_net,
+)
 from .theory import (
     FreeElem,
     QnetError,
@@ -287,23 +293,12 @@ def net_to_graph_transpose(k: ReflexiveMorphism, g: QGraph) -> GraphMorphism:
 def compose_reflexive(later: ReflexiveMorphism, earlier: ReflexiveMorphism) -> ReflexiveMorphism:
     if earlier.target != later.source:
         raise TheoryMismatchError("reflexive morphisms are not composable")
-    return ReflexiveMorphism(
-        earlier.source, later.target,
-        {t: later.f[earlier.f[t]] for t in earlier.f},
-        {p: later.g[earlier.g[p]] for p in earlier.g},
-    )
+    h = compose(later.as_net_morphism(), earlier.as_net_morphism())
+    return ReflexiveMorphism(earlier.source, later.target, h.f, h.g)
 
 
 def enumerate_reflexive_morphisms(r1: ReflexiveQNet, r2: ReflexiveQNet) -> list[ReflexiveMorphism]:
-    """Brute-force hom-set of reflexive morphisms; for small nets only."""
-    out = []
-    places = list(r1.net.places)
-    trans = sorted(r1.net.transitions)
-    for g_imgs in itertools.product(r2.net.places, repeat=len(places)):
-        g = dict(zip(places, g_imgs))
-        for f_imgs in itertools.product(sorted(r2.net.transitions), repeat=len(trans)):
-            f = dict(zip(trans, f_imgs))
-            h = ReflexiveMorphism(r1, r2, f, g)
-            if not validate_reflexive_morphism(h):
-                out.append(h)
-    return out
+    """Brute-force hom-set of reflexive morphisms, in the candidate order of
+    :func:`~qnets.net.enumerate_morphisms`; for small nets only."""
+    candidates = (ReflexiveMorphism(r1, r2, m.f, m.g) for m in enumerate_morphisms(r1.net, r2.net))
+    return [h for h in candidates if not validate_reflexive_morphism(h)]

@@ -32,13 +32,11 @@ from .freecat import (
     Oper,
     Perm,
     SymTerm,
-    _PermLayer,
     _apply_perm,
     _check_perm,
     _context,
     _distinct,
     _equal,
-    _is_perm_layer,
     _unknown,
     default_budget,
     perm_tgt,
@@ -71,7 +69,7 @@ def braiding(x: FreeElem, y: FreeElem) -> Perm:
 
 def sym_layered(t: SymTerm, net: QNet) -> LayeredForm:
     """The layered form of a symmetric term: a :class:`LayeredForm` whose
-    layers may include permutation layers."""
+    layers may include :class:`Perm` leaves."""
     return freecat._layered_ctx(t, _context(net), True)[0]
 
 
@@ -84,7 +82,7 @@ def _inverse(mapping) -> tuple[int, ...]:
     return _apply_perm(tuple(range(len(mapping))), mapping)
 
 
-def _slide(layer: FreeElem, perm: _PermLayer, ctx,
+def _slide(layer: FreeElem, perm: Perm, ctx,
            before: bool) -> list[tuple]:
     """Slide a generator layer across an adjacent permutation that moves whole
     blocks of it: [layer, perm] becomes [perm', layer'] when the layer fires
@@ -127,7 +125,7 @@ def _slide(layer: FreeElem, perm: _PermLayer, ctx,
         return []
     if not th.ops.is_normal(_apply_perm(word.payload, new_mapping)):
         return []
-    new_perm = _PermLayer(word, new_mapping)
+    new_perm = Perm(word, new_mapping)
     return [(new_perm, new_layer) if before else (new_layer, new_perm)]
 
 
@@ -137,12 +135,12 @@ def _sym_neighbors(form: LayeredForm, ctx) -> Iterator[LayeredForm]:
     layers = form.layers
     for i in range(len(layers) - 1):
         a, b = layers[i], layers[i + 1]
-        if _is_perm_layer(a) and _is_perm_layer(b):
-            merges = [_PermLayer(a.word, tuple(b.mapping[k] for k in a.mapping))]
-        elif not _is_perm_layer(a) and not _is_perm_layer(b):
+        if isinstance(a, Perm) and isinstance(b, Perm):
+            merges = [Perm(a.word, tuple(b.mapping[k] for k in a.mapping))]
+        elif not isinstance(a, Perm) and not isinstance(b, Perm):
             merges = freecat._merges(a, b, ctx)
         else:
-            before = not _is_perm_layer(a)
+            before = not isinstance(a, Perm)
             for pair in _slide(a if before else b, b if before else a, ctx, before):
                 yield LayeredForm(form.start, layers[:i] + pair + layers[i + 2:])
             continue
@@ -150,7 +148,7 @@ def _sym_neighbors(form: LayeredForm, ctx) -> Iterator[LayeredForm]:
             mid = () if freecat._trivial(merged) else (merged,)
             yield LayeredForm(form.start, layers[:i] + mid + layers[i + 2:])
     for i, layer in enumerate(layers):
-        if not _is_perm_layer(layer):
+        if not isinstance(layer, Perm):
             for x, y in freecat._splits(layer, ctx):
                 yield LayeredForm(form.start, layers[:i] + (x, y) + layers[i + 1:])
 
@@ -158,7 +156,7 @@ def _sym_neighbors(form: LayeredForm, ctx) -> Iterator[LayeredForm]:
 def sym_repr(form: LayeredForm) -> str:
     parts = []
     for layer in form.layers:
-        if _is_perm_layer(layer):
+        if isinstance(layer, Perm):
             parts.append(f"perm{list(layer.mapping)}")
         else:
             parts.append(freecat.layered_repr(LayeredForm(form.start, (layer,))))

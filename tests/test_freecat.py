@@ -21,7 +21,8 @@ from qnets.freecat import (
     unit_into_truncation,
     _context,
 )
-from qnets.net import validate_morphism
+from qnets.net import QNet, validate_morphism
+from qnets.reflexive import InvalidNetError
 from qnets.theory import (
     QnetError,
     Theory,
@@ -181,6 +182,14 @@ def test_underlying_net_truncation():
     assert len(loops) >= len(trunc.objects)
     unit_m = unit_into_truncation(net, trunc)
     assert validate_morphism(unit_m) == []
+
+
+def test_underlying_net_rejects_a_mixed_theory_net():
+    # Validated before its objects are sorted, which a CMON and a MON payload
+    # cannot be.
+    net = QNet(Theory.CMON, ("a",), {"t": (word("a"), cmon({"a": 1}))})
+    with pytest.raises(InvalidNetError, match="has theory MON"):
+        underlying_net(net, 1)
 
 
 def test_layered_moves_preserve_endpoints():

@@ -1,3 +1,4 @@
+import builtins
 import json
 
 import pytest
@@ -83,6 +84,25 @@ def test_perm_roundtrip():
     data = jsonio.term_to_json(perm)
     assert data == {"perm": {"word": ["a", "b"], "map": [1, 0]}}
     assert jsonio.term_from_json(Theory.MON, data) == perm
+
+
+def test_term_json_imports_once_per_call(monkeypatch):
+    """A 200-node term is encoded and decoded with one import each, not one
+    per node."""
+    term = Oper("combine", tuple(Gen(f"t{i}") for i in range(199)))
+    calls = []
+    real_import = builtins.__import__
+
+    def counting(name, globals=None, locals=None, fromlist=(), level=0):
+        if "freecat" in (fromlist or ()):
+            calls.append(name)
+        return real_import(name, globals, locals, fromlist, level)
+
+    monkeypatch.setattr(builtins, "__import__", counting)
+    data = jsonio.term_to_json(term)
+    assert len(calls) == 1
+    assert jsonio.term_from_json(Theory.CMON, data) == term
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("data", [

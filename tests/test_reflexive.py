@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from qnets.net import NetMorphism, QNet, validate_morphism
@@ -7,6 +9,7 @@ from qnets.reflexive import (
     ReflexiveQNet,
     add_identities,
     add_identities_morphism,
+    compose_reflexive,
     elem_transition_name,
     enumerate_reflexive_morphisms,
     extend_morphism,
@@ -95,6 +98,40 @@ def test_transpose_roundtrips_exhaustively():
         assert extend_morphism(restrict_morphism(h), r) == h
     for k in downstairs:
         assert restrict_morphism(extend_morphism(k, r)) == k
+
+
+def _enumerate_reflexive_ref(r1, r2):
+    """The brute-force hom-set as written before it rested on the net stage."""
+    out = []
+    places = list(r1.net.places)
+    trans = sorted(r1.net.transitions)
+    for g_imgs in itertools.product(r2.net.places, repeat=len(places)):
+        g = dict(zip(places, g_imgs))
+        for f_imgs in itertools.product(sorted(r2.net.transitions), repeat=len(trans)):
+            h = ReflexiveMorphism(r1, r2, dict(zip(trans, f_imgs)), g)
+            if not validate_reflexive_morphism(h):
+                out.append(h)
+    return out
+
+
+def test_reflexive_hom_sets_match_reference_in_order():
+    nets = [QNet(Theory.CMON, (), {}), QNet(Theory.CMON, ("a",), {}),
+            petri("ab", {"t": ({"a": 1}, {"b": 1})}),
+            petri("ab", {"t": ({"a": 1}, {"b": 1}), "u": ({"b": 1}, {"b": 1})})]
+    refl = [add_identities(net) for net in nets] + [_loop_reflexive()]
+    found = 0
+    for r1 in refl:
+        for r2 in refl:
+            got = enumerate_reflexive_morphisms(r1, r2)
+            assert got == _enumerate_reflexive_ref(r1, r2)
+            found += len(got)
+            for h in got:
+                for k in enumerate_reflexive_morphisms(r2, r2):
+                    composed = compose_reflexive(k, h)
+                    assert validate_reflexive_morphism(composed) == []
+                    assert composed.f == {t: k.f[h.f[t]] for t in h.f}
+                    assert composed.g == {p: k.g[h.g[p]] for p in h.g}
+    assert found > 10
 
 
 def test_free_edges_stores_net_maps_verbatim():

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from qnets import QNet, freecat, symmetry
 from qnets.freecat import Comp, Gen, Ident, IllTypedTermError, LayeredForm, Oper
-from qnets.symmetry import Perm, _PermLayer
+from qnets.symmetry import Perm
 from qnets.theory import (
     FreeElem,
     Theory,
@@ -40,6 +40,10 @@ def _outcome(fn, *args):
 
 # ---------------------------------------------------------------------------
 # References: the code before the folds
+
+
+def _is_perm(layer):
+    return isinstance(layer, Perm)
 
 
 def _held_ref(th, letter, end, ctx):
@@ -85,7 +89,7 @@ def _slide_before_perm_ref(layer, perm, ctx):
     prev_word = freecat._layer_src(layer, ctx)
     if len(prev_word.payload) != len(new_mapping):
         return []
-    new_perm = _PermLayer(prev_word, tuple(new_mapping))
+    new_perm = Perm(prev_word, tuple(new_mapping))
     if th is Theory.GRP and not _reduced_ref(
             symmetry._apply_perm(prev_word.payload, new_perm.mapping)):
         return []
@@ -127,7 +131,7 @@ def _slide_after_perm_ref(perm, layer, ctx):
     new_word = freecat._layer_tgt(new_layer, ctx)
     if len(new_word.payload) != len(new_mapping):
         return []
-    new_perm = _PermLayer(new_word, tuple(new_mapping))
+    new_perm = Perm(new_word, tuple(new_mapping))
     if th is Theory.GRP and not _reduced_ref(
             symmetry._apply_perm(new_word.payload, new_perm.mapping)):
         return []
@@ -135,27 +139,26 @@ def _slide_after_perm_ref(perm, layer, ctx):
 
 
 def _sym_neighbors_ref(form, ctx):
-    is_perm = symmetry._is_perm_layer
     layers = form.layers
     for i in range(len(layers) - 1):
         a, b = layers[i], layers[i + 1]
-        if is_perm(a) and is_perm(b):
+        if _is_perm(a) and _is_perm(b):
             composed = tuple(b.mapping[a.mapping[k]] for k in range(len(a.mapping)))
             merged = () if composed == tuple(range(len(composed))) \
-                else (_PermLayer(a.word, composed),)
+                else (Perm(a.word, composed),)
             yield LayeredForm(form.start, layers[:i] + merged + layers[i + 2:])
-        elif not is_perm(a) and not is_perm(b):
+        elif not _is_perm(a) and not _is_perm(b):
             for n in freecat._merge_candidates(a, b, ctx):
                 mid = () if freecat._pure_id(n) else (n,)
                 yield LayeredForm(form.start, layers[:i] + mid + layers[i + 2:])
-        elif not is_perm(a):
+        elif not _is_perm(a):
             for p, l in _slide_before_perm_ref(a, b, ctx):
                 yield LayeredForm(form.start, layers[:i] + (p, l) + layers[i + 2:])
         else:
             for l, p in _slide_after_perm_ref(a, b, ctx):
                 yield LayeredForm(form.start, layers[:i] + (l, p) + layers[i + 2:])
     for i, layer in enumerate(layers):
-        if not is_perm(layer):
+        if not _is_perm(layer):
             for x, y in freecat._split_candidates(layer, ctx):
                 yield LayeredForm(form.start, layers[:i] + (x, y) + layers[i + 1:])
 
@@ -318,12 +321,12 @@ def _unequal_sym_pairs():
 
 def _slide_pairs(form):
     for a, b in zip(form.layers, form.layers[1:]):
-        if symmetry._is_perm_layer(a) != symmetry._is_perm_layer(b):
+        if _is_perm(a) != _is_perm(b):
             yield a, b
 
 
 def _check_slide(a, b, ctx):
-    before = symmetry._is_perm_layer(b)
+    before = _is_perm(b)
     layer, perm = (a, b) if before else (b, a)
     expected = _outcome(_slide_before_perm_ref if before else _slide_after_perm_ref, a, b, ctx)
     if expected[:2] == ("raised", "IndexError"):
@@ -380,7 +383,7 @@ def _layer_and_perm(draw):
     before = draw(st.booleans())
     end = freecat._layer_tgt(layer, ctx) if before else freecat._layer_src(layer, ctx)
     mapping = tuple(draw(st.permutations(range(len(end.payload)))))
-    return ctx, layer, _PermLayer(end, mapping), before
+    return ctx, layer, Perm(end, mapping), before
 
 
 @settings(max_examples=400, deadline=None)
