@@ -24,7 +24,7 @@ import itertools
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from . import jsonio
 from .intlattice import IntLattice
@@ -40,7 +40,6 @@ from .theory import (
     extend,
     invert,
     lift,
-    multiset,
     neutral,
     occurrences,
     unit,
@@ -405,33 +404,29 @@ def _layered_ctx(t: SymTerm, ctx: _Ctx,
 
 
 def _merge_candidates(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
+    """Every layer firing ``l1`` and then ``l2`` at once, the split read
+    backwards: a commutative merge holds each residual of ``l1``'s held marking
+    by ``l2``'s source that ``l1``'s targets top up to ``l2``'s held marking."""
     th = ctx.net.theory
     ops = th.ops
     if not ops.commutative:
         return _merge_words(l1, l2, ctx)
-    g1 = _gens_part(th, l1)
-    g2 = _gens_part(th, l2)
-    if not ops.idempotent:
-        frame = occurrences(_ids_marking(th, l1))
-        for p, c in occurrences(_layer_src(g2, ctx)).items():
-            frame[p] = frame.get(p, 0) - c
-        if not ops.group and any(c < 0 for c in frame.values()):
-            return []
-        merged = combine(th, combine(th, g1, g2),
-                         _identity_layer(th, multiset(th, frame)))
-        return [merged]
-    ids1 = set(_ids_marking(th, l1).payload)
-    ids2 = set(_ids_marking(th, l2).payload)
-    src_g2 = set(_layer_src(g2, ctx).payload)
-    tgt_g1 = set(_layer_tgt(g1, ctx).payload)
-    out = []
-    shared = sorted(ids1 & ids2)
-    for bits in itertools.product((False, True), repeat=len(shared)):
-        w = {p for p, keep in zip(shared, bits) if keep}
-        if (w | src_g2) == ids1 and (w | tgt_g1) == ids2:
-            frame = FreeElem(th, tuple(sorted(w)))
-            out.append(combine(th, combine(th, g1, g2), _identity_layer(th, frame)))
-    return sorted(set(out), key=lambda e: e.payload)
+    g1, g2 = _gens_part(th, l1), _gens_part(th, l2)
+    rests = ops.residuals(_ids_marking(th, l1).payload, _layer_src(g2, ctx).payload)
+    tgt_g1 = tuple(ops.letters(_layer_tgt(g1, ctx).payload))
+    held2 = _ids_marking(th, l2).payload
+    gens = (*ops.letters(g1.payload), *ops.letters(g2.payload))
+    out = {_framed(th, gens, rest) for rest in rests
+           if ops.norm(itertools.chain(ops.letters(rest), tgt_g1)) == held2}
+    return sorted(out, key=lambda e: e.payload)
+
+
+def _framed(th: Theory, gens: Iterable[tuple[str, int]], rest: Iterable) -> FreeElem:
+    """One layer of a commutative theory: the generator letters ``gens``
+    beside the id letters holding the marking payload ``rest``."""
+    ops = th.ops
+    return FreeElem(th, ops.norm(itertools.chain(
+        gens, ((ID_PREFIX + p, c) for p, c in ops.letters(rest)))))
 
 
 def _held(letter, end: int, ctx: _Ctx) -> tuple:
@@ -761,51 +756,49 @@ def _firings(need: list, effect: list, counts: list[int],
 
 def _step_layers(ctx: _Ctx, marking: FreeElem,
                  max_width: int | None) -> list[FreeElem]:
-    """All single firing layers whose source is exactly ``marking``."""
+    """All single firing layers whose source is exactly ``marking``. A
+    commutative layer holds a residual of ``marking`` by what it fires; a
+    word layer spells ``marking`` left to right."""
     th = ctx.net.theory
     ops = th.ops
     if ops.group:
         raise UnsupportedOperationError(
             f"single-layer enumeration is not finite over {th.value}")
     out: set[FreeElem] = set()
+    names = sorted(ctx.net.transitions)
     if ops.commutative and not ops.idempotent:
         counts = dict(marking.payload)
         places = sorted(counts.keys() | set(ctx.net.places))
         names, need, effect = _vector_net(ctx.net, places)
         for fired, room, _ in _firings(need, effect, [counts.get(p, 0) for p in places],
                                        max_width):
-            gens = multiset(th, {names[i]: k for i, k in fired})
-            frame = multiset(th, dict(zip(places, room)))
-            out.add(combine(th, gens, _identity_layer(th, frame)))
+            # The room is the residual; its zero counts drop out in the norm.
+            out.add(_framed(th, [(names[i], k) for i, k in fired], zip(places, room)))
     elif ops.idempotent:
-        names = sorted(ctx.net.transitions)
-        marking_set = set(marking.payload)
-        for r in range(1, len(names) + 1):
-            if max_width is not None and r > max_width:
-                break
+        widest = len(names) if max_width is None else min(max_width, len(names))
+        for r in range(1, widest + 1):
             for group in itertools.combinations(names, r):
-                fired_src = set()
-                for nm in group:
-                    fired_src |= set(ctx.net.transitions[nm][0].payload)
-                if not fired_src <= marking_set:
-                    continue
-                base = marking_set - fired_src
-                extras = sorted(fired_src)
-                for bits in itertools.product((False, True), repeat=len(extras)):
-                    keep = {p for p, b in zip(extras, bits) if b}
-                    frame = FreeElem(th, tuple(sorted(base | keep)))
-                    gens = FreeElem(th, tuple(sorted(group)))
-                    out.add(combine(th, gens, _identity_layer(th, frame)))
+                fired_src = ops.norm(itertools.chain.from_iterable(
+                    ops.letters(ctx.src_images[nm].payload) for nm in group))
+                gens = [(nm, 1) for nm in group]
+                for rest in ops.residuals(marking.payload, fired_src):
+                    out.add(_framed(th, gens, rest))
     else:
         letters = marking.payload
-        # Worklist of (pos, width_left, acc): acc spells letters[:pos].
-        stack = [(0, max_width if max_width is not None else len(letters) + 1, ())]
+        width = max_width if max_width is not None else len(letters) + 1
+        # Worklist of (pos, width_left, acc): acc spells letters[:pos], and
+        # has fired something once width_left is below width.
+        stack = [(0, width, ())]
         while stack:
             pos, width_left, acc = stack.pop()
-            if pos == len(letters) and not all(_is_id_sym(x) for x in acc):
+            if width_left == 0:
+                # Nothing more can fire: the rest of the word is held at once.
+                acc += tuple(ID_PREFIX + x for x in letters[pos:])
+                pos = len(letters)
+            if pos == len(letters) and width_left != width:
                 out.add(FreeElem(th, acc))
             if width_left != 0:
-                for name in sorted(ctx.net.transitions):
+                for name in names:
                     src = ctx.net.transitions[name][0].payload
                     if letters[pos:pos + len(src)] == src:
                         stack.append((pos + len(src), width_left - 1, acc + (name,)))
@@ -933,13 +926,13 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
     marking, on count vectors indexed by the sorted places: M - sum k*pre(t)
     + sum k*post(t), enumerated by :func:`_firings` as for
     :func:`_step_layers`; MON rewrites one contiguous source factor; SEMILAT
-    fires one transition against any context whose union restores the marking.
+    fires one transition and keeps each residual of the marking by its source.
 
     Each distinct marking is built once, through the checked
     :class:`FreeElem` constructor, and every edge into it shares that object.
     Edge labels are the text of :func:`jsonio.dumps` on ``{"fire":{t:k,...}}``
     for CMON, ``{"at":i,"fire":t}`` for MON (``t`` rewrites the factor at
-    position ``i``) and ``{"fire":t,"keep":[...]}`` for SEMILAT (the context
+    position ``i``) and ``{"fire":t,"keep":[...]}`` for SEMILAT (the residual
     that stays marked), joined from names quoted once per call; each distinct
     label is built once per call. ``saturated`` tells a fixpoint from a search
     cut off by ``max_steps``.
@@ -985,15 +978,10 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
             return '{"at":%d,"fire":%s}' % (key[0], quoted[key[1]])
     else:
         def steps(m: tuple) -> Iterator[tuple[tuple, tuple]]:
-            marking_set = set(m)
             for name in names:
                 src, tgt = (arc.payload for arc in net.transitions[name])
-                if not set(src) <= marking_set:
-                    continue
-                base = marking_set - set(src)
-                for bits in itertools.product((False, True), repeat=len(src)):
-                    keep = tuple(sorted(base | {p for p, b in zip(src, bits) if b}))
-                    yield (name, keep), tuple(sorted(set(keep) | set(tgt)))
+                for keep in ops.residuals(m, src):
+                    yield (name, keep), tuple(sorted(set(keep).union(tgt)))
 
         def encode(key: tuple) -> str:
             return '{"fire":%s,"keep":[%s]}' % (quoted[key[0]],

@@ -102,11 +102,12 @@ def validate_reflexive(r: ReflexiveQNet) -> list[str]:
 
 
 def validate_reflexive_morphism(h: ReflexiveMorphism) -> list[str]:
-    diags = validate_morphism(h.as_net_morphism())
-    for p in h.source.net.places:
-        if h.f.get(h.source.e[p]) != h.target.e.get(h.g[p]):
-            diags.append(f"identity square fails at place {p!r}")
-    return diags
+    return validate_morphism(h.as_net_morphism()) + _identity_squares(h)
+
+
+def _identity_squares(h: ReflexiveMorphism) -> list[str]:
+    return [f"identity square fails at place {p!r}" for p in h.source.net.places
+            if h.f.get(h.source.e[p]) != h.target.e.get(h.g[p])]
 
 
 def add_identities(net: QNet) -> ReflexiveQNet:
@@ -301,4 +302,5 @@ def enumerate_reflexive_morphisms(r1: ReflexiveQNet, r2: ReflexiveQNet) -> list[
     """Brute-force hom-set of reflexive morphisms, in the candidate order of
     :func:`~qnets.net.enumerate_morphisms`; for small nets only."""
     candidates = (ReflexiveMorphism(r1, r2, m.f, m.g) for m in enumerate_morphisms(r1.net, r2.net))
-    return [h for h in candidates if not validate_reflexive_morphism(h)]
+    # Every candidate is already a valid net morphism: only its squares are left.
+    return [h for h in candidates if not _identity_squares(h)]

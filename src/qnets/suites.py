@@ -463,7 +463,7 @@ def _rand_term(rng: random.Random, net: QNet):
             tgt = freecat.mor_tgt(term, net)
             name = rng.choice(names)
             src, _ = net.transitions[name]
-            frame = _frame_over(theory, tgt, src)
+            frame = _frame_over(tgt, src)
             if frame is None:
                 continue
             step = Oper("combine", (Gen(name), Ident(frame))) if frame.payload else Gen(name)
@@ -474,19 +474,10 @@ def _rand_term(rng: random.Random, net: QNet):
     return term
 
 
-def _frame_over(theory: Theory, marking: FreeElem, consumed: FreeElem) -> FreeElem | None:
-    from .theory import occurrences
-
-    if theory is Theory.SEMILAT:
-        if not set(consumed.payload) <= set(marking.payload):
-            return None
-        return FreeElem(theory, tuple(sorted(set(marking.payload) - set(consumed.payload))))
-    counts = dict(occurrences(marking))
-    for p, c in occurrences(consumed).items():
-        counts[p] = counts.get(p, 0) - c
-    if theory is Theory.CMON and any(c < 0 for c in counts.values()):
-        return None
-    return multiset(theory, counts)
+def _frame_over(marking: FreeElem, consumed: FreeElem) -> FreeElem | None:
+    """The smallest frame that ``consumed`` leaves of ``marking``, if any."""
+    rest = next(marking.theory.ops.residuals(marking.payload, consumed.payload), None)
+    return None if rest is None else FreeElem(marking.theory, rest)
 
 
 def suite_symmetry(seed: int = 0, cases: int = 50) -> SuiteResult:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, product, repeat
 from operator import itemgetter
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 
 class QnetError(Exception):
@@ -130,7 +130,8 @@ class _Family:
     return one-pass iterators. ``norm`` gives the canonical payload of the
     product of any letters, and ``spell`` writes letters back as a payload
     without normalising them. The JSON decode does not normalise either, so
-    that :class:`FreeElem` rejects a non-canonical input.
+    that :class:`FreeElem` rejects a non-canonical input. The commutative
+    families also divide: ``residuals`` gives every frame left beside a part.
     """
 
     group = False        # every element has an inverse
@@ -179,6 +180,13 @@ class _Counts(_Family):
             counts[p] = counts[p] + c if p in counts else c
         return tuple(sorted((p, c) for p, c in counts.items() if c != 0))
 
+    def residuals(self, whole: tuple, part: tuple) -> Iterator[tuple]:
+        """Every ``rest`` with ``rest . part == whole``: ``whole - part``,
+        unless a count would go negative without inverses."""
+        rest = self.norm(chain(whole, ((p, -c) for p, c in part)))
+        if self.group or all(c > 0 for _, c in rest):
+            yield rest
+
     def check(self, theory: Theory, payload: tuple) -> None:
         names = [p for p, _ in payload]
         if names != sorted(names) or len(set(names)) != len(names):
@@ -225,6 +233,16 @@ class _Sets(_Words):
 
     def norm(self, letters: Iterable[tuple[str, int]]) -> tuple:
         return tuple(sorted({p for p, _ in letters}))
+
+    def residuals(self, whole: tuple, part: tuple) -> Iterator[tuple]:
+        """Every ``rest`` with ``rest . part == whole``: none unless ``part``
+        lies in ``whole``, else ``whole - part`` keeping any subset of ``part``,
+        in ``product((False, True))`` order over ``part``, smallest first."""
+        base = set(whole).difference(part)
+        if len(base) + len(part) != len(whole):
+            return
+        for bits in product((False, True), repeat=len(part)):
+            yield tuple(sorted(base.union(compress(part, bits))))
 
     def check(self, theory: Theory, payload: tuple) -> None:
         super().check(theory, payload)

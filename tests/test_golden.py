@@ -1,7 +1,8 @@
 """Golden CLI output: the exact stdout and exit code of ``qnet`` commands on
 zoo nets of all five theories, run in-process through ``cli.run``.
 
-Each case's expected stdout is checked in under ``tests/golden/<case>.out``.
+Each case's expected stdout is checked in under ``tests/golden/<case>.out``,
+and so is the stdout of each demo script under ``scripts/``, run in-process.
 A change that alters any of them changes what the CLI prints. To rewrite the
 files after an intended output change, run
 ``PYTHONPATH=src:tests python tests/test_golden.py`` and review the diff.
@@ -9,8 +10,10 @@ files after an intended output change, run
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
+import runpy
 import sys
 
 import pytest
@@ -29,6 +32,8 @@ from netzoo import (
 )
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+DEMOS = ["demo_token_game", "demo_individual_tokens"]
 
 
 def _grp(s: str):
@@ -148,6 +153,24 @@ def test_cli_stdout_matches_golden(name, argv, code, net_paths):
     assert _run(argv, net_paths) == (code, expected)
 
 
+def _run_demo(name: str) -> str:
+    """The stdout of ``scripts/<name>.py`` run as a script, in this process."""
+    out = io.StringIO()
+    saved = sys.path[:]  # each demo puts the source tree on the path
+    try:
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(os.path.join(SCRIPTS, f"{name}.py"), run_name="__main__")
+    finally:
+        sys.path[:] = saved
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_stdout_matches_golden(name):
+    with open(os.path.join(GOLDEN, f"{name}.out"), encoding="utf-8") as fh:
+        assert _run_demo(name) == fh.read()
+
+
 def test_golden_cases_cover_every_theory_and_subcommand():
     assert {net.theory for net in NETS.values()} == set(Theory)
     commands = {argv[0] for _, argv, _ in CASES}
@@ -168,6 +191,9 @@ def _regenerate() -> None:
                 sys.exit(f"{name}: exit {got}, expected {code}")
             with open(os.path.join(GOLDEN, f"{name}.out"), "w", encoding="utf-8") as fh:
                 fh.write(out)
+    for name in DEMOS:
+        with open(os.path.join(GOLDEN, f"{name}.out"), "w", encoding="utf-8") as fh:
+            fh.write(_run_demo(name))
 
 
 if __name__ == "__main__":

@@ -134,6 +134,24 @@ def test_reflexive_hom_sets_match_reference_in_order():
     assert found > 10
 
 
+def test_reflexive_hom_sets_do_not_revalidate_net_morphisms(monkeypatch):
+    """Each candidate comes from ``enumerate_morphisms``, which has already
+    validated it, so only its identity squares are checked again."""
+    import qnets.reflexive as reflexive
+
+    calls = []
+    real = reflexive.validate_morphism
+    monkeypatch.setattr(reflexive, "validate_morphism",
+                        lambda m: calls.append(m) or real(m))
+    r = add_identities(petri("ab", {"t": ({"a": 1}, {"b": 1}), "u": ({"b": 1}, {"b": 1})}))
+    assert len(enumerate_reflexive_morphisms(r, r)) > 1
+    assert calls == []
+    swap = ReflexiveMorphism(r, r, {"t": "t", "u": "id.b", "id.a": "id.a", "id.b": "u"},
+                             {"a": "a", "b": "b"})
+    assert validate_reflexive_morphism(swap) == ["identity square fails at place 'b'"]
+    assert len(calls) == 1
+
+
 def test_free_edges_stores_net_maps_verbatim():
     net = petri("ab", {"t": ({"a": 1}, {"b": 2})})
     r = add_identities(net)
