@@ -183,8 +183,8 @@ def _dispatch(args, out) -> int:
         src = _load_elem(net.theory, args.src)
         tgt = _load_elem(net.theory, args.tgt)
         classes = freecat.hom_enumerate(net, src, tgt, args.layers, args.width)
-        # A representative of many layers is a deep term; encoding it runs
-        # out of stack like decoding deep input does.
+        # The stdlib JSON encoder spends two recursion levels per composite of
+        # a deep representative, so it runs out of stack as deep input does.
         try:
             text = jsonio.dumps({
                 "from": jsonio.elem_to_json(src),

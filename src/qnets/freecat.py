@@ -188,6 +188,13 @@ def _context(net: QNet) -> _Ctx:
                 {name: arcs[1] for name, arcs in net.transitions.items()} | held)
 
 
+def _check_marking(ctx: _Ctx, m: FreeElem) -> None:
+    if m.theory is not ctx.net.theory:
+        raise TheoryMismatchError("marking theory differs from net theory")
+    if m.atoms() - set(ctx.net.places):
+        raise InvalidNetError("marking mentions undeclared places")
+
+
 def _is_id_sym(name: str) -> bool:
     return name.startswith(ID_PREFIX)
 
@@ -302,77 +309,97 @@ def mor_tgt(t: MorTerm, net: QNet) -> FreeElem:
     return _endpoints(t, _context(net))[1]
 
 
+def fold_term(t: SymTerm, leaf, comp, oper, before_first: bool = False, enter=None):
+    """Fold a process term bottom-up with an explicit stack, so deep terms stay
+    off the Python call stack. ``Comp`` and ``Oper`` are the inner nodes and
+    fold as ``comp(after, before)`` and ``oper(node, args)``; every other node
+    is a leaf, mapped by ``leaf``. ``enter`` sees each ``Oper`` when first met.
+    Children are walked as written (``after`` first), or with ``before_first``
+    in firing order."""
+    done: list = []
+    stack: list[tuple[SymTerm, bool]] = [(t, False)]
+    while stack:
+        t, fold = stack.pop()
+        if isinstance(t, Comp) and fold:
+            last, first = done.pop(), done.pop()
+            done.append(comp(last, first) if before_first else comp(first, last))
+        elif isinstance(t, Comp):
+            kids = (t.after, t.before) if before_first else (t.before, t.after)
+            stack += [(t, True), (kids[0], False), (kids[1], False)]
+        elif isinstance(t, Oper) and fold:
+            cut = len(done) - len(t.args)
+            done[cut:] = [oper(t, done[cut:])]
+        elif isinstance(t, Oper):
+            if enter is not None:
+                enter(t)
+            stack += [(t, True)] + [(a, False) for a in reversed(t.args)]
+        else:
+            done.append(leaf(t))
+    return done[0]
+
+
 def _layers_of(t: SymTerm, ctx: _Ctx,
                symmetric: bool = False) -> tuple[FreeElem, FreeElem, tuple]:
     """Source, target and layers of a term; layers may be identities, dropped
     by callers. :class:`Perm` leaves are terms only when ``symmetric``; a
     combination holding a permutation layer stacks its arguments' layers
-    one after the other instead of side by side. An explicit stack keeps deep
-    terms off the Python call stack: each node is checked when first popped,
-    and folded from its children's results, left to right, when popped again."""
+    one after the other instead of side by side. The walk fires ``before``
+    first, and checks each operation when it first meets it."""
     th = ctx.net.theory
-    done: list[tuple[FreeElem, FreeElem, tuple]] = []
-    stack: list[tuple[SymTerm, bool]] = [(t, False)]
-    while stack:
-        t, fold = stack.pop()
-        if fold and isinstance(t, Comp):
-            src_a, tgt_a, layers_a = done.pop()
-            src_b, tgt_b, layers_b = done.pop()
-            if tgt_b != src_a:
-                raise IllTypedTermError(
-                    f"composite mismatch: before ends at {tgt_b.payload}, after starts at"
-                    f" {src_a.payload}")
-            done.append((src_b, tgt_a, layers_b + layers_a))
-        elif fold and t.op == "invert":
-            src, tgt, layers = done.pop()
-            done.append((invert(src), invert(tgt), tuple(map(_invert_layer, layers))))
-        elif fold:
-            args = done[-len(t.args):]
-            del done[-len(t.args):]
-            src, tgt, layers = args[0]
-            for src_b, tgt_b, layers_b in args[1:]:
-                if any(isinstance(l, Perm) for l in layers + layers_b):
-                    layers = tuple(_pad(neutral(th), l, src_b) for l in layers) + \
-                        tuple(_pad(tgt, l, neutral(th)) for l in layers_b)
-                else:
-                    layers = _zip_layers(th, (src, layers), (src_b, layers_b))
-                src = combine(th, src, src_b)
-                tgt = combine(th, tgt, tgt_b)
-            done.append((src, tgt, layers))
-        elif isinstance(t, Gen):
+
+    def leaf(t: SymTerm) -> tuple[FreeElem, FreeElem, tuple]:
+        if isinstance(t, Gen):
             if t.name not in ctx.net.transitions:
                 raise IllTypedTermError(f"unknown transition {t.name!r}")
-            done.append((*ctx.net.transitions[t.name], (unit(th, t.name),)))
-        elif isinstance(t, Ident):
+            return (*ctx.net.transitions[t.name], (unit(th, t.name),))
+        if isinstance(t, Ident):
             if t.obj.theory is not th:
                 raise IllTypedTermError(
                     f"identity object has theory {t.obj.theory.value}, net is {th.value}")
             if t.obj.atoms() - set(ctx.net.places):
                 raise IllTypedTermError("identity object mentions undeclared places")
-            done.append((t.obj, t.obj, ()))
-        elif isinstance(t, Comp):
-            stack += [(t, True), (t.after, False), (t.before, False)]
-        elif isinstance(t, Oper):
-            if t.op == "combine":
-                if len(t.args) < 2:
-                    raise IllTypedTermError("combine needs at least two arguments")
-            elif t.op == "invert":
-                if not th.ops.group:
-                    raise IllTypedTermError(f"{th.value} morphisms have no inverses")
-                if len(t.args) != 1:
-                    raise IllTypedTermError("invert takes exactly one argument")
-            else:
-                raise IllTypedTermError(f"unknown operation {t.op!r}")
-            stack.append((t, True))
-            stack += [(a, False) for a in reversed(t.args)]
-        elif symmetric and isinstance(t, Perm):
+            return t.obj, t.obj, ()
+        if symmetric and isinstance(t, Perm):
             _check_perm(t, th)
             if t.word.atoms() - set(ctx.net.places):
                 raise IllTypedTermError("permutation word mentions undeclared places")
-            done.append((t.word, perm_tgt(t), (t,)))
+            return t.word, perm_tgt(t), (t,)
+        raise IllTypedTermError(f"not a process term: {t!r}")
+
+    def comp(after: tuple, before: tuple) -> tuple[FreeElem, FreeElem, tuple]:
+        if before[1] != after[0]:
+            raise IllTypedTermError(
+                f"composite mismatch: before ends at {before[1].payload}, after starts at"
+                f" {after[0].payload}")
+        return before[0], after[1], before[2] + after[2]
+
+    def enter(t: Oper) -> None:
+        if t.op == "combine":
+            if len(t.args) < 2:
+                raise IllTypedTermError("combine needs at least two arguments")
+        elif t.op == "invert":
+            if not th.ops.group:
+                raise IllTypedTermError(f"{th.value} morphisms have no inverses")
+            if len(t.args) != 1:
+                raise IllTypedTermError("invert takes exactly one argument")
         else:
-            raise IllTypedTermError(f"not a process term: {t!r}")
-    return done[0]
+            raise IllTypedTermError(f"unknown operation {t.op!r}")
+
+    def oper(t: Oper, args: list) -> tuple[FreeElem, FreeElem, tuple]:
+        src, tgt, layers = args[0]
+        if t.op == "invert":
+            return invert(src), invert(tgt), tuple(map(_invert_layer, layers))
+        for src_b, tgt_b, layers_b in args[1:]:
+            if any(isinstance(l, Perm) for l in layers + layers_b):
+                layers = tuple(_pad(neutral(th), l, src_b) for l in layers) + \
+                    tuple(_pad(tgt, l, neutral(th)) for l in layers_b)
+            else:
+                layers = _zip_layers(th, (src, layers), (src_b, layers_b))
+            src = combine(th, src, src_b)
+            tgt = combine(th, tgt, tgt_b)
+        return src, tgt, layers
+
+    return fold_term(t, leaf, comp, oper, before_first=True, enter=enter)
 
 
 def _zip_layers(th: Theory,
@@ -543,19 +570,84 @@ def _gens_total(layer: FreeElem, ctx: _Ctx) -> int:
     return out
 
 
+def _blocks(lengths: list[int]) -> list[tuple[int, int]]:
+    """(offset, length) of consecutive blocks of the given lengths."""
+    return list(zip(itertools.accumulate(lengths, initial=0), lengths))
+
+
+def _inverse(mapping) -> tuple[int, ...]:
+    return _apply_perm(tuple(range(len(mapping))), mapping)
+
+
+def _slide(layer: FreeElem, perm: Perm, ctx: _Ctx,
+           before: bool) -> list[tuple]:
+    """Slide a generator layer across an adjacent permutation that moves whole
+    blocks of it: [layer, perm] becomes [perm', layer'] when the layer fires
+    ``before`` the permutation, and [perm, layer] becomes [layer', perm']
+    otherwise. The layer's end next to the permutation fixes the new letter
+    order; its far end gives the blocks of the new permutation."""
+    th = ctx.net.theory
+    letters = layer.payload
+    near = [_held(l, 1 if before else 0, ctx) for l in letters]
+    far = [_held(l, 0 if before else 1, ctx) for l in letters]
+    # A near end that cancels (GRP) does not spell the permuted word letterwise.
+    if any(len(w) == 0 for w in near + far) or sum(map(len, near)) != len(perm.mapping):
+        return []
+    # Where each near-end position goes when read from the layer's side.
+    moved = perm.mapping if before else _inverse(perm.mapping)
+    starts = []
+    for offset, size in _blocks([len(w) for w in near]):
+        positions = [moved[offset + k] for k in range(size)]
+        if any(positions[k + 1] != positions[k] + 1 for k in range(size - 1)):
+            return []
+        starts.append(positions[0])
+    order = sorted(range(len(letters)), key=lambda j: starts[j])
+    new_letters = tuple(letters[j] for j in order)
+    if not th.ops.is_normal(new_letters):
+        return []
+    new_layer = FreeElem(th, new_letters)
+    new_offsets = {j: off for j, (off, _) in zip(order, _blocks([len(far[j]) for j in order]))}
+    # Far-end block positions of the old letter order -> the new order.
+    forward = [0] * sum(map(len, far))
+    for j, (off, size) in enumerate(_blocks([len(w) for w in far])):
+        for k in range(size):
+            forward[off + k] = new_offsets[j] + k
+    new_mapping = tuple(forward) if before else _inverse(forward)
+    word = _layer_src(layer, ctx) if before else _layer_tgt(new_layer, ctx)
+    if len(word.payload) != len(new_mapping):
+        return []
+    if not th.ops.is_normal(_apply_perm(word.payload, new_mapping)):
+        return []
+    new_perm = Perm(word, new_mapping)
+    return [(new_perm, new_layer) if before else (new_layer, new_perm)]
+
+
 def _neighbors(form: LayeredForm, ctx: _Ctx,
                gens_cap: int | None = None) -> Iterator[LayeredForm]:
-    """Adjacent-layer merges and splits; splits may not push the total
-    generator count past ``gens_cap`` (idempotent duplication is otherwise
-    unbounded)."""
+    """The one move relation on layered forms. For each adjacent pair of
+    layers in turn: two permutations compose, two firing layers merge, and a
+    firing layer slides across a permutation. Then each firing layer splits
+    in two; splits may not push the total generator count past ``gens_cap``
+    (idempotent duplication is otherwise unbounded)."""
     layers = form.layers
     for i in range(len(layers) - 1):
-        for merged in _merges(layers[i], layers[i + 1], ctx):
-            mid = () if _pure_id(merged) else (merged,)
+        a, b = layers[i], layers[i + 1]
+        perm_a = isinstance(a, Perm)
+        if perm_a != isinstance(b, Perm):
+            for pair in _slide(b if perm_a else a, a if perm_a else b, ctx, not perm_a):
+                yield LayeredForm(form.start, layers[:i] + pair + layers[i + 2:])
+            continue
+        merges = [Perm(a.word, tuple(b.mapping[k] for k in a.mapping))] if perm_a \
+            else _merges(a, b, ctx)
+        for merged in merges:
+            mid = () if _trivial(merged) else (merged,)
             yield LayeredForm(form.start, layers[:i] + mid + layers[i + 2:])
-    gens = [_gens_total(layer, ctx) for layer in layers]
-    total = sum(gens)
+    if gens_cap is not None:
+        gens = [_gens_total(layer, ctx) for layer in layers]
+        total = sum(gens)
     for i, layer in enumerate(layers):
+        if isinstance(layer, Perm):
+            continue
         for a, b in _splits(layer, ctx):
             if gens_cap is not None:
                 grown = total - gens[i] + _gens_total(a, ctx) + _gens_total(b, ctx)
@@ -832,6 +924,8 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     if budget is None:
         budget = default_budget()
     ctx = _context(net)
+    _check_marking(ctx, x)
+    _check_marking(ctx, y)
     forms: list[LayeredForm] = []
     # Each marking's layers and their targets, built once for all paths.
     steps: dict[FreeElem, list[tuple[FreeElem, FreeElem]]] = {}
@@ -942,11 +1036,7 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
     if ops.group:
         raise UnsupportedOperationError(
             f"reachability over {th.value} is not a token game; use the lattice test")
-    _context(net)  # validates the net
-    if m0.theory is not th:
-        raise TheoryMismatchError("marking theory differs from net theory")
-    if m0.atoms() - set(net.places):
-        raise InvalidNetError("marking mentions undeclared places")
+    _check_marking(_context(net), m0)
     vectors = ops.commutative and not ops.idempotent  # CMON steps on count vectors
     if vectors and any(src.is_neutral() for src, _ in net.transitions.values()):
         raise UnsupportedOperationError(

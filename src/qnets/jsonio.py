@@ -99,53 +99,65 @@ def qgraph_to_json(g) -> dict:
 def term_to_json(t) -> Any:
     from . import freecat
 
-    def walk(t) -> Any:
+    def leaf(t) -> Any:
         if isinstance(t, freecat.Gen):
             return {"gen": t.name}
         if isinstance(t, freecat.Ident):
             return {"id": elem_to_json(t.obj)}
-        if isinstance(t, freecat.Comp):
-            return {"comp": [walk(t.after), walk(t.before)]}
-        if isinstance(t, freecat.Oper):
-            return {"op": t.op, "args": [walk(a) for a in t.args]}
         if isinstance(t, freecat.Perm):
             return {"perm": {"word": elem_to_json(t.word), "map": list(t.mapping)}}
         raise QnetError(f"not a process term: {t!r}")
 
-    return walk(t)
+    return freecat.fold_term(t, leaf, lambda after, before: {"comp": [after, before]},
+                             lambda t, args: {"op": t.op, "args": args})
 
 
 def term_from_json(theory: Theory, data: Any):
+    """Decode a term, checking each node before its children, as written. An
+    explicit stack keeps deep terms off the Python call stack: a pending
+    ``(build, arity)`` entry, ``build`` the ``Comp`` class or an operation
+    name, makes a node from its children's results."""
     from . import freecat
 
-    def walk(data: Any):
-        def bad() -> QnetError:
-            return QnetError(f"bad term JSON: {data!r}")
+    def bad() -> QnetError:
+        return QnetError(f"bad term JSON: {data!r}")
 
+    done: list = []
+    stack: list[tuple[Any, Any]] = [(None, data)]
+    while stack:
+        build, data = stack.pop()
+        if build is not None:
+            cut = len(done) - data
+            args = tuple(done[cut:])
+            done[cut:] = [freecat.Comp(*args) if build is freecat.Comp
+                          else freecat.Oper(build, args)]
+            continue
         if not isinstance(data, dict) or len(data) not in (1, 2):
             raise bad()
         if "gen" in data:
             if not isinstance(data["gen"], str):
                 raise bad()
-            return freecat.Gen(data["gen"])
-        if "id" in data:
-            return freecat.Ident(elem_from_json(theory, data["id"]))
-        if "comp" in data:
+            done.append(freecat.Gen(data["gen"]))
+        elif "id" in data:
+            done.append(freecat.Ident(elem_from_json(theory, data["id"])))
+        elif "comp" in data:
             if not isinstance(data["comp"], list) or len(data["comp"]) != 2:
                 raise bad()
-            after, before = data["comp"]
-            return freecat.Comp(walk(after), walk(before))
-        if "op" in data:
+            build, children = freecat.Comp, data["comp"]
+        elif "op" in data:
             if not isinstance(data["op"], str) or not isinstance(data.get("args"), list):
                 raise bad()
-            return freecat.Oper(data["op"], tuple(walk(a) for a in data["args"]))
-        if "perm" in data:
+            build, children = data["op"], data["args"]
+        elif "perm" in data:
             perm = data["perm"]
             if (not isinstance(perm, dict) or not {"word", "map"} <= perm.keys()
                     or not isinstance(perm["map"], list)
                     or not all(type(i) is int for i in perm["map"])):
                 raise bad()
-            return freecat.Perm(elem_from_json(theory, perm["word"]), tuple(perm["map"]))
-        raise bad()
-
-    return walk(data)
+            done.append(freecat.Perm(elem_from_json(theory, perm["word"]), tuple(perm["map"])))
+        else:
+            raise bad()
+        if build is not None:
+            stack.append((build, len(children)))
+            stack += [(None, c) for c in reversed(children)]
+    return done[0]

@@ -128,19 +128,16 @@ def coproduct(p1: QNet, p2: QNet) -> tuple[QNet, NetMorphism, NetMorphism]:
     if p1.theory is not p2.theory:
         raise TheoryMismatchError("coproduct needs a shared theory")
     th = p1.theory
-    g1 = {p: "L." + p for p in p1.places}
-    g2 = {p: "R." + p for p in p2.places}
-    places = tuple(g1[p] for p in p1.places) + tuple(g2[p] for p in p2.places)
-    transitions = {}
-    f1, f2 = {}, {}
-    for name, (src, tgt) in p1.transitions.items():
-        f1[name] = "L." + name
-        transitions["L." + name] = (lift(th, g1, src), lift(th, g1, tgt))
-    for name, (src, tgt) in p2.transitions.items():
-        f2[name] = "R." + name
-        transitions["R." + name] = (lift(th, g2, src), lift(th, g2, tgt))
+    places, transitions, maps = (), {}, []
+    for p, tag in ((p1, "L."), (p2, "R.")):
+        g = {x: tag + x for x in p.places}
+        f = {name: tag + name for name in p.transitions}
+        places += tuple(g[x] for x in p.places)
+        for name, (src, tgt) in p.transitions.items():
+            transitions[f[name]] = (lift(th, g, src), lift(th, g, tgt))
+        maps.append((f, g))
     out = QNet(th, places, transitions)
-    return out, NetMorphism(p1, out, f1, g1), NetMorphism(p2, out, f2, g2)
+    return out, NetMorphism(p1, out, *maps[0]), NetMorphism(p2, out, *maps[1])
 
 
 def _pair_name(x: str, y: str) -> str:
@@ -148,34 +145,29 @@ def _pair_name(x: str, y: str) -> str:
 
 
 def _count_tables(rows: list[tuple[str, int]], cols: list[tuple[str, int]]) -> Iterator[dict]:
-    """All nonnegative integer tables with the given row and column sums."""
+    """All nonnegative integer tables with the given row and column sums, in
+    lexicographic order of their cells read row by row.
+
+    Cells are filled from an explicit stack. A cell takes at least what its
+    row cannot leave to the later columns, so every partial table completes
+    and the work follows the number of tables."""
     if sum(c for _, c in rows) != sum(c for _, c in cols):
         return
-    col_names = [c for c, _ in cols]
-
-    def fill(i: int, remaining_cols: tuple[int, ...], acc: dict) -> Iterator[dict]:
+    # Worklist of (cell index, what its row has left, column sums left,
+    # nonzero cells); a row's first cell starts from the row sum.
+    stack = [(0, 0, tuple(c for _, c in cols), ())]
+    while stack:
+        k, left, rem, cells = stack.pop()
+        i, j = divmod(k, len(cols)) if cols else (len(rows), 0)
         if i == len(rows):
-            if all(r == 0 for r in remaining_cols):
-                yield dict(acc)
-            return
-        row_name, row_sum = rows[i]
-
-        def fill_row(j: int, left: int, rem: tuple[int, ...]) -> Iterator[tuple[dict, tuple[int, ...]]]:
-            if j == len(col_names):
-                if left == 0:
-                    yield {}, rem
-                return
-            for v in range(min(left, rem[j]) + 1):
-                rem2 = rem[:j] + (rem[j] - v,) + rem[j + 1:]
-                for partial, rem3 in fill_row(j + 1, left - v, rem2):
-                    if v:
-                        partial = {**partial, _pair_name(row_name, col_names[j]): v}
-                    yield partial, rem3
-
-        for partial, rem in fill_row(0, row_sum, remaining_cols):
-            yield from fill(i + 1, rem, {**acc, **partial})
-
-    yield from fill(0, tuple(c for _, c in cols), {})
+            yield dict(cells)
+            continue
+        if j == 0:
+            left = rows[i][1]
+        name = _pair_name(rows[i][0], cols[j][0])
+        for v in range(min(left, rem[j]), max(0, left - sum(rem[j + 1:])) - 1, -1):
+            stack.append((k + 1, left - v, rem[:j] + (rem[j] - v,) + rem[j + 1:],
+                          cells + ((name, v),) if v else cells))
 
 
 def _marginal_fiber(th: Theory, a: FreeElem, b: FreeElem) -> list[FreeElem]:
@@ -213,12 +205,8 @@ def product(p1: QNet, p2: QNet) -> tuple[QNet, NetMorphism, NetMorphism]:
         raise UnsupportedOperationError(
             f"product over {th.value} is not finitely representable")
     places = tuple(_pair_name(x, y) for x in p1.places for y in p2.places)
-    g1 = {}
-    g2 = {}
-    for x in p1.places:
-        for y in p2.places:
-            g1[_pair_name(x, y)] = x
-            g2[_pair_name(x, y)] = y
+    g1 = {_pair_name(x, y): x for x in p1.places for y in p2.places}
+    g2 = {_pair_name(x, y): y for x in p1.places for y in p2.places}
     transitions = {}
     f1, f2 = {}, {}
     for n1, (s1, t1) in sorted(p1.transitions.items()):

@@ -19,8 +19,9 @@ from typing import Iterator
 
 from . import freecat
 
-# Perm, SymTerm and perm_tgt live with the term walker in freecat and are
-# part of this module's interface as well.
+# Perm, SymTerm and perm_tgt live with the term fold in freecat and are part
+# of this module's interface as well; the slide helpers live with the one
+# move relation there.
 from .freecat import (
     Comp,
     EqVerdict,
@@ -33,10 +34,12 @@ from .freecat import (
     Perm,
     SymTerm,
     _apply_perm,
+    _blocks,
     _check_perm,
     _context,
     _distinct,
     _equal,
+    _slide,
     _unknown,
     default_budget,
     perm_tgt,
@@ -73,84 +76,9 @@ def sym_layered(t: SymTerm, net: QNet) -> LayeredForm:
     return freecat._layered_ctx(t, _context(net), True)[0]
 
 
-def _blocks(lengths: list[int]) -> list[tuple[int, int]]:
-    """(offset, length) of consecutive blocks of the given lengths."""
-    return list(zip(itertools.accumulate(lengths, initial=0), lengths))
-
-
-def _inverse(mapping) -> tuple[int, ...]:
-    return _apply_perm(tuple(range(len(mapping))), mapping)
-
-
-def _slide(layer: FreeElem, perm: Perm, ctx,
-           before: bool) -> list[tuple]:
-    """Slide a generator layer across an adjacent permutation that moves whole
-    blocks of it: [layer, perm] becomes [perm', layer'] when the layer fires
-    ``before`` the permutation, and [perm, layer] becomes [layer', perm']
-    otherwise. The layer's end next to the permutation fixes the new letter
-    order; its far end gives the blocks of the new permutation."""
-    th = ctx.net.theory
-    letters = layer.payload
-    near = [freecat._held(l, 1 if before else 0, ctx) for l in letters]
-    far = [freecat._held(l, 0 if before else 1, ctx) for l in letters]
-    # A near end that cancels (GRP) does not spell the permuted word letterwise.
-    if any(len(w) == 0 for w in near + far) or sum(map(len, near)) != len(perm.mapping):
-        return []
-    # Where each near-end position goes when read from the layer's side.
-    moved = perm.mapping if before else _inverse(perm.mapping)
-    starts = []
-    for offset, size in _blocks([len(w) for w in near]):
-        positions = [moved[offset + k] for k in range(size)]
-        if any(positions[k + 1] != positions[k] + 1 for k in range(size - 1)):
-            return []
-        starts.append(positions[0])
-    order = sorted(range(len(letters)), key=lambda j: starts[j])
-    new_letters = tuple(letters[j] for j in order)
-    if not th.ops.is_normal(new_letters):
-        return []
-    new_layer = FreeElem(th, new_letters)
-    new_offsets = {}
-    offset = 0
-    for j in order:
-        new_offsets[j] = offset
-        offset += len(far[j])
-    # Far-end block positions of the old letter order -> the new order.
-    forward = [0] * offset
-    for j, (off, size) in enumerate(_blocks([len(w) for w in far])):
-        for k in range(size):
-            forward[off + k] = new_offsets[j] + k
-    new_mapping = tuple(forward) if before else _inverse(forward)
-    word = freecat._layer_src(layer, ctx) if before else freecat._layer_tgt(new_layer, ctx)
-    if len(word.payload) != len(new_mapping):
-        return []
-    if not th.ops.is_normal(_apply_perm(word.payload, new_mapping)):
-        return []
-    new_perm = Perm(word, new_mapping)
-    return [(new_perm, new_layer) if before else (new_layer, new_perm)]
-
-
 def _sym_neighbors(form: LayeredForm, ctx) -> Iterator[LayeredForm]:
-    """Merges of adjacent layers (permutations compose), slides of a layer
-    across an adjacent permutation, and splits of generator layers."""
-    layers = form.layers
-    for i in range(len(layers) - 1):
-        a, b = layers[i], layers[i + 1]
-        if isinstance(a, Perm) and isinstance(b, Perm):
-            merges = [Perm(a.word, tuple(b.mapping[k] for k in a.mapping))]
-        elif not isinstance(a, Perm) and not isinstance(b, Perm):
-            merges = freecat._merges(a, b, ctx)
-        else:
-            before = not isinstance(a, Perm)
-            for pair in _slide(a if before else b, b if before else a, ctx, before):
-                yield LayeredForm(form.start, layers[:i] + pair + layers[i + 2:])
-            continue
-        for merged in merges:
-            mid = () if freecat._trivial(merged) else (merged,)
-            yield LayeredForm(form.start, layers[:i] + mid + layers[i + 2:])
-    for i, layer in enumerate(layers):
-        if not isinstance(layer, Perm):
-            for x, y in freecat._splits(layer, ctx):
-                yield LayeredForm(form.start, layers[:i] + (x, y) + layers[i + 1:])
+    """Every move of a symmetric form: :func:`freecat._neighbors` uncapped."""
+    return freecat._neighbors(form, ctx)
 
 
 def sym_repr(form: LayeredForm) -> str:
@@ -190,36 +118,14 @@ def sym_equal(t1: SymTerm, t2: SymTerm, net: QNet,
     return verdict
 
 
-def _map_leaves(t: SymTerm, leaf) -> SymTerm:
-    """Rebuild ``t`` with every node other than ``Comp`` and ``Oper`` replaced
-    by ``leaf(node)``. Leaves are visited in written order (a ``Comp``'s
-    ``after`` first), with an explicit stack so deep terms stay off the Python
-    call stack."""
-    done: list[SymTerm] = []
-    stack: list[tuple[SymTerm, bool]] = [(t, False)]
-    while stack:
-        t, fold = stack.pop()
-        if fold and isinstance(t, Comp):
-            before = done.pop()
-            done.append(Comp(done.pop(), before))
-        elif fold:
-            cut = len(done) - len(t.args)
-            args = tuple(done[cut:])
-            del done[cut:]
-            done.append(Oper(t.op, args))
-        elif isinstance(t, Comp):
-            stack += [(t, True), (t.before, False), (t.after, False)]
-        elif isinstance(t, Oper):
-            stack.append((t, True))
-            stack += [(a, False) for a in reversed(t.args)]
-        else:
-            done.append(leaf(t))
-    return done[0]
+def _rebuild_oper(t: Oper, args: list) -> Oper:
+    return Oper(t.op, tuple(args))
 
 
 def erase_symmetries(t: SymTerm) -> MorTerm:
     """Replace every permutation node by the identity on its word."""
-    return _map_leaves(t, lambda leaf: Ident(leaf.word) if isinstance(leaf, Perm) else leaf)
+    return freecat.fold_term(t, lambda leaf: Ident(leaf.word) if isinstance(leaf, Perm) else leaf,
+                             Comp, _rebuild_oper)
 
 
 def translate_term(arrow: TheoryArrow, t: MorTerm) -> MorTerm:
@@ -233,7 +139,7 @@ def translate_term(arrow: TheoryArrow, t: MorTerm) -> MorTerm:
             return Ident(translate(arrow, t.obj))
         raise IllTypedTermError(f"not a process term: {t!r}")
 
-    return _map_leaves(t, leaf)
+    return freecat.fold_term(t, leaf, Comp, _rebuild_oper)
 
 
 MAX_LINEARIZATIONS = 10_000

@@ -83,6 +83,27 @@ def test_homset(tmp_path):
     assert json.loads(out)["representatives"] == [{"gen": "t"}]
 
 
+def test_homset_rejects_markings_off_the_net(tmp_path):
+    path = write_net(tmp_path, "net.json", petri("ab", {"t": ({"a": 1}, {"b": 1})}))
+    for marking in ('{"z":1}', '{"a":1,"z":1}'):
+        code, out, err = invoke(["homset", path, "--from", marking, "--to", marking,
+                                 "--layers", "2", "--width", "2"])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ['{"error":"marking mentions undeclared places"}']
+
+
+def test_product_of_a_wide_fiber(tmp_path):
+    places = [f"q{i}" for i in range(1100)]
+    left = write_net(tmp_path, "l.json", petri("p", {"t": ({"p": 1100}, {})}))
+    right = tmp_path / "r.json"
+    right.write_text(json.dumps({
+        "theory": "CMON", "places": places,
+        "transitions": {"u": {"src": {x: 1 for x in places}, "tgt": {}}}}), encoding="utf-8")
+    code, out, err = invoke(["product", left, str(right)])
+    assert (code, err) == (0, "")
+    assert list(json.loads(out)["net"]["transitions"]) == ["(t,u)@0"]
+
+
 def test_homgroup(tmp_path):
     from netzoo import integer_net
 

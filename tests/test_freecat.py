@@ -26,6 +26,7 @@ from qnets.reflexive import InvalidNetError
 from qnets.theory import (
     QnetError,
     Theory,
+    TheoryMismatchError,
     UnsupportedOperationError,
     finset,
     neutral,
@@ -115,6 +116,24 @@ def test_hom_enumerate_examples():
         hom_enumerate(integer_net("a", {}), intvec({}), intvec({}), 1, 1)
     with pytest.raises(UnsupportedOperationError):
         hom_enumerate(single, cmon({}), cmon({}), 0, 1)
+
+
+def test_hom_enumerate_checks_its_markings_as_reachable_does():
+    single = petri("ab", {"t": ({"a": 1}, {"b": 1})})
+    off_net = [(cmon({"z": 1}), cmon({"z": 1})), (cmon({"a": 1, "z": 1}), cmon({"b": 1})),
+               (cmon({"a": 1}), cmon({"b": 1, "z": 1}))]
+    for x, y in off_net:
+        with pytest.raises(InvalidNetError, match="^marking mentions undeclared places$"):
+            hom_enumerate(single, x, y, 2, 2)
+    for x, y in ((word("a"), cmon({"b": 1})), (cmon({"a": 1}), word("b"))):
+        with pytest.raises(TheoryMismatchError,
+                           match="^marking theory differs from net theory$"):
+            hom_enumerate(single, x, y, 2, 2)
+    # The same errors as for reachable's start marking.
+    with pytest.raises(InvalidNetError, match="^marking mentions undeclared places$"):
+        reachable(single, cmon({"z": 1}), 1)
+    with pytest.raises(TheoryMismatchError, match="^marking theory differs from net theory$"):
+        reachable(single, word("a"), 1)
 
 
 def test_reachable_cmon_example():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qnets import jsonio
+from qnets import freecat, jsonio
 from qnets.freecat import Comp, Gen, Ident, Oper
 from qnets.reflexive import add_identities, free_edges
 from qnets.symmetry import Perm
@@ -121,6 +121,93 @@ def test_term_json_imports_once_per_call(monkeypatch):
 def test_term_from_json_rejects_malformed(data):
     with pytest.raises(QnetError):
         jsonio.term_from_json(Theory.MON, data)
+
+
+def _term_from_json_ref(theory, data):
+    """The recursive decoder the iterative one replaced."""
+    def bad():
+        return QnetError(f"bad term JSON: {data!r}")
+
+    if not isinstance(data, dict) or len(data) not in (1, 2):
+        raise bad()
+    if "gen" in data:
+        if not isinstance(data["gen"], str):
+            raise bad()
+        return Gen(data["gen"])
+    if "id" in data:
+        return Ident(jsonio.elem_from_json(theory, data["id"]))
+    if "comp" in data:
+        if not isinstance(data["comp"], list) or len(data["comp"]) != 2:
+            raise bad()
+        after, before = data["comp"]
+        return Comp(_term_from_json_ref(theory, after), _term_from_json_ref(theory, before))
+    if "op" in data:
+        if not isinstance(data["op"], str) or not isinstance(data.get("args"), list):
+            raise bad()
+        return Oper(data["op"], tuple(_term_from_json_ref(theory, a) for a in data["args"]))
+    if "perm" in data:
+        perm = data["perm"]
+        if (not isinstance(perm, dict) or not {"word", "map"} <= perm.keys()
+                or not isinstance(perm["map"], list)
+                or not all(type(i) is int for i in perm["map"])):
+            raise bad()
+        return Perm(jsonio.elem_from_json(theory, perm["word"]), tuple(perm["map"]))
+    raise bad()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except QnetError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("data", [
+    {"comp": [{"gen": 5}, {"gen": 6}]},
+    {"comp": [{"gen": "t"}, {"op": "combine", "args": [{"id": {"a": 0}}, {"gen": 1}]}]},
+    {"op": "x", "args": [{"comp": [{"gen": "t"}, {"zz": 1}]}, {"gen": 7}]},
+    {"op": "combine", "args": [{"perm": {"word": ["a"], "map": [0]}}, {"id": ["b"]},
+                               {"perm": {"word": ["a"]}}]},
+    {"op": "combine", "args": [{"gen": "t"}, {"id": ["a"]}], "extra": 1},
+    {"gen": "t", "id": {"a": 1}, "comp": []},
+    {"comp": [{"gen": "t"}, {"op": "invert", "args": [{"gen": "u"}]}]},
+    {"op": "combine", "args": []},
+])
+@pytest.mark.parametrize("theory", [Theory.CMON, Theory.MON])
+def test_term_from_json_matches_the_recursive_decoder(data, theory):
+    """Same term, or the same error from the same node, as the decoder that
+    checked each node before its children in written order."""
+    assert _outcome(jsonio.term_from_json, theory, data) == \
+        _outcome(_term_from_json_ref, theory, data)
+
+
+def test_term_to_json_meets_bad_leaves_in_written_order():
+    class Bad:
+        def __init__(self, tag):
+            self.tag = tag
+
+        def __repr__(self):
+            return f"Bad({self.tag})"
+
+    term = Comp(Oper("combine", (Gen("t"), Bad("after"))), Bad("before"))
+    with pytest.raises(QnetError, match=r"^not a process term: Bad\(after\)$"):
+        jsonio.term_to_json(term)
+
+
+def _comp_chain(depth):
+    data = {"gen": "t"}
+    for _ in range(depth - 1):
+        data = {"comp": [{"gen": "t"}, data]}
+    return data
+
+
+def test_deep_comp_chain_decodes_and_encodes_off_the_call_stack():
+    # Deep terms are not compared with ==, which itself recurses.
+    loop = petri("a", {"t": ({"a": 1}, {"a": 1})})
+    term = jsonio.term_from_json(Theory.CMON, _comp_chain(5000))
+    assert len(freecat.layered(term, loop).layers) == 5000
+    again = jsonio.term_from_json(Theory.CMON, jsonio.term_to_json(term))
+    assert len(freecat.layered(again, loop).layers) == 5000
 
 
 @pytest.mark.parametrize("e", [[1, 2], "x", {"a": 5}])

@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnets.net import (
     NetMorphism,
+    _count_tables,
     QNet,
     apply_net_functor,
     compose,
@@ -159,6 +163,51 @@ def test_product_cmon_matches_table_count():
     assert len(out.transitions) == len(src_tables) * len(tgt_tables)
     assert validate_net(out) == []
     assert validate_morphism(proj1) == [] and validate_morphism(proj2) == []
+
+
+def _brute_force_tables(rows, cols):
+    """Every table of cell values up to its row and column sums, row by row
+    in lexicographic order, kept when its margins match."""
+    bounds = [min(r, c) for _, r in rows for _, c in cols]
+    out = []
+    for cells in itertools.product(*(range(b + 1) for b in bounds)):
+        grid = [cells[i * len(cols):(i + 1) * len(cols)] for i in range(len(rows))]
+        if ([sum(row) for row in grid] == [r for _, r in rows]
+                and [sum(col) for col in zip(*grid)] == [c for _, c in cols]):
+            out.append({f"({rn},{cn})": v for (rn, _), row in zip(rows, grid)
+                        for (cn, _), v in zip(cols, row) if v})
+    return out
+
+
+def test_count_tables_match_brute_force_on_random_margins():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(300):
+        shape = rng.choice([(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (1, 5), (2, 1)])
+        rows = [(f"r{i}", rng.randint(1, 3)) for i in range(shape[0])]
+        total = sum(r for _, r in rows)
+        if rng.random() < 0.8:  # column sums that cut the row total in parts
+            cuts = sorted(rng.sample(range(1, total), min(shape[1], total) - 1))
+            sizes = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+        else:  # column sums drawn alone, mostly with another total
+            sizes = [rng.randint(1, 3) for _ in range(shape[1])]
+        cols = [(f"c{j}", c) for j, c in enumerate(sizes)]
+        want = _brute_force_tables(rows, cols)
+        assert list(_count_tables(rows, cols)) == want, (rows, cols)
+        checked += bool(want)
+    assert checked > 200
+
+
+def test_product_of_a_wide_fiber_stays_off_the_call_stack():
+    # One row of 1,100 tokens against 1,100 columns of one: one table, found
+    # without a frame per cell and without trying cells that cannot complete.
+    places = tuple(f"q{i}" for i in range(1100))
+    p = petri("p", {"t": ({"p": 1100}, {})})
+    q = QNet(Theory.CMON, places, {"u": (cmon({x: 1 for x in places}), cmon({}))})
+    out, proj1, proj2 = product(p, q)
+    assert list(out.transitions) == ["(t,u)@0"]
+    assert out.transitions["(t,u)@0"][0] == cmon({f"(p,{x})": 1 for x in places})
+    assert proj1.f == {"(t,u)@0": "t"} and proj2.f == {"(t,u)@0": "u"}
 
 
 def test_product_mon_unique_pairing():
