@@ -11,9 +11,13 @@ import argparse
 import json
 import sys
 
-from . import freecat, jsonio, suites, symmetry
+from . import freecat, jsonio
 from .net import QNet, apply_net_functor, coproduct, product, validate_net
 from .theory import QnetError, Theory, TheoryArrow
+
+# The names of ``suites.SUITES``, sorted. Spelled out so that building the
+# parser does not import the suites; a test keeps the two in step.
+SUITE_NAMES = ("adjA", "adjB", "freecat", "monad", "netfunctor", "symmetry")
 
 
 def _load_net(path: str) -> QNet:
@@ -126,7 +130,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the property suites")
     p.add_argument("--suite", default="all",
-                   choices=sorted(suites.SUITES) + ["all"])
+                   choices=SUITE_NAMES + ("all",))
     p.add_argument("--seed", type=lambda s: int(s) & (2 ** 64 - 1), default=0)
     p.add_argument("--cases", type=_int_at_least(1), default=None)
     return parser
@@ -204,7 +208,11 @@ def _dispatch(args, out) -> int:
               file=out)
         return 0
 
+    # ``symmetry`` and ``suites`` are imported only by the commands that use
+    # them, so the others start without compiling them.
     if args.command == "lin":
+        from . import symmetry
+
         net = _checked_net(args.net)
         print(jsonio.dumps({
             "linearizations": [jsonio.net_to_json(n)
@@ -213,6 +221,8 @@ def _dispatch(args, out) -> int:
         return 0
 
     if args.command == "linsum":
+        from . import symmetry
+
         net = _checked_net(args.net)
         print(jsonio.dumps(jsonio.net_to_json(symmetry.linearization_sum(net))), file=out)
         return 0
@@ -228,6 +238,8 @@ def _dispatch(args, out) -> int:
             "right": jsonio.morphism_to_json(h2),
         }), file=out)
         return 0
+
+    from . import suites
 
     names = suites.SUITE_ORDER if args.suite == "all" else (args.suite,)
     results = suites.run_suites(names, seed=args.seed, cases=args.cases)

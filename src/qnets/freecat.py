@@ -28,8 +28,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from . import jsonio
 from .intlattice import IntLattice
-from .net import QNet, validate_net
-from .reflexive import ID_PREFIX, InvalidNetError
+from .net import ID_PREFIX, InvalidNetError, QNet, validate_net
 from .theory import (
     FreeElem,
     QnetError,
@@ -1132,15 +1131,11 @@ def hom_nonempty_group(net: QNet, x: FreeElem, y: FreeElem) -> bool:
     if net.theory is not Theory.ABGRP:
         raise UnsupportedOperationError(
             "the lattice test answers hom-nonemptiness for ABGRP nets only")
-    diags = validate_net(net)
-    if diags:
-        raise InvalidNetError("; ".join(diags))
-    if x.theory is not net.theory or y.theory is not net.theory:
-        raise TheoryMismatchError("markings must be ABGRP elements")
+    ctx = _context(net)
+    _check_marking(ctx, x)
+    _check_marking(ctx, y)
     places = list(net.places)
     index = {p: i for i, p in enumerate(places)}
-    if (x.atoms() | y.atoms()) - set(places):
-        raise InvalidNetError("marking mentions undeclared places")
 
     def difference(a: FreeElem, b: FreeElem) -> list[int]:
         """The integer vector b - a over the places."""

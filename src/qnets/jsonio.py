@@ -112,15 +112,29 @@ def term_to_json(t) -> Any:
                              lambda t, args: {"op": t.op, "args": args})
 
 
+_TERM_NODE = 'an object keyed by one of "gen", "id", "comp", "op" or "perm"'
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               int: "number", float: "number", type(None): "null"}
+
+
+def _bad_term(expected: str, node: Any) -> QnetError:
+    """``bad term JSON`` naming what was expected and the node's type, with at
+    most four of an object's keys, each cut to 16 characters: the message is
+    bounded however large or deep the node is."""
+    got = _JSON_TYPES.get(type(node), type(node).__name__)
+    if isinstance(node, dict):
+        keys = [repr(k[:16] + "..." if len(k) > 16 else k) if isinstance(k, str)
+                else type(k).__name__ for k in list(node)[:4]]
+        got += f" with keys [{', '.join(keys)}{', ...' if len(node) > 4 else ''}]"
+    return QnetError(f"bad term JSON: expected {expected}, got {got}")
+
+
 def term_from_json(theory: Theory, data: Any):
     """Decode a term, checking each node before its children, as written. An
     explicit stack keeps deep terms off the Python call stack: a pending
     ``(build, arity)`` entry, ``build`` the ``Comp`` class or an operation
     name, makes a node from its children's results."""
     from . import freecat
-
-    def bad() -> QnetError:
-        return QnetError(f"bad term JSON: {data!r}")
 
     done: list = []
     stack: list[tuple[Any, Any]] = [(None, data)]
@@ -133,30 +147,31 @@ def term_from_json(theory: Theory, data: Any):
                           else freecat.Oper(build, args)]
             continue
         if not isinstance(data, dict) or len(data) not in (1, 2):
-            raise bad()
+            raise _bad_term(_TERM_NODE, data)
         if "gen" in data:
             if not isinstance(data["gen"], str):
-                raise bad()
+                raise _bad_term('a string "gen"', data)
             done.append(freecat.Gen(data["gen"]))
         elif "id" in data:
             done.append(freecat.Ident(elem_from_json(theory, data["id"])))
         elif "comp" in data:
             if not isinstance(data["comp"], list) or len(data["comp"]) != 2:
-                raise bad()
+                raise _bad_term('a "comp" array of two terms', data)
             build, children = freecat.Comp, data["comp"]
         elif "op" in data:
             if not isinstance(data["op"], str) or not isinstance(data.get("args"), list):
-                raise bad()
+                raise _bad_term('a string "op" and an "args" array', data)
             build, children = data["op"], data["args"]
         elif "perm" in data:
             perm = data["perm"]
             if (not isinstance(perm, dict) or not {"word", "map"} <= perm.keys()
                     or not isinstance(perm["map"], list)
                     or not all(type(i) is int for i in perm["map"])):
-                raise bad()
+                raise _bad_term('a "perm" object with a "word" and an integer "map" array',
+                                data)
             done.append(freecat.Perm(elem_from_json(theory, perm["word"]), tuple(perm["map"])))
         else:
-            raise bad()
+            raise _bad_term(_TERM_NODE, data)
         if build is not None:
             stack.append((build, len(children)))
             stack += [(None, c) for c in reversed(children)]

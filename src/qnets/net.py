@@ -14,6 +14,7 @@ from typing import Iterator, Mapping
 
 from .theory import (
     FreeElem,
+    QnetError,
     Theory,
     TheoryArrow,
     TheoryMismatchError,
@@ -24,6 +25,14 @@ from .theory import (
     translate,
     word,
 )
+
+# Transitions named with this prefix stand for identities: reflexive nets add
+# one per place, and the free category reserves the prefix for its units.
+ID_PREFIX = "id."
+
+
+class InvalidNetError(QnetError):
+    pass
 
 
 @dataclass(frozen=True)

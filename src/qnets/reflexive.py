@@ -20,6 +20,8 @@ from typing import Iterable, Mapping
 
 from . import jsonio
 from .net import (
+    ID_PREFIX,
+    InvalidNetError,
     NetMorphism,
     QNet,
     compose,
@@ -37,13 +39,6 @@ from .theory import (
     lift,
     unit,
 )
-
-ID_PREFIX = "id."
-
-
-class InvalidNetError(QnetError):
-    pass
-
 
 @dataclass(frozen=True)
 class ReflexiveQNet:

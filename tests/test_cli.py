@@ -113,6 +113,16 @@ def test_homgroup(tmp_path):
     assert json.loads(out) == {"nonempty": False}
 
 
+def test_homgroup_rejects_the_reserved_prefix(tmp_path):
+    from netzoo import integer_net
+
+    path = write_net(tmp_path, "znet.json", integer_net("a", {"id.a": ({"a": 1}, {})}))
+    code, out, err = invoke(["homgroup", path, "--from", '{"a":1}', "--to", "{}"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "process semantics reserves the 'id.' transition prefix"}
+
+
 def test_lin_and_linsum(tmp_path):
     path = write_net(tmp_path, "net.json",
                      petri("abc", {"t": ({"a": 2, "b": 1}, {"c": 1})}))
@@ -174,6 +184,12 @@ def test_help_exits_zero_without_error_line(capsys):
     code, _, err = invoke(["reach", "--help"])
     assert (code, err) == (0, "")
     assert capsys.readouterr().out.startswith("usage: qnet reach")
+
+
+def test_suite_names_match_the_suite_table():
+    from qnets import cli, suites
+
+    assert cli.SUITE_NAMES == tuple(sorted(suites.SUITES))
 
 
 def test_out_of_range_integers_are_usage_errors(tmp_path):

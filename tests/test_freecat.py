@@ -183,6 +183,21 @@ def test_hom_nonempty_group_examples():
         hom_nonempty_group(petri("a", {}), cmon({}), cmon({}))
 
 
+def test_hom_nonempty_group_checks_as_mor_equal_does():
+    """The lattice test validates the net and its markings through the same
+    ``_context`` and ``_check_marking`` as the other decision procedures."""
+    reserved = integer_net("ab", {"id.a": ({"a": 1}, {"b": 1})})
+    for decide in (lambda: hom_nonempty_group(reserved, intvec({"a": 1}), intvec({})),
+                   lambda: mor_equal(Gen("id.a"), Gen("id.a"), reserved)):
+        with pytest.raises(InvalidNetError, match="reserves the 'id.' transition prefix"):
+            decide()
+    net = integer_net("ab", {"t": ({"a": 1}, {"b": 1})})
+    with pytest.raises(TheoryMismatchError, match="^marking theory differs from net theory$"):
+        hom_nonempty_group(net, intvec({"a": 1}), cmon({"b": 1}))
+    with pytest.raises(InvalidNetError, match="^marking mentions undeclared places$"):
+        hom_nonempty_group(net, intvec({"a": 1}), intvec({"z": 1}))
+
+
 def test_group_cancellation_equalities():
     net = integer_net("ab", {"t": ({"a": 1}, {"b": 1})})
     cancel = Oper("combine", (Gen("t"), Oper("invert", (Gen("t"),))))

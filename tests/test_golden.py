@@ -2,7 +2,8 @@
 zoo nets of all five theories, run in-process through ``cli.run``.
 
 Each case's expected stdout is checked in under ``tests/golden/<case>.out``,
-and so is the stdout of each demo script under ``scripts/``, run in-process.
+and so is the stdout of each demo script under ``scripts/``, run in-process,
+and the parser's help and usage-error output at 80 columns.
 A change that alters any of them changes what the CLI prints. To rewrite the
 files after an intended output change, run
 ``PYTHONPATH=src:tests python tests/test_golden.py`` and review the diff.
@@ -15,6 +16,7 @@ import io
 import os
 import runpy
 import sys
+from unittest import mock
 
 import pytest
 
@@ -122,6 +124,15 @@ CASES = [
 ]
 
 
+# (golden file, argv, exit code): the parser's own output. Help goes to
+# ``sys.stdout``; a usage error is one JSON line on the CLI's stderr.
+USAGE_CASES = [
+    ("help.out", ["--help"], 0),
+    ("check_help.out", ["check", "--help"], 0),
+    ("check_bogus_suite.err", ["check", "--suite", "bogus"], 2),
+]
+
+
 def _write_nets(directory: str) -> dict[str, str]:
     paths = {}
     for name, net in NETS.items():
@@ -141,6 +152,14 @@ def _run(argv: list, paths: dict[str, str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _run_usage(argv: list) -> tuple[int, str]:
+    """Exit code and the text a usage case prints, wrapped at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(out):
+        code = run(argv, stdout=out, stderr=err)
+    return code, out.getvalue() + err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def net_paths(tmp_path_factory):
     return _write_nets(str(tmp_path_factory.mktemp("golden_nets")))
@@ -151,6 +170,12 @@ def test_cli_stdout_matches_golden(name, argv, code, net_paths):
     with open(os.path.join(GOLDEN, f"{name}.out"), encoding="utf-8") as fh:
         expected = fh.read()
     assert _run(argv, net_paths) == (code, expected)
+
+
+@pytest.mark.parametrize("name,argv,code", USAGE_CASES, ids=[c[0] for c in USAGE_CASES])
+def test_usage_output_matches_golden(name, argv, code):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        assert _run_usage(argv) == (code, fh.read())
 
 
 def _run_demo(name: str) -> str:
@@ -191,6 +216,12 @@ def _regenerate() -> None:
                 sys.exit(f"{name}: exit {got}, expected {code}")
             with open(os.path.join(GOLDEN, f"{name}.out"), "w", encoding="utf-8") as fh:
                 fh.write(out)
+    for name, argv, code in USAGE_CASES:
+        got, out = _run_usage(argv)
+        if got != code:
+            sys.exit(f"{name}: exit {got}, expected {code}")
+        with open(os.path.join(GOLDEN, name), "w", encoding="utf-8") as fh:
+            fh.write(out)
     for name in DEMOS:
         with open(os.path.join(GOLDEN, f"{name}.out"), "w", encoding="utf-8") as fh:
             fh.write(_run_demo(name))

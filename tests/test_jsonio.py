@@ -123,34 +123,37 @@ def test_term_from_json_rejects_malformed(data):
         jsonio.term_from_json(Theory.MON, data)
 
 
+_NODE = 'an object keyed by one of "gen", "id", "comp", "op" or "perm"'
+
+
 def _term_from_json_ref(theory, data):
-    """The recursive decoder the iterative one replaced."""
-    def bad():
-        return QnetError(f"bad term JSON: {data!r}")
+    """The recursive decoder the iterative one replaced, with its messages."""
+    def bad(expected=_NODE):
+        return jsonio._bad_term(expected, data)
 
     if not isinstance(data, dict) or len(data) not in (1, 2):
         raise bad()
     if "gen" in data:
         if not isinstance(data["gen"], str):
-            raise bad()
+            raise bad('a string "gen"')
         return Gen(data["gen"])
     if "id" in data:
         return Ident(jsonio.elem_from_json(theory, data["id"]))
     if "comp" in data:
         if not isinstance(data["comp"], list) or len(data["comp"]) != 2:
-            raise bad()
+            raise bad('a "comp" array of two terms')
         after, before = data["comp"]
         return Comp(_term_from_json_ref(theory, after), _term_from_json_ref(theory, before))
     if "op" in data:
         if not isinstance(data["op"], str) or not isinstance(data.get("args"), list):
-            raise bad()
+            raise bad('a string "op" and an "args" array')
         return Oper(data["op"], tuple(_term_from_json_ref(theory, a) for a in data["args"]))
     if "perm" in data:
         perm = data["perm"]
         if (not isinstance(perm, dict) or not {"word", "map"} <= perm.keys()
                 or not isinstance(perm["map"], list)
                 or not all(type(i) is int for i in perm["map"])):
-            raise bad()
+            raise bad('a "perm" object with a "word" and an integer "map" array')
         return Perm(jsonio.elem_from_json(theory, perm["word"]), tuple(perm["map"]))
     raise bad()
 
@@ -208,6 +211,30 @@ def test_deep_comp_chain_decodes_and_encodes_off_the_call_stack():
     assert len(freecat.layered(term, loop).layers) == 5000
     again = jsonio.term_from_json(Theory.CMON, jsonio.term_to_json(term))
     assert len(freecat.layered(again, loop).layers) == 5000
+
+
+@pytest.mark.parametrize("data,got", [
+    ([{"gen": "t"}] * 3, "array"),
+    ("x" * 5000, "string"),
+    (None, "null"),
+    ({"gen": 5}, "object with keys ['gen']"),
+    ({"x" * 5000: 1, "b": [[[]]], "c": 1, "d": 1, "e": 1},
+     "object with keys ['" + "x" * 16 + "...', 'b', 'c', 'd', ...]"),
+])
+def test_bad_term_message_names_the_node_type_and_a_few_keys(data, got):
+    with pytest.raises(QnetError) as info:
+        jsonio.term_from_json(Theory.CMON, data)
+    assert str(info.value).endswith(f", got {got}")
+    assert len(str(info.value)) < 200
+
+
+def test_bad_root_over_a_deep_chain_is_a_domain_error():
+    # A message that echoed the node would recurse through it in ``repr``.
+    data = {"comp": [_comp_chain(5000), {"gen": "t"}], "a": 1, "b": 2}
+    with pytest.raises(QnetError) as info:
+        jsonio.term_from_json(Theory.CMON, data)
+    assert str(info.value) == ('bad term JSON: expected ' + _NODE
+                               + ", got object with keys ['comp', 'a', 'b']")
 
 
 @pytest.mark.parametrize("e", [[1, 2], "x", {"a": 5}])
