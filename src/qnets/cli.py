@@ -241,7 +241,7 @@ def _dispatch(args, out) -> int:
 
     from . import suites
 
-    names = suites.SUITE_ORDER if args.suite == "all" else (args.suite,)
+    names = tuple(suites.SUITES) if args.suite == "all" else (args.suite,)
     results = suites.run_suites(names, seed=args.seed, cases=args.cases)
     print(jsonio.dumps({
         "ok": all(r.ok for r in results),

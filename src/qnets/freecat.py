@@ -686,14 +686,17 @@ def _form_occurrences(form: LayeredForm) -> dict[str, int]:
     return {n: c for n, c in totals.items() if c != 0}
 
 
-def _search_connect(f1, f2, neighbors, budget: int, early_exhaust: bool,
+def _search_connect(f1, f2, neighbors, budget: int, exhausted: str | None,
                     render) -> EqVerdict:
-    """Bidirectional breadth-first search (Pohl 1971) between two forms.
+    """Bidirectional breadth-first search (Pohl 1971) between two distinct
+    forms.
 
     ``neighbors`` gives one form's moves, and the smaller frontier is expanded
-    first. With ``early_exhaust``, a side whose queue empties proves the
-    closures disjoint. An ``Equal`` witness is the full rewrite path from
-    ``f1`` to ``f2``, each form shown by ``render``.
+    first. With ``exhausted`` None the move relation is symmetric, so a side
+    whose queue empties has its whole class and proves ``Distinct``; otherwise
+    exhaustion proves nothing, both sides run to the end and the verdict is
+    ``Unknown`` with reason ``exhausted``. An ``Equal`` witness is the full
+    rewrite path from ``f1`` to ``f2``, each form shown by ``render``.
     """
     sides: tuple[dict, dict] = ({f1: None}, {f2: None})
     queues = (deque([f1]), deque([f2]))
@@ -711,8 +714,6 @@ def _search_connect(f1, f2, neighbors, budget: int, early_exhaust: bool,
         path = list(reversed(chains[0])) + chains[1][1:]
         return tuple(render(f) for f in path)
 
-    if f2 in sides[0]:
-        return _equal("identical layered forms")
     while queues[0] or queues[1]:
         side = 0 if (queues[0] and (not queues[1] or len(queues[0]) <= len(queues[1]))) else 1
         node = queues[side].popleft()
@@ -726,9 +727,9 @@ def _search_connect(f1, f2, neighbors, budget: int, early_exhaust: bool,
             if nxt in sides[1 - side]:
                 return _equal("rewrite path found", witness(nxt))
             queues[side].append(nxt)
-        if early_exhaust and (not queues[0] or not queues[1]):
+        if exhausted is None and (not queues[0] or not queues[1]):
             return _distinct("one rewrite closure is complete and excludes the other term")
-    return _distinct("rewrite closures are disjoint")
+    return _unknown(exhausted)
 
 
 def _closure(form: LayeredForm, ctx: _Ctx, gens_cap: int,
@@ -751,8 +752,7 @@ def _forms_equal(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
                  budget: int | None = None) -> EqVerdict:
     """Equality of two forms with the same endpoints, which every caller
     has already checked."""
-    th = ctx.net.theory
-    ops = th.ops
+    ops = ctx.net.theory.ops
     if budget is None:
         budget = default_budget()
     if f1 == f2:
@@ -768,15 +768,13 @@ def _forms_equal(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
     # Within the capped form space the move relation is symmetric for theories
     # without inverses (merge and split are mutual converses), so exhausting
     # one side enumerates its whole class. With inverses, merges can cancel a
-    # layer away without a converse insertion move, so both sides must be
-    # exhausted; equal ABGRP forms still always meet at their full merge.
-    verdict = _search_connect(f1, f2, lambda f: _neighbors(f, ctx, cap), budget,
-                              not ops.group, layered_repr)
-    if verdict.is_distinct and th is Theory.GRP:
-        # Word reduction can hide merge patterns for GRP, so exhaustion of the
-        # explored closure is not a proof there.
-        return _unknown("closure exhausted; GRP move set is not known complete")
-    return verdict
+    # layer away without a converse insertion move, and word reduction can hide
+    # merge patterns, so exhaustion proves nothing. ABGRP never gets here: all
+    # its adjacent layers merge, so its greedy form is the source and the signed
+    # occurrence vector, which the checks above compare.
+    exhausted = "closure exhausted; GRP move set is not known complete" if ops.group else None
+    return _search_connect(f1, f2, lambda f: _neighbors(f, ctx, cap), budget,
+                           exhausted, layered_repr)
 
 
 def mor_equal(t1: MorTerm, t2: MorTerm, net: QNet,
@@ -849,12 +847,10 @@ def _step_layers(ctx: _Ctx, marking: FreeElem,
                  max_width: int | None) -> list[FreeElem]:
     """All single firing layers whose source is exactly ``marking``. A
     commutative layer holds a residual of ``marking`` by what it fires; a
-    word layer spells ``marking`` left to right."""
+    word layer spells ``marking`` left to right. Theories without inverses
+    only: :func:`hom_enumerate` rejects the others first."""
     th = ctx.net.theory
     ops = th.ops
-    if ops.group:
-        raise UnsupportedOperationError(
-            f"single-layer enumeration is not finite over {th.value}")
     out: set[FreeElem] = set()
     names = sorted(ctx.net.transitions)
     if ops.commutative and not ops.idempotent:
@@ -944,7 +940,7 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
         stack += [(tgt, acc + (layer,)) for layer, tgt in steps[marking]]
     forms.sort(key=lambda f: (len(f.layers), tuple(l.payload for l in f.layers)))
     # Merge and split are mutual converses within a generator cap (the same
-    # fact _search_connect's early exhaustion rests on), so a class is the
+    # fact _search_connect's exhaustion rule rests on), so a class is the
     # closure of any member and pairwise equality is closure membership. A
     # closure of at most ``budget`` forms also bounds the pairwise search's
     # expansions, so that search would not have run out of budget either.
@@ -961,8 +957,10 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     buckets: dict[frozenset | None, list[tuple[LayeredForm, int]]] = {}
     reps: list[LayeredForm] = []
     for form in forms:
-        key = None if ops.idempotent else frozenset(_form_occurrences(form).items())
-        gens = _form_gens_total(form)
+        occ = _form_occurrences(form)
+        key = None if ops.idempotent else frozenset(occ.items())
+        # Counts are positive without inverses, so they sum to the total.
+        gens = sum(occ.values())
         bucket = buckets.setdefault(key, [])
         if not any(same_class(form, rep, max(gens, rep_gens))
                    for rep, rep_gens in bucket):

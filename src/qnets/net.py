@@ -232,17 +232,23 @@ def product(p1: QNet, p2: QNet) -> tuple[QNet, NetMorphism, NetMorphism]:
 
 
 def enumerate_morphisms(p: QNet, q: QNet) -> list[NetMorphism]:
-    """Brute-force the full hom-set; intended for small nets in tests/suites."""
+    """The full hom-set, for small nets in tests and suites. For each place
+    map, a transition of ``p`` may go to each transition of ``q`` whose arcs
+    are its lifted arcs, so both squares commute, and the transition maps are
+    the product of those choices."""
     if p.theory is not q.theory:
         return []
-    src_places = list(p.places)
     src_trans = sorted(p.transitions)
+    tgt_trans = sorted(q.transitions)
+    if src_trans and not tgt_trans:
+        return []
     out = []
-    for g_imgs in itertools.product(q.places, repeat=len(src_places)):
-        g = dict(zip(src_places, g_imgs))
-        for f_imgs in itertools.product(sorted(q.transitions), repeat=len(src_trans)):
-            f = dict(zip(src_trans, f_imgs))
-            h = NetMorphism(p, q, f, g)
-            if not validate_morphism(h):
-                out.append(h)
+    for g_imgs in itertools.product(q.places, repeat=len(p.places)):
+        g = dict(zip(p.places, g_imgs))
+        lifted = {name: (lift(p.theory, g, src), lift(p.theory, g, tgt))
+                  for name, (src, tgt) in p.transitions.items()}
+        choices = [[t for t in tgt_trans if q.transitions[t] == lifted[name]]
+                   for name in src_trans]
+        out += [NetMorphism(p, q, dict(zip(src_trans, f_imgs)), g)
+                for f_imgs in itertools.product(*choices)]
     return out

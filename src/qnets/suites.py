@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from . import freecat, symmetry
 from .freecat import Comp, Gen, Ident, Oper
 from .net import (
+    ID_PREFIX,
     NetMorphism,
     QNet,
     apply_net_functor,
@@ -291,7 +292,7 @@ def suite_adjA(seed: int = 0, cases: int = 0) -> SuiteResult:
             result.check(all(unit_m.f[t] == t for t in p.transitions),
                          f"{theory.value} P{pi}: adjunction unit is not the inclusion")
         for ri, r in enumerate(reflexives):
-            if any(t.startswith("id.") for t in r.net.transitions):
+            if any(t.startswith(ID_PREFIX) for t in r.net.transitions):
                 continue
             counit = extend_morphism(identity_morphism(r.net), r)
             result.check(not validate_reflexive_morphism(counit),
@@ -356,7 +357,7 @@ def suite_adjB(seed: int = 0, cases: int = 100) -> SuiteResult:
         view = underlying_reflexive(graph, images.values())
         f = {name: elem_transition_name(u) for name, u in images.items()}
         for p in renamed:
-            f["id." + p] = elem_transition_name(graph.ident[g[p]])
+            f[ID_PREFIX + p] = elem_transition_name(graph.ident[g[p]])
         k = ReflexiveMorphism(r, view, f, g)
         result.check(not validate_reflexive(r), f"{tag}: fixture reflexive net invalid")
         result.check(not validate_reflexive_morphism(k), f"{tag}: fixture morphism invalid")
@@ -524,7 +525,7 @@ def suite_symmetry(seed: int = 0, cases: int = 50) -> SuiteResult:
 
 
 # The `monad` entry covers the translation (monad-morphism) laws as well, so
-# the command-line suite names stay a closed six-name set.
+# the command-line suite names stay a closed six-name set, run in this order.
 SUITES = {
     "monad": (suite_monad, suite_monadmorphism),
     "netfunctor": (suite_netfunctor,),
@@ -533,8 +534,6 @@ SUITES = {
     "freecat": (suite_freecat,),
     "symmetry": (suite_symmetry,),
 }
-
-SUITE_ORDER = ("monad", "netfunctor", "adjA", "adjB", "freecat", "symmetry")
 
 
 def run_suites(names, seed: int = 0, cases: int | None = None) -> list[SuiteResult]:

@@ -20,8 +20,7 @@ from typing import Iterator
 from . import freecat
 
 # Perm, SymTerm and perm_tgt live with the term fold in freecat and are part
-# of this module's interface as well; the slide helpers live with the one
-# move relation there.
+# of this module's interface as well.
 from .freecat import (
     Comp,
     EqVerdict,
@@ -33,14 +32,10 @@ from .freecat import (
     Oper,
     Perm,
     SymTerm,
-    _apply_perm,
-    _blocks,
     _check_perm,
     _context,
     _distinct,
     _equal,
-    _slide,
-    _unknown,
     default_budget,
     perm_tgt,
 )
@@ -111,11 +106,9 @@ def sym_equal(t1: SymTerm, t2: SymTerm, net: QNet,
         return _equal("identical layered forms")
     if freecat._form_occurrences(f1) != freecat._form_occurrences(f2):
         return _distinct("generator occurrence counts differ")
-    verdict = freecat._search_connect(f1, f2, lambda f: _sym_neighbors(f, ctx), budget,
-                                      False, sym_repr)
-    if verdict.is_distinct:
-        return _unknown("closures exhausted; symmetric move set is not known complete")
-    return verdict
+    return freecat._search_connect(
+        f1, f2, lambda f: _sym_neighbors(f, ctx), budget,
+        "closures exhausted; symmetric move set is not known complete", sym_repr)
 
 
 def _rebuild_oper(t: Oper, args: list) -> Oper:

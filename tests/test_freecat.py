@@ -183,6 +183,17 @@ def test_hom_nonempty_group_examples():
         hom_nonempty_group(petri("a", {}), cmon({}), cmon({}))
 
 
+def test_hom_nonempty_group_on_one_place_takes_the_gcd_of_the_effects():
+    # Effects 2 and 3 meet no common pivot divisor: the lattice's gcd step
+    # finds that they span every integer.
+    coprime = integer_net("a", {"t": ({}, {"a": 2}), "u": ({}, {"a": 3})})
+    assert hom_nonempty_group(coprime, intvec({}), intvec({"a": 1}))
+    # Effects 2 and 4 span the even integers only; 4 reduces to zero by 2.
+    even = integer_net("a", {"t": ({}, {"a": 2}), "u": ({}, {"a": 4})})
+    assert not hom_nonempty_group(even, intvec({}), intvec({"a": 1}))
+    assert hom_nonempty_group(even, intvec({}), intvec({"a": 6}))
+
+
 def test_hom_nonempty_group_checks_as_mor_equal_does():
     """The lattice test validates the net and its markings through the same
     ``_context`` and ``_check_marking`` as the other decision procedures."""

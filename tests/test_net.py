@@ -18,6 +18,7 @@ from qnets.net import (
     validate_net,
 )
 from qnets.theory import (
+    QnetError,
     Theory,
     TheoryArrow,
     TheoryMismatchError,
@@ -26,6 +27,7 @@ from qnets.theory import (
     finset,
     multiset,
     neutral,
+    unit,
     word,
 )
 
@@ -277,3 +279,73 @@ def test_functoriality_on_random_morphisms(arrow, data):
     assert validate_morphism(th1) == [] and validate_morphism(th2) == []
     both = compose(h2, h1)
     assert NetMorphism(tnet, t2, both.f, both.g) == compose(th2, th1)
+
+
+def _enumerate_morphisms_ref(p, q):
+    """The enumerator as first written: validate every combination."""
+    if p.theory is not q.theory:
+        return []
+    src_places = list(p.places)
+    src_trans = sorted(p.transitions)
+    out = []
+    for g_imgs in itertools.product(q.places, repeat=len(src_places)):
+        g = dict(zip(src_places, g_imgs))
+        for f_imgs in itertools.product(sorted(q.transitions), repeat=len(src_trans)):
+            h = NetMorphism(p, q, dict(zip(src_trans, f_imgs)), g)
+            if not validate_morphism(h):
+                out.append(h)
+    return out
+
+
+def _listing(enumerate_fn, p, q):
+    """Each morphism with its maps in key order, or what the call raised."""
+    try:
+        return [(h.source, h.target, list(h.f.items()), list(h.g.items()))
+                for h in enumerate_fn(p, q)]
+    except QnetError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _shuffled(rng, net, extra=()):
+    """``net`` with ``extra`` transitions added and its transitions in a
+    random insertion order, so that order is not the sorted one."""
+    items = list(net.transitions.items()) + list(extra)
+    rng.shuffle(items)
+    return QNet(net.theory, net.places, dict(items))
+
+
+def test_enumerate_morphisms_matches_validating_every_combination():
+    from qnets.suites import _pushforward, rand_elem, rand_net
+
+    theories = list(Theory)
+    found = raised = 0
+    for i in range(300):
+        rng = random.Random(i)
+        theory = theories[i % len(theories)]
+        p = rand_net(rng, theory, max_places=3, max_trans=3, max_size=2)
+        kind = i % 6
+        if kind == 5:
+            # Arcs over undeclared places: lifting raises at the first bad
+            # transition in insertion order, but only when some transition
+            # map is tried.
+            p = _shuffled(rng, p, [("bad", (unit(theory, "z"), neutral(theory))),
+                                   ("worse", (neutral(theory), unit(theory, "y")))])
+        image = _pushforward(rng, p if kind != 5 else rand_net(rng, theory), "m").target
+        extra = [(f"x{j}", (rand_elem(rng, theory, image.places, 2),
+                            rand_elem(rng, theory, image.places, 2)))
+                 for j in range(rng.randint(0, 2))]
+        q = {0: _shuffled(rng, image, extra),
+             1: rand_net(rng, theory, max_places=4, max_trans=4, max_size=2),
+             2: QNet(theory, image.places, {}),
+             3: rand_net(rng, theories[(i + 1) % len(theories)]),
+             4: _shuffled(rng, image),
+             5: _shuffled(rng, image, extra) if i % 12 == 5 else QNet(theory, image.places, {}),
+             }[kind]
+        p = _shuffled(rng, p)
+        got = _listing(enumerate_morphisms, p, q)
+        assert got == _listing(_enumerate_morphisms_ref, p, q)
+        if isinstance(got, list):
+            found += len(got)
+        else:
+            raised += 1
+    assert found > 300 and raised > 10

@@ -63,7 +63,7 @@ def _slide_before_perm_ref(layer, perm, ctx):
     src_words = [_held_ref(th, l, 0, ctx) for l in letters]
     if any(len(w) == 0 for w in tgt_words + src_words):
         return []
-    blocks = symmetry._blocks([len(w) for w in tgt_words])
+    blocks = freecat._blocks([len(w) for w in tgt_words])
     mapping = perm.mapping
     images = []
     for offset, size in blocks:
@@ -76,7 +76,7 @@ def _slide_before_perm_ref(layer, perm, ctx):
     new_layer = FreeElem(th, new_letters) if th is Theory.MON else signed_word(new_letters)
     if len(new_layer.payload) != len(new_letters):
         return []
-    src_blocks = symmetry._blocks([len(w) for w in src_words])
+    src_blocks = freecat._blocks([len(w) for w in src_words])
     new_src_offsets = {}
     offset = 0
     for j in order:
@@ -91,7 +91,7 @@ def _slide_before_perm_ref(layer, perm, ctx):
         return []
     new_perm = Perm(prev_word, tuple(new_mapping))
     if th is Theory.GRP and not _reduced_ref(
-            symmetry._apply_perm(prev_word.payload, new_perm.mapping)):
+            freecat._apply_perm(prev_word.payload, new_perm.mapping)):
         return []
     return [(new_perm, new_layer)]
 
@@ -103,7 +103,7 @@ def _slide_after_perm_ref(perm, layer, ctx):
     tgt_words = [_held_ref(th, l, 1, ctx) for l in letters]
     if any(len(w) == 0 for w in src_words + tgt_words):
         return []
-    blocks = symmetry._blocks([len(w) for w in src_words])
+    blocks = freecat._blocks([len(w) for w in src_words])
     inverse = [None] * len(perm.mapping)
     for i, target in enumerate(perm.mapping):
         inverse[target] = i
@@ -118,7 +118,7 @@ def _slide_after_perm_ref(perm, layer, ctx):
     new_layer = FreeElem(th, new_letters) if th is Theory.MON else signed_word(new_letters)
     if len(new_layer.payload) != len(new_letters):
         return []
-    tgt_blocks = symmetry._blocks([len(w) for w in tgt_words])
+    tgt_blocks = freecat._blocks([len(w) for w in tgt_words])
     new_tgt_offsets = {}
     offset = 0
     for j in order:
@@ -133,7 +133,7 @@ def _slide_after_perm_ref(perm, layer, ctx):
         return []
     new_perm = Perm(new_word, tuple(new_mapping))
     if th is Theory.GRP and not _reduced_ref(
-            symmetry._apply_perm(new_word.payload, new_perm.mapping)):
+            freecat._apply_perm(new_word.payload, new_perm.mapping)):
         return []
     return [(new_layer, new_perm)]
 
@@ -305,7 +305,7 @@ def _unequal_sym_pairs():
         rhs = Comp(Oper("combine", (Ident(u), Gen("t"))), symmetry.braiding(word("a"), u))
         end = symmetry.perm_tgt(symmetry.braiding(word("b"), u))
         for mapping in itertools.permutations(range(end.size())):
-            fixed = symmetry._apply_perm(end.payload, mapping) == end.payload
+            fixed = freecat._apply_perm(end.payload, mapping) == end.payload
             if fixed and mapping != tuple(range(end.size())):
                 for budget in (3, None):
                     yield net, lhs, Comp(Perm(end, mapping), rhs), budget
@@ -333,7 +333,7 @@ def _check_slide(a, b, ctx):
         # The reference read past a permutation shorter than the layer's
         # near end, which happens when that end cancels (GRP); no slide then.
         expected = ("ok", [])
-    assert _outcome(symmetry._slide, layer, perm, ctx, before) == expected
+    assert _outcome(freecat._slide, layer, perm, ctx, before) == expected
 
 
 def test_slide_and_neighbors_match_reference_on_criterion_11():
