@@ -20,18 +20,28 @@ from .theory import QnetError, Theory, TheoryArrow
 SUITE_NAMES = ("adjA", "adjB", "freecat", "monad", "netfunctor", "symmetry")
 
 
-def _load_net(path: str) -> QNet:
-    # Decoding deeply nested JSON runs out of stack: RecursionError is an
-    # input error here, like malformed JSON.
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return jsonio.net_from_json(json.load(fh))
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise QnetError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise QnetError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _parse(text: str, name: str):
+    # ValueError covers malformed JSON and integer literals past the digit
+    # limit of int(). Decoding deeply nested JSON runs out of stack:
+    # RecursionError is an input error here too.
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise QnetError(f"{name} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise QnetError(f"{path} is nested too deeply") from exc
+        raise QnetError(f"{name} is nested too deeply") from exc
+
+
+def _load_net(path: str) -> QNet:
+    return jsonio.net_from_json(_parse(_read(path), path))
 
 
 def _checked_net(path: str) -> QNet:
@@ -43,18 +53,8 @@ def _checked_net(path: str) -> QNet:
 
 
 def _load_elem(theory: Theory, raw: str):
-    if raw.startswith("@"):
-        try:
-            with open(raw[1:], encoding="utf-8") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise QnetError(f"cannot read {raw[1:]}: {exc}") from exc
-    try:
-        return jsonio.elem_from_json(theory, json.loads(raw))
-    except json.JSONDecodeError as exc:
-        raise QnetError(f"marking is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise QnetError("marking is nested too deeply") from exc
+    text = _read(raw[1:]) if raw.startswith("@") else raw
+    return jsonio.elem_from_json(theory, _parse(text, "marking"))
 
 
 def _int_at_least(low: int):

@@ -13,8 +13,10 @@ leaves, each of which is a layer of the same forms as it stands.
 
 ``Distinct`` verdicts are sound with respect to that rewrite closure: they are
 issued when invariants differ or when one term's entire closure was
-enumerated without meeting the other. ``Unknown`` is reserved for genuine
-budget exhaustion.
+enumerated without meeting the other. ``Unknown`` means the search proved
+nothing, and its reason says why: the node budget ran out, or, for GRP and
+symmetric terms, whose move sets are not known complete, both closures were
+exhausted without meeting.
 """
 
 from __future__ import annotations
@@ -308,33 +310,41 @@ def mor_tgt(t: MorTerm, net: QNet) -> FreeElem:
     return _endpoints(t, _context(net))[1]
 
 
-def fold_term(t: SymTerm, leaf, comp, oper, before_first: bool = False, enter=None):
+def fold_term(t: SymTerm, leaf, comp, oper, before_first: bool = False, expand=None):
     """Fold a process term bottom-up with an explicit stack, so deep terms stay
     off the Python call stack. ``Comp`` and ``Oper`` are the inner nodes and
     fold as ``comp(after, before)`` and ``oper(node, args)``; every other node
-    is a leaf, mapped by ``leaf``. ``enter`` sees each ``Oper`` when first met.
-    Children are walked as written (``after`` first), or with ``before_first``
-    in firing order."""
+    is a leaf, mapped by ``leaf``. ``expand`` sees each node when the walk
+    first meets it and returns the node to fold, whose children it may leave
+    to be expanded in turn. Children are walked as written (``after`` first),
+    or with ``before_first`` in firing order."""
     done: list = []
     stack: list[tuple[SymTerm, bool]] = [(t, False)]
     while stack:
         t, fold = stack.pop()
-        if isinstance(t, Comp) and fold:
-            last, first = done.pop(), done.pop()
-            done.append(comp(last, first) if before_first else comp(first, last))
-        elif isinstance(t, Comp):
+        if fold:
+            if isinstance(t, Comp):
+                last, first = done.pop(), done.pop()
+                done.append(comp(last, first) if before_first else comp(first, last))
+            else:
+                cut = len(done) - len(t.args)
+                done[cut:] = [oper(t, done[cut:])]
+            continue
+        if expand is not None:
+            t = expand(t)
+        if isinstance(t, Comp):
             kids = (t.after, t.before) if before_first else (t.before, t.after)
             stack += [(t, True), (kids[0], False), (kids[1], False)]
-        elif isinstance(t, Oper) and fold:
-            cut = len(done) - len(t.args)
-            done[cut:] = [oper(t, done[cut:])]
         elif isinstance(t, Oper):
-            if enter is not None:
-                enter(t)
             stack += [(t, True)] + [(a, False) for a in reversed(t.args)]
         else:
             done.append(leaf(t))
     return done[0]
+
+
+def _rebuild_oper(t: Oper, args: list) -> Oper:
+    """The ``oper`` of a fold that rebuilds its term."""
+    return Oper(t.op, tuple(args))
 
 
 def _layers_of(t: SymTerm, ctx: _Ctx,
@@ -372,7 +382,9 @@ def _layers_of(t: SymTerm, ctx: _Ctx,
                 f" {after[0].payload}")
         return before[0], after[1], before[2] + after[2]
 
-    def enter(t: Oper) -> None:
+    def expand(t: SymTerm) -> SymTerm:
+        if not isinstance(t, Oper):
+            return t
         if t.op == "combine":
             if len(t.args) < 2:
                 raise IllTypedTermError("combine needs at least two arguments")
@@ -383,6 +395,7 @@ def _layers_of(t: SymTerm, ctx: _Ctx,
                 raise IllTypedTermError("invert takes exactly one argument")
         else:
             raise IllTypedTermError(f"unknown operation {t.op!r}")
+        return t
 
     def oper(t: Oper, args: list) -> tuple[FreeElem, FreeElem, tuple]:
         src, tgt, layers = args[0]
@@ -398,7 +411,7 @@ def _layers_of(t: SymTerm, ctx: _Ctx,
             tgt = combine(th, tgt, tgt_b)
         return src, tgt, layers
 
-    return fold_term(t, leaf, comp, oper, before_first=True, enter=enter)
+    return fold_term(t, leaf, comp, oper, before_first=True, expand=expand)
 
 
 def _zip_layers(th: Theory,
@@ -843,12 +856,12 @@ def _firings(need: list, effect: list, counts: list[int],
             stack += reversed(children)
 
 
-def _step_layers(ctx: _Ctx, marking: FreeElem,
-                 max_width: int | None) -> list[FreeElem]:
-    """All single firing layers whose source is exactly ``marking``. A
-    commutative layer holds a residual of ``marking`` by what it fires; a
-    word layer spells ``marking`` left to right. Theories without inverses
-    only: :func:`hom_enumerate` rejects the others first."""
+def _step_layers(ctx: _Ctx, marking: FreeElem, max_width: int) -> list[FreeElem]:
+    """All single firing layers of at most ``max_width`` firings whose source
+    is exactly ``marking``. A commutative layer holds a residual of
+    ``marking`` by what it fires; a word layer spells ``marking`` left to
+    right. Theories without inverses and positive widths only:
+    :func:`hom_enumerate` rejects the others first."""
     th = ctx.net.theory
     ops = th.ops
     out: set[FreeElem] = set()
@@ -862,8 +875,7 @@ def _step_layers(ctx: _Ctx, marking: FreeElem,
             # The room is the residual; its zero counts drop out in the norm.
             out.add(_framed(th, [(names[i], k) for i, k in fired], zip(places, room)))
     elif ops.idempotent:
-        widest = len(names) if max_width is None else min(max_width, len(names))
-        for r in range(1, widest + 1):
+        for r in range(1, min(max_width, len(names)) + 1):
             for group in itertools.combinations(names, r):
                 fired_src = ops.norm(itertools.chain.from_iterable(
                     ops.letters(ctx.src_images[nm].payload) for nm in group))
@@ -872,17 +884,16 @@ def _step_layers(ctx: _Ctx, marking: FreeElem,
                     out.add(_framed(th, gens, rest))
     else:
         letters = marking.payload
-        width = max_width if max_width is not None else len(letters) + 1
         # Worklist of (pos, width_left, acc): acc spells letters[:pos], and
-        # has fired something once width_left is below width.
-        stack = [(0, width, ())]
+        # has fired something once width_left is below max_width.
+        stack = [(0, max_width, ())]
         while stack:
             pos, width_left, acc = stack.pop()
             if width_left == 0:
                 # Nothing more can fire: the rest of the word is held at once.
                 acc += tuple(ID_PREFIX + x for x in letters[pos:])
                 pos = len(letters)
-            if pos == len(letters) and width_left != width:
+            if pos == len(letters) and width_left != max_width:
                 out.add(FreeElem(th, acc))
             if width_left != 0:
                 for name in names:

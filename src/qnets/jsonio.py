@@ -130,49 +130,38 @@ def _bad_term(expected: str, node: Any) -> QnetError:
 
 
 def term_from_json(theory: Theory, data: Any):
-    """Decode a term, checking each node before its children, as written. An
-    explicit stack keeps deep terms off the Python call stack: a pending
-    ``(build, arity)`` entry, ``build`` the ``Comp`` class or an operation
-    name, makes a node from its children's results."""
+    """Decode a term through :func:`~qnets.freecat.fold_term`, so deep terms
+    stay off the Python call stack: ``expand`` checks each node before its
+    children, as written, and returns a leaf, or a ``Comp`` or ``Oper`` whose
+    children are still JSON."""
     from . import freecat
 
-    done: list = []
-    stack: list[tuple[Any, Any]] = [(None, data)]
-    while stack:
-        build, data = stack.pop()
-        if build is not None:
-            cut = len(done) - data
-            args = tuple(done[cut:])
-            done[cut:] = [freecat.Comp(*args) if build is freecat.Comp
-                          else freecat.Oper(build, args)]
-            continue
+    def expand(data: Any):
         if not isinstance(data, dict) or len(data) not in (1, 2):
             raise _bad_term(_TERM_NODE, data)
         if "gen" in data:
             if not isinstance(data["gen"], str):
                 raise _bad_term('a string "gen"', data)
-            done.append(freecat.Gen(data["gen"]))
-        elif "id" in data:
-            done.append(freecat.Ident(elem_from_json(theory, data["id"])))
-        elif "comp" in data:
+            return freecat.Gen(data["gen"])
+        if "id" in data:
+            return freecat.Ident(elem_from_json(theory, data["id"]))
+        if "comp" in data:
             if not isinstance(data["comp"], list) or len(data["comp"]) != 2:
                 raise _bad_term('a "comp" array of two terms', data)
-            build, children = freecat.Comp, data["comp"]
-        elif "op" in data:
+            return freecat.Comp(*data["comp"])
+        if "op" in data:
             if not isinstance(data["op"], str) or not isinstance(data.get("args"), list):
                 raise _bad_term('a string "op" and an "args" array', data)
-            build, children = data["op"], data["args"]
-        elif "perm" in data:
+            return freecat.Oper(data["op"], tuple(data["args"]))
+        if "perm" in data:
             perm = data["perm"]
             if (not isinstance(perm, dict) or not {"word", "map"} <= perm.keys()
                     or not isinstance(perm["map"], list)
                     or not all(type(i) is int for i in perm["map"])):
                 raise _bad_term('a "perm" object with a "word" and an integer "map" array',
                                 data)
-            done.append(freecat.Perm(elem_from_json(theory, perm["word"]), tuple(perm["map"])))
-        else:
-            raise _bad_term(_TERM_NODE, data)
-        if build is not None:
-            stack.append((build, len(children)))
-            stack += [(None, c) for c in reversed(children)]
-    return done[0]
+            return freecat.Perm(elem_from_json(theory, perm["word"]), tuple(perm["map"]))
+        raise _bad_term(_TERM_NODE, data)
+
+    return freecat.fold_term(data, lambda t: t, freecat.Comp, freecat._rebuild_oper,
+                             expand=expand)

@@ -36,6 +36,7 @@ from .freecat import (
     _context,
     _distinct,
     _equal,
+    _rebuild_oper,
     default_budget,
     perm_tgt,
 )
@@ -109,10 +110,6 @@ def sym_equal(t1: SymTerm, t2: SymTerm, net: QNet,
     return freecat._search_connect(
         f1, f2, lambda f: _sym_neighbors(f, ctx), budget,
         "closures exhausted; symmetric move set is not known complete", sym_repr)
-
-
-def _rebuild_oper(t: Oper, args: list) -> Oper:
-    return Oper(t.op, tuple(args))
 
 
 def erase_symmetries(t: SymTerm) -> MorTerm:

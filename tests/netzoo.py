@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 
-from qnets import QNet, Theory, finset, multiset, word
+from qnets import QNet, Theory, finset, multiset, signed_word, word
 
 
 @contextmanager
@@ -51,6 +51,16 @@ def integer_net(places, arcs) -> QNet:
                 {name: (intvec(src), intvec(tgt)) for name, (src, tgt) in arcs.items()})
 
 
+def signed(letters: str) -> object:
+    """A GRP word: a lower-case letter is a place, an upper-case one its inverse."""
+    return signed_word([(c.lower(), 1 if c.islower() else -1) for c in letters])
+
+
+def group_net(places, arcs) -> QNet:
+    return QNet(Theory.GRP, tuple(places),
+                {name: (signed(src), signed(tgt)) for name, (src, tgt) in arcs.items()})
+
+
 TOKEN_GAME_NETS = [
     petri("ab", {"t": ({"a": 1}, {"b": 1})}),
     petri("ab", {"t": ({"a": 2}, {"b": 1})}),
@@ -91,6 +101,10 @@ INTEGER_NETS = [
     integer_net("abc", {"t": ({"a": 1, "b": 1}, {"c": 1}), "u": ({"c": 2}, {"a": 1})}),
     integer_net("ab", {}),
     integer_net("abc", {"t": ({"a": 2, "b": -2}, {"c": 2})}),
+]
+
+GROUP_NETS = [
+    group_net("ab", {"t": ("a", "b"), "u": ("bA", "")}),
 ]
 
 ELEMENTARY_NETS = [

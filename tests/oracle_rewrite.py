@@ -58,6 +58,9 @@ class OracleNet:
                 self.arcs[name] = (frozenset(src.payload), frozenset(tgt.payload))
             else:
                 raise NotImplementedError("oracle does not cover GRP nets")
+        # Move caches of :func:`closure`, keyed by frozen layers.
+        self.merge_moves: dict = {}
+        self.split_moves: dict = {}
 
     # markings: CMON/ABGRP dict, MON tuple, SEMILAT frozenset
     def marking_of(self, elem):
@@ -324,32 +327,46 @@ def _form_total(onet: OracleNet, form) -> int:
 
 def closure(onet: OracleNet, layers, gens_cap: int) -> set:
     """Exhaustive closure over forms carrying at most ``gens_cap`` generator
-    occurrences; idempotent duplication is unbounded otherwise."""
+    occurrences; idempotent duplication is unbounded otherwise. The moves of
+    each adjacent pair and each layer are computed once per ``onet``, each
+    as its replacement layers and the generators it adds."""
     start = _normal(onet, layers)
     seen = {start}
-    queue = deque([start])
+    queue = deque([(start, _form_total(onet, start))])
+
+    def frozen_moves(old, new) -> list:
+        before = sum(_gens_total(onet, l) for l in old)
+        return [(tuple(onet.freeze_layer(l) for l in mid),
+                 sum(_gens_total(onet, l) for l in mid) - before) for mid in new]
+
+    def merged(l1, l2) -> list:
+        if (l1, l2) not in onet.merge_moves:
+            old = (onet.thaw_layer(l1), onet.thaw_layer(l2))
+            onet.merge_moves[l1, l2] = frozen_moves(
+                old, [[] if onet.pure_hold(m) else [m] for m in merges(onet, *old)])
+        return onet.merge_moves[l1, l2]
+
+    def split(layer) -> list:
+        if layer not in onet.split_moves:
+            old = onet.thaw_layer(layer)
+            onet.split_moves[layer] = frozen_moves([old], splits(onet, old))
+        return onet.split_moves[layer]
+
     while queue:
-        form = queue.popleft()
-        thawed = [onet.thaw_layer(l) for l in form]
-        total = sum(_gens_total(onet, l) for l in thawed)
+        form, total = queue.popleft()
         nexts = []
-        for i in range(len(thawed) - 1):
-            for merged in merges(onet, thawed[i], thawed[i + 1]):
-                mid = [] if onet.pure_hold(merged) else [merged]
-                nexts.append(thawed[:i] + mid + thawed[i + 2:])
-        for i, layer in enumerate(thawed):
-            for a, b in splits(onet, layer):
-                grown = (total - _gens_total(onet, layer)
-                         + _gens_total(onet, a) + _gens_total(onet, b))
-                if grown <= gens_cap:
-                    nexts.append(thawed[:i] + [a, b] + thawed[i + 1:])
-        for cand in nexts:
-            key = tuple(onet.freeze_layer(l) for l in cand)
+        for i in range(len(form) - 1):
+            nexts += [(form[:i] + mid + form[i + 2:], total + grown)
+                      for mid, grown in merged(form[i], form[i + 1])]
+        for i, layer in enumerate(form):
+            nexts += [(form[:i] + pair + form[i + 1:], total + grown)
+                      for pair, grown in split(layer) if total + grown <= gens_cap]
+        for key, key_total in nexts:
             if key not in seen:
                 seen.add(key)
                 if len(seen) > _CAP:
                     raise RuntimeError("oracle closure blew past the safety cap")
-                queue.append(key)
+                queue.append((key, key_total))
     return seen
 
 

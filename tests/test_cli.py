@@ -2,6 +2,8 @@ import io
 import json
 import time
 
+import pytest
+
 from qnets import jsonio
 from qnets.cli import run
 
@@ -302,3 +304,32 @@ def test_lin_refuses_a_huge_arc_before_computing_its_binomial(tmp_path):
         assert time.monotonic() - started < 1.0
         assert (code, out) == (1, "")
         assert "10000 linearizations" in json.loads(err)["error"]
+
+
+DIGITS = "9" * 5_000  # past int()'s default limit of 4,300 digits
+HUGE_NET = ('{"theory":"CMON","places":["a"],"transitions":{"t":{"src":{"a":%s},"tgt":{}}}}'
+            % DIGITS).encode()
+HUGE_MARKING = '{"a":%s}' % DIGITS
+REACH = ["reach", "{net}", "--steps", "1", "--marking"]
+
+
+@pytest.mark.parametrize("argv,payload,message", [
+    (["validate", "{file}"], b'{"theory":"CMON","places":["\xe9"],"transitions":{}}',
+     "cannot read {file}: "),
+    (["lin", "{file}"], b"\xff\xfe{}", "cannot read {file}: "),
+    (REACH + ["@{file}"], b'{"\xff":1}', "cannot read {file}: "),
+    (["validate", "{file}"], HUGE_NET, "{file} is not valid JSON: "),
+    (["product", "{net}", "{file}"], HUGE_NET, "{file} is not valid JSON: "),
+    (REACH + ["@{file}"], HUGE_MARKING.encode(), "marking is not valid JSON: "),
+    (REACH + [HUGE_MARKING], b"", "marking is not valid JSON: "),
+], ids=["latin1-net", "utf16-net", "binary-marking-file", "digits-net", "digits-product",
+        "digits-marking-file", "digits-inline-marking"])
+def test_unreadable_and_over_long_input_are_domain_errors(tmp_path, argv, payload, message):
+    net = write_net(tmp_path, "net.json", petri("a", {"t": ({"a": 1}, {"a": 1})}))
+    file = tmp_path / "input.json"
+    file.write_bytes(payload)
+    code, out, err = invoke([arg.replace("{net}", net).replace("{file}", str(file))
+                             for arg in argv])
+    assert (code, out) == (1, "")
+    assert_json_error(err)
+    assert json.loads(err)["error"].startswith(message.replace("{file}", str(file)))

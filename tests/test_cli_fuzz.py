@@ -1,6 +1,7 @@
 """Bounded fuzzing of the in-process CLI with malformed nets, markings and
-flags. Every run must end in exit 0, 1 or 2 without a traceback; a failing
-run prints exactly one ``{"error": ...}`` line on stderr, except ``validate``,
+flags, including files that are not UTF-8 and integers too long for int().
+Every run must end in exit 0, 1 or 2 without a traceback; a failing run
+prints exactly one ``{"error": ...}`` line on stderr, except ``validate``,
 which reports an invalid net as diagnostics on stdout."""
 
 import io
@@ -37,11 +38,20 @@ NETS = st.fixed_dictionaries(
 # Text that is not JSON, or JSON nested deeper than the decoder's stack.
 RAW = st.sampled_from(["", "{", "[1,", "nul", "[" * 100_000, "[" * 5_000 + "]" * 5_000,
                        '{"theory":' + "[" * 3_000 + "]" * 3_000 + "}"])
+# Integer literals past int()'s default limit of 4,300 digits.
+DIGITS = "9" * 5_000
+HUGE = st.sampled_from(['{"a":%s}' % DIGITS, "[-%s]" % DIGITS,
+                        '{"theory":"CMON","places":["a"],"transitions":'
+                        '{"t":{"src":{"a":%s},"tgt":{}}}}' % DIGITS])
+# Bytes that do not decode as UTF-8.
+NOT_UTF8 = st.sampled_from([b"\xff", b"\xfe\xff\x00{\x00}",
+                            b'{"theory":"CMON","places":["\xe9"],"transitions":{}}'])
 SMALL_INTS = st.sampled_from(["-1", "0", "1", "2", "x", ""])
 
 
-def _file_text(draw) -> str:
-    return draw(RAW | NETS.map(json.dumps) | JSON_VALUES.map(json.dumps))
+def _write(path: str, draw, texts) -> None:
+    with open(path, "wb") as fh:
+        fh.write(draw(NOT_UTF8 | (RAW | HUGE | texts).map(str.encode)))
 
 
 @st.composite
@@ -49,14 +59,12 @@ def invocations(draw, directory):
     paths = []
     for k in range(2):
         path = os.path.join(directory, f"in{k}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_file_text(draw))
+        _write(path, draw, NETS.map(json.dumps) | JSON_VALUES.map(json.dumps))
         paths.append(path)
     marking_path = os.path.join(directory, "marking.json")
-    with open(marking_path, "w", encoding="utf-8") as fh:
-        fh.write(draw(RAW | ELEMENTS.map(json.dumps)))
+    _write(marking_path, draw, ELEMENTS.map(json.dumps))
     marking = draw(st.sampled_from(["@" + marking_path, "@" + directory + "/missing"])
-                   | RAW | ELEMENTS.map(json.dumps))
+                   | RAW | HUGE | ELEMENTS.map(json.dumps))
     net = draw(st.sampled_from(paths + [directory + "/missing.json"]))
     command = draw(st.sampled_from(["validate", "translate", "reach", "homset", "homgroup",
                                     "lin", "linsum", "product", "coproduct", "bogus"]))

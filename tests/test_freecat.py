@@ -33,7 +33,17 @@ from qnets.theory import (
     word,
 )
 
-from netzoo import cmon, elementary, integer_net, intvec, petri, prenet, shallow_stack
+from netzoo import (
+    GROUP_NETS,
+    cmon,
+    elementary,
+    integer_net,
+    intvec,
+    petri,
+    prenet,
+    shallow_stack,
+    signed,
+)
 from oracle_rewrite import oracle_equal
 
 CHAIN = petri("abc", {"t": ({"a": 1}, {"b": 1}), "u": ({"b": 1}, {"c": 1})})
@@ -361,3 +371,21 @@ def test_word_merges_stay_off_the_call_stack():
     with shallow_stack():
         verdict = mor_equal(Comp(left, right), Comp(right, left), loop)
     assert (verdict.status, verdict.reason) == ("equal", "greedy canonical forms agree")
+
+
+def _inv(t):
+    return Oper("invert", (t,))
+
+
+# ``invert`` is the theory's inverse on morphisms: on t: a -> b it goes from
+# a^-1 to b^-1.
+@pytest.mark.parametrize("net,last", [
+    (integer_net("ab", {"t": ({"a": 1}, {"b": 1}), "u": ({"b": 2}, {"a": 1})}),
+     Comp(_inv(Gen("u")), Oper("combine", (_inv(Gen("t")), _inv(Gen("t")))))),
+    (GROUP_NETS[0], Comp(_inv(Gen("u")), Oper("combine", (Ident(signed("a")), _inv(Gen("t")))))),
+], ids=["ABGRP", "GRP"])
+def test_layered_to_term_inverts_negative_counts_back_to_an_equal_term(net, last):
+    for term in (_inv(Gen("t")), Oper("combine", (_inv(Gen("t")), Gen("u"))), last):
+        back = layered_to_term(layered(term, net), net)
+        assert "invert" in repr(back), term
+        assert mor_equal(term, back, net).is_equal, term

@@ -100,9 +100,7 @@ def _step_layers_ref(ctx, marking, max_width):
     elif ops.idempotent:
         names = sorted(ctx.net.transitions)
         marking_set = set(marking.payload)
-        for r in range(1, len(names) + 1):
-            if max_width is not None and r > max_width:
-                break
+        for r in range(1, min(max_width, len(names)) + 1):
             for group in itertools.combinations(names, r):
                 fired_src = set()
                 for nm in group:
@@ -118,7 +116,7 @@ def _step_layers_ref(ctx, marking, max_width):
                     out.add(combine(th, gens, freecat._identity_layer(th, frame)))
     else:
         letters = marking.payload
-        stack = [(0, max_width if max_width is not None else len(letters) + 1, ())]
+        stack = [(0, max_width, ())]
         while stack:
             pos, width_left, acc = stack.pop()
             if pos == len(letters) and not all(freecat._is_id_sym(x) for x in acc):
@@ -248,8 +246,6 @@ def test_step_layers_match_reference_on_zoo_markings():
         for start in _starts(net):
             for width in (1, 2, 3):
                 layers += len(_check_step(ctx, start, width)[1])
-            if all(not src.is_neutral() for src, _ in net.transitions.values()):
-                layers += len(_check_step(ctx, start, None)[1])
     assert layers > 500
 
 
@@ -348,14 +344,13 @@ def test_merge_matches_reference_on_drawn_pairs(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_adjacent_pair(), st.sampled_from((1, 2, 3, None)))
+@given(_adjacent_pair(), st.sampled_from((1, 2, 3)))
 def test_steps_and_frames_match_reference_on_drawn_markings(case, width):
     ctx, l1, _ = case
     net = ctx.net
     th = net.theory
     tgt = freecat._layer_tgt(l1, ctx)
-    if not th.ops.group and (width is not None or th.ops.idempotent
-                             or all(not src.is_neutral() for src, _ in net.transitions.values())):
+    if not th.ops.group:
         _check_step(ctx, tgt, width)
     if th is Theory.SEMILAT:
         assert list(freecat.reachable(net, tgt, 1).edges) == _reach_edges_ref(net, tgt)

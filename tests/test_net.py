@@ -33,7 +33,6 @@ from qnets.theory import (
 
 from netzoo import cmon, elementary, petri, prenet
 
-
 def test_validate_net_examples():
     bad = QNet(Theory.CMON, ("a",), {"t": (cmon({"a": 1}), cmon({"b": 2}))})
     assert len(validate_net(bad)) == 1
@@ -349,3 +348,44 @@ def test_enumerate_morphisms_matches_validating_every_combination():
         else:
             raised += 1
     assert found > 300 and raised > 10
+
+
+PLACES_AB = petri("ab", {"t": ({"a": 1}, {"b": 1})})
+WORDS_AB = prenet("ab", {"t": ("a", "b")})
+# (what is checked, the check, its diagnostics or the exception it raises)
+VALIDATOR_TEXTS = [
+    ("duplicate places", lambda: validate_net(QNet(Theory.CMON, ("a", "a"), {})),
+     ["duplicate place names"]),
+    ("arc theory and places",
+     lambda: validate_net(QNet(Theory.CMON, ("a",), {"t": (word("a"), cmon({"z": 1}))})),
+     ["transition 't' src has theory MON, net is CMON",
+      "transition 't' tgt mentions undeclared places ['z']"]),
+    ("partial morphism",
+     lambda: validate_morphism(NetMorphism(PLACES_AB, PLACES_AB, {}, {"a": "a"})),
+     UnmappedNameError("partial morphism: unmapped transitions ['t'], unmapped places ['b']")),
+    ("morphism theories",
+     lambda: validate_morphism(NetMorphism(PLACES_AB, WORDS_AB, {"t": "t"},
+                                           {"a": "a", "b": "b"})),
+     ["theory mismatch: CMON vs MON"]),
+    ("morphism images",
+     lambda: validate_morphism(NetMorphism(PLACES_AB, PLACES_AB, {"t": "s"},
+                                           {"a": "a", "b": "z"})),
+     ["place 'b' maps to undeclared 'z'", "transition 't' maps to unknown 's'"]),
+    ("compose", lambda: compose(identity_morphism(PLACES_AB), identity_morphism(WORDS_AB)),
+     TheoryMismatchError("morphisms are not composable")),
+    ("coproduct", lambda: coproduct(PLACES_AB, WORDS_AB),
+     TheoryMismatchError("coproduct needs a shared theory")),
+    ("product", lambda: product(PLACES_AB, WORDS_AB),
+     TheoryMismatchError("product needs a shared theory")),
+]
+
+
+@pytest.mark.parametrize("check,want", [case[1:] for case in VALIDATOR_TEXTS],
+                         ids=[case[0] for case in VALIDATOR_TEXTS])
+def test_validator_texts(check, want):
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as info:
+            check()
+        assert str(info.value) == str(want)
+    else:
+        assert check() == want

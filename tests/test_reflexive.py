@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
-from qnets.net import NetMorphism, QNet, validate_morphism
+from qnets.net import NetMorphism, QNet, identity_morphism, validate_morphism
 from qnets.reflexive import (
+    GraphMorphism,
     InvalidNetError,
+    QGraph,
     ReflexiveMorphism,
     ReflexiveQNet,
     add_identities,
@@ -24,9 +26,18 @@ from qnets.reflexive import (
     validate_reflexive,
     validate_reflexive_morphism,
 )
-from qnets.theory import Theory, combine, extend, unit
+from qnets.theory import (
+    QnetError,
+    Theory,
+    TheoryMismatchError,
+    UnmappedNameError,
+    combine,
+    extend,
+    unit,
+    word,
+)
 
-from netzoo import cmon, petri
+from netzoo import cmon, petri, prenet
 
 
 def test_add_identities_examples():
@@ -201,8 +212,6 @@ def test_graph_morphism_square_checks():
     net = petri("ab", {"t": ({"a": 1}, {"b": 1})})
     r = add_identities(net)
     g = free_edges(r)
-    from qnets.reflexive import GraphMorphism
-
     bad = GraphMorphism(g, g, {name: unit(Theory.CMON, "id.a")
                                for name in g.generators},
                         {p: p for p in g.places})
@@ -218,3 +227,63 @@ def test_add_identities_morphism_is_functorial():
     am = add_identities_morphism(m)
     assert validate_reflexive_morphism(am) == []
     assert am.f["id.a"] == "id.c"
+
+
+PLACES = petri("abc", {"t": ({"a": 1}, {"b": 1})})
+REFLEXIVE = add_identities(PLACES)
+GRAPH = free_edges(REFLEXIVE)
+OTHER = add_identities(prenet("ab", {"t": ("a", "b")}))
+IDENTITY = ReflexiveMorphism(REFLEXIVE, REFLEXIVE, {t: t for t in REFLEXIVE.net.transitions},
+                             {p: p for p in PLACES.places})
+# (what is checked, the check, its diagnostics or the exception it raises)
+VALIDATOR_TEXTS = [
+    ("reflexive identities",
+     lambda: validate_reflexive(ReflexiveQNet(PLACES, {"b": "zz", "c": "t"})),
+     ["no identity transition assigned to place 'a'",
+      "identity of 'b' is unknown transition 'zz'",
+      "identity of 'c' must loop on its unit marking"]),
+    ("qgraph images",
+     lambda: validate_qgraph(QGraph(
+         Theory.CMON, ("t", "s"), ("a", "b", "c"),
+         {"t": cmon({"a": 1}), "s": word("a")}, {"t": cmon({"z": 1})},
+         {"b": cmon({"x": 1}), "c": cmon({"t": 1})})),
+     ["generator 't' tgt image is not over the places",
+      "generator 's' src image is not over the places",
+      "generator 's' has no tgt image",
+      "place 'a' has no identity image",
+      "identity image of 'b' is not over the generators",
+      "identity image of 'c' is not a loop on its unit marking"]),
+    ("partial graph morphism",
+     lambda: validate_graph_morphism(GraphMorphism(GRAPH, GRAPH, {}, {"a": "a"})),
+     UnmappedNameError("partial graph morphism: generators ['id.a', 'id.b', 'id.c', 't'],"
+                       " places ['b', 'c']")),
+    ("graph morphism images",
+     lambda: validate_graph_morphism(GraphMorphism(
+         GRAPH, GRAPH, {**{t: cmon({t: 1}) for t in GRAPH.generators}, "t": cmon({"zz": 1})},
+         {p: p for p in GRAPH.places})),
+     ["image of generator 't' is not over the target generators"]),
+    ("extend morphism",
+     lambda: extend_morphism(identity_morphism(PLACES), OTHER),
+     TheoryMismatchError("morphism target is not the underlying net")),
+    ("graph transpose",
+     lambda: graph_to_net_transpose(GraphMorphism(GRAPH, GRAPH, {}, {}), OTHER),
+     TheoryMismatchError("graph morphism does not start at free_edges of the net")),
+    ("net transpose",
+     lambda: net_to_graph_transpose(
+         ReflexiveMorphism(REFLEXIVE, REFLEXIVE, {"t": "not json"}, {}), GRAPH),
+     QnetError("transition image 'not json' is not a materialized element")),
+    ("compose", lambda: compose_reflexive(IDENTITY, add_identities_morphism(
+        identity_morphism(prenet("ab", {"t": ("a", "b")})))),
+     TheoryMismatchError("reflexive morphisms are not composable")),
+]
+
+
+@pytest.mark.parametrize("check,want", [case[1:] for case in VALIDATOR_TEXTS],
+                         ids=[case[0] for case in VALIDATOR_TEXTS])
+def test_validator_texts(check, want):
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as info:
+            check()
+        assert str(info.value) == str(want)
+    else:
+        assert check() == want

@@ -29,7 +29,7 @@ from qnets.theory import (
     word,
 )
 
-from netzoo import cmon, petri, prenet
+from netzoo import GROUP_NETS, cmon, petri, prenet, signed
 
 PRENET = prenet("ab", {"t": ("a", "b"), "u": ("ab", "a")})
 
@@ -375,3 +375,19 @@ def test_symmetric_walks_match_recursive_reference(case):
     arrow = TheoryArrow.GROUP_SIGNED if net.theory is Theory.GRP else TheoryArrow.ABELIANIZE
     erased = erase_symmetries(term)
     assert _outcome(translate_term, arrow, erased) == _outcome(_translate_ref, arrow, erased)
+
+
+def test_grp_permutations_of_the_wrong_theory_or_a_cancelling_target_are_refused():
+    net = GROUP_NETS[0]
+    # a.(b.a^-1) is reduced, but the swapped word b.a^-1.a cancels.
+    with pytest.raises(UnsupportedOperationError, match="target would cancel"):
+        braiding(signed("a"), signed("bA"))
+    cancelling = Perm(signed("abA"), (2, 0, 1))
+    with pytest.raises(UnsupportedOperationError, match="target would cancel"):
+        sym_equal(cancelling, Ident(signed("abA")), net)
+    wrong = Perm(word("ab"), (1, 0))
+    with pytest.raises(IllTypedTermError, match="permutation word has the wrong theory"):
+        sym_equal(Ident(signed("ab")), wrong, net)
+    swap = braiding(signed("a"), signed("b"))
+    assert sym_equal(Comp(braiding(signed("b"), signed("a")), swap),
+                     Ident(signed("ab")), net).is_equal
