@@ -21,7 +21,6 @@ exhausted without meeting.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 from collections import deque
@@ -77,16 +76,89 @@ class Ident:
     obj: FreeElem
 
 
+# ``Comp`` and ``Oper`` keep the ``==``, ``hash`` and ``repr`` the dataclass
+# would generate, computed with an explicit stack instead of once per nesting
+# level, so a deep term stays off the Python call stack.
+
+
+class _Hashed:
+    """Stands in for a value whose hash is known: a tuple of stand-ins hashes
+    as the tuple of their values does, without walking the values again."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def __hash__(self) -> int:
+        return self.h
+
+
+def _term_eq(self, other) -> bool:
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if a.__class__ is not b.__class__ or a.__class__ not in (Comp, Oper):
+            if not a == b:
+                return False
+        elif a.__class__ is Comp:
+            stack += [(a.before, b.before), (a.after, b.after)]
+        elif not a.op == b.op:
+            return False
+        elif isinstance(a.args, tuple) and isinstance(b.args, tuple):
+            if len(a.args) != len(b.args):
+                return False
+            stack += reversed(list(zip(a.args, b.args)))
+        elif not a.args == b.args:
+            return False
+    return True
+
+
+def _term_hash(self) -> int:
+    def oper(t: Oper, args: list) -> _Hashed:
+        if not isinstance(t.args, tuple):
+            return _Hashed(hash((t.op, t.args)))
+        return _Hashed(hash((t.op, _Hashed(hash(tuple(args))))))
+
+    return fold_term(self, lambda leaf: _Hashed(hash(leaf)),
+                     lambda after, before: _Hashed(hash((after, before))), oper).h
+
+
+def _term_repr(self) -> str:
+    def oper(t: Oper, args: list) -> str:
+        shown = ", ".join(args)
+        if isinstance(t.args, list):
+            shown = f"[{shown}]"
+        else:
+            shown = f"({shown},)" if len(args) == 1 else f"({shown})"
+        return f"Oper(op={t.op!r}, args={shown})"
+
+    return fold_term(self, repr, lambda after, before: f"Comp(after={after}, before={before})",
+                     oper)
+
+
 @dataclass(frozen=True)
 class Comp:
     after: "MorTerm"
     before: "MorTerm"
+
+    __eq__ = _term_eq
+    __hash__ = _term_hash
+    __repr__ = _term_repr
 
 
 @dataclass(frozen=True)
 class Oper:
     op: str  # "combine" | "invert"
     args: tuple["MorTerm", ...]
+
+    __eq__ = _term_eq
+    __hash__ = _term_hash
+    __repr__ = _term_repr
 
 
 @dataclass(frozen=True)
@@ -160,13 +232,20 @@ def _unknown(reason: str) -> EqVerdict:
 
 @dataclass(frozen=True)
 class _Ctx:
-    """A validated net and its symbol images, built once per call of
-    :func:`mor_equal`, :func:`hom_enumerate` or ``symmetry.sym_equal``.
+    """A validated net, its symbol images and its move caches. :func:`_context`
+    builds one per net object and keeps it on the net, so every
+    :func:`mor_equal`, :func:`hom_enumerate` or ``symmetry.sym_equal`` call on
+    that net shares it.
 
-    The move caches live only as long as the context, so for that one call.
-    Merge and split moves and layer generator counts are pure functions of
-    the net, so each distinct input is computed once and every repeat gets
-    the same, already checked, elements back.
+    ``net`` is a snapshot of the net it describes: the same theory, a tuple of
+    its places and a shallow copy of its transitions. Keeping a copy instead
+    of the net itself leaves no reference cycle, and lets :func:`_context`
+    see a net whose ``transitions`` mapping was changed since.
+
+    Merge and split moves, layer generator counts and the id letters holding
+    one letter's end are pure functions of the net, so each distinct input is
+    computed once for the life of the net and every repeat gets the same,
+    already checked, elements back.
     """
 
     net: QNet
@@ -175,18 +254,39 @@ class _Ctx:
     merges: dict = field(default_factory=dict, repr=False, compare=False)
     splits: dict = field(default_factory=dict, repr=False, compare=False)
     gens_totals: dict = field(default_factory=dict, repr=False, compare=False)
+    held: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def caches(self) -> tuple[dict, ...]:
+        return self.merges, self.splits, self.gens_totals, self.held
 
 
 def _context(net: QNet) -> _Ctx:
-    diags = validate_net(net)
+    """The context of ``net``, built and validated on first use and kept on
+    the net while the net's theory, places and transitions still equal those
+    it was built from; a net whose places or transitions changed is
+    validated again. Memory is bounded: a call that finds more than
+    ``DEFAULT_BUDGET`` cache entries in all clears them."""
+    ctx = getattr(net, "_ctx", None)
+    if (ctx is not None and ctx.net.theory is net.theory
+            and ctx.net.places == tuple(net.places)
+            and ctx.net.transitions == net.transitions):
+        if sum(map(len, ctx.caches())) > DEFAULT_BUDGET:
+            for cache in ctx.caches():
+                cache.clear()
+        return ctx
+    snap = QNet(net.theory, tuple(net.places), dict(net.transitions))
+    diags = validate_net(snap)
     if diags:
         raise InvalidNetError("; ".join(diags))
-    if any(t.startswith(ID_PREFIX) for t in net.transitions):
+    if any(t.startswith(ID_PREFIX) for t in snap.transitions):
         raise InvalidNetError(
             f"process semantics reserves the {ID_PREFIX!r} transition prefix")
-    held = {ID_PREFIX + p: unit(net.theory, p) for p in net.places}
-    return _Ctx(net, {name: arcs[0] for name, arcs in net.transitions.items()} | held,
-                {name: arcs[1] for name, arcs in net.transitions.items()} | held)
+    held = {ID_PREFIX + p: unit(snap.theory, p) for p in snap.places}
+    ctx = _Ctx(snap, {name: arcs[0] for name, arcs in snap.transitions.items()} | held,
+               {name: arcs[1] for name, arcs in snap.transitions.items()} | held)
+    # QNet is frozen; the context is not part of its value (see QNet.__reduce__).
+    object.__setattr__(net, "_ctx", ctx)
+    return ctx
 
 
 def _check_marking(ctx: _Ctx, m: FreeElem) -> None:
@@ -469,10 +569,15 @@ def _framed(th: Theory, gens: Iterable[tuple[str, int]], rest: Iterable) -> Free
 
 
 def _held(letter, end: int, ctx: _Ctx) -> tuple:
-    """The id letters holding one layer letter's source (``end`` 0) or target (1)."""
-    th = ctx.net.theory
-    arc = _layer_tgt if end else _layer_src
-    return _identity_layer(th, arc(FreeElem(th, (letter,)), ctx)).payload
+    """The id letters holding one layer letter's source (``end`` 0) or target
+    (1), as a payload; cached on the context."""
+    out = ctx.held.get((letter, end))
+    if out is None:
+        th = ctx.net.theory
+        arc = _layer_tgt if end else _layer_src
+        out = ctx.held[letter, end] = _identity_layer(
+            th, arc(FreeElem(th, (letter,)), ctx)).payload
+    return out
 
 
 def _merge_words(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
@@ -515,10 +620,9 @@ def _split_candidates(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeEl
     th = ctx.net.theory
     ops = th.ops
 
-    @functools.cache
-    def held(name: str, k: int, end: int) -> tuple:
+    def held(name: str, k: int, end: int) -> Iterable[tuple[str, int]]:
         """The id letters holding one end of ``k`` firings of ``name``."""
-        return tuple(ops.letters(_held(ops.spell(((name, k),))[0], end, ctx)))
+        return ops.letters(_held(ops.spell(((name, k),))[0], end, ctx))
 
     letters = list(ops.letters(layer.payload))
     choices = []  # per letter, its (first-half, second-half) firing counts
@@ -557,8 +661,9 @@ def _form_gens_total(form: LayeredForm) -> int:
     return sum(_layer_gens_total(layer) for layer in form.layers)
 
 
-# The moves through the per-call caches of ``ctx``. The uncached functions
-# are looked up at call time, so a wrapper installed on them sees each miss.
+# The moves through the caches of ``ctx``, which last as long as its net. The
+# uncached functions are looked up at call time, so a wrapper installed on
+# them sees each miss.
 
 
 def _merges(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:

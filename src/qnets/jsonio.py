@@ -14,7 +14,12 @@ from .theory import CanonicalFormError, FreeElem, QnetError, Theory
 
 def dumps(obj: Any) -> str:
     """Deterministic single-line JSON used by the CLI."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    except ValueError as exc:
+        # An integer past the interpreter's digit limit for int-to-str
+        # conversion (4,300 by default): counts grow by firing.
+        raise QnetError(f"output cannot be written as JSON: {exc}") from exc
 
 
 def elem_to_json(x: FreeElem) -> Any:

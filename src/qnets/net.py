@@ -41,6 +41,11 @@ class QNet:
     places: tuple[str, ...]
     transitions: Mapping[str, tuple[FreeElem, FreeElem]]
 
+    def __reduce__(self):
+        # The process semantics keeps a validated context with move caches on
+        # each net it decides on; pickle and copy carry the fields alone.
+        return QNet, (self.theory, self.places, self.transitions)
+
 
 @dataclass(frozen=True)
 class NetMorphism:

@@ -333,3 +333,16 @@ def test_unreadable_and_over_long_input_are_domain_errors(tmp_path, argv, payloa
     assert (code, out) == (1, "")
     assert_json_error(err)
     assert json.loads(err)["error"].startswith(message.replace("{file}", str(file)))
+
+
+@pytest.mark.parametrize("dot", [[], ["--dot"]])
+def test_an_output_count_past_the_digit_limit_is_a_domain_error(tmp_path, dot):
+    # Firing t once from a 4,300-digit count (the input limit) gives one digit
+    # more, which int()'s default limit refuses to print.
+    net = write_net(tmp_path, "net.json", petri("ab", {"t": ({"b": 1}, {"a": 1, "b": 1})}))
+    marking = tmp_path / "m.json"
+    marking.write_text('{"a":%s,"b":1}' % ("9" * 4_300), encoding="utf-8")
+    code, out, err = invoke(["reach", net, "--marking", f"@{marking}", "--steps", "1"] + dot)
+    assert (code, out) == (1, "")
+    assert_json_error(err)
+    assert json.loads(err)["error"].startswith("output cannot be written as JSON: ")

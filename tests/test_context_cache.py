@@ -1,0 +1,147 @@
+"""The net context that ``freecat._context`` keeps on each net: reused calls
+give the verdicts and representatives that fresh nets give, a changed net is
+validated again, the caches are bounded, and pickle and copy leave them out."""
+
+from __future__ import annotations
+
+import copy
+import json
+import pickle
+
+import pytest
+
+from qnets import freecat, jsonio, symmetry
+from qnets.freecat import DEFAULT_BUDGET, Comp, Gen, Ident, Oper, hom_enumerate, mor_equal
+from qnets.net import InvalidNetError, QNet
+
+from netzoo import (
+    ELEMENTARY_NETS,
+    EQUALITY_NETS,
+    PRE_NETS,
+    SYMMETRY_NETS,
+    TOKEN_GAME_NETS,
+    cmon,
+    petri,
+)
+from test_homset_dedup import _objects
+from test_verdicts import EXPECTED
+
+FAMILIES = {"PRE_NETS": PRE_NETS, "SYMMETRY_NETS": SYMMETRY_NETS,
+            "EQUALITY_NETS": EQUALITY_NETS}
+DECIDE = {"sym_equal": symmetry.sym_equal, "mor_equal": freecat.mor_equal}
+
+
+def _fresh(net: QNet) -> QNet:
+    """An equal net object that no call has used yet."""
+    return QNet(net.theory, net.places, dict(net.transitions))
+
+
+def _pinned():
+    with open(EXPECTED, encoding="utf-8") as fh:
+        for line in fh:
+            case = json.loads(line)
+            family, index = case["net"].rstrip("]").split("[")
+            yield case, FAMILIES[family][int(index)]
+
+
+def _outcome(verdict) -> dict:
+    return {"status": verdict.status, "reason": verdict.reason,
+            "witness": list(verdict.witness)}
+
+
+def test_pinned_verdicts_hold_cold_and_warm():
+    shared: dict[int, QNet] = {}  # one copy per net, warmed by every line on it
+    cases = list(_pinned())
+    for rounds in (1, 2):
+        for case, net in cases:
+            want = {k: case[k] for k in ("status", "reason", "witness")}
+            decide = DECIDE[case["decide"]]
+            lhs = jsonio.term_from_json(net.theory, case["lhs"])
+            rhs = jsonio.term_from_json(net.theory, case["rhs"])
+            if rounds == 1:
+                cold = _fresh(net)
+                assert _outcome(decide(lhs, rhs, cold)) == want, case
+                assert _outcome(decide(lhs, rhs, cold)) == want, case
+            warm = shared.setdefault(id(net), _fresh(net))
+            assert _outcome(decide(lhs, rhs, warm)) == want, case
+    assert len(cases) > 1000
+
+
+def test_hom_sets_are_the_same_cold_and_warm():
+    compared = 0
+    for net in TOKEN_GAME_NETS + PRE_NETS + ELEMENTARY_NETS + EQUALITY_NETS:
+        if net.theory.ops.group:
+            continue
+        warm = _fresh(net)
+        pairs = [(x, y) for x in _objects(net) for y in _objects(net)]
+        for x, y in pairs:
+            hom_enumerate(warm, x, y, 2, 2)
+        for x, y in pairs:
+            cold = hom_enumerate(_fresh(net), x, y, 2, 2)
+            assert hom_enumerate(warm, x, y, 2, 2) == cold, (net, x, y)
+            compared += len(cold) > 1
+    assert compared > 20
+
+
+CHAIN_ARCS = {"t": ({"a": 1}, {"b": 1}), "u": ({"b": 1}, {"c": 1})}
+
+
+def _parallel_terms():
+    """``t ⊗ u`` against the same firings one after the other."""
+    return (Oper("combine", (Gen("t"), Gen("u"))),
+            Comp(Oper("combine", (Gen("t"), Ident(cmon({"c": 1})))),
+                 Oper("combine", (Ident(cmon({"a": 1})), Gen("u")))))
+
+
+def test_a_changed_net_is_validated_again():
+    net = petri("abc", CHAIN_ARCS)
+    lhs, rhs = _parallel_terms()
+    assert mor_equal(lhs, rhs, net).is_equal
+    ctx = freecat._context(net)
+    assert freecat._context(net) is ctx
+    net.transitions["v"] = (cmon({"z": 1}), cmon({"a": 1}))
+    with pytest.raises(InvalidNetError, match="undeclared places"):
+        mor_equal(lhs, rhs, net)
+    del net.transitions["v"]
+    assert mor_equal(lhs, rhs, net) == mor_equal(lhs, rhs, petri("abc", CHAIN_ARCS))
+    # u now fires from a: both terms start at a+a, and the greedy witness
+    # shows it.
+    net.transitions["u"] = (cmon({"a": 1}), cmon({"c": 1}))
+    fresh = petri("abc", {"t": CHAIN_ARCS["t"], "u": ({"a": 1}, {"c": 1})})
+    assert mor_equal(lhs, rhs, net) == mor_equal(lhs, rhs, fresh)
+    assert freecat.mor_src(lhs, net) == cmon({"a": 2})
+    assert freecat._context(net) is not ctx
+
+
+def test_caches_past_the_budget_are_cleared():
+    # A MON pair equal by rewrite path: its search merges, splits and holds.
+    case, net = next((c, n) for c, n in _pinned()
+                     if c["decide"] == "mor_equal" and c["reason"] == "rewrite path found"
+                     and not n.theory.ops.commutative)
+    net = _fresh(net)
+    lhs = jsonio.term_from_json(net.theory, case["lhs"])
+    rhs = jsonio.term_from_json(net.theory, case["rhs"])
+    want = DECIDE[case["decide"]](lhs, rhs, net)
+    ctx = freecat._context(net)
+    assert ctx.merges and ctx.splits and ctx.held
+    # Wrong answers for every cached move, and filler past the budget: only
+    # cleared caches give the verdict back.
+    for cache, wrong in zip(ctx.caches(), ([], [], 0, ())):
+        for key in cache:
+            cache[key] = wrong
+    ctx.gens_totals.update((i, 0) for i in range(DEFAULT_BUDGET))
+    assert DECIDE[case["decide"]](lhs, rhs, net) == want
+    assert _outcome(want) == {k: case[k] for k in ("status", "reason", "witness")}
+    assert sum(map(len, ctx.caches())) < DEFAULT_BUDGET
+    assert freecat._context(net) is ctx
+
+
+def test_pickle_and_copy_leave_the_context_out():
+    used, unused = petri("abc", CHAIN_ARCS), petri("abc", CHAIN_ARCS)
+    mor_equal(*_parallel_terms(), used)
+    assert hasattr(used, "_ctx") and not hasattr(unused, "_ctx")
+    assert pickle.dumps(used) == pickle.dumps(unused)
+    assert b"_ctx" not in pickle.dumps(used)
+    for clone in (copy.deepcopy(used), copy.copy(used), pickle.loads(pickle.dumps(used))):
+        assert clone == unused
+        assert vars(clone) == vars(copy.deepcopy(unused))

@@ -1,6 +1,6 @@
 """Differential tests: hom_enumerate's closure-based class dedup against the
 pairwise mor_equal dedup it replaced and against the independent rewrite
-oracle's closures, and the per-call move caches against the uncached
+oracle's closures, and the move caches each net keeps against the uncached
 moves."""
 
 from hypothesis import given, settings, strategies as st
@@ -231,8 +231,10 @@ def _check_moves(form, cached, plain, cap):
 def test_cached_moves_match_uncached_moves_on_whole_closures():
     checked = 0
     for net in ZOO + GROUP_ZOO:
-        cached = _context(net)  # one context, as one hom_enumerate call has
-        plain = _context(net)   # only passed to the uncached moves
+        cached = _context(net)  # the net's own context, kept across calls
+        # A fresh net's context, only passed to the uncached moves.
+        plain = _context(QNet(net.theory, net.places, dict(net.transitions)))
+        assert plain is not cached
         done = set()
         for form in _start_forms(net):
             cap = freecat._form_gens_total(form)

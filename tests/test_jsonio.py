@@ -17,7 +17,7 @@ from qnets.theory import (
     word,
 )
 
-from netzoo import petri
+from netzoo import petri, shallow_stack
 
 
 @pytest.mark.parametrize("elem,encoded", [
@@ -205,12 +205,42 @@ def _comp_chain(depth):
 
 
 def test_deep_comp_chain_decodes_and_encodes_off_the_call_stack():
-    # Deep terms are not compared with ==, which itself recurses.
     loop = petri("a", {"t": ({"a": 1}, {"a": 1})})
     term = jsonio.term_from_json(Theory.CMON, _comp_chain(5000))
     assert len(freecat.layered(term, loop).layers) == 5000
     again = jsonio.term_from_json(Theory.CMON, jsonio.term_to_json(term))
     assert len(freecat.layered(again, loop).layers) == 5000
+
+
+def test_deep_chain_hashes_prints_and_compares_off_the_call_stack():
+    term = jsonio.term_from_json(Theory.CMON, _comp_chain(5000))
+    built = Gen("t")
+    for _ in range(4999):
+        built = Comp(Gen("t"), built)
+    with shallow_stack():
+        assert term == built and term is not built
+        assert term != Comp(Gen("t"), built)
+        assert hash(term) == hash(built) and {term: 1}[built] == 1
+        assert repr(term) == repr(built)
+        assert repr(term) == "Comp(after=Gen(name='t'), before=" * 4999 + "Gen(name='t')" \
+            + ")" * 4999
+
+
+def test_terms_keep_the_dataclass_hash_and_repr():
+    a = Ident(multiset(Theory.CMON, {"a": 1}))
+    one = Oper("combine", (Gen("t"),))
+    two = Oper("combine", (Gen("t"), a))
+    comp = Comp(one, two)
+    assert hash(comp) == hash((comp.after, comp.before))
+    assert hash(two) == hash((two.op, two.args))
+    assert repr(comp) == (
+        "Comp(after=Oper(op='combine', args=(Gen(name='t'),)), "
+        f"before=Oper(op='combine', args=(Gen(name='t'), {a!r})))")
+    assert repr(Oper("invert", [a])) == f"Oper(op='invert', args=[{a!r}])"
+    assert comp == Comp(one, Oper("combine", (Gen("t"), a)))
+    assert comp != Comp(one, Oper("combine", (Gen("t"), a, a)))
+    assert comp != Comp(one, Oper("combine", [Gen("t"), a]))
+    assert (comp == 5) is False and comp != two
 
 
 @pytest.mark.parametrize("data,got", [
