@@ -187,17 +187,11 @@ def _dispatch(args, out) -> int:
         src = _load_elem(net.theory, args.src)
         tgt = _load_elem(net.theory, args.tgt)
         classes = freecat.hom_enumerate(net, src, tgt, args.layers, args.width)
-        # The stdlib JSON encoder spends two recursion levels per composite of
-        # a deep representative, so it runs out of stack as deep input does.
-        try:
-            text = jsonio.dumps({
-                "from": jsonio.elem_to_json(src),
-                "to": jsonio.elem_to_json(tgt),
-                "representatives": [jsonio.term_to_json(t) for t in classes],
-            })
-        except RecursionError as exc:
-            raise QnetError("a hom-set representative is nested too deeply to print") from exc
-        print(text, file=out)
+        print(jsonio.dumps({
+            "from": jsonio.elem_to_json(src),
+            "to": jsonio.elem_to_json(tgt),
+            "representatives": [jsonio.term_to_json(t) for t in classes],
+        }), file=out)
         return 0
 
     if args.command == "homgroup":

@@ -22,14 +22,13 @@ exhausted without meeting.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
 from . import jsonio
 from .intlattice import IntLattice
-from .net import ID_PREFIX, InvalidNetError, QNet, validate_net
+from .net import DEFAULT_BUDGET, ID_PREFIX, InvalidNetError, QNet, default_budget, validate_net
 from .theory import (
     FreeElem,
     QnetError,
@@ -45,23 +44,6 @@ from .theory import (
     unit,
 )
 
-DEFAULT_BUDGET = 10_000
-
-
-def default_budget() -> int:
-    """Rewrite-search node budget; the QNET_BUDGET env var overrides it."""
-    raw = os.environ.get("QNET_BUDGET")
-    if not raw:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise QnetError(f"QNET_BUDGET must be a positive integer, got {raw!r}")
-    return budget
-
-
 class IllTypedTermError(QnetError):
     pass
 
@@ -76,56 +58,16 @@ class Ident:
     obj: FreeElem
 
 
-# ``Comp`` and ``Oper`` keep the ``==``, ``hash`` and ``repr`` the dataclass
-# would generate, computed with an explicit stack instead of once per nesting
-# level, so a deep term stays off the Python call stack.
-
-
-class _Hashed:
-    """Stands in for a value whose hash is known: a tuple of stand-ins hashes
-    as the tuple of their values does, without walking the values again."""
-
-    __slots__ = ("h",)
-
-    def __init__(self, h: int):
-        self.h = h
-
-    def __hash__(self) -> int:
-        return self.h
+# ``Comp`` and ``Oper`` print as the dataclass would, by a fold with an explicit
+# stack, so a deep term stays off the Python call stack. That text spells out
+# the whole term, so ``==`` and ``hash`` read it: equality of process terms up
+# to the theory's equations is ``mor_equal``'s job, not ``==``'s.
 
 
 def _term_eq(self, other) -> bool:
     if other.__class__ is not self.__class__:
         return NotImplemented
-    stack = [(self, other)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if a.__class__ is not b.__class__ or a.__class__ not in (Comp, Oper):
-            if not a == b:
-                return False
-        elif a.__class__ is Comp:
-            stack += [(a.before, b.before), (a.after, b.after)]
-        elif not a.op == b.op:
-            return False
-        elif isinstance(a.args, tuple) and isinstance(b.args, tuple):
-            if len(a.args) != len(b.args):
-                return False
-            stack += reversed(list(zip(a.args, b.args)))
-        elif not a.args == b.args:
-            return False
-    return True
-
-
-def _term_hash(self) -> int:
-    def oper(t: Oper, args: list) -> _Hashed:
-        if not isinstance(t.args, tuple):
-            return _Hashed(hash((t.op, t.args)))
-        return _Hashed(hash((t.op, _Hashed(hash(tuple(args))))))
-
-    return fold_term(self, lambda leaf: _Hashed(hash(leaf)),
-                     lambda after, before: _Hashed(hash((after, before))), oper).h
+    return self is other or repr(self) == repr(other)
 
 
 def _term_repr(self) -> str:
@@ -147,7 +89,7 @@ class Comp:
     before: "MorTerm"
 
     __eq__ = _term_eq
-    __hash__ = _term_hash
+    __hash__ = lambda self: hash(repr(self))
     __repr__ = _term_repr
 
 
@@ -157,7 +99,7 @@ class Oper:
     args: tuple["MorTerm", ...]
 
     __eq__ = _term_eq
-    __hash__ = _term_hash
+    __hash__ = lambda self: hash(repr(self))
     __repr__ = _term_repr
 
 
@@ -1142,7 +1084,8 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
     position ``i``) and ``{"fire":t,"keep":[...]}`` for SEMILAT (the residual
     that stays marked), joined from names quoted once per call; each distinct
     label is built once per call. ``saturated`` tells a fixpoint from a search
-    cut off by ``max_steps``.
+    cut off by ``max_steps``. More than :func:`default_budget` firings in one
+    call is a :class:`QnetError`: no partial graph is returned.
     """
     th = net.theory
     ops = th.ops
@@ -1156,6 +1099,8 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
             "a transition with empty source makes the step relation infinitely branching")
     names = sorted(net.transitions)
     quoted = {x: jsonio.dumps(x) for x in itertools.chain(names, net.places)}
+    budget = default_budget()
+    firings = 0
 
     if vectors:
         places = sorted(net.places)
@@ -1163,8 +1108,11 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
 
         def steps(m: tuple) -> Iterator[tuple[tuple, tuple]]:
             counts = dict(m)
+            # A fundable multiset wider than this cap has a fundable
+            # sub-multiset of every width up to it, one more than the bound
+            # has left, so the count below refuses before the cap drops any.
             for fired, _, out in _firings(need, effect, [counts.get(p, 0) for p in places],
-                                          None):
+                                          budget - firings + 1):
                 yield fired, tuple(itertools.compress(zip(places, out), out))
 
         def encode(fired: tuple) -> str:
@@ -1200,6 +1148,10 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
         nxt = []
         for m in frontier:
             for key, payload in steps(m.payload):
+                firings += 1
+                if firings > budget:
+                    raise QnetError(f"the token game fires more than {budget} transitions;"
+                                    " QNET_BUDGET raises the bound")
                 text = labels.get(key) or labels.setdefault(key, encode(key))
                 edges.add((m.payload, text, payload))
                 if payload not in seen:

@@ -13,13 +13,18 @@ from .theory import CanonicalFormError, FreeElem, QnetError, Theory
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic single-line JSON used by the CLI."""
+    """Deterministic single-line JSON used by the CLI; output the encoder
+    cannot write is a :class:`QnetError`."""
     try:
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
     except ValueError as exc:
         # An integer past the interpreter's digit limit for int-to-str
         # conversion (4,300 by default): counts grow by firing.
         raise QnetError(f"output cannot be written as JSON: {exc}") from exc
+    except RecursionError as exc:
+        # The stdlib encoder spends two recursion levels per composite term,
+        # so a deep term runs out of stack as deep input does.
+        raise QnetError("output is nested too deeply to write as JSON") from exc
 
 
 def elem_to_json(x: FreeElem) -> Any:

@@ -9,6 +9,7 @@ commute; violations are reported as diagnostics rather than exceptions.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -29,6 +30,24 @@ from .theory import (
 # Transitions named with this prefix stand for identities: reflexive nets add
 # one per place, and the free category reserves the prefix for its units.
 ID_PREFIX = "id."
+
+DEFAULT_BUDGET = 10_000
+
+
+def default_budget() -> int:
+    """Bound on the enumerations that grow with their input: rewrite-search
+    nodes, hom-set closures, product transitions and token-game firings. The
+    QNET_BUDGET env var overrides it."""
+    raw = os.environ.get("QNET_BUDGET")
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise QnetError(f"QNET_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 class InvalidNetError(QnetError):
@@ -184,24 +203,23 @@ def _count_tables(rows: list[tuple[str, int]], cols: list[tuple[str, int]]) -> I
                           cells + ((name, v),) if v else cells))
 
 
-def _marginal_fiber(th: Theory, a: FreeElem, b: FreeElem) -> list[FreeElem]:
-    """All elements over paired places projecting to ``a`` and ``b``."""
+def _marginal_fiber(th: Theory, a: FreeElem, b: FreeElem) -> Iterator[FreeElem]:
+    """All elements over paired places projecting to ``a`` and ``b``, made
+    one at a time, so a caller can stop early."""
     ops = th.ops
     if not ops.commutative:
-        if len(a.payload) != len(b.payload):
-            return []
-        return [word(_pair_name(x, y) for x, y in zip(a.payload, b.payload))]
+        if len(a.payload) == len(b.payload):
+            yield word(_pair_name(x, y) for x, y in zip(a.payload, b.payload))
+        return
     if not ops.idempotent:
-        rows = list(a.payload)
-        cols = list(b.payload)
-        return [multiset(th, table) for table in _count_tables(rows, cols)]
+        for table in _count_tables(list(a.payload), list(b.payload)):
+            yield multiset(th, table)
+        return
     subsets_of = list(itertools.product(sorted(a.payload), sorted(b.payload)))
-    out = []
     for bits in itertools.product((False, True), repeat=len(subsets_of)):
         chosen = [pair for pair, keep in zip(subsets_of, bits) if keep]
         if {x for x, _ in chosen} == set(a.payload) and {y for _, y in chosen} == set(b.payload):
-            out.append(FreeElem(th, tuple(sorted(_pair_name(x, y) for x, y in chosen))))
-    return out
+            yield FreeElem(th, tuple(sorted(_pair_name(x, y) for x, y in chosen)))
 
 
 def product(p1: QNet, p2: QNet) -> tuple[QNet, NetMorphism, NetMorphism]:
@@ -210,7 +228,8 @@ def product(p1: QNet, p2: QNet) -> tuple[QNet, NetMorphism, NetMorphism]:
     Transitions are one per pair of input transitions and per pair of
     source/target fiber elements. ABGRP and GRP are rejected: the fiber over a
     pair of markings is infinite there, so the product net has infinitely many
-    transitions.
+    transitions. So is a product of more than :func:`default_budget`
+    transitions, found before more than that many fiber elements are built.
     """
     if p1.theory is not p2.theory:
         raise TheoryMismatchError("product needs a shared theory")
@@ -221,12 +240,24 @@ def product(p1: QNet, p2: QNet) -> tuple[QNet, NetMorphism, NetMorphism]:
     places = tuple(_pair_name(x, y) for x in p1.places for y in p2.places)
     g1 = {_pair_name(x, y): x for x in p1.places for y in p2.places}
     g2 = {_pair_name(x, y): y for x in p1.places for y in p2.places}
+    budget = default_budget()
     transitions = {}
     f1, f2 = {}, {}
     for n1, (s1, t1) in sorted(p1.transitions.items()):
         for n2, (s2, t2) in sorted(p2.transitions.items()):
-            srcs = sorted(_marginal_fiber(th, s1, s2), key=lambda e: e.payload)
-            tgts = sorted(_marginal_fiber(th, t1, t2), key=lambda e: e.payload)
+            # Each fiber is made only as far as the bound needs; an empty
+            # source fiber leaves the target fiber unmade.
+            left = budget - len(transitions)
+            srcs = list(itertools.islice(_marginal_fiber(th, s1, s2), left + 1))
+            if not srcs:
+                continue
+            tgts = list(itertools.islice(_marginal_fiber(th, t1, t2), left // len(srcs) + 1))
+            if len(srcs) * len(tgts) > left:
+                raise UnsupportedOperationError(
+                    f"the product has more than {budget} transitions; QNET_BUDGET raises"
+                    " the bound")
+            srcs.sort(key=lambda e: e.payload)
+            tgts.sort(key=lambda e: e.payload)
             for k, (u, v) in enumerate(itertools.product(srcs, tgts)):
                 name = f"{_pair_name(n1, n2)}@{k}"
                 transitions[name] = (u, v)

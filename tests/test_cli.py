@@ -7,7 +7,7 @@ import pytest
 from qnets import jsonio
 from qnets.cli import run
 
-from netzoo import petri, prenet, shallow_stack
+from netzoo import elementary, petri, prenet, shallow_stack
 
 
 def invoke(argv):
@@ -346,3 +346,25 @@ def test_an_output_count_past_the_digit_limit_is_a_domain_error(tmp_path, dot):
     assert (code, out) == (1, "")
     assert_json_error(err)
     assert json.loads(err)["error"].startswith("output cannot be written as JSON: ")
+
+
+@pytest.mark.parametrize("net,marking", [
+    # One SEMILAT transition on four places pairs with itself through 41,503
+    # relations a side: about 1.7e9 product transitions.
+    (elementary("abcd", {"t": ("abcd", "abcd")}), None),
+    # Eight a -> b transitions fire in C(20, 8) - 1 = 125,969 ways from 12 tokens.
+    (petri("ab", {f"t{i}": ({"a": 1}, {"b": 1}) for i in range(8)}), '{"a":12}'),
+    # t: a -> 2a fires in as many ways as the 4,300-digit count.
+    (petri("a", {"t": ({"a": 1}, {"a": 2})}), '{"a":%s}' % ("9" * 4_300)),
+])
+def test_enumerations_past_the_budget_are_domain_errors(tmp_path, net, marking):
+    path = write_net(tmp_path, "net.json", net)
+    argv = (["product", path, path] if marking is None
+            else ["reach", path, "--marking", marking, "--steps", "1"])
+    started = time.monotonic()
+    code, out, err = invoke(argv)
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (1, "")
+    assert_json_error(err)
+    assert "more than 10000 transitions" in json.loads(err)["error"]
+    assert "QNET_BUDGET" in json.loads(err)["error"]

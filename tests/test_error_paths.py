@@ -1,0 +1,74 @@
+"""Refusals of the library API: each call raises the named error with a stable
+part of its message."""
+
+import pytest
+
+import qnets
+from qnets import jsonio, symmetry
+from qnets.freecat import Gen, underlying_net, unit_into_truncation
+from qnets.intlattice import IntLattice
+from qnets.theory import (
+    CanonicalFormError,
+    FreeElem,
+    QnetError,
+    Theory,
+    TheoryMismatchError,
+    UnsupportedOperationError,
+    combine,
+    extend,
+    lift,
+    multiset,
+    word,
+)
+
+from netzoo import GROUP_NETS, cmon, elementary, integer_net, petri, prenet, signed
+
+_PETRI = petri("ab", {"t": ({"a": 1}, {"b": 1})})
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: symmetry.linearizations(prenet("a", {"t": ("a", "a")})),
+     UnsupportedOperationError, "linearization applies to CMON or ABGRP nets, not MON"),
+    (lambda: symmetry.linearizations(elementary("a", {"t": ("a", "a")})),
+     UnsupportedOperationError, "linearization applies to CMON or ABGRP nets, not SEMILAT"),
+    (lambda: symmetry.linearizations(GROUP_NETS[0]),
+     UnsupportedOperationError, "linearization applies to CMON or ABGRP nets, not GRP"),
+    (lambda: symmetry.linearization_sum(integer_net("a", {"t": ({"a": 1}, {"a": -1})})),
+     UnsupportedOperationError, "the summed linearization net is for CMON nets"),
+    (lambda: symmetry.braiding(signed("a"), signed("A")),
+     UnsupportedOperationError, "braiding across a cancelling boundary"),
+    (lambda: symmetry.sym_equal(Gen("t"), Gen("t"), _PETRI),
+     UnsupportedOperationError, "symmetric terms need a word-marked net"),
+    (lambda: underlying_net(_PETRI, 0),
+     UnsupportedOperationError, "enumeration bound must be positive"),
+    (lambda: underlying_net(integer_net("a", {"t": ({"a": 1}, {"a": -1})}), 1),
+     UnsupportedOperationError, "underlying-net truncation is not available over ABGRP"),
+    (lambda: underlying_net(GROUP_NETS[0], 1),
+     UnsupportedOperationError, "underlying-net truncation is not available over GRP"),
+    # The truncation of a net without transitions holds no class for t.
+    (lambda: unit_into_truncation(_PETRI, underlying_net(petri("ab", {}), 1)),
+     QnetError, "truncation bound too small to contain 't'"),
+    (lambda: multiset(Theory.MON, {"a": 1}),
+     TheoryMismatchError, "MON elements are not count vectors"),
+    (lambda: combine(Theory.CMON, word("a"), cmon({"a": 1})),
+     TheoryMismatchError, "combine over CMON got MON and CMON"),
+    (lambda: lift(Theory.CMON, {"a": "b"}, word("a")),
+     TheoryMismatchError, "lift over CMON got MON"),
+    (lambda: extend(Theory.CMON, {"a": word("a")}, cmon({"a": 1})),
+     TheoryMismatchError, "extend over CMON got a MON image for 'a'"),
+    (lambda: FreeElem(Theory.CMON, [("a", 1)]),
+     CanonicalFormError, "payload must be a tuple, got list"),
+    (lambda: jsonio.elem_from_json(Theory.GRP, [["a", 2]]),
+     CanonicalFormError, 'GRP letters must look like ["a","+"]'),
+    (lambda: IntLattice(2).add([1, 2, 3]), ValueError, "dimension mismatch"),
+    (lambda: [1, 2, 3] in IntLattice(2), ValueError, "dimension mismatch"),
+])
+def test_refusals_name_their_reason(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert message in str(info.value)
+
+
+def test_dir_lists_every_public_name():
+    assert set(qnets.__all__) <= set(dir(qnets))

@@ -306,6 +306,23 @@ def test_budget_env_override(monkeypatch):
             default_budget()
 
 
+@pytest.mark.parametrize("net,m0,steps", [
+    # Five tokens fire t once to five times in one step; a width cap one short
+    # of the budget's remainder would drop the five-fold firing unrefused.
+    (petri("ab", {"t": ({"a": 1}, {"b": 1})}), cmon({"a": 5}), 1),
+    (petri("ab", {"t": ({"a": 1}, {"b": 1})}), cmon({"a": 5}), 2),
+    (prenet("ab", {"t": ("a", "b")}), word("aaaa"), 3),
+    (elementary("abc", {"t": ("ab", "c")}), finset("abc"), 2),
+])
+def test_reachable_refuses_more_firings_than_the_budget(monkeypatch, net, m0, steps):
+    edges = len(reachable(net, m0, steps).edges)
+    monkeypatch.setenv("QNET_BUDGET", str(edges))
+    assert len(reachable(net, m0, steps).edges) == edges
+    monkeypatch.setenv("QNET_BUDGET", str(edges - 1))
+    with pytest.raises(QnetError, match=f"more than {edges - 1} transitions.*QNET_BUDGET"):
+        reachable(net, m0, steps)
+
+
 def test_free_edges_morphism_validates():
     from qnets.net import NetMorphism
     from qnets.reflexive import (add_identities_morphism, free_edges_morphism,

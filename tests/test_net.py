@@ -166,6 +166,28 @@ def test_product_cmon_matches_table_count():
     assert validate_morphism(proj1) == [] and validate_morphism(proj2) == []
 
 
+def test_product_refuses_more_transitions_than_the_budget(monkeypatch):
+    p = petri("ab", {"t": ({"a": 2, "b": 1}, {"a": 1, "b": 2}), "u": ({"a": 1}, {"b": 1})})
+    q = petri("xy", {"s": ({"x": 1, "y": 2}, {"x": 2, "y": 1})})
+    size = len(product(p, q)[0].transitions)
+    monkeypatch.setenv("QNET_BUDGET", str(size))
+    assert len(product(p, q)[0].transitions) == size
+    monkeypatch.setenv("QNET_BUDGET", str(size - 1))
+    with pytest.raises(UnsupportedOperationError, match=f"more than {size - 1} transitions"):
+        product(p, q)
+
+
+def test_product_skips_a_pair_with_an_empty_fiber_before_refusing():
+    # The source fiber of {a,b,c,d} with itself holds 41,503 relations, past
+    # the budget, but no relation projects onto both {} and {a}: the pair
+    # adds no transitions, whichever side the empty fiber is on.
+    wide = elementary("abcd", {"t": ("abcd", "")})
+    narrow = elementary("abcd", {"u": ("abcd", "a")})
+    assert product(wide, narrow)[0].transitions == {}
+    flipped = [elementary("abcd", {"t": (b, a)}) for a, b in (("abcd", ""), ("abcd", "a"))]
+    assert product(*flipped)[0].transitions == {}
+
+
 def _brute_force_tables(rows, cols):
     """Every table of cell values up to its row and column sums, row by row
     in lexicographic order, kept when its margins match."""

@@ -340,13 +340,54 @@ def test_permutation_beside_cancelling_boundary_is_refused():
         symmetry.sym_layered(term, _WALK_NETS[2])
 
 
+_SWAP_NET = prenet("abc", {"t": ("c", "a")})
+
+
+def _beside(*args):
+    return Oper("combine", tuple(args))
+
+
+@pytest.mark.parametrize("term,start,layers,tgt,slid", [
+    # σ_{a,b} ⊗ t against (id_ba ⊗ t) ∘ (σ ⊗ id_c), and, slid past the
+    # firing, (σ ⊗ id_a) ∘ (id_ab ⊗ t).
+    (_beside(braiding(word("a"), word("b")), Gen("t")), "abc",
+     [((1, 0, 2), "abc"), "id.b id.a t"], "baa",
+     [Comp(_beside(Ident(word("ba")), Gen("t")),
+           _beside(braiding(word("a"), word("b")), Ident(word("c")))),
+      Comp(_beside(braiding(word("a"), word("b")), Ident(word("a"))),
+           _beside(Ident(word("ab")), Gen("t")))]),
+    # t ⊗ σ_{a,b} against (id_a ⊗ σ) ∘ (t ⊗ id_ab), and, slid past the
+    # firing, (t ⊗ id_ba) ∘ (id_c ⊗ σ).
+    (_beside(Gen("t"), braiding(word("a"), word("b"))), "cab",
+     ["t id.a id.b", ((0, 2, 1), "aab")], "aba",
+     [Comp(_beside(Ident(word("a")), braiding(word("a"), word("b"))),
+           _beside(Gen("t"), Ident(word("ab")))),
+      Comp(_beside(Gen("t"), Ident(word("ba"))),
+           _beside(Ident(word("c")), braiding(word("a"), word("b"))))]),
+])
+def test_a_permutation_beside_a_firing_stacks_padded_layers(term, start, layers, tgt, slid):
+    form = symmetry.sym_layered(term, _SWAP_NET)
+    want = tuple(word(l.split()) if isinstance(l, str) else Perm(word(l[1]), l[0])
+                 for l in layers)
+    assert form == freecat.LayeredForm(word(start), want)
+    ctx = freecat._context(_SWAP_NET)
+    assert freecat._layers_of(term, ctx, True)[:2] == (word(start), word(tgt))
+    identical, moved = slid
+    assert sym_equal(term, identical, _SWAP_NET).reason == "identical layered forms"
+    for other in slid:
+        assert sym_equal(term, other, _SWAP_NET).is_equal
+        assert sym_equal(other, term, _SWAP_NET).is_equal
+    assert sym_equal(term, moved, _SWAP_NET).reason == "rewrite path found"
+
+
 def _sym_terms(theory):
     make = word if theory is not Theory.GRP else _signed
+    braids = st.sampled_from([("a", "b"), ("ab", "a"), ("b", "")]).map(
+        lambda xy: braiding(make(xy[0]), make(xy[1])))
     leaves = st.one_of(
         st.sampled_from(["t", "u", "x"]).map(Gen),
         st.sampled_from(["a", "b", "ab", "ba", "z"]).map(lambda w: Ident(make(w))),
-        st.sampled_from([("a", "b"), ("ab", "a"), ("b", "")]).map(
-            lambda xy: braiding(make(xy[0]), make(xy[1]))),
+        braids,
         st.sampled_from([("ab", (0, 1)), ("ab", (0, 0)), ("az", (1, 0)), ("aa", (1, 0))]).map(
             lambda wm: Perm(make(wm[0]), wm[1])),
         st.sampled_from([("ab", "a"), ("a", "ba")]).map(
@@ -356,6 +397,9 @@ def _sym_terms(theory):
         st.tuples(sub, sub).map(lambda ab: Comp(*ab)),
         st.tuples(st.sampled_from(["combine", "invert", "swap"]),
                   st.lists(sub, max_size=3)).map(lambda oa: Oper(oa[0], tuple(oa[1]))),
+        # A permutation beside another argument, on either side: padded layers.
+        st.tuples(braids, sub, st.booleans()).map(
+            lambda pab: Oper("combine", pab[:2] if pab[2] else (pab[1], pab[0]))),
         st.just("not a term")), max_leaves=8)
 
 
