@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Union
 
 from . import jsonio
@@ -868,24 +869,35 @@ def _vector_net(net: QNet, places: list[str]) -> tuple[list[str], list, list]:
 
 
 def _firings(need: list, effect: list, counts: list[int],
-             max_width: int | None) -> Iterator[tuple[tuple, list[int], list[int]]]:
+             max_width: int | None) -> Iterator[tuple[tuple, tuple, tuple]]:
     """Nonempty transition multisets of at most ``max_width`` firings (no bound
     for None, which needs nonempty sources) that fit the count vector
     ``counts``, as ``(fired, room, out)``: ``(i, k)`` pairs with k > 0 by
-    transition index, ``counts`` less the fired sources, and ``counts`` plus
+    transition index, and tuples of ``counts`` less the fired sources and plus
     the fired effects (tables from :func:`_vector_net`). The order is that of
     the count sequences ``(k_0, k_1, ...)``: sorted names, smallest count first.
     """
-    # A stack node is a multiset over transitions below i, yielded when
-    # popped; its children add k firings of one j >= i, pushed for j
-    # ascending and k descending so that the largest j, smallest k pops next.
-    stack = [(0, counts, counts, (), max_width)]
+    # Room only shrinks down the tree, so only the transitions the root funds
+    # are visited. A stack node is a multiset over live[:x], yielded when
+    # popped; its children add k firings of one live[y], y >= x, pushed for y
+    # ascending and k descending so that the largest y, smallest k pops next.
+    live = []
+    for j, src in enumerate(need):
+        if all(counts[p] >= c for p, c in src):
+            take, give = [0] * len(counts), [0] * len(counts)
+            for p, c in src:
+                take[p] = c
+            for p, d in effect[j]:
+                give[p] = d
+            live.append((j, src, take, give))
+    stack = [(0, tuple(counts), tuple(counts), (), max_width)]
     while stack:
-        i, room, out, fired, left = stack.pop()
+        x, room, out, fired, left = stack.pop()
         if fired:
             yield fired, room, out
-        for j in range(i, len(need)):
-            top = min([room[p] // c for p, c in need[j]], default=left)
+        for y in range(x, len(live)):
+            j, src, take, give = live[y]
+            top = min([room[p] // c for p, c in src], default=left)
             if left is not None and top > left:
                 top = left
             if not top:
@@ -893,12 +905,8 @@ def _firings(need: list, effect: list, counts: list[int],
             children = []
             r, o = room, out
             for k in range(1, top + 1):
-                r, o = r[:], o[:]
-                for p, c in need[j]:
-                    r[p] -= c
-                for p, d in effect[j]:
-                    o[p] += d
-                children.append((j + 1, r, o, fired + ((j, k),),
+                r, o = tuple(map(sub, r, take)), tuple(map(add, o, give))
+                children.append((y + 1, r, o, fired + ((j, k),),
                                  None if left is None else left - k))
             stack += reversed(children)
 
@@ -1066,6 +1074,7 @@ class ReachResult:
     markings: tuple[FreeElem, ...]
     edges: tuple[tuple[FreeElem, str, FreeElem], ...]
     saturated: bool  # a round found no new marking, so max_steps did not cut it off
+    frontier: tuple[int, ...] = field(default=(), compare=False)  # new markings per round
 
 
 def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
@@ -1077,15 +1086,18 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
     :func:`_step_layers`; MON rewrites one contiguous source factor; SEMILAT
     fires one transition and keeps each residual of the marking by its source.
 
-    Each distinct marking is built once, through the checked
+    Markings are keyed by their step value (count vector, word or set) and
+    numbered when first seen; each is built once, through the checked
     :class:`FreeElem` constructor, and every edge into it shares that object.
-    Edge labels are the text of :func:`jsonio.dumps` on ``{"fire":{t:k,...}}``
-    for CMON, ``{"at":i,"fire":t}`` for MON (``t`` rewrites the factor at
-    position ``i``) and ``{"fire":t,"keep":[...]}`` for SEMILAT (the residual
-    that stays marked), joined from names quoted once per call; each distinct
-    label is built once per call. ``saturated`` tells a fixpoint from a search
-    cut off by ``max_steps``. More than :func:`default_budget` firings in one
-    call is a :class:`QnetError`: no partial graph is returned.
+    Edges between ids are sorted once, by the ranks of their payloads. Labels
+    are the text of :func:`jsonio.dumps` on ``{"fire":{t:k,...}}`` for CMON,
+    ``{"at":i,"fire":t}`` for MON (``t`` rewrites the factor at position
+    ``i``) and ``{"fire":t,"keep":[...]}`` for SEMILAT (the residual that
+    stays marked), each built once per call from names quoted once per call.
+    ``saturated`` tells a fixpoint from a search cut off by ``max_steps``, and
+    ``frontier`` counts the new markings of each round. More than
+    :func:`default_budget` firings in one call is a :class:`QnetError`: no
+    partial graph is returned.
     """
     th = net.theory
     ops = th.ops
@@ -1099,73 +1111,79 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
             "a transition with empty source makes the step relation infinitely branching")
     names = sorted(net.transitions)
     quoted = {x: jsonio.dumps(x) for x in itertools.chain(names, net.places)}
+    arcs = [(name, *(arc.payload for arc in net.transitions[name])) for name in names]
     budget = default_budget()
     firings = 0
+    start = m0.payload
 
     if vectors:
         places = sorted(net.places)
         _, need, effect = _vector_net(net, places)
+        start = tuple(map(dict(start).get, places, itertools.repeat(0)))
 
         def steps(m: tuple) -> Iterator[tuple[tuple, tuple]]:
-            counts = dict(m)
             # A fundable multiset wider than this cap has a fundable
             # sub-multiset of every width up to it, one more than the bound
             # has left, so the count below refuses before the cap drops any.
-            for fired, _, out in _firings(need, effect, [counts.get(p, 0) for p in places],
-                                          budget - firings + 1):
-                yield fired, tuple(itertools.compress(zip(places, out), out))
+            for fired, _, out in _firings(need, effect, m, budget - firings + 1):
+                yield fired, out
 
         def encode(fired: tuple) -> str:
-            return '{"fire":{%s}}' % ",".join(f"{quoted[names[i]]}:{k}" for i, k in fired)
+            return '{"fire":{%s}}' % ",".join([f"{quoted[names[i]]}:{k}" for i, k in fired])
     elif not ops.commutative:
         def steps(m: tuple) -> Iterator[tuple[tuple, tuple]]:
-            for name in names:
-                src, tgt = (arc.payload for arc in net.transitions[name])
-                for pos in range(len(m) - len(src) + 1):
-                    if m[pos:pos + len(src)] == src:
-                        yield (pos, name), m[:pos] + tgt + m[pos + len(src):]
+            for name, src, tgt in arcs:
+                n = len(src)
+                for pos in range(len(m) - n + 1):
+                    if m[pos:pos + n] == src:
+                        yield (pos, name), m[:pos] + tgt + m[pos + n:]
 
         def encode(key: tuple) -> str:
             return '{"at":%d,"fire":%s}' % (key[0], quoted[key[1]])
     else:
         def steps(m: tuple) -> Iterator[tuple[tuple, tuple]]:
-            for name in names:
-                src, tgt = (arc.payload for arc in net.transitions[name])
+            for name, src, tgt in arcs:
                 for keep in ops.residuals(m, src):
-                    yield (name, keep), tuple(sorted(set(keep).union(tgt)))
+                    yield (name, keep), tuple(sorted({*keep, *tgt}))
 
         def encode(key: tuple) -> str:
             return '{"fire":%s,"keep":[%s]}' % (quoted[key[0]],
-                                                 ",".join(quoted[p] for p in key[1]))
+                                                 ",".join([quoted[p] for p in key[1]]))
 
     labels: dict[tuple, str] = {}
-    # Markings by payload: a payload seen before gets its checked object back.
-    seen = {m0.payload: m0}
-    frontier = [m0]
-    edges: set[tuple[tuple, str, tuple]] = set()
-    saturated = False
+    ids = {start: 0}
+    found = [m0]
+    frontier = [start]
+    edges, sizes = [], []  # (id, label, id) triples; new markings per round
     for _ in range(max_steps):
         nxt = []
         for m in frontier:
-            for key, payload in steps(m.payload):
+            a = ids[m]
+            for key, m2 in steps(m):
                 firings += 1
                 if firings > budget:
                     raise QnetError(f"the token game fires more than {budget} transitions;"
                                     " QNET_BUDGET raises the bound")
                 text = labels.get(key) or labels.setdefault(key, encode(key))
-                edges.add((m.payload, text, payload))
-                if payload not in seen:
-                    seen[payload] = FreeElem(th, payload)
-                    nxt.append(seen[payload])
+                b = ids.get(m2)
+                if b is None:
+                    b = ids[m2] = len(found)
+                    found.append(FreeElem(th, tuple(itertools.compress(zip(places, m2), m2))
+                                          if vectors else m2))
+                    nxt.append(m2)
+                edges.append((a, text, b))
+        sizes.append(len(nxt))
         if not nxt:
-            saturated = True
             break
         frontier = nxt
+    order = sorted(range(len(found)), key=[m.payload for m in found].__getitem__)
+    rank = {i: r for r, i in enumerate(order)}
+    markings = tuple([found[i] for i in order])
+    ranked = sorted([(rank[a], text, rank[b]) for a, text, b in edges])
     return ReachResult(
-        m0, max_steps,
-        tuple(seen[p] for p in sorted(seen)),
-        tuple((seen[a], text, seen[b]) for a, text, b in sorted(edges)),
-        saturated)
+        m0, max_steps, markings,
+        tuple([(markings[a], text, markings[b]) for a, text, b in ranked]),
+        bool(sizes) and not sizes[-1], tuple(sizes))
 
 
 def reachability_dot(result: ReachResult) -> str:
@@ -1175,15 +1193,12 @@ def reachability_dot(result: ReachResult) -> str:
         return '"' + s.replace('"', '\\"') + '"'
 
     lines = ["digraph reachability {"]
-    for m in result.markings:
-        label = jsonio.dumps(jsonio.elem_to_json(m))
+    node = {m: quote(jsonio.dumps(jsonio.elem_to_json(m))) for m in result.markings}
+    for m, text in node.items():
         shape = "doublecircle" if m == result.start else "box"
-        lines.append(f"  {quote(label)} [shape={shape}];")
+        lines.append(f"  {text} [shape={shape}];")
     for src, label, tgt in result.edges:
-        lines.append("  {} -> {} [label={}];".format(
-            quote(jsonio.dumps(jsonio.elem_to_json(src))),
-            quote(jsonio.dumps(jsonio.elem_to_json(tgt))),
-            quote(label)))
+        lines.append(f"  {node[src]} -> {node[tgt]} [label={quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -215,11 +215,24 @@ def _marginal_fiber(th: Theory, a: FreeElem, b: FreeElem) -> Iterator[FreeElem]:
         for table in _count_tables(list(a.payload), list(b.payload)):
             yield multiset(th, table)
         return
-    subsets_of = list(itertools.product(sorted(a.payload), sorted(b.payload)))
-    for bits in itertools.product((False, True), repeat=len(subsets_of)):
-        chosen = [pair for pair, keep in zip(subsets_of, bits) if keep]
-        if {x for x, _ in chosen} == set(a.payload) and {y for _, y in chosen} == set(b.payload):
-            yield FreeElem(th, tuple(sorted(_pair_name(x, y) for x, y in chosen)))
+    # Relations that cover both sets, pair by pair from an explicit stack. A
+    # pair is left out only while the pairs kept or still to come cover both
+    # of its places (``xs``/``ys`` count them), so every branch ends in a
+    # relation and the work follows the number of relations, not 2^(|a|*|b|).
+    a, b = a.payload, b.payload
+    if bool(a) != bool(b):  # no relation covers one empty side and not the other
+        return
+    stack = [(0, (len(b),) * len(a), (len(a),) * len(b), ())]
+    while stack:
+        k, xs, ys, kept = stack.pop()
+        if k == len(a) * len(b):
+            yield FreeElem(th, tuple(sorted(kept)))
+            continue
+        i, j = divmod(k, len(b))
+        stack.append((k + 1, xs, ys, kept + (_pair_name(a[i], b[j]),)))
+        if xs[i] > 1 and ys[j] > 1:
+            stack.append((k + 1, xs[:i] + (xs[i] - 1,) + xs[i + 1:],
+                          ys[:j] + (ys[j] - 1,) + ys[j + 1:], kept))
 
 
 def product(p1: QNet, p2: QNet) -> tuple[QNet, NetMorphism, NetMorphism]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from qnets.net import (
     NetMorphism,
     _count_tables,
+    _marginal_fiber,
+    _pair_name,
     QNet,
     apply_net_functor,
     compose,
@@ -279,6 +282,37 @@ def test_product_semilat_fiber():
     # Source fiber: subsets of {a,b}x{x} with full projections = {(a,x),(b,x)}.
     srcs = {arcs[0] for arcs in out.transitions.values()}
     assert srcs == {finset(["(a,x)", "(b,x)"])}
+
+
+def _brute_force_relations(a, b):
+    """Every subset of a x b, kept when it projects onto all of a and b."""
+    pairs = list(itertools.product(a.payload, b.payload))
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        chosen = [pair for pair, keep in zip(pairs, bits) if keep]
+        if {x for x, _ in chosen} == set(a.payload) and {y for _, y in chosen} == set(b.payload):
+            yield finset([_pair_name(x, y) for x, y in chosen])
+
+
+def test_semilat_fiber_matches_brute_force_on_small_arcs():
+    sides = ["", "a", "ab", "abc", "bcd"]
+    checked = 0
+    for x, y in itertools.product(sides, ["", "x", "xy", "(z", "xy1"]):
+        got = list(_marginal_fiber(Theory.SEMILAT, finset(x), finset(y)))
+        assert len(got) == len(set(got))
+        assert set(got) == set(_brute_force_relations(finset(x), finset(y))), (x, y)
+        checked += len(got)
+    assert checked > 300
+
+
+def test_semilat_fiber_takes_time_in_its_size():
+    # A loop on one place against a loop on 20: one covering relation of 20
+    # pairs, among 2^20 subsets the brute-force enumeration would try.
+    places = tuple(f"q{i:02d}" for i in range(20))
+    wide = elementary(places, {"u": (places, places)})
+    start = time.perf_counter()
+    out, _, _ = product(elementary("a", {"t": ("a", "a")}), wide)
+    assert time.perf_counter() - start < 1.0
+    assert out.transitions == {"(t,u)@0": (finset([f"(a,{p})" for p in places]),) * 2}
 
 
 @settings(max_examples=40)

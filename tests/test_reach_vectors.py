@@ -1,5 +1,6 @@
 """Differential tests: reachable's count-vector steps, interned markings and
-memoized labels against the element-arithmetic token game they replaced."""
+memoized labels against the element-arithmetic token game they replaced, and
+the firing enumerator against a brute-force one."""
 
 import itertools
 import json
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnets import QNet, jsonio
-from qnets.freecat import ReachResult, reachable
+from qnets.freecat import ReachResult, _firings, _vector_net, reachable
 from qnets.theory import (
     FreeElem,
     Theory,
@@ -211,13 +212,109 @@ def test_random_nets_match_reference(theory, data):
     draw = data.draw
     places = "abc"[:draw(st.integers(1, 3))]
     names = draw(st.lists(st.sampled_from("tuv"), max_size=3, unique=True))
-    net = QNet(theory, tuple(places), {
-        name: (_element(theory, draw, places, 2), _element(theory, draw, places, 2))
-        for name in names})
+    arcs = {name: (_element(theory, draw, places, 2), _element(theory, draw, places, 2))
+            for name in names}
     m0 = _element(theory, draw, places, 3)
+    if draw(st.booleans()):
+        # A source of m0 and one token more: the first step cannot fire it,
+        # later ones may.
+        spare = draw(st.sampled_from([n for n in "stuvw" if n not in names]))
+        arcs[spare] = (combine(theory, m0, unit(theory, draw(st.sampled_from(places)))),
+                       _element(theory, draw, places, 2))
+    net = QNet(theory, tuple(places), arcs)
     steps = draw(st.integers(0, 4))
     if theory is Theory.CMON and any(src.is_neutral() for src, _ in net.transitions.values()):
         with pytest.raises(UnsupportedOperationError):
             reachable(net, m0, steps)
         return
     assert reachable(net, m0, steps) == reference_reachable(net, m0, steps)
+
+
+def test_frontier_counts_new_markings_per_round():
+    places = tuple(f"p{i}" for i in range(8))
+    ring8 = QNet(Theory.CMON, places, {
+        f"t{i}": (multiset(Theory.CMON, {places[i]: 1}),
+                  multiset(Theory.CMON, {places[(i + 1) % 8]: 1})) for i in range(8)})
+    m0 = multiset(Theory.CMON, {p: 1 for p in places[:4]})
+    result = reachable(ring8, m0, 8)
+    # All 330 placements of four tokens on eight places; the eighth round
+    # finds none, so the search saturates exactly at the bound.
+    assert result.frontier == (15, 39, 66, 100, 77, 28, 4, 0)
+    assert result.saturated and len(result.markings) == 1 + sum(result.frontier) == 330
+    assert reachable(ring8, m0, 3).frontier == (15, 39, 66)
+    chain = TOKEN_GAME_NETS[2]  # t: a -> b, u: b -> c
+    assert reachable(chain, multiset(Theory.CMON, {"a": 1}), 5).frontier == (1, 1, 0)
+    assert reachable(chain, multiset(Theory.CMON, {"a": 1}), 0).frontier == ()
+    # The frontier is telemetry: results that differ only there are equal.
+    assert result == ReachResult(result.start, 8, result.markings, result.edges, True)
+
+
+def _brute_firings(need, effect, counts, max_width):
+    """Every count sequence in lexicographic order, kept when it is nonempty,
+    within the width and funded by ``counts``, with the room it leaves and the
+    marking it makes."""
+    cap = sum(counts) if max_width is None else max_width
+    for ks in itertools.product(range(cap + 1), repeat=len(need)):
+        if not any(ks) or (max_width is not None and sum(ks) > max_width):
+            continue
+        room, out = list(counts), list(counts)
+        for j, k in enumerate(ks):
+            for p, c in need[j]:
+                room[p] -= k * c
+            for p, d in effect[j]:
+                out[p] += k * d
+        if min(room, default=0) >= 0:
+            yield tuple((j, k) for j, k in enumerate(ks) if k), tuple(room), tuple(out)
+
+
+def _vector_tables(arcs, places):
+    net = QNet(Theory.CMON, tuple(places), {
+        name: (multiset(Theory.CMON, src), multiset(Theory.CMON, tgt))
+        for name, (src, tgt) in arcs.items()})
+    return _vector_net(net, list(places))
+
+
+def test_firings_skip_what_the_root_cannot_fund():
+    # u needs three a's of two and never fires; w has an empty source and
+    # fires up to the width, as in a bounded layer step.
+    names, need, effect = _vector_tables({
+        "t": ({"a": 1}, {"b": 1}), "u": ({"a": 3}, {}),
+        "v": ({"b": 1}, {"a": 1}), "w": ({}, {"c": 1})}, "abc")
+    assert names == ["t", "u", "v", "w"]
+    got = list(_firings(need, effect, [2, 1, 0], 2))
+    assert got == [
+        (((3, 1),), (2, 1, 0), (2, 1, 1)),
+        (((3, 2),), (2, 1, 0), (2, 1, 2)),
+        (((2, 1),), (2, 0, 0), (3, 0, 0)),
+        (((2, 1), (3, 1)), (2, 0, 0), (3, 0, 1)),
+        (((0, 1),), (1, 1, 0), (1, 2, 0)),
+        (((0, 1), (3, 1)), (1, 1, 0), (1, 2, 1)),
+        (((0, 1), (2, 1)), (1, 0, 0), (2, 1, 0)),
+        (((0, 2),), (0, 1, 0), (0, 3, 0)),
+    ]
+    assert got == list(_brute_firings(need, effect, [2, 1, 0], 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_firings_match_brute_force_with_unfundable_transitions(data):
+    draw = data.draw
+    places = "abc"[:draw(st.integers(1, 3))]
+    counts = {p: draw(st.integers(0, 2)) for p in places}
+    width = draw(st.one_of(st.none(), st.integers(1, 3)))
+    funded = draw(st.lists(st.booleans(), min_size=1, max_size=5))
+    arcs = {}
+    for name, fundable in zip("pqrst", funded):
+        # A fundable source fits in counts; any other needs one token more
+        # somewhere than the root holds.
+        src = {p: draw(st.integers(0, counts[p])) for p in places}
+        if not fundable:
+            p = draw(st.sampled_from(places))
+            src[p] = counts[p] + draw(st.integers(1, 2))
+        elif not any(src.values()) and width is None:
+            src[draw(st.sampled_from(places))] = 1  # unbounded widths need a source
+        arcs[name] = (src, {p: draw(st.integers(0, 2)) for p in places})
+    names, need, effect = _vector_tables(arcs, places)
+    root = [counts[p] for p in places]
+    want = list(_brute_firings(need, effect, root, width))
+    assert list(_firings(need, effect, root, width)) == want
