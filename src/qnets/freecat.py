@@ -273,12 +273,18 @@ def _layer_tgt(layer: FreeElem, ctx: _Ctx) -> FreeElem:
 
 
 def form_tgt(form: LayeredForm, ctx: _Ctx) -> FreeElem:
-    return _layer_tgt(form.layers[-1], ctx) if form.layers else form.start
+    if not form.layers:
+        return form.start
+    last = form.layers[-1]
+    return perm_tgt(last) if isinstance(last, Perm) else _layer_tgt(last, ctx)
 
 
 def layered_repr(form: LayeredForm) -> str:
+    """A form's start, then its layers in firing order; a permutation layer
+    shows as ``perm[...]``, the target position of each letter."""
     start = jsonio.dumps(jsonio.elem_to_json(form.start))
-    steps = " ; ".join(jsonio.dumps(jsonio.elem_to_json(l)) for l in form.layers)
+    steps = " ; ".join(f"perm{list(l.mapping)}" if isinstance(l, Perm)
+                       else jsonio.dumps(jsonio.elem_to_json(l)) for l in form.layers)
     return f"{start} [{steps}]"
 
 
@@ -810,9 +816,10 @@ def _closure(form: LayeredForm, ctx: _Ctx, gens_cap: int,
 
 
 def _forms_equal(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
-                 budget: int | None = None) -> EqVerdict:
+                 budget: int | None = None, symmetric: bool = False) -> EqVerdict:
     """Equality of two forms with the same endpoints, which every caller
-    has already checked."""
+    has already checked. A ``symmetric`` pair, whose forms may hold
+    permutation layers, goes from the invariants straight to the uncapped search."""
     ops = ctx.net.theory.ops
     if budget is None:
         budget = default_budget()
@@ -820,33 +827,43 @@ def _forms_equal(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
         return _equal("identical layered forms")
     if not ops.idempotent and _form_occurrences(f1) != _form_occurrences(f2):
         return _distinct("generator occurrence counts differ")
-    g1 = _greedy(f1, ctx)
-    g2 = _greedy(f2, ctx)
-    if g1 == g2:
-        return _equal("greedy canonical forms agree",
-                      (layered_repr(f1), layered_repr(g1), layered_repr(f2)))
-    cap = max(_form_gens_total(f1), _form_gens_total(f2))
-    # Within the capped form space the move relation is symmetric for theories
-    # without inverses (merge and split are mutual converses), so exhausting
-    # one side enumerates its whole class. With inverses, merges can cancel a
-    # layer away without a converse insertion move, and word reduction can hide
-    # merge patterns, so exhaustion proves nothing. ABGRP never gets here: all
-    # its adjacent layers merge, so its greedy form is the source and the signed
-    # occurrence vector, which the checks above compare.
-    exhausted = "closure exhausted; GRP move set is not known complete" if ops.group else None
+    cap, exhausted = None, "closures exhausted; symmetric move set is not known complete"
+    if not symmetric:
+        g1 = _greedy(f1, ctx)
+        g2 = _greedy(f2, ctx)
+        if g1 == g2:
+            return _equal("greedy canonical forms agree",
+                          (layered_repr(f1), layered_repr(g1), layered_repr(f2)))
+        cap = max(_form_gens_total(f1), _form_gens_total(f2))
+        # Within the capped form space the move relation is symmetric for
+        # theories without inverses (merge and split are mutual converses), so
+        # exhausting one side enumerates its whole class. With inverses, merges
+        # can cancel a layer away without a converse insertion move, and word
+        # reduction can hide merge patterns, so exhaustion proves nothing.
+        # ABGRP never gets here: all its adjacent layers merge, so its greedy
+        # form is the source and the signed occurrence vector, which the checks
+        # above compare.
+        exhausted = "closure exhausted; GRP move set is not known complete" if ops.group else None
     return _search_connect(f1, f2, lambda f: _neighbors(f, ctx, cap), budget,
                            exhausted, layered_repr)
+
+
+def _terms_equal(t1: SymTerm, t2: SymTerm, net: QNet, budget: int | None,
+                 symmetric: bool) -> EqVerdict:
+    """The one decision behind :func:`mor_equal` and ``symmetry.sym_equal``:
+    layer both terms, compare their endpoints, then their forms."""
+    ctx = _context(net)
+    f1, tgt1 = _layered_ctx(t1, ctx, symmetric)
+    f2, tgt2 = _layered_ctx(t2, ctx, symmetric)
+    if (f1.start, tgt1) != (f2.start, tgt2):
+        return _distinct("source/target pairs differ")
+    return _forms_equal(f1, f2, ctx, budget, symmetric)
 
 
 def mor_equal(t1: MorTerm, t2: MorTerm, net: QNet,
               budget: int | None = None) -> EqVerdict:
     """Decide equality of two process terms in the free category on ``net``."""
-    ctx = _context(net)
-    f1, tgt1 = _layered_ctx(t1, ctx)
-    f2, tgt2 = _layered_ctx(t2, ctx)
-    if (f1.start, tgt1) != (f2.start, tgt2):
-        return _distinct("source/target pairs differ")
-    return _forms_equal(f1, f2, ctx, budget)
+    return _terms_equal(t1, t2, net, budget, False)
 
 
 # ---------------------------------------------------------------------------
@@ -1240,7 +1257,6 @@ class UnderlyingNet:
     net: QNet
     objects: tuple[FreeElem, ...]
     reps: Mapping[str, MorTerm]
-    truncated: bool = True
 
 
 def underlying_net(net: QNet, bound: int) -> UnderlyingNet:

@@ -29,15 +29,11 @@ from .freecat import (
     IllTypedTermError,
     LayeredForm,
     MorTerm,
-    Oper,
     Perm,
     SymTerm,
     _check_perm,
     _context,
-    _distinct,
-    _equal,
     _rebuild_oper,
-    default_budget,
     perm_tgt,
 )
 from .net import QNet
@@ -73,18 +69,9 @@ def sym_layered(t: SymTerm, net: QNet) -> LayeredForm:
 
 
 def _sym_neighbors(form: LayeredForm, ctx) -> Iterator[LayeredForm]:
-    """Every move of a symmetric form: :func:`freecat._neighbors` uncapped."""
+    """Every move of a symmetric form: :func:`freecat._neighbors` uncapped.
+    ``sym_equal`` no longer calls it; ``perfbench/tracer.py`` counts it by name."""
     return freecat._neighbors(form, ctx)
-
-
-def sym_repr(form: LayeredForm) -> str:
-    parts = []
-    for layer in form.layers:
-        if isinstance(layer, Perm):
-            parts.append(f"perm{list(layer.mapping)}")
-        else:
-            parts.append(freecat.layered_repr(LayeredForm(form.start, (layer,))))
-    return " ; ".join(parts) if parts else "identity"
 
 
 def sym_equal(t1: SymTerm, t2: SymTerm, net: QNet,
@@ -96,20 +83,7 @@ def sym_equal(t1: SymTerm, t2: SymTerm, net: QNet,
     """
     if net.theory.ops.commutative:
         raise UnsupportedOperationError("symmetric terms need a word-marked net")
-    if budget is None:
-        budget = default_budget()
-    ctx = _context(net)
-    f1, tgt1 = freecat._layered_ctx(t1, ctx, True)
-    f2, tgt2 = freecat._layered_ctx(t2, ctx, True)
-    if (f1.start, tgt1) != (f2.start, tgt2):
-        return _distinct("source/target pairs differ")
-    if f1 == f2:
-        return _equal("identical layered forms")
-    if freecat._form_occurrences(f1) != freecat._form_occurrences(f2):
-        return _distinct("generator occurrence counts differ")
-    return freecat._search_connect(
-        f1, f2, lambda f: _sym_neighbors(f, ctx), budget,
-        "closures exhausted; symmetric move set is not known complete", sym_repr)
+    return freecat._terms_equal(t1, t2, net, budget, True)
 
 
 def erase_symmetries(t: SymTerm) -> MorTerm:

@@ -1,6 +1,6 @@
 import pytest
 
-from qnets import freecat
+from qnets import freecat, symmetry
 from qnets.freecat import (
     Comp,
     Gen,
@@ -248,15 +248,25 @@ def test_underlying_net_rejects_a_mixed_theory_net():
 
 
 def test_layered_moves_preserve_endpoints():
-    ctx = _context(CHAIN)
-    term = Comp(Oper("combine", (Gen("u"), Ident(cmon({"a": 1})))),
-                Oper("combine", (Gen("t"), Ident(cmon({"a": 1})))))
-    form = layered(term, CHAIN)
+    mon_step = QNet(Theory.MON, ("a", "b"), {"t": (word("a"), word("b"))})
+    forms = [
+        (CHAIN, layered(Comp(Oper("combine", (Gen("u"), Ident(cmon({"b": 1})))),
+                             Oper("combine", (Gen("t"), Gen("t")))), CHAIN)),
+        # A symmetric form ending in a permutation layer: t on the first a,
+        # then the swap b.a -> a.b.
+        (mon_step, symmetry.sym_layered(
+            Comp(symmetry.braiding(word("b"), word("a")),
+                 Oper("combine", (Gen("t"), Ident(word("a"))))), mon_step)),
+    ]
     from qnets.freecat import _neighbors
 
-    for neighbor in _neighbors(form, ctx):
-        assert neighbor.start == form.start
-        assert form_tgt(neighbor, ctx) == form_tgt(form, ctx)
+    for net, form in forms:
+        ctx = _context(net)
+        moves = list(_neighbors(form, ctx))
+        assert moves
+        for neighbor in moves:
+            assert neighbor.start == form.start
+            assert form_tgt(neighbor, ctx) == form_tgt(form, ctx)
 
 
 @pytest.mark.parametrize("theory_net,terms", [

@@ -444,7 +444,7 @@ def test_sym_equal_witness_is_a_rewrite_path():
         ctx = freecat._context(net)
         f1, f2 = symmetry.sym_layered(lhs, net), symmetry.sym_layered(rhs, net)
         _assert_rewrite_path(f1, f2, verdict.witness,
-                             lambda f: symmetry._sym_neighbors(f, ctx), symmetry.sym_repr)
+                             lambda f: symmetry._sym_neighbors(f, ctx), freecat.layered_repr)
     assert found > 50
 
 
