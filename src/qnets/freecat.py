@@ -39,8 +39,6 @@ from .theory import (
     combine,
     extend,
     invert,
-    lift,
-    neutral,
     occurrences,
     unit,
 )
@@ -248,7 +246,7 @@ def _pure_id(layer: FreeElem) -> bool:
 
 
 def _identity_layer(th: Theory, marking: FreeElem) -> FreeElem:
-    return lift(th, {p: ID_PREFIX + p for p in marking.atoms()}, marking)
+    return _framed(th, (), marking.payload)
 
 
 def _ids_marking(th: Theory, layer: FreeElem) -> FreeElem:
@@ -324,19 +322,18 @@ def perm_tgt(t: Perm) -> FreeElem:
 
 
 def _pad(prefix: FreeElem, layer, suffix: FreeElem):
-    """``layer`` between identities on ``prefix`` and ``suffix``."""
+    """``layer`` between identities on ``prefix`` and ``suffix``, as one product."""
     th = prefix.theory
     if isinstance(layer, Perm):
         m, n = len(prefix.payload), len(layer.mapping)
-        word = combine(th, combine(th, prefix, layer.word), suffix)
+        word = combine(th, prefix, layer.word, suffix)
         if len(word.payload) != m + n + len(suffix.payload):
             raise UnsupportedOperationError(
                 "a permutation beside a cancelling boundary is not representable letterwise")
         mapping = (tuple(range(m)) + tuple(m + t for t in layer.mapping)
                    + tuple(range(m + n, m + n + len(suffix.payload))))
         return Perm(word, mapping)
-    return combine(th, combine(th, _identity_layer(th, prefix), layer),
-                   _identity_layer(th, suffix))
+    return combine(th, _identity_layer(th, prefix), layer, _identity_layer(th, suffix))
 
 
 def _invert_layer(layer):
@@ -447,32 +444,28 @@ def _layers_of(t: SymTerm, ctx: _Ctx,
         return t
 
     def oper(t: Oper, args: list) -> tuple[FreeElem, FreeElem, tuple]:
-        src, tgt, layers = args[0]
         if t.op == "invert":
+            src, tgt, layers = args[0]
             return invert(src), invert(tgt), tuple(map(_invert_layer, layers))
-        for src_b, tgt_b, layers_b in args[1:]:
-            if any(isinstance(l, Perm) for l in layers + layers_b):
-                layers = tuple(_pad(neutral(th), l, src_b) for l in layers) + \
-                    tuple(_pad(tgt, l, neutral(th)) for l in layers_b)
-            else:
-                layers = _zip_layers(th, (src, layers), (src_b, layers_b))
-            src = combine(th, src, src_b)
-            tgt = combine(th, tgt, tgt_b)
-        return src, tgt, layers
+        srcs, tgts, stacks = zip(*args)
+        if any(isinstance(l, Perm) for layers in stacks for l in layers):
+            # One after the other: each argument fires beside the targets of
+            # those before it and the sources of those after it.
+            layers = ()
+            for i, ls in enumerate(stacks):
+                if ls:
+                    before, after = combine(th, *tgts[:i]), combine(th, *srcs[i + 1:])
+                    layers += tuple(_pad(before, l, after) for l in ls)
+        else:
+            # Side by side: each argument is padded in front with the frame
+            # holding its start, and each depth is one product.
+            depth = max(map(len, stacks))
+            padded = [(_identity_layer(th, s),) * (depth - len(ls)) + ls if len(ls) < depth
+                      else ls for s, ls in zip(srcs, stacks)]
+            layers = tuple(combine(th, *column) for column in zip(*padded))
+        return combine(th, *srcs), combine(th, *tgts), layers
 
     return fold_term(t, leaf, comp, oper, before_first=True, expand=expand)
-
-
-def _zip_layers(th: Theory,
-                a: tuple[FreeElem, tuple[FreeElem, ...]],
-                b: tuple[FreeElem, tuple[FreeElem, ...]]) -> tuple[FreeElem, ...]:
-    """Parallel combination: pad the shorter side in front with held frames."""
-    start_a, layers_a = a
-    start_b, layers_b = b
-    depth = max(len(layers_a), len(layers_b))
-    pad_a = (_identity_layer(th, start_a),) * (depth - len(layers_a)) + layers_a
-    pad_b = (_identity_layer(th, start_b),) * (depth - len(layers_b)) + layers_b
-    return tuple(combine(th, x, y) for x, y in zip(pad_a, pad_b))
 
 
 def layered(t: MorTerm, net: QNet) -> LayeredForm:
@@ -510,8 +503,8 @@ def _merge_candidates(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
 
 
 def _framed(th: Theory, gens: Iterable[tuple[str, int]], rest: Iterable) -> FreeElem:
-    """One layer of a commutative theory: the generator letters ``gens``
-    beside the id letters holding the marking payload ``rest``."""
+    """One layer: the generator letters ``gens``, then the id letters holding
+    the marking payload ``rest``, normalised together."""
     ops = th.ops
     return FreeElem(th, ops.norm(itertools.chain(
         gens, ((ID_PREFIX + p, c) for p, c in ops.letters(rest)))))
@@ -606,10 +599,6 @@ def _layer_gens_total(layer: FreeElem) -> int:
                if not _is_id_sym(name))
 
 
-def _form_gens_total(form: LayeredForm) -> int:
-    return sum(_layer_gens_total(layer) for layer in form.layers)
-
-
 # The moves through the caches of ``ctx``, which last as long as its net. The
 # uncached functions are looked up at call time, so a wrapper installed on
 # them sees each miss.
@@ -693,8 +682,8 @@ def _neighbors(form: LayeredForm, ctx: _Ctx,
     """The one move relation on layered forms. For each adjacent pair of
     layers in turn: two permutations compose, two firing layers merge, and a
     firing layer slides across a permutation. Then each firing layer splits
-    in two; splits may not push the total generator count past ``gens_cap``
-    (idempotent duplication is otherwise unbounded)."""
+    in two; splits may not push the total generator count past ``gens_cap``,
+    if given (idempotent duplication is otherwise unbounded)."""
     layers = form.layers
     for i in range(len(layers) - 1):
         a, b = layers[i], layers[i + 1]
@@ -799,10 +788,10 @@ def _search_connect(f1, f2, neighbors, budget: int, exhausted: str | None,
     return _unknown(exhausted)
 
 
-def _closure(form: LayeredForm, ctx: _Ctx, gens_cap: int,
+def _closure(form: LayeredForm, ctx: _Ctx, gens_cap: int | None,
              budget: int) -> set[LayeredForm] | None:
-    """The rewrite class of ``form`` within ``gens_cap`` generators, or None
-    once it holds more than ``budget`` forms."""
+    """The rewrite class of ``form`` within ``gens_cap`` generators (no cap
+    for None), or None once it holds more than ``budget`` forms."""
     seen = {form}
     queue = deque([form])
     while queue:
@@ -825,7 +814,8 @@ def _forms_equal(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
         budget = default_budget()
     if f1 == f2:
         return _equal("identical layered forms")
-    if not ops.idempotent and _form_occurrences(f1) != _form_occurrences(f2):
+    occ1, occ2 = _form_occurrences(f1), _form_occurrences(f2)
+    if not ops.idempotent and occ1 != occ2:
         return _distinct("generator occurrence counts differ")
     cap, exhausted = None, "closures exhausted; symmetric move set is not known complete"
     if not symmetric:
@@ -834,8 +824,12 @@ def _forms_equal(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
         if g1 == g2:
             return _equal("greedy canonical forms agree",
                           (layered_repr(f1), layered_repr(g1), layered_repr(f2)))
-        cap = max(_form_gens_total(f1), _form_gens_total(f2))
-        # Within the capped form space the move relation is symmetric for
+        # Only an idempotent split may fire a letter in both halves, which
+        # duplicates firings without bound. Elsewhere a split keeps or cancels
+        # the letters it fires, so the class is finite without a cap.
+        if ops.idempotent:
+            cap = max(sum(occ1.values()), sum(occ2.values()))
+        # Within the searched form space the move relation is symmetric for
         # theories without inverses (merge and split are mutual converses), so
         # exhausting one side enumerates its whole class. With inverses, merges
         # can cancel a layer away without a converse insertion move, and word
@@ -986,12 +980,12 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     representatives are returned in that order. Forms are bucketed by
     generator occurrence counts (one bucket for SEMILAT, where counts are not
     invariant), and a form equals a representative in its bucket iff it lies
-    in the representative's rewrite closure, capped at the larger generator
-    count of the two as in :func:`mor_equal`. Each closure is computed once
-    and cached. A closure of more than ``budget`` forms falls back to the
-    pairwise :func:`mor_equal` decision for that pair. ``budget`` defaults to
-    :func:`default_budget`, which raises :class:`QnetError` for a
-    ``QNET_BUDGET`` that is not a positive integer.
+    in the representative's rewrite closure, over SEMILAT capped at the
+    larger generator count of the two as in :func:`mor_equal`. Each closure
+    is computed once and cached. A closure of more than ``budget`` forms
+    falls back to the pairwise :func:`mor_equal` decision for that pair.
+    ``budget`` defaults to :func:`default_budget`, which raises
+    :class:`QnetError` for a ``QNET_BUDGET`` that is not a positive integer.
     """
     ops = net.theory.ops
     if ops.group:
@@ -1022,14 +1016,14 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
                               for layer in _step_layers(ctx, marking, max_width)]
         stack += [(tgt, acc + (layer,)) for layer, tgt in steps[marking]]
     forms.sort(key=lambda f: (len(f.layers), tuple(l.payload for l in f.layers)))
-    # Merge and split are mutual converses within a generator cap (the same
+    # Merge and split are mutual converses within the searched space (the same
     # fact _search_connect's exhaustion rule rests on), so a class is the
     # closure of any member and pairwise equality is closure membership. A
     # closure of at most ``budget`` forms also bounds the pairwise search's
     # expansions, so that search would not have run out of budget either.
-    closures: dict[tuple[LayeredForm, int], set[LayeredForm] | None] = {}
+    closures: dict[tuple[LayeredForm, int | None], set[LayeredForm] | None] = {}
 
-    def same_class(form: LayeredForm, rep: LayeredForm, cap: int) -> bool:
+    def same_class(form: LayeredForm, rep: LayeredForm, cap: int | None) -> bool:
         if (rep, cap) not in closures:
             closures[rep, cap] = _closure(rep, ctx, cap, budget)
         closure = closures[rep, cap]
@@ -1037,15 +1031,16 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
             return _forms_equal(form, rep, ctx, budget).is_equal
         return form in closure
 
-    buckets: dict[frozenset | None, list[tuple[LayeredForm, int]]] = {}
+    buckets: dict[frozenset | None, list[tuple[LayeredForm, int | None]]] = {}
     reps: list[LayeredForm] = []
     for form in forms:
         occ = _form_occurrences(form)
         key = None if ops.idempotent else frozenset(occ.items())
-        # Counts are positive without inverses, so they sum to the total.
-        gens = sum(occ.values())
+        # Only SEMILAT splits can raise the generator count, so only SEMILAT
+        # pairs are capped, at the larger count of the two.
+        gens = sum(occ.values()) if ops.idempotent else None
         bucket = buckets.setdefault(key, [])
-        if not any(same_class(form, rep, max(gens, rep_gens))
+        if not any(same_class(form, rep, None if gens is None else max(gens, rep_gens))
                    for rep, rep_gens in bucket):
             bucket.append((form, gens))
             reps.append(form)

@@ -337,20 +337,16 @@ def neutral(theory: Theory) -> FreeElem:
     return FreeElem(theory, ())
 
 
-def combine(theory: Theory, x: FreeElem, y: FreeElem) -> FreeElem:
-    """The theory's binary operation, in canonical form."""
-    if x.theory is not theory or y.theory is not theory:
-        raise TheoryMismatchError(
-            f"combine over {theory.value} got {x.theory.value} and {y.theory.value}")
-    ops = theory.ops
-    return FreeElem(theory, ops.norm(chain(ops.letters(x.payload), ops.letters(y.payload))))
-
-
-def combine_all(theory: Theory, elems: Iterable[FreeElem]) -> FreeElem:
-    out = neutral(theory)
+def combine(theory: Theory, *elems: FreeElem) -> FreeElem:
+    """The theory's operation on any number of elements, normalised once:
+    the product of a list flattens in one step, as the monad's
+    multiplication does. No elements give the neutral element."""
     for e in elems:
-        out = combine(theory, out, e)
-    return out
+        if e.theory is not theory:
+            raise TheoryMismatchError(
+                f"combine over {theory.value} got {' and '.join(e.theory.value for e in elems)}")
+    ops = theory.ops
+    return FreeElem(theory, ops.norm(chain.from_iterable([ops.letters(e.payload) for e in elems])))
 
 
 def invert(x: FreeElem) -> FreeElem:

@@ -52,6 +52,8 @@ _PETRI = petri("ab", {"t": ({"a": 1}, {"b": 1})})
      TheoryMismatchError, "MON elements are not count vectors"),
     (lambda: combine(Theory.CMON, word("a"), cmon({"a": 1})),
      TheoryMismatchError, "combine over CMON got MON and CMON"),
+    (lambda: combine(Theory.MON, word("a"), word("b"), cmon({"a": 1})),
+     TheoryMismatchError, "combine over MON got MON and MON and CMON"),
     (lambda: lift(Theory.CMON, {"a": "b"}, word("a")),
      TheoryMismatchError, "lift over CMON got MON"),
     (lambda: extend(Theory.CMON, {"a": word("a")}, cmon({"a": 1})),

@@ -185,6 +185,11 @@ def test_three_layer_semilat_class_matches_pairwise_reference():
 # Per-call move caches against the uncached moves
 
 
+def _gens_sum(form):
+    """A form's total generator count, summed over its layers."""
+    return sum(freecat._layer_gens_total(layer) for layer in form.layers)
+
+
 def _neighbors_ref(form, ctx, gens_cap):
     """The move generator as it was before the caches, on the uncached moves."""
     layers = form.layers
@@ -192,7 +197,7 @@ def _neighbors_ref(form, ctx, gens_cap):
         for merged in freecat._merge_candidates(layers[i], layers[i + 1], ctx):
             mid = () if freecat._pure_id(merged) else (merged,)
             yield LayeredForm(form.start, layers[:i] + mid + layers[i + 2:])
-    total = freecat._form_gens_total(form)
+    total = _gens_sum(form)
     for i, layer in enumerate(layers):
         here = freecat._layer_gens_total(layer)
         for a, b in freecat._split_candidates(layer, ctx):
@@ -237,7 +242,7 @@ def test_cached_moves_match_uncached_moves_on_whole_closures():
         assert plain is not cached
         done = set()
         for form in _start_forms(net):
-            cap = freecat._form_gens_total(form)
+            cap = _gens_sum(form)
             if (form, cap) in done:
                 continue
             closure = _closure(form, cached, cap, 5_000)

@@ -24,7 +24,6 @@ from qnets.theory import (
     FreeElem,
     Theory,
     combine,
-    combine_all,
     multiset,
     occurrences,
     unit,
@@ -184,7 +183,7 @@ def _starts(net):
     """Arc markings, the all-places marking and, for counts, its double."""
     th = net.theory
     starts = {elem for arcs in net.transitions.values() for elem in arcs}
-    every = combine_all(th, (unit(th, p) for p in net.places))
+    every = combine(th, *(unit(th, p) for p in net.places))
     starts |= {every, combine(th, every, every)}
     return sorted(starts, key=lambda e: e.payload)
 

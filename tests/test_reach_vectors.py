@@ -15,7 +15,6 @@ from qnets.theory import (
     Theory,
     UnsupportedOperationError,
     combine,
-    combine_all,
     finset,
     multiset,
     occurrences,
@@ -57,10 +56,10 @@ def _fired_multisets(net, marking):
 
 
 def _fired_image(net, fired, end):
-    """The fired multiset's source (end 0) or target (1) by repeated combine."""
+    """The fired multiset's source (end 0) or target (1), as one product."""
     th = net.theory
-    return combine_all(th, (net.transitions[name][end]
-                            for name, k in fired.items() for _ in range(k)))
+    return combine(th, *(net.transitions[name][end]
+                         for name, k in fired.items() for _ in range(k)))
 
 
 def reference_reachable(net, m0, max_steps):
@@ -122,7 +121,7 @@ def reference_reachable(net, m0, max_steps):
 def _starts(net):
     """Arc markings, the all-places marking and a doubled source."""
     starts = {elem for arcs in net.transitions.values() for elem in arcs}
-    starts.add(combine_all(net.theory, (unit(net.theory, p) for p in net.places)))
+    starts.add(combine(net.theory, *(unit(net.theory, p) for p in net.places)))
     if net.theory is Theory.CMON:
         for src, _ in net.transitions.values():
             starts.add(combine(net.theory, src, src))

@@ -22,12 +22,23 @@ from qnets.theory import (
     Theory,
     combine,
     invert,
+    lift,
     signed_word,
     unit,
     word,
 )
 
-from netzoo import EQUALITY_NETS, INTEGER_NETS, PRE_NETS, SYMMETRY_NETS, petri, prenet
+from netzoo import (
+    ELEMENTARY_NETS,
+    EQUALITY_NETS,
+    GROUP_NETS,
+    INTEGER_NETS,
+    PRE_NETS,
+    SYMMETRY_NETS,
+    TOKEN_GAME_NETS,
+    petri,
+    prenet,
+)
 
 
 def _outcome(fn, *args):
@@ -258,9 +269,24 @@ def _layers_ref(t, ctx):
     src, tgt, layers = _layers_ref(t.args[0], ctx)
     for arg in t.args[1:]:
         src_b, tgt_b, layers_b = _layers_ref(arg, ctx)
-        layers = freecat._zip_layers(th, (src, layers), (src_b, layers_b))
+        layers = _zip_ref(th, (src, layers), (src_b, layers_b))
         src, tgt = combine(th, src, src_b), combine(th, tgt, tgt_b)
     return src, tgt, layers
+
+
+def _frame_ref(th, marking):
+    """The identity layer holding ``marking``, by renaming its places."""
+    return lift(th, {p: freecat.ID_PREFIX + p for p in marking.atoms()}, marking)
+
+
+def _zip_ref(th, a, b):
+    """Binary parallel combination: pad the shorter side in front with held
+    frames."""
+    (start_a, layers_a), (start_b, layers_b) = a, b
+    depth = max(len(layers_a), len(layers_b))
+    pad_a = (_frame_ref(th, start_a),) * (depth - len(layers_a)) + layers_a
+    pad_b = (_frame_ref(th, start_b),) * (depth - len(layers_b)) + layers_b
+    return tuple(combine(th, x, y) for x, y in zip(pad_a, pad_b))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +474,11 @@ def test_sym_equal_witness_is_a_rewrite_path():
     assert found > 50
 
 
+def _gens_sum(form):
+    """A form's total generator count, summed over its layers."""
+    return sum(freecat._layer_gens_total(layer) for layer in form.layers)
+
+
 def _rewritten_pairs(seed, count):
     """Term pairs that are equal by construction: a layered form against the
     term of a form a few random moves away from it."""
@@ -462,7 +493,7 @@ def _rewritten_pairs(seed, count):
         if rng.random() < 0.5:
             term = Oper("combine", (term, Ident(unit(net.theory, rng.choice(net.places)))))
         form = freecat.layered(term, net)
-        cap = freecat._form_gens_total(form)
+        cap = _gens_sum(form)
         for _ in range(rng.randint(1, 4)):
             moves = list(freecat._neighbors(form, ctx, cap))
             if moves:
@@ -479,7 +510,7 @@ def test_mor_equal_witness_is_a_rewrite_path():
         f1, f2 = freecat.layered(t1, net), freecat.layered(t2, net)
         if verdict.reason == "rewrite path found":
             by_search += 1
-            cap = max(freecat._form_gens_total(f1), freecat._form_gens_total(f2))
+            cap = max(_gens_sum(f1), _gens_sum(f2))
             _assert_rewrite_path(f1, f2, verdict.witness,
                                  lambda f: freecat._neighbors(f, ctx, cap),
                                  freecat.layered_repr)
@@ -529,3 +560,33 @@ def test_walker_matches_recursive_reference(case):
             src, tuple(l for l in layers if not freecat._pure_id(l))), tgt)
     else:
         assert _outcome(freecat._layers_of, term, ctx) == expected
+
+
+# ---------------------------------------------------------------------------
+# One n-ary combination
+
+_ZOO = (TOKEN_GAME_NETS + PRE_NETS + INTEGER_NETS + GROUP_NETS + ELEMENTARY_NETS
+        + EQUALITY_NETS + SYMMETRY_NETS)
+
+
+def _typed_terms(net):
+    """Transitions, their inverses where the theory has them, held places,
+    and the well-typed composites of two of those: terms of depth 0 to 2."""
+    th = net.theory
+    leaves = [Gen(t) for t in sorted(net.transitions)]
+    if th.ops.group:
+        leaves += [Oper("invert", (g,)) for g in leaves]
+    leaves += [Ident(unit(th, p)) for p in net.places]
+    ends = [(freecat.mor_src(t, net), freecat.mor_tgt(t, net)) for t in leaves]
+    return leaves + [Comp(a, b) for (a, (sa, _)), (b, (_, tb))
+                     in itertools.product(zip(leaves, ends), repeat=2) if tb == sa]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_ZOO).flatmap(lambda net: st.tuples(
+    st.just(net), st.lists(st.sampled_from(_typed_terms(net)), min_size=3, max_size=3))))
+def test_nary_combination_lays_out_as_either_nesting(case):
+    net, (a, b, c) = case
+    flat = freecat.layered(Oper("combine", (a, b, c)), net)
+    assert freecat.layered(Oper("combine", (Oper("combine", (a, b)), c)), net) == flat
+    assert freecat.layered(Oper("combine", (a, Oper("combine", (b, c)))), net) == flat

@@ -14,7 +14,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from qnets import freecat
-from qnets.freecat import ID_PREFIX, Gen, Ident, Oper
+from qnets.freecat import ID_PREFIX, Comp, Gen, Ident, Oper, mor_equal
 from qnets.net import QNet, apply_net_functor
 from qnets.theory import (
     FreeElem,
@@ -29,10 +29,12 @@ from qnets.theory import (
 from netzoo import (
     ELEMENTARY_NETS,
     EQUALITY_NETS,
+    GROUP_NETS,
     INTEGER_NETS,
     PRE_NETS,
     SYMMETRY_NETS,
     TOKEN_GAME_NETS,
+    signed,
 )
 
 
@@ -222,3 +224,55 @@ def test_split_of_unknown_generators_raises_as_reference(case):
     if net.theory.ops.commutative:
         got, want = got[:2], want[:2]
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# The generator cap: only SEMILAT searches are capped
+
+
+def _letters_total(th, layer):
+    """A layer's generator letters, each counted by its own coefficient."""
+    return sum(abs(c) for name, c in th.ops.letters(layer.payload)
+               if not name.startswith(ID_PREFIX))
+
+
+def test_splits_outside_semilat_never_add_generators():
+    """A split fires each letter in one half, so outside SEMILAT, where a
+    letter may also fire in both, it keeps every firing and the search needs
+    no cap to stay finite. On the CMON, MON and ABGRP zoo layers it keeps the
+    layer generator total. A GRP split keeps or cancels letters, but that total
+    is a signed count per name: a layer firing ``t`` beside ``t^-1`` counts 0,
+    and its halves count 1 each, so a cap there did cut paths."""
+    kept = regrouped = 0
+    for net in ZOO:
+        th = net.theory
+        if th.ops.idempotent:
+            continue
+        ctx, zoo_layers = _zoo_layers(net)
+        for layer in zoo_layers:
+            for a, b in freecat._split_candidates(layer, ctx):
+                if th is Theory.GRP:
+                    assert (_letters_total(th, a) + _letters_total(th, b)
+                            <= _letters_total(th, layer))
+                    regrouped += (freecat._layer_gens_total(a) + freecat._layer_gens_total(b)
+                                  != freecat._layer_gens_total(layer))
+                else:
+                    assert (freecat._layer_gens_total(a) + freecat._layer_gens_total(b)
+                            == freecat._layer_gens_total(layer))
+                    kept += 1
+    assert kept > 2000 and regrouped > 0
+
+
+def test_uncapped_grp_search_finds_a_path_past_the_inputs_generator_count():
+    # Both forms count 3 generators; the rewrite path passes a form of 5.
+    net = GROUP_NETS[0]
+    t, u = Gen("t"), Gen("u")
+    t_inv, u_inv = Oper("invert", (t,)), Oper("invert", (u,))
+    lhs = Comp(Oper("combine", (u_inv, Ident(signed("b")), t_inv)),
+               Oper("combine", (t, u, t_inv)))
+    rhs = Comp(Oper("combine", (u_inv, u_inv, u)),
+               Oper("combine", (Ident(signed("a")), u, t_inv)))
+    for x, y in ((lhs, rhs), (rhs, lhs)):
+        verdict = mor_equal(x, y, net)
+        assert verdict.reason == "rewrite path found"
+        assert len(verdict.witness) == 6

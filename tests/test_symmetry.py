@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +25,8 @@ from qnets.theory import (
     UnsupportedOperationError,
     combine,
     invert,
+    lift,
+    neutral,
     signed_word,
     translate,
     word,
@@ -212,6 +215,26 @@ def test_deep_symmetric_chain_stays_off_the_call_stack():
 _CANCEL = "a permutation beside a cancelling boundary is not representable letterwise"
 
 
+def _frame_ref(marking):
+    """The identity layer holding ``marking``, by renaming its places."""
+    return lift(marking.theory, {p: freecat.ID_PREFIX + p for p in marking.atoms()}, marking)
+
+
+def _zip_ref(th, a, b):
+    """Binary parallel combination: pad the shorter side in front with held
+    frames."""
+    (start_a, layers_a), (start_b, layers_b) = a, b
+    depth = max(len(layers_a), len(layers_b))
+    pad_a = (_frame_ref(start_a),) * (depth - len(layers_a)) + layers_a
+    pad_b = (_frame_ref(start_b),) * (depth - len(layers_b)) + layers_b
+    return tuple(combine(th, x, y) for x, y in zip(pad_a, pad_b))
+
+
+def _product_ref(th, elems):
+    """A left fold of binary combine."""
+    return reduce(lambda x, y: combine(th, x, y), elems, neutral(th))
+
+
 def _pad_after_ref(layer, suffix):
     th = suffix.theory
     if isinstance(layer, Perm):
@@ -221,7 +244,7 @@ def _pad_after_ref(layer, suffix):
         if len(word.payload) != len(mapping):
             raise UnsupportedOperationError(_CANCEL)
         return Perm(word, mapping)
-    return combine(th, layer, freecat._identity_layer(th, suffix))
+    return combine(th, layer, _frame_ref(suffix))
 
 
 def _pad_before_ref(prefix, layer):
@@ -233,7 +256,7 @@ def _pad_before_ref(prefix, layer):
         if len(word.payload) != len(mapping):
             raise UnsupportedOperationError(_CANCEL)
         return Perm(word, mapping)
-    return combine(th, freecat._identity_layer(th, prefix), layer)
+    return combine(th, _frame_ref(prefix), layer)
 
 
 def _sym_layers_ref(t, ctx):
@@ -258,16 +281,20 @@ def _sym_layers_ref(t, ctx):
             raise IllTypedTermError("combine needs at least two arguments")
         # Every argument is walked before any is combined, as in _layers_of.
         walked = [_sym_layers_ref(arg, ctx) for arg in t.args]
-        src, tgt, layers = walked[0]
-        for src_b, tgt_b, layers_b in walked[1:]:
-            if not any(isinstance(l, Perm) for l in layers + layers_b):
-                layers = freecat._zip_layers(th, (src, layers), (src_b, layers_b))
-            else:
-                layers = tuple(_pad_after_ref(l, src_b) for l in layers) + \
-                    tuple(_pad_before_ref(tgt, l) for l in layers_b)
-            src = combine(th, src, src_b)
-            tgt = combine(th, tgt, tgt_b)
-        return src, tgt, layers
+        srcs, tgts, stacks = zip(*walked)
+        if not any(isinstance(l, Perm) for layers in stacks for l in layers):
+            src, tgt, layers = walked[0]
+            for src_b, tgt_b, layers_b in walked[1:]:
+                layers = _zip_ref(th, (src, layers), (src_b, layers_b))
+                src, tgt = combine(th, src, src_b), combine(th, tgt, tgt_b)
+            return src, tgt, layers
+        # A permutation anywhere: the arguments fire one after the other, each
+        # beside the reduced targets before it and reduced sources after it.
+        layers = []
+        for i, own in enumerate(stacks):
+            prefix, suffix = _product_ref(th, tgts[:i]), _product_ref(th, srcs[i + 1:])
+            layers += [_pad_after_ref(_pad_before_ref(prefix, l), suffix) for l in own]
+        return _product_ref(th, srcs), _product_ref(th, tgts), tuple(layers)
     if isinstance(t, Oper) and t.op == "invert":
         if th is not Theory.GRP:
             raise IllTypedTermError(f"{th.value} morphisms have no inverses")
@@ -403,9 +430,42 @@ def _sym_terms(theory):
         st.just("not a term")), max_leaves=8)
 
 
+# t: a -> b and u: b -> c, as a word net and as its free-group image.
+_CHAIN = prenet("abc", {"t": ("a", "b"), "u": ("b", "c")})
+_GRP_CHAIN = apply_net_functor(TheoryArrow.FREE_GROUP, _CHAIN)
+
+
+def test_a_combination_holding_a_permutation_fires_its_arguments_in_turn():
+    # Each argument fires beside the targets before it and the sources after
+    # it, in argument order, whichever argument holds the permutation.
+    swap = braiding(word("a"), word("b"))
+    form = symmetry.sym_layered(_beside(Gen("t"), Gen("u"), swap), _CHAIN)
+    assert form == freecat.LayeredForm(word("abab"), (
+        word(["t", "id.b", "id.a", "id.b"]), word(["id.b", "u", "id.a", "id.b"]),
+        Perm(word("bcab"), (0, 1, 3, 2))))
+    form = symmetry.sym_layered(_beside(swap, Gen("t"), Gen("u")), _CHAIN)
+    assert form == freecat.LayeredForm(word("abab"), (
+        Perm(word("abab"), (1, 0, 2, 3)), word(["id.b", "id.a", "t", "id.b"]),
+        word(["id.b", "id.a", "id.b", "u"])))
+
+
+def test_permutation_padding_reduces_both_sides_alike():
+    # c.c^-1 cancels whether it stands before or after the permutation.
+    swap = braiding(signed("a"), signed("b"))
+    c, c_inv = Ident(signed("c")), Ident(signed("C"))
+    want = freecat.LayeredForm(signed("ab"), (Perm(signed("ab"), (1, 0)),))
+    assert symmetry.sym_layered(_beside(swap, c, c_inv), _GRP_CHAIN) == want
+    assert symmetry.sym_layered(_beside(c, c_inv, swap), _GRP_CHAIN) == want
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(_WALK_NETS).flatmap(
     lambda net: st.tuples(st.just(net), _sym_terms(net.theory))))
+# The two layouts pinned above: a permutation after two arguments without one,
+# and a GRP permutation before two identities that cancel each other.
+@example((_CHAIN, _beside(Gen("t"), Gen("u"), braiding(word("a"), word("b")))))
+@example((_GRP_CHAIN, _beside(braiding(signed("a"), signed("b")), Ident(signed("c")),
+                              Ident(signed("C")))))
 # The second argument cannot be padded beside the first (a cancelling
 # boundary), and the third is ill-typed: walking every argument first
 # reports the ill-typed one.

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qnets.theory import (
     CanonicalFormError,
@@ -158,6 +158,19 @@ def test_monoid_laws(theory, data):
     if theory in (Theory.ABGRP, Theory.GRP):
         assert combine(theory, x, invert(x)) == neutral(theory)
         assert combine(theory, invert(x), x) == neutral(theory)
+
+
+@given(THEORIES.flatmap(lambda th: st.tuples(st.just(th), st.lists(elems(th), max_size=5))))
+@example((Theory.CMON, []))
+# a.b^-1 | b.c^-1 | c.a^-1: every boundary between elements cancels.
+@example((Theory.GRP, [signed_word([("a", 1), ("b", -1)]), signed_word([("b", 1), ("c", -1)]),
+                       signed_word([("c", 1), ("a", -1)])]))
+def test_nary_combine_is_the_left_fold_of_binary_combine(case):
+    theory, xs = case
+    folded = neutral(theory)
+    for x in xs:
+        folded = combine(theory, folded, x)
+    assert combine(theory, *xs) == folded
 
 
 @given(THEORIES, st.data(), maps, maps)
