@@ -557,8 +557,8 @@ def _split_candidates(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeEl
     second: for counts ``k`` runs up from 0 to ``c`` (signed in ABGRP), a word
     letter fires wholly first or wholly second, in that order, and an
     idempotent letter may also fire in both. Each half holds the ends of what
-    fires in the other, and both must fire something. Set splits come sorted
-    and deduplicated."""
+    fires in the other, and both must fire something (a group half whose
+    letters cancel fires nothing). Set splits come sorted and deduplicated."""
     th = ctx.net.theory
     ops = th.ops
 
@@ -588,7 +588,9 @@ def _split_candidates(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeEl
             if k2:
                 first += held(name, k2, 0)
                 second.append((name, k2))
-        out.append((FreeElem(th, ops.norm(first)), FreeElem(th, ops.norm(second))))
+        pair = FreeElem(th, ops.norm(first)), FreeElem(th, ops.norm(second))
+        if not (ops.group and (_pure_id(pair[0]) or _pure_id(pair[1]))):
+            out.append(pair)
     if ops.idempotent:
         out = sorted(set(out), key=lambda pair: (pair[0].payload, pair[1].payload))
     return out
@@ -976,14 +978,15 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     """All process-term classes from ``x`` to ``y`` within the layer bounds.
 
     The layered forms are visited in lexicographic (layer count, serialized
-    form) order and each joins the first earlier representative it equals;
-    representatives are returned in that order. Forms are bucketed by
-    generator occurrence counts (one bucket for SEMILAT, where counts are not
-    invariant), and a form equals a representative in its bucket iff it lies
-    in the representative's rewrite closure, over SEMILAT capped at the
-    larger generator count of the two as in :func:`mor_equal`. Each closure
-    is computed once and cached. A closure of more than ``budget`` forms
-    falls back to the pairwise :func:`mor_equal` decision for that pair.
+    form) order and each joins the first earlier representative it equals,
+    that is, whose rewrite closure holds it; representatives are returned in
+    that order. Outside SEMILAT, forms are bucketed by generator occurrence
+    counts, which no move changes, and a representative's closure, computed
+    once a later form reaches its bucket, indexes its members: a form joins
+    by one lookup. SEMILAT scans every representative, with the closure
+    capped at the larger generator count of the two as in :func:`mor_equal`
+    and cached per (representative, cap). A closure of more than ``budget``
+    forms falls back to the pairwise :func:`mor_equal` decision.
     ``budget`` defaults to :func:`default_budget`, which raises
     :class:`QnetError` for a ``QNET_BUDGET`` that is not a positive integer.
     """
@@ -998,53 +1001,68 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     ctx = _context(net)
     _check_marking(ctx, x)
     _check_marking(ctx, y)
-    forms: list[LayeredForm] = []
-    # Each marking's layers and their targets, built once for all paths.
-    steps: dict[FreeElem, list[tuple[FreeElem, FreeElem]]] = {}
-
-    # Worklist of (marking, layers fired from x to reach it); the forms are
-    # sorted below, so the visiting order does not matter.
-    stack = [(x, ())]
+    names = sorted(ctx.net.transitions)
+    forms: list[tuple[LayeredForm, tuple[int, ...]]] = []
+    # Each marking's layers, targets and generator counts (by ``names``), built once.
+    steps: dict[FreeElem, list[tuple[FreeElem, FreeElem, tuple[int, ...]]]] = {}
+    # Worklist of (marking, layers fired from x to reach it, their generator
+    # counts); the forms are sorted below, so the visiting order does not matter.
+    stack = [(x, (), (0,) * len(names))]
     while stack:
-        marking, acc = stack.pop()
+        marking, acc, occ = stack.pop()
         if marking == y:
-            forms.append(LayeredForm(x, acc))
+            forms.append((LayeredForm(x, acc), occ))
         if len(acc) == max_layers:
             continue
         if marking not in steps:
-            steps[marking] = [(layer, _layer_tgt(layer, ctx))
+            steps[marking] = [(layer, _layer_tgt(layer, ctx),
+                               tuple(map(occurrences(layer).get, names, itertools.repeat(0))))
                               for layer in _step_layers(ctx, marking, max_width)]
-        stack += [(tgt, acc + (layer,)) for layer, tgt in steps[marking]]
-    forms.sort(key=lambda f: (len(f.layers), tuple(l.payload for l in f.layers)))
+        stack += [(tgt, acc + (layer,), tuple(map(add, occ, gens)))
+                  for layer, tgt, gens in steps[marking]]
+    forms.sort(key=lambda f: (len(f[0].layers), tuple(l.payload for l in f[0].layers)))
     # Merge and split are mutual converses within the searched space (the same
     # fact _search_connect's exhaustion rule rests on), so a class is the
     # closure of any member and pairwise equality is closure membership. A
     # closure of at most ``budget`` forms also bounds the pairwise search's
     # expansions, so that search would not have run out of budget either.
-    closures: dict[tuple[LayeredForm, int | None], set[LayeredForm] | None] = {}
-
-    def same_class(form: LayeredForm, rep: LayeredForm, cap: int | None) -> bool:
-        if (rep, cap) not in closures:
-            closures[rep, cap] = _closure(rep, ctx, cap, budget)
-        closure = closures[rep, cap]
-        if closure is None:
-            return _forms_equal(form, rep, ctx, budget).is_equal
-        return form in closure
-
-    buckets: dict[frozenset | None, list[tuple[LayeredForm, int | None]]] = {}
     reps: list[LayeredForm] = []
-    for form in forms:
-        occ = _form_occurrences(form)
-        key = None if ops.idempotent else frozenset(occ.items())
-        # Only SEMILAT splits can raise the generator count, so only SEMILAT
-        # pairs are capped, at the larger count of the two.
-        gens = sum(occ.values()) if ops.idempotent else None
-        bucket = buckets.setdefault(key, [])
-        if not any(same_class(form, rep, None if gens is None else max(gens, rep_gens))
-                   for rep, rep_gens in bucket):
-            bucket.append((form, gens))
-            reps.append(form)
-    leaves: dict[str, MorTerm] = {}
+    if ops.idempotent:
+        closures: dict[tuple[LayeredForm, int], set[LayeredForm] | None] = {}
+
+        def same_class(form: LayeredForm, rep: LayeredForm, cap: int) -> bool:
+            if (rep, cap) not in closures:
+                closures[rep, cap] = _closure(rep, ctx, cap, budget)
+            closure = closures[rep, cap]
+            return _forms_equal(form, rep, ctx, budget).is_equal if closure is None \
+                else form in closure
+
+        capped: list[tuple[LayeredForm, int]] = []
+        for form, occ in forms:
+            gens = sum(occ)
+            if not any(same_class(form, rep, max(gens, rep_gens)) for rep, rep_gens in capped):
+                capped.append((form, gens))
+                reps.append(form)
+    else:
+        # Buckets are unions of disjoint classes, so one set holds the members
+        # of every closure enumerated; a closure waits in ``pending`` until a
+        # later form needs it, and one past the budget goes to ``over``.
+        members: set[LayeredForm] = set()
+        buckets: dict[tuple[int, ...], tuple[list, list]] = {}
+        for form, occ in forms:
+            pending, over = buckets.setdefault(occ, ([], []))
+            for rep in pending:
+                closure = _closure(rep, ctx, None, budget)
+                if closure is None:
+                    over.append(rep)
+                else:
+                    members |= closure
+            pending.clear()
+            if form not in members and not any(
+                    _forms_equal(form, rep, ctx, budget).is_equal for rep in over):
+                pending.append(form)
+                reps.append(form)
+    leaves: dict[str | FreeElem, MorTerm] = {}
     return [_form_term(rep, net.theory, leaves) for rep in reps]
 
 
@@ -1054,10 +1072,13 @@ def layered_to_term(form: LayeredForm, net: QNet) -> MorTerm:
     return _form_term(form, net.theory, {})
 
 
-def _form_term(form: LayeredForm, th: Theory, leaves: dict[str, MorTerm]) -> MorTerm:
-    """The process term of ``form``. ``leaves`` caches the leaf of each layer
-    letter, so a caller converting many forms builds each identity once."""
+def _form_term(form: LayeredForm, th: Theory, leaves: dict[str | FreeElem, MorTerm]) -> MorTerm:
+    """The process term of ``form``. ``leaves`` caches the term of each layer
+    and the leaf of each layer letter, so a caller converting many forms
+    builds each layer and each identity once."""
     def layer_term(layer: FreeElem) -> MorTerm:
+        if layer in leaves:
+            return leaves[layer]
         items: list[MorTerm] = []
         for name, count in th.ops.letters(layer.payload):
             piece = leaves.get(name)
@@ -1067,9 +1088,8 @@ def _form_term(form: LayeredForm, th: Theory, leaves: dict[str, MorTerm]) -> Mor
             if count < 0:
                 piece = Oper("invert", (piece,))
             items.extend([piece] * abs(count))
-        if len(items) == 1:
-            return items[0]
-        return Oper("combine", tuple(items))
+        term = leaves[layer] = items[0] if len(items) == 1 else Oper("combine", tuple(items))
+        return term
 
     if not form.layers:
         return Ident(form.start)

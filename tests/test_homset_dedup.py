@@ -172,6 +172,59 @@ def test_budget_fallback_uses_pairwise_search(monkeypatch):
     assert len(tight) >= len(full)
 
 
+def _logging(monkeypatch, *names):
+    """Wrap freecat functions so each call's first argument is logged by name."""
+    logs = {name: [] for name in names}
+    for name, log in logs.items():
+        real = getattr(freecat, name)
+
+        def logged(*args, real=real, log=log, **kwargs):
+            log.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(freecat, name, logged)
+    return logs
+
+
+def test_two_loop_dedup_is_one_lookup_per_form(monkeypatch):
+    # 255 forms, each its own class, in buckets of up to 35 representatives;
+    # testing each form against every representative in its bucket would
+    # make 2,226 closure tests.
+    logs = _logging(monkeypatch, "_closure", "_forms_equal", "_form_occurrences")
+    x = cmon({"a": 1})
+    reps = hom_enumerate(LOOP, x, x, 7, 1)
+    assert len(reps) == 255
+    closed = logs["_closure"]
+    assert len(closed) == len(set(closed))
+    assert all(layered_to_term(rep, LOOP) in reps for rep in closed)
+    assert not logs["_forms_equal"] and not logs["_form_occurrences"]
+
+
+def test_mixed_budget_bucket_matches_pairwise_reference(monkeypatch):
+    # t: ab -> c, u: c -> ab, from cc to cab: one bucket holds closures of
+    # 1 and 5 forms, so a budget between them indexes some representatives
+    # of that bucket and compares the others pairwise.
+    net, x, y = PRE_NETS[5], word("cc"), word("cab")
+    ctx = _context(net)
+    sizes = [len(_closure(form, ctx, None, 100)) for form in _hom_forms(net, x, y, 3, 1)]
+    budget = (min(sizes) + max(sizes)) // 2
+    assert min(sizes) < budget < max(sizes)
+    outcomes: dict[frozenset, set[bool]] = {}
+    real = freecat._closure
+
+    def recording(form, ctx, cap, budget):
+        closure = real(form, ctx, cap, budget)
+        key = frozenset(freecat._form_occurrences(form).items())
+        outcomes.setdefault(key, set()).add(closure is None)
+        return closure
+
+    monkeypatch.setattr(freecat, "_closure", recording)
+    got = hom_enumerate(net, x, y, 3, 1, budget=budget)
+    assert {True, False} in outcomes.values()
+    assert got == pairwise_hom_enumerate(net, x, y, 3, 1, budget=budget)
+    assert len(got) > len(hom_enumerate(net, x, y, 3, 1))
+
+
 def test_three_layer_semilat_class_matches_pairwise_reference():
     # Large SEMILAT rewrite classes: this took seconds per call when every
     # neighbor rebuilt its merge and split moves.

@@ -111,8 +111,10 @@ def _split_word_ref(layer, ctx):
             else:
                 w1.extend(_held_ref(letter, 0, ctx))
                 w2.append(letter)
-        out.append((FreeElem(th, th.ops.canon(tuple(w1))),
-                    FreeElem(th, th.ops.canon(tuple(w2)))))
+        pair = FreeElem(th, th.ops.canon(tuple(w1))), FreeElem(th, th.ops.canon(tuple(w2)))
+        # A GRP half whose letters cancel to held places only fires nothing.
+        if not (th.ops.group and any(freecat._pure_id(half) for half in pair)):
+            out.append(pair)
     return out
 
 
@@ -261,6 +263,19 @@ def test_splits_outside_semilat_never_add_generators():
                             == freecat._layer_gens_total(layer))
                     kept += 1
     assert kept > 2000 and regrouped > 0
+
+
+def test_grp_split_never_leaves_an_identity_half():
+    # On t: a -> 1, u: b -> a, the layer u^-1 t^-1 u read letterwise splits
+    # into id.b^-1 t^-1 id.b and a half firing u^-1 and u, which cancel to
+    # nothing; that split is dropped.
+    net = GRP_NETS[8]
+    ctx = freecat._context(net)
+    t_inv, u_inv = Oper("invert", (Gen("t"),)), Oper("invert", (Gen("u"),))
+    form = freecat.layered(Oper("combine", (u_inv, t_inv, Gen("u"))), net)
+    moves = list(freecat._neighbors(form, ctx))
+    assert moves
+    assert not any(freecat._trivial(layer) for move in moves for layer in move.layers)
 
 
 def test_uncapped_grp_search_finds_a_path_past_the_inputs_generator_count():
