@@ -36,7 +36,6 @@ from .theory import (
     Theory,
     TheoryMismatchError,
     UnsupportedOperationError,
-    combine,
     extend,
     invert,
     occurrences,
@@ -245,10 +244,6 @@ def _pure_id(layer: FreeElem) -> bool:
     return all(_is_id_sym(a) for a in layer.atoms())
 
 
-def _identity_layer(th: Theory, marking: FreeElem) -> FreeElem:
-    return _framed(th, (), marking.payload)
-
-
 def _ids_marking(th: Theory, layer: FreeElem) -> FreeElem:
     """Marking held by the id letters of a layer (gens are dropped)."""
     ops = th.ops
@@ -321,31 +316,23 @@ def perm_tgt(t: Perm) -> FreeElem:
     return FreeElem(t.word.theory, _apply_perm(t.word.payload, t.mapping))
 
 
-def _pad(prefix: FreeElem, layer, suffix: FreeElem):
-    """``layer`` between identities on ``prefix`` and ``suffix``, as one product."""
-    th = prefix.theory
+def _pad(ops, prefix: tuple, layer, suffix: tuple):
+    """``layer`` between identities on the payloads ``prefix`` and ``suffix``."""
     if isinstance(layer, Perm):
-        m, n = len(prefix.payload), len(layer.mapping)
-        word = combine(th, prefix, layer.word, suffix)
-        if len(word.payload) != m + n + len(suffix.payload):
+        m, n = len(prefix), len(layer.mapping)
+        word = ops.product(prefix, layer.word.payload, suffix)
+        if len(word) != m + n + len(suffix):
             raise UnsupportedOperationError(
                 "a permutation beside a cancelling boundary is not representable letterwise")
         mapping = (tuple(range(m)) + tuple(m + t for t in layer.mapping)
-                   + tuple(range(m + n, m + n + len(suffix.payload))))
-        return Perm(word, mapping)
-    return combine(th, _identity_layer(th, prefix), layer, _identity_layer(th, suffix))
-
-
-def _invert_layer(layer):
-    if isinstance(layer, Perm):
-        n = len(layer.word.payload)
-        mapping = tuple(n - 1 - layer.mapping[n - 1 - i] for i in range(n))
-        return Perm(invert(layer.word), mapping)
-    return invert(layer)
+                   + tuple(range(m + n, m + n + len(suffix))))
+        return Perm(FreeElem(layer.word.theory, word), mapping)
+    return ops.norm(itertools.chain(_id_letters(ops, prefix), ops.letters(layer),
+                                    _id_letters(ops, suffix)))
 
 
 def _endpoints(t: MorTerm, ctx: _Ctx) -> tuple[FreeElem, FreeElem]:
-    return _layers_of(t, ctx)[:2]
+    return tuple(FreeElem(ctx.net.theory, end) for end in _layers_of(t, ctx)[:2])
 
 
 def mor_src(t: MorTerm, net: QNet) -> FreeElem:
@@ -393,39 +380,42 @@ def _rebuild_oper(t: Oper, args: list) -> Oper:
     return Oper(t.op, tuple(args))
 
 
-def _layers_of(t: SymTerm, ctx: _Ctx,
-               symmetric: bool = False) -> tuple[FreeElem, FreeElem, tuple]:
-    """Source, target and layers of a term; layers may be identities, dropped
-    by callers. :class:`Perm` leaves are terms only when ``symmetric``; a
-    combination holding a permutation layer stacks its arguments' layers
-    one after the other instead of side by side. The walk fires ``before``
-    first, and checks each operation when it first meets it."""
+def _layers_of(t: SymTerm, ctx: _Ctx, symmetric: bool = False) -> tuple[tuple, tuple, tuple]:
+    """Source, target and layers of a term as canonical payloads, and
+    :class:`Perm` layers as they are; layers may be identities, dropped by
+    callers, which build checked elements of what they keep. Each product
+    normalises its arguments' letters once. Permutations are terms only when
+    ``symmetric``; a combination holding one stacks its arguments' layers one
+    after the other instead of side by side. The walk fires ``before`` first,
+    and checks each operation when it first meets it."""
     th = ctx.net.theory
+    ops = th.ops
+    places = set(ctx.net.places)
 
-    def leaf(t: SymTerm) -> tuple[FreeElem, FreeElem, tuple]:
+    def leaf(t: SymTerm) -> tuple[tuple, tuple, tuple]:
         if isinstance(t, Gen):
             if t.name not in ctx.net.transitions:
                 raise IllTypedTermError(f"unknown transition {t.name!r}")
-            return (*ctx.net.transitions[t.name], (unit(th, t.name),))
+            src, tgt = ctx.net.transitions[t.name]
+            return src.payload, tgt.payload, (ops.spell(((t.name, 1),)),)
         if isinstance(t, Ident):
             if t.obj.theory is not th:
                 raise IllTypedTermError(
                     f"identity object has theory {t.obj.theory.value}, net is {th.value}")
-            if t.obj.atoms() - set(ctx.net.places):
+            if t.obj.atoms() - places:
                 raise IllTypedTermError("identity object mentions undeclared places")
-            return t.obj, t.obj, ()
+            return t.obj.payload, t.obj.payload, ()
         if symmetric and isinstance(t, Perm):
             _check_perm(t, th)
-            if t.word.atoms() - set(ctx.net.places):
+            if t.word.atoms() - places:
                 raise IllTypedTermError("permutation word mentions undeclared places")
-            return t.word, perm_tgt(t), (t,)
+            return t.word.payload, _apply_perm(t.word.payload, t.mapping), (t,)
         raise IllTypedTermError(f"not a process term: {t!r}")
 
-    def comp(after: tuple, before: tuple) -> tuple[FreeElem, FreeElem, tuple]:
+    def comp(after: tuple, before: tuple) -> tuple[tuple, tuple, tuple]:
         if before[1] != after[0]:
             raise IllTypedTermError(
-                f"composite mismatch: before ends at {before[1].payload}, after starts at"
-                f" {after[0].payload}")
+                f"composite mismatch: before ends at {before[1]}, after starts at {after[0]}")
         return before[0], after[1], before[2] + after[2]
 
     def expand(t: SymTerm) -> SymTerm:
@@ -435,7 +425,7 @@ def _layers_of(t: SymTerm, ctx: _Ctx,
             if len(t.args) < 2:
                 raise IllTypedTermError("combine needs at least two arguments")
         elif t.op == "invert":
-            if not th.ops.group:
+            if not ops.group:
                 raise IllTypedTermError(f"{th.value} morphisms have no inverses")
             if len(t.args) != 1:
                 raise IllTypedTermError("invert takes exactly one argument")
@@ -443,27 +433,26 @@ def _layers_of(t: SymTerm, ctx: _Ctx,
             raise IllTypedTermError(f"unknown operation {t.op!r}")
         return t
 
-    def oper(t: Oper, args: list) -> tuple[FreeElem, FreeElem, tuple]:
+    def oper(t: Oper, args: list) -> tuple[tuple, tuple, tuple]:
         if t.op == "invert":
+            # A permutation's inverse reads its word and its positions backwards.
             src, tgt, layers = args[0]
-            return invert(src), invert(tgt), tuple(map(_invert_layer, layers))
+            return ops.inverse(src), ops.inverse(tgt), tuple(
+                Perm(invert(l.word), tuple(len(l.mapping) - 1 - k for k in reversed(l.mapping)))
+                if isinstance(l, Perm) else ops.inverse(l) for l in layers)
         srcs, tgts, stacks = zip(*args)
         if any(isinstance(l, Perm) for layers in stacks for l in layers):
             # One after the other: each argument fires beside the targets of
             # those before it and the sources of those after it.
-            layers = ()
-            for i, ls in enumerate(stacks):
-                if ls:
-                    before, after = combine(th, *tgts[:i]), combine(th, *srcs[i + 1:])
-                    layers += tuple(_pad(before, l, after) for l in ls)
+            layers = tuple(_pad(ops, ops.product(*tgts[:i]), l, ops.product(*srcs[i + 1:]))
+                           for i, ls in enumerate(stacks) for l in ls)
         else:
-            # Side by side: each argument is padded in front with the frame
-            # holding its start, and each depth is one product.
+            # Side by side: each argument is padded in front by the id letters of its start.
             depth = max(map(len, stacks))
-            padded = [(_identity_layer(th, s),) * (depth - len(ls)) + ls if len(ls) < depth
+            padded = [(ops.spell(_id_letters(ops, s)),) * (depth - len(ls)) + ls if len(ls) < depth
                       else ls for s, ls in zip(srcs, stacks)]
-            layers = tuple(combine(th, *column) for column in zip(*padded))
-        return combine(th, *srcs), combine(th, *tgts), layers
+            layers = tuple(ops.product(*column) for column in zip(*padded))
+        return ops.product(*srcs), ops.product(*tgts), layers
 
     return fold_term(t, leaf, comp, oper, before_first=True, expand=expand)
 
@@ -473,11 +462,13 @@ def layered(t: MorTerm, net: QNet) -> LayeredForm:
     return _layered_ctx(t, _context(net))[0]
 
 
-def _layered_ctx(t: SymTerm, ctx: _Ctx,
-                 symmetric: bool = False) -> tuple[LayeredForm, FreeElem]:
+def _layered_ctx(t: SymTerm, ctx: _Ctx, symmetric: bool = False) -> tuple[LayeredForm, FreeElem]:
     """The layered form of a term and the term's target, from one walk."""
+    th = ctx.net.theory
     src, tgt, layers = _layers_of(t, ctx, symmetric)
-    return LayeredForm(src, tuple(l for l in layers if not _trivial(l))), tgt
+    kept = tuple(l if isinstance(l, Perm) else FreeElem(th, l) for l in layers if not (
+        _trivial(l) if isinstance(l, Perm) else all(map(_is_id_sym, th.ops.names(l)))))
+    return LayeredForm(FreeElem(th, src), kept), FreeElem(th, tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +496,12 @@ def _merge_candidates(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
 def _framed(th: Theory, gens: Iterable[tuple[str, int]], rest: Iterable) -> FreeElem:
     """One layer: the generator letters ``gens``, then the id letters holding
     the marking payload ``rest``, normalised together."""
-    ops = th.ops
-    return FreeElem(th, ops.norm(itertools.chain(
-        gens, ((ID_PREFIX + p, c) for p, c in ops.letters(rest)))))
+    return FreeElem(th, th.ops.norm(itertools.chain(gens, _id_letters(th.ops, rest))))
+
+
+def _id_letters(ops, marking: Iterable) -> Iterator[tuple[str, int]]:
+    """The id letters holding a marking payload."""
+    return ((ID_PREFIX + p, c) for p, c in ops.letters(marking))
 
 
 def _held(letter, end: int, ctx: _Ctx) -> tuple:
@@ -517,8 +511,8 @@ def _held(letter, end: int, ctx: _Ctx) -> tuple:
     if out is None:
         th = ctx.net.theory
         arc = _layer_tgt if end else _layer_src
-        out = ctx.held[letter, end] = _identity_layer(
-            th, arc(FreeElem(th, (letter,)), ctx)).payload
+        out = ctx.held[letter, end] = th.ops.norm(_id_letters(
+            th.ops, arc(FreeElem(th, (letter,)), ctx).payload))
     return out
 
 
@@ -945,8 +939,7 @@ def _step_layers(ctx: _Ctx, marking: FreeElem, max_width: int) -> list[FreeElem]
     elif ops.idempotent:
         for r in range(1, min(max_width, len(names)) + 1):
             for group in itertools.combinations(names, r):
-                fired_src = ops.norm(itertools.chain.from_iterable(
-                    ops.letters(ctx.src_images[nm].payload) for nm in group))
+                fired_src = ops.product(*[ctx.src_images[nm].payload for nm in group])
                 gens = [(nm, 1) for nm in group]
                 for rest in ops.residuals(marking.payload, fired_src):
                     out.add(_framed(th, gens, rest))
@@ -1066,19 +1059,26 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     return [_form_term(rep, net.theory, leaves) for rep in reps]
 
 
-def layered_to_term(form: LayeredForm, net: QNet) -> MorTerm:
-    """Convert a layered form back into a process term."""
-    _context(net)  # validates the net
-    return _form_term(form, net.theory, {})
+def layered_to_term(form: LayeredForm, net: QNet) -> SymTerm:
+    """Convert a layered form back into a process term, which must be
+    well-typed on ``net`` and start at ``form.start``."""
+    th, ctx = net.theory, _context(net)
+    if any(l.theory is not th for l in (form.start, *form.layers) if not isinstance(l, Perm)):
+        raise IllTypedTermError(f"form has elements outside the net's theory {th.value}")
+    term = _form_term(form, th, {})
+    start = _layers_of(term, ctx, True)[0]
+    if start != form.start.payload:
+        raise IllTypedTermError(f"form starts at {form.start.payload}, its layers at {start}")
+    return term
 
 
-def _form_term(form: LayeredForm, th: Theory, leaves: dict[str | FreeElem, MorTerm]) -> MorTerm:
-    """The process term of ``form``. ``leaves`` caches the term of each layer
-    and the leaf of each layer letter, so a caller converting many forms
-    builds each layer and each identity once."""
-    def layer_term(layer: FreeElem) -> MorTerm:
-        if layer in leaves:
-            return leaves[layer]
+def _form_term(form: LayeredForm, th: Theory, leaves: dict[str | FreeElem, MorTerm]) -> SymTerm:
+    """The process term of ``form``; a permutation layer is its own leaf.
+    ``leaves`` caches the term of each layer and the leaf of each letter, so
+    a caller converting many forms builds each layer and identity once."""
+    def layer_term(layer: FreeElem | Perm) -> SymTerm:
+        if isinstance(layer, Perm) or layer in leaves:
+            return leaves.get(layer, layer)
         items: list[MorTerm] = []
         for name, count in th.ops.letters(layer.payload):
             piece = leaves.get(name)

@@ -154,6 +154,16 @@ class _Family:
     def is_normal(self, payload: tuple) -> bool:
         return self.canon(payload) == payload
 
+    def product(self, *payloads: tuple) -> tuple:
+        """The normal form of the product of canonical payloads."""
+        return self.norm(chain.from_iterable(map(self.letters, payloads)))
+
+    def inverse(self, payload: tuple) -> tuple:
+        """The group inverse of a canonical payload: every letter negated,
+        and a word read backwards."""
+        letters = self.letters(payload)
+        return self.spell((p, -c) for p, c in (letters if self.commutative else reversed(letters)))
+
     def to_json(self, payload: tuple) -> Any:
         return list(payload)
 
@@ -345,19 +355,14 @@ def combine(theory: Theory, *elems: FreeElem) -> FreeElem:
         if e.theory is not theory:
             raise TheoryMismatchError(
                 f"combine over {theory.value} got {' and '.join(e.theory.value for e in elems)}")
-    ops = theory.ops
-    return FreeElem(theory, ops.norm(chain.from_iterable([ops.letters(e.payload) for e in elems])))
+    return FreeElem(theory, theory.ops.product(*[e.payload for e in elems]))
 
 
 def invert(x: FreeElem) -> FreeElem:
     """Group inverse; rejected for theories without an inverse operation."""
-    ops = x.theory.ops
-    if not ops.group:
+    if not x.theory.ops.group:
         raise UnsupportedOperationError(f"{x.theory.value} has no inverse operation")
-    letters = ops.letters(x.payload)
-    if not ops.commutative:
-        letters = reversed(letters)
-    return FreeElem(x.theory, ops.spell((p, -c) for p, c in letters))
+    return FreeElem(x.theory, x.theory.ops.inverse(x.payload))
 
 
 def lift(theory: Theory, mapping: Mapping[str, str], x: FreeElem) -> FreeElem:

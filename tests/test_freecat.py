@@ -82,6 +82,21 @@ def test_layered_padding_example():
     assert mor_equal(rebuilt, term, CHAIN).is_equal
 
 
+@pytest.mark.parametrize("start,layers,message", [
+    (word("a"), [word(["zzz"])], "unknown transition 'zzz'"),
+    (word("a"), [word("t"), word("t")],
+     r"composite mismatch: before ends at \('b',\), after starts at"),
+    (word("b"), [word("t")], r"form starts at \('b',\), its layers at \('a',\)"),
+    (word("a"), [word(["id.z"])], "identity object mentions undeclared places"),
+    (word("a"), [cmon({"t": 1})], "outside the net's theory MON"),
+    (cmon({"a": 1}), [word("t")], "outside the net's theory MON"),
+], ids=["unknown", "mismatch", "start", "undeclared", "layer-theory", "start-theory"])
+def test_layered_to_term_checks_its_form_against_the_net(start, layers, message):
+    net = prenet("ab", {"t": ("a", "b")})
+    with pytest.raises(IllTypedTermError, match=message):
+        layered_to_term(freecat.LayeredForm(start, tuple(layers)), net)
+
+
 def test_mor_equal_unit_law():
     v = mor_equal(Comp(Ident(cmon({"b": 1})), Gen("t")), Gen("t"), CHAIN)
     assert v.is_equal

@@ -24,6 +24,7 @@ from qnets.theory import (
     FreeElem,
     Theory,
     combine,
+    lift,
     multiset,
     occurrences,
     unit,
@@ -55,6 +56,11 @@ def _outcome(fn, *args):
 # Reference: each caller dividing markings on its own
 
 
+def _frame_ref(th, marking):
+    """The identity layer holding ``marking``, by renaming its places."""
+    return lift(th, {p: ID_PREFIX + p for p in marking.atoms()}, marking)
+
+
 def _merge_candidates_ref(l1, l2, ctx):
     th = ctx.net.theory
     ops = th.ops
@@ -67,7 +73,7 @@ def _merge_candidates_ref(l1, l2, ctx):
         if not ops.group and any(c < 0 for c in frame.values()):
             return []
         merged = combine(th, combine(th, g1, g2),
-                         freecat._identity_layer(th, multiset(th, frame)))
+                         _frame_ref(th, multiset(th, frame)))
         return [merged]
     ids1 = set(freecat._ids_marking(th, l1).payload)
     ids2 = set(freecat._ids_marking(th, l2).payload)
@@ -79,7 +85,7 @@ def _merge_candidates_ref(l1, l2, ctx):
         w = {p for p, keep in zip(shared, bits) if keep}
         if (w | src_g2) == ids1 and (w | tgt_g1) == ids2:
             frame = FreeElem(th, tuple(sorted(w)))
-            out.append(combine(th, combine(th, g1, g2), freecat._identity_layer(th, frame)))
+            out.append(combine(th, combine(th, g1, g2), _frame_ref(th, frame)))
     return sorted(set(out), key=lambda e: e.payload)
 
 
@@ -95,7 +101,7 @@ def _step_layers_ref(ctx, marking, max_width):
                                                [counts.get(p, 0) for p in places], max_width):
             gens = multiset(th, {names[i]: k for i, k in fired})
             frame = multiset(th, dict(zip(places, room)))
-            out.add(combine(th, gens, freecat._identity_layer(th, frame)))
+            out.add(combine(th, gens, _frame_ref(th, frame)))
     elif ops.idempotent:
         names = sorted(ctx.net.transitions)
         marking_set = set(marking.payload)
@@ -112,7 +118,7 @@ def _step_layers_ref(ctx, marking, max_width):
                     keep = {p for p, b in zip(extras, bits) if b}
                     frame = FreeElem(th, tuple(sorted(base | keep)))
                     gens = FreeElem(th, tuple(sorted(group)))
-                    out.add(combine(th, gens, freecat._identity_layer(th, frame)))
+                    out.add(combine(th, gens, _frame_ref(th, frame)))
     else:
         letters = marking.payload
         stack = [(0, max_width, ())]
@@ -202,7 +208,7 @@ def _zoo_pairs(net):
         leaves = gens + [Ident(unit(th, p)) for p in net.places]
         terms = [args[0] if len(args) == 1 else Oper("combine", args)
                  for r in (1, 2) for args in itertools.product(leaves, repeat=r)]
-        firsts = {l for term in terms for l in freecat._layers_of(term, ctx)[2]}
+        firsts = {FreeElem(th, l) for term in terms for l in freecat._layers_of(term, ctx)[2]}
         seconds = [args[0] if len(args) == 1 else Oper("combine", args)
                    for r in (1, 2) for args in itertools.product(gens, repeat=r)]
         for l1 in sorted(firsts, key=lambda e: e.payload):
@@ -212,7 +218,7 @@ def _zoo_pairs(net):
                 for p, c in occurrences(freecat._endpoints(g, ctx)[0]).items():
                     frame[p] = frame.get(p, 0) - c
                 term = Oper("combine", (g, Ident(multiset(th, frame))))
-                pairs += [(l1, l2) for l2 in freecat._layers_of(term, ctx)[2]]
+                pairs += [(l1, FreeElem(th, l2)) for l2 in freecat._layers_of(term, ctx)[2]]
     else:
         for start in _starts(net):
             for l1 in _step_layers_ref(ctx, start, 2):
@@ -328,7 +334,7 @@ def _adjacent_pair(draw):
         frame = multiset(th, counts) if fits else tgt
     if not fits:
         gens, frame = FreeElem(th, ()), tgt
-    l2 = combine(th, gens, freecat._identity_layer(th, frame))
+    l2 = combine(th, gens, _frame_ref(th, frame))
     return ctx, l1, l2
 
 

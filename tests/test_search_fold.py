@@ -12,9 +12,10 @@ import itertools
 import random
 from collections import deque
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnets import QNet, freecat, symmetry
+from qnets import QNet, freecat, symmetry, theory
 from qnets.freecat import Comp, Gen, Ident, IllTypedTermError, LayeredForm, Oper
 from qnets.symmetry import Perm
 from qnets.theory import (
@@ -36,6 +37,7 @@ from netzoo import (
     PRE_NETS,
     SYMMETRY_NETS,
     TOKEN_GAME_NETS,
+    cmon,
     petri,
     prenet,
 )
@@ -59,7 +61,7 @@ def _is_perm(layer):
 
 def _held_ref(th, letter, end, ctx):
     arc = freecat._layer_tgt if end else freecat._layer_src
-    return freecat._identity_layer(th, arc(FreeElem(th, (letter,)), ctx)).payload
+    return _frame_ref(th, arc(FreeElem(th, (letter,)), ctx)).payload
 
 
 def _reduced_ref(pairs):
@@ -527,7 +529,7 @@ def test_mor_equal_witness_is_a_rewrite_path():
 # One term walker
 
 
-_WALK_NETS = [EQUALITY_NETS[0], EQUALITY_NETS[2], INTEGER_NETS[3],
+_WALK_NETS = [EQUALITY_NETS[0], EQUALITY_NETS[2], EQUALITY_NETS[3], INTEGER_NETS[3],
               QNet(Theory.GRP, ("a", "b"), {"t": (signed_word([("a", 1)]),
                                                   signed_word([("b", 1)]))})]
 
@@ -555,7 +557,7 @@ def test_walker_matches_recursive_reference(case):
     if expected[0] == "ok":
         # The walk is reached only for terms the endpoint check accepts.
         src, tgt, layers = _layers_ref(term, ctx)
-        assert freecat._layers_of(term, ctx) == (src, tgt, layers)
+        assert freecat._layers_of(term, ctx) == _payloads(src, tgt, layers)
         assert freecat._layered_ctx(term, ctx) == (freecat.LayeredForm(
             src, tuple(l for l in layers if not freecat._pure_id(l))), tgt)
     else:
@@ -590,3 +592,125 @@ def test_nary_combination_lays_out_as_either_nesting(case):
     flat = freecat.layered(Oper("combine", (a, b, c)), net)
     assert freecat.layered(Oper("combine", (Oper("combine", (a, b)), c)), net) == flat
     assert freecat.layered(Oper("combine", (a, Oper("combine", (b, c)))), net) == flat
+
+
+# ---------------------------------------------------------------------------
+# Layering on payloads
+
+
+def _payloads(src, tgt, layers):
+    """The reference walk's result as ``_layers_of`` gives it."""
+    return src.payload, tgt.payload, tuple(l.payload for l in layers)
+
+
+_POOLS = {}
+
+
+def _pool(net):
+    """The typed terms of a zoo net, each with its endpoints by the reference."""
+    key = _ZOO.index(net)
+    if key not in _POOLS:
+        ctx = freecat._context(net)
+        _POOLS[key] = [(t, *_endpoints_ref(t, ctx)) for t in _typed_terms(net)]
+    return _POOLS[key]
+
+
+@st.composite
+def _nested_typed_terms(draw):
+    """A well-typed term on a zoo net: n-ary combinations of typed terms, each
+    followed by a typed term from its target (or the identity there), nested
+    inside a wider combination with terms of other depths beside them."""
+    net = draw(st.sampled_from(_ZOO))
+    pool = _pool(net)
+    ctx = freecat._context(net)
+
+    def followed(firsts):
+        thens = []
+        for term in firsts:
+            tgt = _endpoints_ref(term, ctx)[1]
+            thens.append(draw(st.sampled_from(
+                [t for t, src, _ in pool if src == tgt] + [Ident(tgt)])))
+        return Comp(Oper("combine", tuple(thens)), Oper("combine", tuple(firsts)))
+
+    terms = st.sampled_from(pool).map(lambda entry: entry[0])
+    inner = [followed(draw(st.lists(terms, min_size=2, max_size=3))) for _ in range(2)]
+    beside = draw(st.lists(terms, max_size=2))
+    args = draw(st.permutations(inner + beside))
+    return net, followed(args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nested_typed_terms())
+def test_walker_matches_recursive_reference_on_well_typed_terms(case):
+    net, term = case
+    ctx = freecat._context(net)
+    src, tgt, layers = _layers_ref(term, ctx)
+    assert freecat._layers_of(term, ctx) == _payloads(src, tgt, layers)
+    kept = tuple(l for l in layers if not freecat._pure_id(l))
+    assert freecat._layered_ctx(term, ctx) == (LayeredForm(src, kept), tgt)
+    assert freecat._endpoints(term, ctx) == (src, tgt)
+
+
+def _counting_checks(monkeypatch):
+    """The payloads of every checked element built from here on."""
+    calls = []
+    real = theory.check_canonical
+    monkeypatch.setattr(theory, "check_canonical",
+                        lambda th, payload: calls.append(payload) or real(th, payload))
+    return calls
+
+
+def _wide_deep(net, frame, before, after):
+    """On ``t: a -> b, u: b -> ...``: ``u`` after ``t``, beside an identity on
+    ``frame``, a lone ``t`` and two more such pairs, then ``u`` between
+    identities on ``before`` and ``after``; padded columns three layers deep,
+    between identities on the whole source and target."""
+    pair = Comp(Gen("u"), Gen("t"))
+    wide = Oper("combine", (pair, Ident(frame), Gen("t"), Oper("combine", (pair, pair))))
+    deep = Comp(Oper("combine", (Ident(before), Gen("u"), Ident(after))), wide)
+    return Comp(Ident(freecat.mor_tgt(deep, net)), Comp(deep, Ident(freecat.mor_src(deep, net))))
+
+
+@pytest.mark.parametrize("net,term,depth", [
+    (EQUALITY_NETS[0], _wide_deep(EQUALITY_NETS[0], cmon({"a": 2, "c": 1}),
+                                  cmon({"a": 2, "c": 1}), cmon({"c": 3})), 3),
+    (EQUALITY_NETS[2], _wide_deep(EQUALITY_NETS[2], word("ab"), word("aab"), word("aa")), 3),
+    # t beside its inverse fires nothing: the one layer is dropped unchecked.
+    (EQUALITY_NETS[4], Oper("combine", (Gen("t"), Oper("invert", (Gen("t"),)))), 0),
+], ids=["CMON", "MON", "ABGRP"])
+def test_layering_checks_only_its_ends_and_kept_layers(monkeypatch, net, term, depth):
+    ctx = freecat._context(net)
+    src, tgt, layers = _layers_ref(term, ctx)
+    calls = _counting_checks(monkeypatch)
+    form, _ = freecat._layered_ctx(term, ctx)
+    assert len(layers) == max(depth, 1) and len(form.layers) == depth
+    assert len(calls) == depth + 2
+    del calls[:]
+    assert freecat._endpoints(term, ctx) == (src, tgt)
+    assert len(calls) == 2
+
+
+def test_layered_to_term_gives_back_each_symmetric_form():
+    """Every form met in the move closures of the criterion 11 instances on
+    ``SYMMETRY_NETS`` (2,702 forms) is the layered form of its own term, in
+    which a permutation layer is a leaf."""
+    net = SYMMETRY_NETS[0]  # t: a -> b
+    term = Comp(symmetry.braiding(word("b"), word("a")),
+                Oper("combine", (Gen("t"), Ident(word("a")))))
+    form = symmetry.sym_layered(term, net)
+    assert freecat.layered_to_term(form, net) == term
+    forms = perms = 0
+    for net, lhs, rhs in _criterion_11_pairs():
+        ctx = freecat._context(net)
+        for start in (symmetry.sym_layered(lhs, net), symmetry.sym_layered(rhs, net)):
+            seen, queue = {start}, deque([start])
+            while queue:
+                form = queue.popleft()
+                for nxt in symmetry._sym_neighbors(form, ctx):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        queue.append(nxt)
+                forms += 1
+                perms += any(_is_perm(l) for l in form.layers)
+                assert symmetry.sym_layered(freecat.layered_to_term(form, net), net) == form
+    assert forms > 2000 and perms > 500

@@ -21,6 +21,7 @@ from qnets.theory import (
     Theory,
     TheoryArrow,
     combine,
+    lift,
     multiset,
     signed_word,
     unit,
@@ -50,10 +51,15 @@ def _outcome(fn, *args):
 # Reference: the split with one arm per family
 
 
+def _frame_ref(th, marking):
+    """The identity layer holding ``marking``, by renaming its places."""
+    return lift(th, {p: ID_PREFIX + p for p in marking.atoms()}, marking)
+
+
 def _held_ref(letter, end, ctx):
     th = ctx.net.theory
     arc = freecat._layer_tgt if end else freecat._layer_src
-    return freecat._identity_layer(th, arc(FreeElem(th, (letter,)), ctx)).payload
+    return _frame_ref(th, arc(FreeElem(th, (letter,)), ctx)).payload
 
 
 def _split_candidates_ref(layer, ctx):
@@ -81,7 +87,7 @@ def _split_candidates_ref(layer, ctx):
                      if c - part1.get(n, 0) != 0}
             if part1 and part2:
                 parts.append((multiset(th, part1), multiset(th, part2)))
-    ident = freecat._identity_layer
+    ident = _frame_ref
     out = [(combine(th, g1, ident(th, combine(th, held, freecat._layer_src(g2, ctx)))),
             combine(th, g2, ident(th, combine(th, held, freecat._layer_tgt(g1, ctx)))))
            for g1, g2 in parts]
@@ -146,7 +152,7 @@ def _zoo_layers(net):
     for r in (1, 2, 3):
         for args in itertools.product(leaves, repeat=r):
             term = args[0] if r == 1 else Oper("combine", args)
-            layers.update(freecat._layers_of(term, ctx)[2])
+            layers.update(FreeElem(th, l) for l in freecat._layers_of(term, ctx)[2])
     for layer in list(layers):
         for halves in _split_candidates_ref(layer, ctx):
             layers.update(halves)

@@ -20,6 +20,7 @@ from qnets.symmetry import (
 )
 from qnets.net import QNet
 from qnets.theory import (
+    FreeElem,
     Theory,
     TheoryArrow,
     UnsupportedOperationError,
@@ -259,7 +260,7 @@ def _pad_before_ref(prefix, layer):
     return combine(th, _frame_ref(prefix), layer)
 
 
-def _sym_layers_ref(t, ctx):
+def _sym_elems_ref(t, ctx):
     th = ctx.net.theory
     if isinstance(t, Perm):
         symmetry._check_perm(t, th)
@@ -267,10 +268,11 @@ def _sym_layers_ref(t, ctx):
             raise IllTypedTermError("permutation word mentions undeclared places")
         return t.word, perm_tgt(t), (Perm(t.word, t.mapping),)
     if isinstance(t, (Gen, Ident)):
-        return freecat._layers_of(t, ctx)
+        src, tgt, layers = freecat._layers_of(t, ctx)
+        return FreeElem(th, src), FreeElem(th, tgt), tuple(FreeElem(th, l) for l in layers)
     if isinstance(t, Comp):
-        src_b, tgt_b, layers_b = _sym_layers_ref(t.before, ctx)
-        src_a, tgt_a, layers_a = _sym_layers_ref(t.after, ctx)
+        src_b, tgt_b, layers_b = _sym_elems_ref(t.before, ctx)
+        src_a, tgt_a, layers_a = _sym_elems_ref(t.after, ctx)
         if tgt_b != src_a:
             raise IllTypedTermError(
                 f"composite mismatch: before ends at {tgt_b.payload}, after starts at"
@@ -280,7 +282,7 @@ def _sym_layers_ref(t, ctx):
         if len(t.args) < 2:
             raise IllTypedTermError("combine needs at least two arguments")
         # Every argument is walked before any is combined, as in _layers_of.
-        walked = [_sym_layers_ref(arg, ctx) for arg in t.args]
+        walked = [_sym_elems_ref(arg, ctx) for arg in t.args]
         srcs, tgts, stacks = zip(*walked)
         if not any(isinstance(l, Perm) for layers in stacks for l in layers):
             src, tgt, layers = walked[0]
@@ -300,7 +302,7 @@ def _sym_layers_ref(t, ctx):
             raise IllTypedTermError(f"{th.value} morphisms have no inverses")
         if len(t.args) != 1:
             raise IllTypedTermError("invert takes exactly one argument")
-        src, tgt, layers = _sym_layers_ref(t.args[0], ctx)
+        src, tgt, layers = _sym_elems_ref(t.args[0], ctx)
         inverted = []
         for layer in layers:
             if isinstance(layer, Perm):
@@ -313,6 +315,13 @@ def _sym_layers_ref(t, ctx):
     if isinstance(t, Oper):
         raise IllTypedTermError(f"unknown operation {t.op!r}")
     raise IllTypedTermError(f"not a process term: {t!r}")
+
+
+def _sym_layers_ref(t, ctx):
+    """The reference walk's ends and layers as payloads, as ``_layers_of``
+    gives them; permutation layers stay as they are."""
+    src, tgt, layers = _sym_elems_ref(t, ctx)
+    return src.payload, tgt.payload, tuple(l if isinstance(l, Perm) else l.payload for l in layers)
 
 
 def _erase_ref(t):
@@ -398,7 +407,7 @@ def test_a_permutation_beside_a_firing_stacks_padded_layers(term, start, layers,
                  for l in layers)
     assert form == freecat.LayeredForm(word(start), want)
     ctx = freecat._context(_SWAP_NET)
-    assert freecat._layers_of(term, ctx, True)[:2] == (word(start), word(tgt))
+    assert freecat._layers_of(term, ctx, True)[:2] == (word(start).payload, word(tgt).payload)
     identical, moved = slid
     assert sym_equal(term, identical, _SWAP_NET).reason == "identical layered forms"
     for other in slid:
