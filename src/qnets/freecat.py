@@ -119,20 +119,12 @@ class LayeredForm:
     """Sequential decomposition: ``layers[0]`` fires first. Layers are
     elements over transition names and ``id.`` place names, or, in a
     symmetric process, :class:`Perm` leaves, each its own layer; identity
-    layers are never stored, so the empty tuple is the identity on ``start``."""
+    layers are never stored, so the empty tuple is the identity on ``start``.
+    The rewrite search runs on layer ids (see :class:`_Ctx`): a form is built
+    where a term is layered, a witness shown or a representative returned."""
 
     start: FreeElem
     layers: tuple[FreeElem | Perm, ...]
-
-    def __post_init__(self):
-        # Hashed once, by the dataclass formula, as :class:`FreeElem` is.
-        object.__setattr__(self, "_hash", hash((self.start, self.layers)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return LayeredForm, (self.start, self.layers)
 
 
 @dataclass(frozen=True)
@@ -172,7 +164,7 @@ def _unknown(reason: str) -> EqVerdict:
 
 @dataclass(frozen=True)
 class _Ctx:
-    """A validated net, its symbol images and its move caches. :func:`_context`
+    """A validated net, its symbol images and its move tables. :func:`_context`
     builds one per net object and keeps it on the net, so every
     :func:`mor_equal`, :func:`hom_enumerate` or ``symmetry.sym_equal`` call on
     that net shares it.
@@ -182,22 +174,41 @@ class _Ctx:
     of the net itself leaves no reference cycle, and lets :func:`_context`
     see a net whose ``transitions`` mapping was changed since.
 
-    Merge and split moves, layer generator counts and the id letters holding
-    one letter's end are pure functions of the net, so each distinct input is
-    computed once for the life of the net and every repeat gets the same,
-    already checked, elements back.
+    The search numbers each distinct layer (element or :class:`Perm`) when
+    first met: ``layers`` by id, ``ids`` by layer, and ``gens`` by id holds
+    its generator count for the SEMILAT cap; a form there is the tuple of its
+    layer ids from a start its caller keeps. Moves are pure functions of the
+    net, computed once for its life: ``pairs`` maps two adjacent ids to the
+    id tuples replacing them, ``splits`` an id to its id pairs, ``held`` a
+    letter's end to its id letters. Ids follow the context's history:
+    nothing is ordered by them.
     """
 
     net: QNet
     src_images: Mapping[str, FreeElem]
     tgt_images: Mapping[str, FreeElem]
-    merges: dict = field(default_factory=dict, repr=False, compare=False)
+    layers: list = field(default_factory=list, repr=False, compare=False)
+    ids: dict = field(default_factory=dict, repr=False, compare=False)
+    pairs: dict = field(default_factory=dict, repr=False, compare=False)
     splits: dict = field(default_factory=dict, repr=False, compare=False)
-    gens_totals: dict = field(default_factory=dict, repr=False, compare=False)
+    gens: list = field(default_factory=list, repr=False, compare=False)
     held: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def caches(self) -> tuple[dict, ...]:
-        return self.merges, self.splits, self.gens_totals, self.held
+    def caches(self) -> tuple:
+        return self.layers, self.ids, self.pairs, self.splits, self.gens, self.held
+
+    def number(self, layers: Iterable) -> tuple[int, ...]:
+        """The ids of ``layers``, numbering each one not met before."""
+        layers = tuple(layers)
+        for layer in layers:
+            if layer not in self.ids:
+                self.ids[layer] = len(self.layers)
+                self.layers.append(layer)
+                self.gens.append(0 if isinstance(layer, Perm) else _layer_gens_total(layer))
+        return tuple(map(self.ids.__getitem__, layers))
+
+    def form(self, start: FreeElem, ids: tuple[int, ...]) -> LayeredForm:
+        return LayeredForm(start, tuple(map(self.layers.__getitem__, ids)))
 
 
 def _context(net: QNet) -> _Ctx:
@@ -205,7 +216,8 @@ def _context(net: QNet) -> _Ctx:
     the net while the net's theory, places and transitions still equal those
     it was built from; a net whose places or transitions changed is
     validated again. Memory is bounded: a call that finds more than
-    ``DEFAULT_BUDGET`` cache entries in all clears them."""
+    ``DEFAULT_BUDGET`` entries in all its tables, the numbering included,
+    clears them all, only here at its entry, where no search holds ids."""
     ctx = getattr(net, "_ctx", None)
     if (ctx is not None and ctx.net.theory is net.theory
             and ctx.net.places == tuple(net.places)
@@ -595,29 +607,24 @@ def _layer_gens_total(layer: FreeElem) -> int:
                if not _is_id_sym(name))
 
 
-# The moves through the caches of ``ctx``, which last as long as its net. The
-# uncached functions are looked up at call time, so a wrapper installed on
-# them sees each miss.
-
-
-def _merges(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
-    out = ctx.merges.get((l1, l2))
+def _pair_moves(key: tuple[int, int], ctx: _Ctx) -> list[tuple[int, ...]]:
+    """The id tuples that may replace two adjacent layers, from the context's
+    table: two permutations compose, two firing layers merge (in payload
+    order), a firing layer slides across a permutation; an identity result
+    leaves ``()``. ``_merge_candidates`` is looked up at call time, so a
+    wrapper on it sees each miss."""
+    out = ctx.pairs.get(key)
     if out is None:
-        out = ctx.merges[l1, l2] = _merge_candidates(l1, l2, ctx)
-    return out
-
-
-def _splits(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeElem]]:
-    out = ctx.splits.get(layer)
-    if out is None:
-        out = ctx.splits[layer] = _split_candidates(layer, ctx)
-    return out
-
-
-def _gens_total(layer: FreeElem, ctx: _Ctx) -> int:
-    out = ctx.gens_totals.get(layer)
-    if out is None:
-        out = ctx.gens_totals[layer] = _layer_gens_total(layer)
+        a, b = map(ctx.layers.__getitem__, key)
+        perm_a = isinstance(a, Perm)
+        if perm_a != isinstance(b, Perm):
+            out = [ctx.number(pair)
+                   for pair in _slide(b if perm_a else a, a if perm_a else b, ctx, not perm_a)]
+        else:
+            merges = [Perm(a.word, tuple(b.mapping[k] for k in a.mapping))] if perm_a \
+                else _merge_candidates(a, b, ctx)
+            out = [() if _trivial(m) else ctx.number((m,)) for m in merges]
+        ctx.pairs[key] = out
     return out
 
 
@@ -673,63 +680,57 @@ def _slide(layer: FreeElem, perm: Perm, ctx: _Ctx,
     return [(new_perm, new_layer) if before else (new_layer, new_perm)]
 
 
-def _neighbors(form: LayeredForm, ctx: _Ctx,
-               gens_cap: int | None = None) -> Iterator[LayeredForm]:
-    """The one move relation on layered forms. For each adjacent pair of
-    layers in turn: two permutations compose, two firing layers merge, and a
-    firing layer slides across a permutation. Then each firing layer splits
-    in two; splits may not push the total generator count past ``gens_cap``,
-    if given (idempotent duplication is otherwise unbounded)."""
-    layers = form.layers
-    for i in range(len(layers) - 1):
-        a, b = layers[i], layers[i + 1]
-        perm_a = isinstance(a, Perm)
-        if perm_a != isinstance(b, Perm):
-            for pair in _slide(b if perm_a else a, a if perm_a else b, ctx, not perm_a):
-                yield LayeredForm(form.start, layers[:i] + pair + layers[i + 2:])
-            continue
-        merges = [Perm(a.word, tuple(b.mapping[k] for k in a.mapping))] if perm_a \
-            else _merges(a, b, ctx)
-        for merged in merges:
-            mid = () if _trivial(merged) else (merged,)
-            yield LayeredForm(form.start, layers[:i] + mid + layers[i + 2:])
+def _neighbors(form: tuple[int, ...], ctx: _Ctx,
+               gens_cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The one move relation, on forms as layer-id tuples (see :class:`_Ctx`).
+    For each adjacent pair of layers in turn, its :func:`_pair_moves`; then
+    each firing layer splits in two, by the context's table. Splits may not
+    push the total generator count past ``gens_cap``, if given (idempotent
+    duplication is otherwise unbounded)."""
+    pairs, splits = ctx.pairs, ctx.splits
+    for i in range(len(form) - 1):
+        moves = pairs.get(form[i:i + 2])
+        if moves is None:
+            moves = _pair_moves(form[i:i + 2], ctx)
+        for mid in moves:
+            yield form[:i] + mid + form[i + 2:]
     if gens_cap is not None:
-        gens = [_gens_total(layer, ctx) for layer in layers]
-        total = sum(gens)
-    for i, layer in enumerate(layers):
-        if isinstance(layer, Perm):
-            continue
-        for a, b in _splits(layer, ctx):
-            if gens_cap is not None:
-                grown = total - gens[i] + _gens_total(a, ctx) + _gens_total(b, ctx)
-                if grown > gens_cap:
-                    continue
-            yield LayeredForm(form.start, layers[:i] + (a, b) + layers[i + 1:])
+        gens = ctx.gens
+        room = gens_cap - sum(map(gens.__getitem__, form))
+    for i, l in enumerate(form):
+        moves = splits.get(l)
+        if moves is None:
+            layer = ctx.layers[l]
+            moves = splits[l] = [] if isinstance(layer, Perm) \
+                else list(map(ctx.number, _split_candidates(layer, ctx)))
+        for a, b in moves:
+            if gens_cap is None or gens[a] + gens[b] - gens[l] <= room:
+                yield form[:i] + (a, b) + form[i + 1:]
 
 
-def _greedy(form: LayeredForm, ctx: _Ctx) -> LayeredForm:
-    """Earliest-firing prefilter: merge forward while possible. Sound but not
-    trusted as a complete canonical form."""
-    layers = list(form.layers)
+def _greedy(form: tuple[int, ...], ctx: _Ctx) -> tuple[int, ...]:
+    """Earliest-firing prefilter: merge forward while possible, taking the
+    first merge in payload order. Sound but not trusted as a complete
+    canonical form."""
+    layers = list(form)
     i = 0
     while i + 1 < len(layers):
-        cands = _merges(layers[i], layers[i + 1], ctx)
-        if cands:
-            merged = min(cands, key=lambda e: e.payload)
-            layers[i:i + 2] = [] if _pure_id(merged) else [merged]
+        merges = _pair_moves(tuple(layers[i:i + 2]), ctx)
+        if merges:
+            layers[i:i + 2] = merges[0]
             i = max(i - 1, 0)
         else:
             i += 1
-    return LayeredForm(form.start, tuple(layers))
+    return tuple(layers)
 
 
 # ---------------------------------------------------------------------------
 # Equality search
 
 
-def _form_occurrences(form: LayeredForm) -> dict[str, int]:
+def _form_occurrences(layers: Iterable) -> dict[str, int]:
     totals: dict[str, int] = {}
-    for layer in form.layers:
+    for layer in layers:
         if isinstance(layer, Perm):
             continue
         for name, count in occurrences(layer).items():
@@ -754,17 +755,13 @@ def _search_connect(f1, f2, neighbors, budget: int, exhausted: str | None,
     queues = (deque([f1]), deque([f2]))
     expansions = 0
 
-    def witness(meet) -> tuple[str, ...]:
-        chains = []
-        for side in (0, 1):
-            chain = []
-            node = meet
-            while node is not None:
-                chain.append(node)
-                node = sides[side][node]
-            chains.append(chain)
-        path = list(reversed(chains[0])) + chains[1][1:]
-        return tuple(render(f) for f in path)
+    def chain(side: int, node) -> list:
+        """``node``, then each form it was reached from on ``side``."""
+        out = []
+        while node is not None:
+            out.append(node)
+            node = sides[side][node]
+        return out
 
     while queues[0] or queues[1]:
         side = 0 if (queues[0] and (not queues[1] or len(queues[0]) <= len(queues[1]))) else 1
@@ -777,15 +774,16 @@ def _search_connect(f1, f2, neighbors, budget: int, exhausted: str | None,
                 continue
             sides[side][nxt] = node
             if nxt in sides[1 - side]:
-                return _equal("rewrite path found", witness(nxt))
+                path = chain(0, nxt)[::-1] + chain(1, nxt)[1:]
+                return _equal("rewrite path found", tuple(map(render, path)))
             queues[side].append(nxt)
         if exhausted is None and (not queues[0] or not queues[1]):
             return _distinct("one rewrite closure is complete and excludes the other term")
     return _unknown(exhausted)
 
 
-def _closure(form: LayeredForm, ctx: _Ctx, gens_cap: int | None,
-             budget: int) -> set[LayeredForm] | None:
+def _closure(form: tuple[int, ...], ctx: _Ctx, gens_cap: int | None,
+             budget: int) -> set[tuple[int, ...]] | None:
     """The rewrite class of ``form`` within ``gens_cap`` generators (no cap
     for None), or None once it holds more than ``budget`` forms."""
     seen = {form}
@@ -800,17 +798,18 @@ def _closure(form: LayeredForm, ctx: _Ctx, gens_cap: int | None,
     return seen
 
 
-def _forms_equal(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
+def _forms_equal(start: FreeElem, f1: tuple[int, ...], f2: tuple[int, ...], ctx: _Ctx,
                  budget: int | None = None, symmetric: bool = False) -> EqVerdict:
-    """Equality of two forms with the same endpoints, which every caller
-    has already checked. A ``symmetric`` pair, whose forms may hold
-    permutation layers, goes from the invariants straight to the uncapped search."""
+    """Equality of two forms from ``start``, as layer ids, with the same
+    target, which every caller has already checked. A ``symmetric`` pair,
+    whose forms may hold permutation layers, goes from the invariants
+    straight to the uncapped search."""
     ops = ctx.net.theory.ops
-    if budget is None:
-        budget = default_budget()
+    budget = default_budget(budget)
     if f1 == f2:
         return _equal("identical layered forms")
-    occ1, occ2 = _form_occurrences(f1), _form_occurrences(f2)
+    occ1, occ2 = (_form_occurrences(map(ctx.layers.__getitem__, f)) for f in (f1, f2))
+    render = lambda form: layered_repr(ctx.form(start, form))
     if not ops.idempotent and occ1 != occ2:
         return _distinct("generator occurrence counts differ")
     cap, exhausted = None, "closures exhausted; symmetric move set is not known complete"
@@ -818,8 +817,7 @@ def _forms_equal(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
         g1 = _greedy(f1, ctx)
         g2 = _greedy(f2, ctx)
         if g1 == g2:
-            return _equal("greedy canonical forms agree",
-                          (layered_repr(f1), layered_repr(g1), layered_repr(f2)))
+            return _equal("greedy canonical forms agree", tuple(map(render, (f1, g1, f2))))
         # Only an idempotent split may fire a letter in both halves, which
         # duplicates firings without bound. Elsewhere a split keeps or cancels
         # the letters it fires, so the class is finite without a cap.
@@ -834,20 +832,22 @@ def _forms_equal(f1: LayeredForm, f2: LayeredForm, ctx: _Ctx,
         # form is the source and the signed occurrence vector, which the checks
         # above compare.
         exhausted = "closure exhausted; GRP move set is not known complete" if ops.group else None
-    return _search_connect(f1, f2, lambda f: _neighbors(f, ctx, cap), budget,
-                           exhausted, layered_repr)
+    return _search_connect(f1, f2, lambda f: _neighbors(f, ctx, cap), budget, exhausted, render)
 
 
 def _terms_equal(t1: SymTerm, t2: SymTerm, net: QNet, budget: int | None,
                  symmetric: bool) -> EqVerdict:
     """The one decision behind :func:`mor_equal` and ``symmetry.sym_equal``:
-    layer both terms, compare their endpoints, then their forms."""
+    check the budget, layer both terms, compare their endpoints, then their
+    forms."""
+    budget = default_budget(budget)
     ctx = _context(net)
     f1, tgt1 = _layered_ctx(t1, ctx, symmetric)
     f2, tgt2 = _layered_ctx(t2, ctx, symmetric)
     if (f1.start, tgt1) != (f2.start, tgt2):
         return _distinct("source/target pairs differ")
-    return _forms_equal(f1, f2, ctx, budget, symmetric)
+    return _forms_equal(f1.start, ctx.number(f1.layers), ctx.number(f2.layers), ctx, budget,
+                        symmetric)
 
 
 def mor_equal(t1: MorTerm, t2: MorTerm, net: QNet,
@@ -973,15 +973,15 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     The layered forms are visited in lexicographic (layer count, serialized
     form) order and each joins the first earlier representative it equals,
     that is, whose rewrite closure holds it; representatives are returned in
-    that order. Outside SEMILAT, forms are bucketed by generator occurrence
-    counts, which no move changes, and a representative's closure, computed
-    once a later form reaches its bucket, indexes its members: a form joins
-    by one lookup. SEMILAT scans every representative, with the closure
-    capped at the larger generator count of the two as in :func:`mor_equal`
-    and cached per (representative, cap). A closure of more than ``budget``
-    forms falls back to the pairwise :func:`mor_equal` decision.
-    ``budget`` defaults to :func:`default_budget`, which raises
-    :class:`QnetError` for a ``QNET_BUDGET`` that is not a positive integer.
+    that order. Forms are searched as layer-id tuples on the net's kept
+    context (see :class:`_Ctx`). Outside SEMILAT, forms are bucketed by
+    generator occurrence counts, which no move changes, and a
+    representative's closure, computed once a later form reaches its bucket,
+    indexes its members: a form joins by one lookup. SEMILAT scans every
+    representative, with the closure capped at the larger generator count of
+    the two as in :func:`mor_equal` and cached per (representative, cap). A
+    closure of more than ``budget`` forms falls back to the pairwise
+    :func:`mor_equal` decision. :func:`default_budget` checks ``budget``.
     """
     ops = net.theory.ops
     if ops.group:
@@ -989,48 +989,47 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
             f"hom-sets over {net.theory.value} are infinite whenever nonempty")
     if max_layers <= 0 or max_width <= 0:
         raise UnsupportedOperationError("layer and width bounds must be positive")
-    if budget is None:
-        budget = default_budget()
+    budget = default_budget(budget)
     ctx = _context(net)
     _check_marking(ctx, x)
     _check_marking(ctx, y)
     names = sorted(ctx.net.transitions)
-    forms: list[tuple[LayeredForm, tuple[int, ...]]] = []
-    # Each marking's layers, targets and generator counts (by ``names``), built once.
-    steps: dict[FreeElem, list[tuple[FreeElem, FreeElem, tuple[int, ...]]]] = {}
+    forms: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    # Each marking's layer ids, targets and generator counts (by ``names``), built once.
+    steps: dict[FreeElem, list[tuple[int, FreeElem, tuple[int, ...]]]] = {}
     # Worklist of (marking, layers fired from x to reach it, their generator
     # counts); the forms are sorted below, so the visiting order does not matter.
     stack = [(x, (), (0,) * len(names))]
     while stack:
         marking, acc, occ = stack.pop()
         if marking == y:
-            forms.append((LayeredForm(x, acc), occ))
+            forms.append((acc, occ))
         if len(acc) == max_layers:
             continue
         if marking not in steps:
-            steps[marking] = [(layer, _layer_tgt(layer, ctx),
+            layers = _step_layers(ctx, marking, max_width)
+            steps[marking] = [(i, _layer_tgt(layer, ctx),
                                tuple(map(occurrences(layer).get, names, itertools.repeat(0))))
-                              for layer in _step_layers(ctx, marking, max_width)]
-        stack += [(tgt, acc + (layer,), tuple(map(add, occ, gens)))
-                  for layer, tgt, gens in steps[marking]]
-    forms.sort(key=lambda f: (len(f[0].layers), tuple(l.payload for l in f[0].layers)))
+                              for i, layer in zip(ctx.number(layers), layers)]
+        stack += [(tgt, acc + (i,), tuple(map(add, occ, gens))) for i, tgt, gens in steps[marking]]
+    forms.sort(key=lambda f: (len(f[0]), tuple(ctx.layers[i].payload for i in f[0])))
     # Merge and split are mutual converses within the searched space (the same
     # fact _search_connect's exhaustion rule rests on), so a class is the
     # closure of any member and pairwise equality is closure membership. A
     # closure of at most ``budget`` forms also bounds the pairwise search's
     # expansions, so that search would not have run out of budget either.
-    reps: list[LayeredForm] = []
+    reps: list[tuple[int, ...]] = []
     if ops.idempotent:
-        closures: dict[tuple[LayeredForm, int], set[LayeredForm] | None] = {}
+        closures: dict[tuple[tuple[int, ...], int], set[tuple[int, ...]] | None] = {}
 
-        def same_class(form: LayeredForm, rep: LayeredForm, cap: int) -> bool:
+        def same_class(form: tuple[int, ...], rep: tuple[int, ...], cap: int) -> bool:
             if (rep, cap) not in closures:
                 closures[rep, cap] = _closure(rep, ctx, cap, budget)
             closure = closures[rep, cap]
-            return _forms_equal(form, rep, ctx, budget).is_equal if closure is None \
+            return _forms_equal(x, form, rep, ctx, budget).is_equal if closure is None \
                 else form in closure
 
-        capped: list[tuple[LayeredForm, int]] = []
+        capped: list[tuple[tuple[int, ...], int]] = []
         for form, occ in forms:
             gens = sum(occ)
             if not any(same_class(form, rep, max(gens, rep_gens)) for rep, rep_gens in capped):
@@ -1040,7 +1039,7 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
         # Buckets are unions of disjoint classes, so one set holds the members
         # of every closure enumerated; a closure waits in ``pending`` until a
         # later form needs it, and one past the budget goes to ``over``.
-        members: set[LayeredForm] = set()
+        members: set[tuple[int, ...]] = set()
         buckets: dict[tuple[int, ...], tuple[list, list]] = {}
         for form, occ in forms:
             pending, over = buckets.setdefault(occ, ([], []))
@@ -1052,11 +1051,11 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
                     members |= closure
             pending.clear()
             if form not in members and not any(
-                    _forms_equal(form, rep, ctx, budget).is_equal for rep in over):
+                    _forms_equal(x, form, rep, ctx, budget).is_equal for rep in over):
                 pending.append(form)
                 reps.append(form)
     leaves: dict[str | FreeElem, MorTerm] = {}
-    return [_form_term(rep, net.theory, leaves) for rep in reps]
+    return [_form_term(ctx.form(x, rep), net.theory, leaves) for rep in reps]
 
 
 def layered_to_term(form: LayeredForm, net: QNet) -> SymTerm:

@@ -34,10 +34,15 @@ ID_PREFIX = "id."
 DEFAULT_BUDGET = 10_000
 
 
-def default_budget() -> int:
+def default_budget(budget: int | None = None) -> int:
     """Bound on the enumerations that grow with their input: rewrite-search
-    nodes, hom-set closures, product transitions and token-game firings. The
-    QNET_BUDGET env var overrides it."""
+    nodes, hom-set closures, product transitions and token-game firings.
+    ``budget`` if given, else the QNET_BUDGET env var, else
+    ``DEFAULT_BUDGET``; either must be a positive integer (a bool is not)."""
+    if budget is not None:
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+            raise QnetError(f"budget must be a positive integer, got {budget!r}")
+        return budget
     raw = os.environ.get("QNET_BUDGET")
     if not raw:
         return DEFAULT_BUDGET
@@ -61,7 +66,7 @@ class QNet:
     transitions: Mapping[str, tuple[FreeElem, FreeElem]]
 
     def __reduce__(self):
-        # The process semantics keeps a validated context with move caches on
+        # The process semantics keeps a validated context with move tables on
         # each net it decides on; pickle and copy carry the fields alone.
         return QNet, (self.theory, self.places, self.transitions)
 

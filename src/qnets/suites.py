@@ -432,9 +432,9 @@ def suite_freecat(seed: int = 0, cases: int = 50) -> SuiteResult:
         ctx = freecat._context(net)
         result.check(form.start == src, f"{tag}: layered form changes the source")
         result.check(freecat.form_tgt(form, ctx) == tgt, f"{tag}: layered form changes the target")
-        for neighbor in freecat._neighbors(form, ctx):
-            result.check(neighbor.start == src
-                         and freecat.form_tgt(neighbor, ctx) == tgt,
+        for ids in freecat._neighbors(ctx.number(form.layers), ctx):
+            neighbor = ctx.form(form.start, ids)
+            result.check(freecat.form_tgt(neighbor, ctx) == tgt,
                          f"{tag}: a rewrite move changes the endpoints")
         result.check(freecat.mor_equal(term, term, net).is_equal,
                      f"{tag}: term is not equal to itself")

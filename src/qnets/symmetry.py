@@ -68,8 +68,8 @@ def sym_layered(t: SymTerm, net: QNet) -> LayeredForm:
     return freecat._layered_ctx(t, _context(net), True)[0]
 
 
-def _sym_neighbors(form: LayeredForm, ctx) -> Iterator[LayeredForm]:
-    """Every move of a symmetric form: :func:`freecat._neighbors` uncapped.
+def _sym_neighbors(form: tuple[int, ...], ctx) -> Iterator[tuple[int, ...]]:
+    """Every move of a symmetric form, as layer ids: :func:`freecat._neighbors` uncapped.
     ``sym_equal`` no longer calls it; ``perfbench/tracer.py`` counts it by name."""
     return freecat._neighbors(form, ctx)
 

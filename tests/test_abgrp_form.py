@@ -64,7 +64,9 @@ def _normal_form(net, source, occ):
 
 
 def _greedy(t, net):
-    return freecat._greedy(freecat.layered(t, net), freecat._context(net))
+    form = freecat.layered(t, net)
+    ctx = freecat._context(net)
+    return ctx.form(form.start, freecat._greedy(ctx.number(form.layers), ctx))
 
 
 def _fail(*args, **kwargs):

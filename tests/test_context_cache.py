@@ -1,6 +1,8 @@
 """The net context that ``freecat._context`` keeps on each net: reused calls
-give the verdicts and representatives that fresh nets give, a changed net is
-validated again, the caches are bounded, and pickle and copy leave them out."""
+give the verdicts and representatives that fresh nets give, whatever order
+the context numbered its layers in, a changed net is validated again, the
+tables are bounded and cleared only at a call's entry, and pickle and copy
+leave them out."""
 
 from __future__ import annotations
 
@@ -113,27 +115,77 @@ def test_a_changed_net_is_validated_again():
     assert freecat._context(net) is not ctx
 
 
-def test_caches_past_the_budget_are_cleared():
-    # A MON pair equal by rewrite path: its search merges, splits and holds.
+def _searched_case():
+    """A MON pair equal by rewrite path: its search merges, splits and holds."""
     case, net = next((c, n) for c, n in _pinned()
                      if c["decide"] == "mor_equal" and c["reason"] == "rewrite path found"
                      and not n.theory.ops.commutative)
     net = _fresh(net)
-    lhs = jsonio.term_from_json(net.theory, case["lhs"])
-    rhs = jsonio.term_from_json(net.theory, case["rhs"])
+    return (net, jsonio.term_from_json(net.theory, case["lhs"]),
+            jsonio.term_from_json(net.theory, case["rhs"]), case)
+
+
+def test_caches_past_the_budget_are_cleared():
+    net, lhs, rhs, case = _searched_case()
     want = DECIDE[case["decide"]](lhs, rhs, net)
     ctx = freecat._context(net)
-    assert ctx.merges and ctx.splits and ctx.held
-    # Wrong answers for every cached move, and filler past the budget: only
-    # cleared caches give the verdict back.
-    for cache, wrong in zip(ctx.caches(), ([], [], 0, ())):
-        for key in cache:
-            cache[key] = wrong
-    ctx.gens_totals.update((i, 0) for i in range(DEFAULT_BUDGET))
+    assert ctx.layers and ctx.pairs and ctx.splits and ctx.held
+    # A wrong numbering, wrong answers in every table, and filler past the
+    # budget: only the numbering and the tables cleared together give the
+    # verdict back.
+    ctx.layers.reverse()
+    ctx.gens[:] = [0] * len(ctx.gens)
+    for table, wrong in zip((ctx.ids, ctx.pairs, ctx.splits, ctx.held), (0, [], [], ())):
+        for key in table:
+            table[key] = wrong
+    ctx.held.update((i, ()) for i in range(DEFAULT_BUDGET))
     assert DECIDE[case["decide"]](lhs, rhs, net) == want
     assert _outcome(want) == {k: case[k] for k in ("status", "reason", "witness")}
     assert sum(map(len, ctx.caches())) < DEFAULT_BUDGET
     assert freecat._context(net) is ctx
+
+
+def test_tables_are_cleared_only_at_a_call_entry():
+    # Filler up to the bound: the call starts with it, grows its tables past
+    # the bound as it searches, and still ends with them whole. The next
+    # call's entry clears the filler and every table at once.
+    net, lhs, rhs, case = _searched_case()
+    want = mor_equal(lhs, rhs, _fresh(net))
+    ctx = freecat._context(net)
+    ctx.held.update((i, ()) for i in range(DEFAULT_BUDGET))
+    assert mor_equal(lhs, rhs, net) == want
+    assert sum(map(len, ctx.caches())) > DEFAULT_BUDGET
+    assert all(ctx.held[i] == () for i in range(DEFAULT_BUDGET))
+    assert freecat._context(net) is ctx
+    assert not any(ctx.caches())
+    assert mor_equal(lhs, rhs, net) == want
+
+
+def test_answers_do_not_depend_on_the_numbering_history():
+    """Ids follow the order in which a context first met each layer, and
+    the answers must not: each net is warmed by the other kind of query
+    first, then asked its questions in reverse order, and every verdict,
+    witness and hom-set matches a fresh copy's."""
+    nets: dict[int, tuple[QNet, list]] = {}
+    for case, net in _pinned():
+        nets.setdefault(id(net), (net, []))[1].append(case)
+    homsets = 0
+    for net, cases in nets.values():
+        pairs = [] if net.theory.ops.group else [
+            (x, y) for x in _objects(net) for y in _objects(net)]
+        terms = [(DECIDE[case["decide"]], jsonio.term_from_json(net.theory, case["lhs"]),
+                  jsonio.term_from_json(net.theory, case["rhs"])) for case in cases]
+        for order in (1, -1):
+            warm = _fresh(net)
+            if order == 1:
+                for x, y in pairs:
+                    hom_enumerate(warm, x, y, 2, 2)
+            for decide, lhs, rhs in terms[::order]:
+                assert decide(lhs, rhs, warm) == decide(lhs, rhs, _fresh(net))
+            for x, y in pairs[::-order]:
+                assert hom_enumerate(warm, x, y, 2, 2) == hom_enumerate(_fresh(net), x, y, 2, 2)
+                homsets += 1
+    assert homsets > 100
 
 
 def test_pickle_and_copy_leave_the_context_out():

@@ -35,6 +35,7 @@ from qnets.theory import (
 
 from netzoo import (
     GROUP_NETS,
+    PRE_NETS,
     cmon,
     elementary,
     integer_net,
@@ -277,7 +278,7 @@ def test_layered_moves_preserve_endpoints():
 
     for net, form in forms:
         ctx = _context(net)
-        moves = list(_neighbors(form, ctx))
+        moves = [ctx.form(form.start, ids) for ids in _neighbors(ctx.number(form.layers), ctx)]
         assert moves
         for neighbor in moves:
             assert neighbor.start == form.start
@@ -304,8 +305,8 @@ def test_equal_terms_share_occurrence_counts():
         Oper("combine", (Gen("u"), Ident(cmon({"b": 1})))),
         Oper("combine", (Gen("t"), Ident(cmon({"b": 1})))))
     assert mor_equal(both, seq, CHAIN).is_equal
-    assert _form_occurrences(layered(both, CHAIN)) \
-        == _form_occurrences(layered(seq, CHAIN))
+    assert _form_occurrences(layered(both, CHAIN).layers) \
+        == _form_occurrences(layered(seq, CHAIN).layers)
 
 
 def test_reach_hom_consistency_both_ways():
@@ -329,6 +330,25 @@ def test_budget_env_override(monkeypatch):
         monkeypatch.setenv("QNET_BUDGET", bad)
         with pytest.raises(QnetError, match="QNET_BUDGET"):
             default_budget()
+
+
+@pytest.mark.parametrize("budget", [0, -1, -3, True, False, 2.5, "5"])
+def test_nonsense_budgets_are_refused(budget):
+    # t: ab -> c, u: c -> ab. From cc to cab the hom-set holds 3 classes;
+    # a budget of 1 splits one of them.
+    net = PRE_NETS[5]
+    t, u = Gen("t"), Gen("u")
+    lhs = Oper("combine", (t, u))
+    rhs = Comp(Oper("combine", (Ident(word("c")), u)), Oper("combine", (t, Ident(word("c")))))
+    calls = [lambda: hom_enumerate(net, word("cc"), word("cab"), 3, 1, budget=budget),
+             lambda: mor_equal(lhs, rhs, net, budget=budget),
+             lambda: mor_equal(t, t, net, budget=budget),
+             lambda: symmetry.sym_equal(lhs, rhs, net, budget=budget)]
+    for call in calls:
+        with pytest.raises(QnetError, match="budget must be a positive integer"):
+            call()
+    assert len(hom_enumerate(net, word("cc"), word("cab"), 3, 1, budget=1)) == 3 + 1
+    assert len(hom_enumerate(net, word("cc"), word("cab"), 3, 1)) == 3
 
 
 @pytest.mark.parametrize("net,m0,steps", [

@@ -1,6 +1,6 @@
 """Differential tests: hom_enumerate's closure-based class dedup against the
 pairwise mor_equal dedup it replaced and against the independent rewrite
-oracle's closures, and the move caches each net keeps against the uncached
+oracle's closures, and the move tables each net keeps against the uncached
 moves."""
 
 from hypothesis import given, settings, strategies as st
@@ -61,7 +61,8 @@ def pairwise_hom_enumerate(net, x, y, max_layers, max_width, budget=None):
     ctx = _context(net)
     reps = []
     for form in _hom_forms(net, x, y, max_layers, max_width):
-        if not any(_forms_equal(form, rep, ctx, budget).is_equal for rep in reps):
+        if not any(_forms_equal(x, ctx.number(form.layers), ctx.number(rep.layers), ctx,
+                                budget).is_equal for rep in reps):
             reps.append(form)
     return [layered_to_term(rep, net) for rep in reps]
 
@@ -173,13 +174,13 @@ def test_budget_fallback_uses_pairwise_search(monkeypatch):
 
 
 def _logging(monkeypatch, *names):
-    """Wrap freecat functions so each call's first argument is logged by name."""
+    """Wrap freecat functions so each call's arguments are logged by name."""
     logs = {name: [] for name in names}
     for name, log in logs.items():
         real = getattr(freecat, name)
 
         def logged(*args, real=real, log=log, **kwargs):
-            log.append(args[0])
+            log.append(args)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(freecat, name, logged)
@@ -194,7 +195,7 @@ def test_two_loop_dedup_is_one_lookup_per_form(monkeypatch):
     x = cmon({"a": 1})
     reps = hom_enumerate(LOOP, x, x, 7, 1)
     assert len(reps) == 255
-    closed = logs["_closure"]
+    closed = [ctx.form(x, form) for form, ctx, *_ in logs["_closure"]]
     assert len(closed) == len(set(closed))
     assert all(layered_to_term(rep, LOOP) in reps for rep in closed)
     assert not logs["_forms_equal"] and not logs["_form_occurrences"]
@@ -206,7 +207,8 @@ def test_mixed_budget_bucket_matches_pairwise_reference(monkeypatch):
     # of that bucket and compares the others pairwise.
     net, x, y = PRE_NETS[5], word("cc"), word("cab")
     ctx = _context(net)
-    sizes = [len(_closure(form, ctx, None, 100)) for form in _hom_forms(net, x, y, 3, 1)]
+    sizes = [len(_closure(ctx.number(form.layers), ctx, None, 100))
+             for form in _hom_forms(net, x, y, 3, 1)]
     budget = (min(sizes) + max(sizes)) // 2
     assert min(sizes) < budget < max(sizes)
     outcomes: dict[frozenset, set[bool]] = {}
@@ -214,7 +216,7 @@ def test_mixed_budget_bucket_matches_pairwise_reference(monkeypatch):
 
     def recording(form, ctx, cap, budget):
         closure = real(form, ctx, cap, budget)
-        key = frozenset(freecat._form_occurrences(form).items())
+        key = frozenset(freecat._form_occurrences(ctx.form(x, form).layers).items())
         outcomes.setdefault(key, set()).add(closure is None)
         return closure
 
@@ -235,7 +237,7 @@ def test_three_layer_semilat_class_matches_pairwise_reference():
 
 
 # ---------------------------------------------------------------------------
-# Per-call move caches against the uncached moves
+# Per-net move tables against the uncached moves
 
 
 def _gens_sum(form):
@@ -276,14 +278,19 @@ def _start_forms(net):
 def _check_moves(form, cached, plain, cap):
     """Every move of ``form`` agrees, in order, with the uncached move."""
     layers = form.layers
-    for l1, l2 in zip(layers, layers[1:]):
+    ids = cached.number(layers)
+    for key, l1, l2 in zip(zip(ids, ids[1:]), layers, layers[1:]):
         want = freecat._merge_candidates(l1, l2, plain)
-        assert freecat._merges(l1, l2, cached) == want
-        assert freecat._merges(l1, l2, cached) is freecat._merges(l1, l2, cached)
-    for layer in layers:
-        assert freecat._splits(layer, cached) == freecat._split_candidates(layer, plain)
-        assert freecat._gens_total(layer, cached) == freecat._layer_gens_total(layer)
-    assert list(freecat._neighbors(form, cached, cap)) == list(_neighbors_ref(form, plain, cap))
+        got = freecat._pair_moves(key, cached)
+        assert [cached.form(form.start, mid).layers for mid in got] \
+            == [() if freecat._pure_id(merged) else (merged,) for merged in want]
+        assert got is freecat._pair_moves(key, cached)
+    assert [cached.form(form.start, move) for move in freecat._neighbors(ids, cached, cap)] \
+        == list(_neighbors_ref(form, plain, cap))
+    for i, layer in zip(ids, layers):
+        assert [cached.form(form.start, pair).layers for pair in cached.splits[i]] \
+            == freecat._split_candidates(layer, plain)
+        assert cached.gens[i] == freecat._layer_gens_total(layer)
 
 
 def test_cached_moves_match_uncached_moves_on_whole_closures():
@@ -298,11 +305,11 @@ def test_cached_moves_match_uncached_moves_on_whole_closures():
             cap = _gens_sum(form)
             if (form, cap) in done:
                 continue
-            closure = _closure(form, cached, cap, 5_000)
+            closure = _closure(cached.number(form.layers), cached, cap, 5_000)
             assert closure is not None, (net, form)
-            for member in closure:
+            for member in [cached.form(form.start, ids) for ids in closure]:
                 done.add((member, cap))
                 _check_moves(member, cached, plain, cap)
                 checked += 1
-        assert cached.merges or cached.splits or not net.transitions
+        assert cached.pairs or cached.splits or not net.transitions
     assert checked > 800

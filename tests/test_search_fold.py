@@ -15,7 +15,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnets import QNet, freecat, symmetry, theory
+from qnets import QNet, freecat, jsonio, symmetry, theory
 from qnets.freecat import Comp, Gen, Ident, IllTypedTermError, LayeredForm, Oper
 from qnets.symmetry import Perm
 from qnets.theory import (
@@ -41,6 +41,7 @@ from netzoo import (
     petri,
     prenet,
 )
+from test_context_cache import DECIDE, _pinned
 
 
 def _outcome(fn, *args):
@@ -151,6 +152,11 @@ def _slide_after_perm_ref(perm, layer, ctx):
     return [(new_layer, new_perm)]
 
 
+def _form_moves(neighbors, form, ctx, *cap):
+    """The moves of ``form`` by ``neighbors``, which runs on layer ids."""
+    return [ctx.form(form.start, ids) for ids in neighbors(ctx.number(form.layers), ctx, *cap)]
+
+
 def _sym_neighbors_ref(form, ctx):
     layers = form.layers
     for i in range(len(layers) - 1):
@@ -188,7 +194,7 @@ def _sym_equal_ref(t1, t2, net, budget=None, expanded=None):
         return "distinct", "source/target pairs differ"
     if f1 == f2:
         return "equal", "identical layered forms"
-    if freecat._form_occurrences(f1) != freecat._form_occurrences(f2):
+    if freecat._form_occurrences(f1.layers) != freecat._form_occurrences(f2.layers):
         return "distinct", "generator occurrence counts differ"
     sides = ({f1: None}, {f2: None})
     queues = (deque([f1]), deque([f2]))
@@ -376,7 +382,7 @@ def test_slide_and_neighbors_match_reference_on_criterion_11():
             while queue:
                 node = queue.popleft()
                 forms += 1
-                moves = list(symmetry._sym_neighbors(node, ctx))
+                moves = _form_moves(symmetry._sym_neighbors, node, ctx)
                 assert moves == list(_sym_neighbors_ref(node, ctx))
                 for a, b in _slide_pairs(node):
                     pairs += 1
@@ -472,7 +478,8 @@ def test_sym_equal_witness_is_a_rewrite_path():
         ctx = freecat._context(net)
         f1, f2 = symmetry.sym_layered(lhs, net), symmetry.sym_layered(rhs, net)
         _assert_rewrite_path(f1, f2, verdict.witness,
-                             lambda f: symmetry._sym_neighbors(f, ctx), freecat.layered_repr)
+                             lambda f: _form_moves(symmetry._sym_neighbors, f, ctx),
+                             freecat.layered_repr)
     assert found > 50
 
 
@@ -497,7 +504,7 @@ def _rewritten_pairs(seed, count):
         form = freecat.layered(term, net)
         cap = _gens_sum(form)
         for _ in range(rng.randint(1, 4)):
-            moves = list(freecat._neighbors(form, ctx, cap))
+            moves = _form_moves(freecat._neighbors, form, ctx, cap)
             if moves:
                 form = rng.choice(moves)
         yield net, term, freecat.layered_to_term(form, net)
@@ -514,15 +521,58 @@ def test_mor_equal_witness_is_a_rewrite_path():
             by_search += 1
             cap = max(_gens_sum(f1), _gens_sum(f2))
             _assert_rewrite_path(f1, f2, verdict.witness,
-                                 lambda f: freecat._neighbors(f, ctx, cap),
+                                 lambda f: _form_moves(freecat._neighbors, f, ctx, cap),
                                  freecat.layered_repr)
         elif verdict.reason == "greedy canonical forms agree":
             # Greedy witnesses are (f1, shared greedy form, f2): merge runs,
             # not single moves.
-            greedy = freecat._greedy(f1, ctx)
-            assert greedy == freecat._greedy(f2, ctx)
+            greedy = ctx.form(f1.start, freecat._greedy(ctx.number(f1.layers), ctx))
+            assert greedy == ctx.form(f2.start, freecat._greedy(ctx.number(f2.layers), ctx))
             assert verdict.witness == tuple(map(freecat.layered_repr, (f1, greedy, f2)))
     assert by_search > 10
+
+
+def test_the_search_calls_neighbors_once_per_expansion(monkeypatch):
+    """The benchmark's ``search.expansions`` counts calls of
+    ``freecat._neighbors``: each call must be one expanded form, in
+    ``_search_connect`` (so a budget of ``n`` nodes makes ``n`` calls) and in
+    ``_closure`` (one per member)."""
+    calls = []
+    real = freecat._neighbors
+
+    def counting(form, ctx, *cap):
+        calls.append(form)
+        return real(form, ctx, *cap)
+
+    monkeypatch.setattr(freecat, "_neighbors", counting)
+    searched = 0
+    for case, net in _pinned():
+        decide = DECIDE[case["decide"]]
+        t1, t2 = (jsonio.term_from_json(net.theory, case[side]) for side in ("lhs", "rhs"))
+        calls.clear()
+        decide(t1, t2, net)
+        if len(calls) < 2:
+            continue
+        searched += 1
+        expanded = len(calls)
+        assert len(set(calls)) == expanded
+        assert all(isinstance(i, int) for form in calls for i in form)
+        calls.clear()
+        verdict = decide(t1, t2, net, expanded - 1)
+        assert verdict.reason == f"budget of {expanded - 1} nodes exhausted"
+        assert len(calls) == expanded - 1
+    assert searched > 40
+    x = cmon({"a": 2})
+    loop = petri("a", {"t": ({"a": 1}, {"a": 1}), "u": ({"a": 1}, {"a": 1})})
+    sizes = []
+    for term in freecat.hom_enumerate(loop, x, x, 2, 2):
+        form = freecat.layered(term, loop)
+        ctx = freecat._context(loop)
+        calls.clear()
+        closure = freecat._closure(ctx.number(form.layers), ctx, None, 10_000)
+        assert len(calls) == len(closure) and set(calls) == closure
+        sizes.append(len(closure))
+    assert max(sizes) > 5
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +756,7 @@ def test_layered_to_term_gives_back_each_symmetric_form():
             seen, queue = {start}, deque([start])
             while queue:
                 form = queue.popleft()
-                for nxt in symmetry._sym_neighbors(form, ctx):
+                for nxt in _form_moves(symmetry._sym_neighbors, form, ctx):
                     if nxt not in seen:
                         seen.add(nxt)
                         queue.append(nxt)

@@ -279,7 +279,7 @@ def test_grp_split_never_leaves_an_identity_half():
     ctx = freecat._context(net)
     t_inv, u_inv = Oper("invert", (Gen("t"),)), Oper("invert", (Gen("u"),))
     form = freecat.layered(Oper("combine", (u_inv, t_inv, Gen("u"))), net)
-    moves = list(freecat._neighbors(form, ctx))
+    moves = [ctx.form(form.start, ids) for ids in freecat._neighbors(ctx.number(form.layers), ctx)]
     assert moves
     assert not any(freecat._trivial(layer) for move in moves for layer in move.layers)
 
