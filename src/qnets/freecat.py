@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from operator import add, sub
+from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
 from . import jsonio
@@ -860,61 +860,69 @@ def mor_equal(t1: MorTerm, t2: MorTerm, net: QNet,
 # Layer enumeration, hom-sets, reachability
 
 
-def _vector_net(net: QNet, places: list[str]) -> tuple[list[str], list, list]:
-    """Name-sorted transitions, each with its source counts (``need``) and its
-    target minus source counts (``effect``) as (index into ``places``, count)
-    pairs, for stepping on place-indexed count vectors."""
-    index = {p: j for j, p in enumerate(places)}
-    names = sorted(net.transitions)
-    need, effect = [], []
-    for name in names:
-        src, tgt = (occurrences(arc) for arc in net.transitions[name])
-        need.append(tuple((index[p], c) for p, c in src.items()))
-        effect.append(tuple((index[p], tgt.get(p, 0) - src.get(p, 0))
-                            for p in sorted(src.keys() | tgt.keys()) if tgt.get(p) != src.get(p)))
-    return names, need, effect
+class _Packed:
+    """The packed count format of a CMON net: a marking is one int, with the
+    count of the j-th sorted place in the field of ``width`` bits at
+    ``j * (width + 1)`` and a guard bit above each field, always set. An arc
+    in ``arcs`` (by sorted name: the source, and target minus source) has no
+    guards. Subtracting a source clears a field's guard iff the count falls
+    short, and never borrows from the next field, so ``m`` funds ``take`` iff
+    ``(m - take) & guards == guards``. Sums stay exact while counts stay below
+    ``2 ** width``, which holds the largest arc, and ``tokens`` plus
+    ``firings`` of it: no field carries while at most ``firings`` transitions
+    fire from at most ``tokens`` tokens."""
+
+    def __init__(self, net: QNet, tokens: int, firings: int):
+        self.places = sorted(net.places)
+        self.names = sorted(net.transitions)
+        top = max((sum(c for _, c in arc.payload) for arcs in net.transitions.values()
+                   for arc in arcs), default=0)
+        self.mask = (1 << max(top, tokens + firings * top).bit_length()) - 1
+        self.shift = {p: j * (self.mask.bit_length() + 1) for j, p in enumerate(self.places)}
+        self.guards = sum(self.mask + 1 << s for s in self.shift.values())
+        self.arcs = [(self.pack(src) ^ self.guards, self.pack(tgt) - self.pack(src))
+                     for src, tgt in map(net.transitions.get, self.names)]
+
+    def pack(self, elem: FreeElem) -> int:
+        return sum(c << self.shift[p] for p, c in elem.payload) | self.guards
+
+    def payload(self, m: int) -> tuple:
+        counts = [m >> s & self.mask for s in self.shift.values()]
+        return tuple(itertools.compress(zip(self.places, counts), counts))
 
 
-def _firings(need: list, effect: list, counts: list[int],
-             max_width: int | None) -> Iterator[tuple[tuple, tuple, tuple]]:
+def _firings(packed: _Packed, root: int,
+             max_width: int | None) -> Iterator[tuple[tuple, int, int]]:
     """Nonempty transition multisets of at most ``max_width`` firings (no bound
-    for None, which needs nonempty sources) that fit the count vector
-    ``counts``, as ``(fired, room, out)``: ``(i, k)`` pairs with k > 0 by
-    transition index, and tuples of ``counts`` less the fired sources and plus
-    the fired effects (tables from :func:`_vector_net`). The order is that of
-    the count sequences ``(k_0, k_1, ...)``: sorted names, smallest count first.
+    for None, which needs nonempty sources) that the packed marking ``root``
+    funds, as ``(fired, room, out)``: ``(i, k)`` pairs with k > 0 by
+    transition index, ``root`` less the fired sources and that plus the fired
+    targets, both packed. The order is that of the count sequences
+    ``(k_0, k_1, ...)``: sorted names, smallest count first.
     """
     # Room only shrinks down the tree, so only the transitions the root funds
     # are visited. A stack node is a multiset over live[:x], yielded when
-    # popped; its children add k firings of one live[y], y >= x, pushed for y
-    # ascending and k descending so that the largest y, smallest k pops next.
-    live = []
-    for j, src in enumerate(need):
-        if all(counts[p] >= c for p, c in src):
-            take, give = [0] * len(counts), [0] * len(counts)
-            for p, c in src:
-                take[p] = c
-            for p, d in effect[j]:
-                give[p] = d
-            live.append((j, src, take, give))
-    stack = [(0, tuple(counts), tuple(counts), (), max_width)]
+    # popped; its children add k firings of one live[y], y >= x, one per
+    # subtraction that keeps every guard, pushed for y ascending and k
+    # descending so that the largest y, smallest k pops next.
+    guards = packed.guards
+    live = [(j, take, effect) for j, (take, effect) in enumerate(packed.arcs)
+            if root - take & guards == guards]
+    stack = [(0, root, root, (), max_width)]
     while stack:
         x, room, out, fired, left = stack.pop()
         if fired:
             yield fired, room, out
         for y in range(x, len(live)):
-            j, src, take, give = live[y]
-            top = min([room[p] // c for p, c in src], default=left)
-            if left is not None and top > left:
-                top = left
-            if not top:
-                continue
+            j, take, effect = live[y]
             children = []
-            r, o = room, out
-            for k in range(1, top + 1):
-                r, o = tuple(map(sub, r, take)), tuple(map(add, o, give))
+            k, r, o = 0, room - take, out
+            while k != left and r & guards == guards:
+                k += 1
+                o += effect
                 children.append((y + 1, r, o, fired + ((j, k),),
                                  None if left is None else left - k))
+                r -= take
             stack += reversed(children)
 
 
@@ -923,19 +931,16 @@ def _step_layers(ctx: _Ctx, marking: FreeElem, max_width: int) -> list[FreeElem]
     is exactly ``marking``. A commutative layer holds a residual of
     ``marking`` by what it fires; a word layer spells ``marking`` left to
     right. Theories without inverses and positive widths only:
-    :func:`hom_enumerate` rejects the others first."""
+    :func:`hom_enumerate` rejects the others first. CMON packs ``marking``
+    for ``max_width`` firings and decodes each held frame from the room."""
     th = ctx.net.theory
     ops = th.ops
     out: set[FreeElem] = set()
     names = sorted(ctx.net.transitions)
     if ops.commutative and not ops.idempotent:
-        counts = dict(marking.payload)
-        places = sorted(counts.keys() | set(ctx.net.places))
-        names, need, effect = _vector_net(ctx.net, places)
-        for fired, room, _ in _firings(need, effect, [counts.get(p, 0) for p in places],
-                                       max_width):
-            # The room is the residual; its zero counts drop out in the norm.
-            out.add(_framed(th, [(names[i], k) for i, k in fired], zip(places, room)))
+        packed = _Packed(ctx.net, sum(c for _, c in marking.payload), max_width)
+        for fired, room, _ in _firings(packed, packed.pack(marking), max_width):
+            out.add(_framed(th, [(names[i], k) for i, k in fired], packed.payload(room)))
     elif ops.idempotent:
         for r in range(1, min(max_width, len(names)) + 1):
             for group in itertools.combinations(names, r):
@@ -981,14 +986,16 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     representative, with the closure capped at the larger generator count of
     the two as in :func:`mor_equal` and cached per (representative, cap). A
     closure of more than ``budget`` forms falls back to the pairwise
-    :func:`mor_equal` decision. :func:`default_budget` checks ``budget``.
+    :func:`mor_equal` decision. :func:`default_budget` checks ``budget``;
+    both bounds must be ints of at least 1.
     """
     ops = net.theory.ops
     if ops.group:
         raise UnsupportedOperationError(
             f"hom-sets over {net.theory.value} are infinite whenever nonempty")
-    if max_layers <= 0 or max_width <= 0:
-        raise UnsupportedOperationError("layer and width bounds must be positive")
+    if any(type(bound) is not int or bound < 1 for bound in (max_layers, max_width)):
+        raise UnsupportedOperationError("layer and width bounds must be positive integers,"
+                                        f" got {max_layers!r} and {max_width!r}")
     budget = default_budget(budget)
     ctx = _context(net)
     _check_marking(ctx, x)
@@ -1112,31 +1119,37 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
     """Breadth-first token game; the step rule is theory-specific.
 
     CMON fires any multiset of transitions whose combined source fits the
-    marking, on count vectors indexed by the sorted places: M - sum k*pre(t)
-    + sum k*post(t), enumerated by :func:`_firings` as for
-    :func:`_step_layers`; MON rewrites one contiguous source factor; SEMILAT
-    fires one transition and keeps each residual of the marking by its source.
+    marking, M - sum k*pre(t) + sum k*post(t), enumerated by :func:`_firings`
+    on :class:`_Packed` ints. At most ``budget`` steps of at most
+    ``budget + 1`` firings each are taken, so fields that hold the start's
+    tokens plus ``(budget + 1) ** 2`` firings never carry before the budget
+    refuses. MON rewrites one contiguous source factor. SEMILAT steps on
+    bitsets of the sorted places: a transition fires from ``m`` iff
+    ``m & src == src``, and each residual ``m & ~src | keep``, for every
+    submask ``keep`` of ``src``, is joined with the target.
 
-    Markings are keyed by their step value (count vector, word or set) and
-    numbered when first seen; each is built once, through the checked
-    :class:`FreeElem` constructor, and every edge into it shares that object.
-    Edges between ids are sorted once, by the ranks of their payloads. Labels
-    are the text of :func:`jsonio.dumps` on ``{"fire":{t:k,...}}`` for CMON,
-    ``{"at":i,"fire":t}`` for MON (``t`` rewrites the factor at position
+    Markings are keyed by their step value (packed int, word or bitset) and
+    numbered when first seen; each is decoded and built once, through the
+    checked :class:`FreeElem` constructor, and every edge into it shares that
+    object. Edges between ids are sorted once, by the ranks of their payloads.
+    Labels are the text of :func:`jsonio.dumps` on ``{"fire":{t:k,...}}`` for
+    CMON, ``{"at":i,"fire":t}`` for MON (``t`` rewrites the factor at position
     ``i``) and ``{"fire":t,"keep":[...]}`` for SEMILAT (the residual that
     stays marked), each built once per call from names quoted once per call.
     ``saturated`` tells a fixpoint from a search cut off by ``max_steps``, and
-    ``frontier`` counts the new markings of each round. More than
-    :func:`default_budget` firings in one call is a :class:`QnetError`: no
-    partial graph is returned.
+    ``frontier`` counts the new markings of each round. ``max_steps`` is an
+    int of at least 0; more than :func:`default_budget` firings in one call is
+    a :class:`QnetError`: no partial graph is returned.
     """
+    if type(max_steps) is not int or max_steps < 0:
+        raise QnetError(f"max_steps must be a non-negative integer, got {max_steps!r}")
     th = net.theory
     ops = th.ops
     if ops.group:
         raise UnsupportedOperationError(
             f"reachability over {th.value} is not a token game; use the lattice test")
     _check_marking(_context(net), m0)
-    vectors = ops.commutative and not ops.idempotent  # CMON steps on count vectors
+    vectors = ops.commutative and not ops.idempotent  # CMON steps on packed counts
     if vectors and any(src.is_neutral() for src, _ in net.transitions.values()):
         raise UnsupportedOperationError(
             "a transition with empty source makes the step relation infinitely branching")
@@ -1146,17 +1159,17 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
     budget = default_budget()
     firings = 0
     start = m0.payload
+    decode = tuple
 
     if vectors:
-        places = sorted(net.places)
-        _, need, effect = _vector_net(net, places)
-        start = tuple(map(dict(start).get, places, itertools.repeat(0)))
+        packed = _Packed(net, sum(c for _, c in start), (budget + 1) ** 2)
+        start, decode = packed.pack(m0), packed.payload
 
-        def steps(m: tuple) -> Iterator[tuple[tuple, tuple]]:
+        def steps(m: int) -> Iterator[tuple[tuple, int]]:
             # A fundable multiset wider than this cap has a fundable
             # sub-multiset of every width up to it, one more than the bound
             # has left, so the count below refuses before the cap drops any.
-            for fired, _, out in _firings(need, effect, m, budget - firings + 1):
+            for fired, _, out in _firings(packed, m, budget - firings + 1):
                 yield fired, out
 
         def encode(fired: tuple) -> str:
@@ -1172,14 +1185,27 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
         def encode(key: tuple) -> str:
             return '{"at":%d,"fire":%s}' % (key[0], quoted[key[1]])
     else:
-        def steps(m: tuple) -> Iterator[tuple[tuple, tuple]]:
-            for name, src, tgt in arcs:
-                for keep in ops.residuals(m, src):
-                    yield (name, keep), tuple(sorted({*keep, *tgt}))
+        places = sorted(net.places)
+        bits = {p: 1 << j for j, p in enumerate(places)}
+
+        def decode(m: int) -> tuple:
+            return tuple([p for p in places if m & bits[p]])
+
+        bitsets = [(name, sum(map(bits.get, src)), [(0, bits[p]) for p in src],
+                    sum(map(bits.get, tgt))) for name, src, tgt in arcs]
+        start = sum(map(bits.get, start))
+
+        def steps(m: int) -> Iterator[tuple[tuple, int]]:
+            for name, src, choices, tgt in bitsets:
+                if m & src == src:
+                    # Submasks one at a time: a wide source has 2 ** |src|.
+                    for keep in itertools.product(*choices):
+                        rest = m ^ src | sum(keep)
+                        yield (name, rest), rest | tgt
 
         def encode(key: tuple) -> str:
             return '{"fire":%s,"keep":[%s]}' % (quoted[key[0]],
-                                                 ",".join([quoted[p] for p in key[1]]))
+                                                 ",".join([quoted[p] for p in decode(key[1])]))
 
     labels: dict[tuple, str] = {}
     ids = {start: 0}
@@ -1199,8 +1225,7 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
                 b = ids.get(m2)
                 if b is None:
                     b = ids[m2] = len(found)
-                    found.append(FreeElem(th, tuple(itertools.compress(zip(places, m2), m2))
-                                          if vectors else m2))
+                    found.append(FreeElem(th, decode(m2)))
                     nxt.append(m2)
                 edges.append((a, text, b))
         sizes.append(len(nxt))

@@ -351,6 +351,23 @@ def test_nonsense_budgets_are_refused(budget):
     assert len(hom_enumerate(net, word("cc"), word("cab"), 3, 1)) == 3
 
 
+@pytest.mark.parametrize("bad", [-1, True, False, 2.5, "3", None])
+def test_nonsense_token_game_bounds_are_refused(bad):
+    single = petri("ab", {"t": ({"a": 1}, {"b": 1})})
+    with pytest.raises(QnetError, match="max_steps must be a non-negative integer"):
+        reachable(single, cmon({"a": 1}), bad)
+    assert len(reachable(single, cmon({"a": 1}), 0).markings) == 1
+
+
+@pytest.mark.parametrize("layers,width", [(True, 1), (2, True), (2.0, 1), (2, 1.0), (0, 1),
+                                          (2, -1), ("2", 1), (2, None)])
+def test_nonsense_hom_set_bounds_are_refused(layers, width):
+    single = petri("ab", {"t": ({"a": 1}, {"b": 1})})
+    with pytest.raises(QnetError, match="layer and width bounds must be positive integers"):
+        hom_enumerate(single, cmon({"a": 1}), cmon({"b": 1}), layers, width)
+    assert hom_enumerate(single, cmon({"a": 1}), cmon({"b": 1}), 1, 1) == [Gen("t")]
+
+
 @pytest.mark.parametrize("net,m0,steps", [
     # Five tokens fire t once to five times in one step; a width cap one short
     # of the budget's remainder would drop the five-fold firing unrefused.

@@ -94,13 +94,10 @@ def _step_layers_ref(ctx, marking, max_width):
     ops = th.ops
     out = set()
     if ops.commutative and not ops.idempotent:
-        counts = dict(marking.payload)
-        places = sorted(counts.keys() | set(ctx.net.places))
-        names, need, effect = freecat._vector_net(ctx.net, places)
-        for fired, room, _ in freecat._firings(need, effect,
-                                               [counts.get(p, 0) for p in places], max_width):
-            gens = multiset(th, {names[i]: k for i, k in fired})
-            frame = multiset(th, dict(zip(places, room)))
+        packed = freecat._Packed(ctx.net, sum(c for _, c in marking.payload), max_width)
+        for fired, room, _ in freecat._firings(packed, packed.pack(marking), max_width):
+            gens = multiset(th, {packed.names[i]: k for i, k in fired})
+            frame = multiset(th, dict(packed.payload(room)))
             out.add(combine(th, gens, _frame_ref(th, frame)))
     elif ops.idempotent:
         names = sorted(ctx.net.transitions)

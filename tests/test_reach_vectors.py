@@ -4,14 +4,16 @@ the firing enumerator against a brute-force one."""
 
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnets import QNet, jsonio
-from qnets.freecat import ReachResult, _firings, _vector_net, reachable
+from qnets.freecat import ReachResult, _context, _firings, _Packed, _step_layers, reachable
 from qnets.theory import (
     FreeElem,
+    QnetError,
     Theory,
     UnsupportedOperationError,
     combine,
@@ -205,6 +207,10 @@ def _element(theory, draw, places, max_size):
     return word(letters) if theory is Theory.MON else finset(letters)
 
 
+def _scaled(elem, scale):
+    return multiset(Theory.CMON, {p: c * scale for p, c in elem.payload})
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(TOKEN_GAMES), st.data())
 def test_random_nets_match_reference(theory, data):
@@ -220,6 +226,16 @@ def test_random_nets_match_reference(theory, data):
         spare = draw(st.sampled_from([n for n in "stuvw" if n not in names]))
         arcs[spare] = (combine(theory, m0, unit(theory, draw(st.sampled_from(places)))),
                        _element(theory, draw, places, 2))
+    if theory is Theory.CMON:
+        # Large counts: every count times one scale fires the same multisets,
+        # and a bulk on a place that no source reads fires nothing new.
+        scale = draw(st.sampled_from([1, 10**6, 2**20 - 1, 2**40 + 1]))
+        arcs = {name: tuple(_scaled(e, scale) for e in arc) for name, arc in arcs.items()}
+        m0 = _scaled(m0, scale)
+        unread = [p for p in places if all(p not in dict(src.payload) for src, _ in arcs.values())]
+        if unread:
+            bulk = {draw(st.sampled_from(unread)): draw(st.sampled_from([10**6, 2**31 - 1]))}
+            m0 = combine(theory, m0, multiset(theory, bulk))
     net = QNet(theory, tuple(places), arcs)
     steps = draw(st.integers(0, 4))
     if theory is Theory.CMON and any(src.is_neutral() for src, _ in net.transitions.values()):
@@ -248,6 +264,62 @@ def test_frontier_counts_new_markings_per_round():
     assert result == ReachResult(result.start, 8, result.markings, result.edges, True)
 
 
+# t doubles a's tokens and the chord u moves them to b, which holds a large
+# count: 10**6, or 2**20 - 2 so that the start's 2**20 - 1 tokens fill 20
+# bits, which u's firings then overflow. c, above b in place order, would
+# show a carry out of b's count.
+DOUBLING = QNet(Theory.CMON, ("a", "b", "c"), {
+    "t": (multiset(Theory.CMON, {"a": 1}), multiset(Theory.CMON, {"a": 2})),
+    "u": (multiset(Theory.CMON, {"a": 1}), multiset(Theory.CMON, {"b": 1})),
+})
+
+
+@pytest.mark.parametrize("bulk", [10**6, 2**20 - 2])
+def test_counts_never_carry_before_the_budget_refuses(monkeypatch, bulk):
+    m0 = multiset(Theory.CMON, {"a": 1, "b": bulk})
+    want = reference_reachable(DOUBLING, m0, 3)
+    assert max(c for m in want.markings for _, c in m.payload) == bulk + 4
+    monkeypatch.setenv("QNET_BUDGET", str(len(want.edges)))
+    assert reachable(DOUBLING, m0, 3) == want
+    monkeypatch.setenv("QNET_BUDGET", str(len(want.edges) - 1))
+    with pytest.raises(QnetError, match=f"more than {len(want.edges) - 1} transitions"):
+        reachable(DOUBLING, m0, 3)
+    # One step from the bulk: a budget of 3 refuses the third firing.
+    monkeypatch.setenv("QNET_BUDGET", "3")
+    with pytest.raises(QnetError, match="more than 3 transitions"):
+        reachable(DOUBLING, multiset(Theory.CMON, {"a": bulk}), 1)
+
+
+@pytest.mark.parametrize("width", [3, 10**6, 10**30])
+def test_step_layers_at_a_width_far_above_the_marking(width):
+    # Three a's fire at most three transitions whatever the width; each
+    # layer holds the rest of the marking, the bulk on b included.
+    marking = multiset(Theory.CMON, {"a": 3, "b": 2**20 - 1})
+    want = []
+    for fired in _fired_multisets(DOUBLING, marking):
+        rest = occurrences(marking)
+        rest["a"] -= sum(fired.values())
+        want.append(multiset(Theory.CMON, {**fired, **{"id." + p: c for p, c in rest.items()}}))
+    assert len(want) == 9
+    assert _step_layers(_context(DOUBLING), marking, width) == sorted(want, key=lambda e: e.payload)
+
+
+def test_a_wide_semilat_source_builds_no_residual_past_the_budget(monkeypatch):
+    # t's source has 2**18 residuals; the budget refuses the sixth firing,
+    # and the ones after it are never built.
+    places = tuple(f"p{i:02d}" for i in range(18))
+    net = QNet(Theory.SEMILAT, places, {"t": (finset(places), finset(places[:1]))})
+    monkeypatch.setenv("QNET_BUDGET", "5")
+    tracemalloc.start()
+    try:
+        with pytest.raises(QnetError, match="more than 5 transitions"):
+            reachable(net, finset(places), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def _brute_firings(need, effect, counts, max_width):
     """Every count sequence in lexicographic order, kept when it is nonempty,
     within the width and funded by ``counts``, with the room it leaves and the
@@ -267,20 +339,41 @@ def _brute_firings(need, effect, counts, max_width):
 
 
 def _vector_tables(arcs, places):
+    """The net of ``arcs`` and, for :func:`_brute_firings`, each name-sorted
+    transition's source counts (``need``) and target minus source counts
+    (``effect``) by place index."""
     net = QNet(Theory.CMON, tuple(places), {
         name: (multiset(Theory.CMON, src), multiset(Theory.CMON, tgt))
         for name, (src, tgt) in arcs.items()})
-    return _vector_net(net, list(places))
+    names = sorted(arcs)
+    need = [tuple((j, arcs[n][0].get(p, 0)) for j, p in enumerate(places)) for n in names]
+    effect = [tuple((j, arcs[n][1].get(p, 0) - arcs[n][0].get(p, 0))
+                    for j, p in enumerate(places)) for n in names]
+    return net, need, effect
+
+
+def _packed_firings(net, counts, max_width):
+    """``_firings`` from the count vector ``counts`` (by sorted place), with
+    each packed room and successor read back as a count tuple."""
+    tokens = sum(counts)
+    packed = _Packed(net, tokens, tokens if max_width is None else max_width)
+    root = packed.pack(multiset(Theory.CMON, dict(zip(packed.places, counts))))
+
+    def counts_of(m):
+        return tuple(dict(packed.payload(m)).get(p, 0) for p in packed.places)
+
+    for fired, room, out in _firings(packed, root, max_width):
+        yield fired, counts_of(room), counts_of(out)
 
 
 def test_firings_skip_what_the_root_cannot_fund():
     # u needs three a's of two and never fires; w has an empty source and
     # fires up to the width, as in a bounded layer step.
-    names, need, effect = _vector_tables({
+    net, need, effect = _vector_tables({
         "t": ({"a": 1}, {"b": 1}), "u": ({"a": 3}, {}),
         "v": ({"b": 1}, {"a": 1}), "w": ({}, {"c": 1})}, "abc")
-    assert names == ["t", "u", "v", "w"]
-    got = list(_firings(need, effect, [2, 1, 0], 2))
+    assert _Packed(net, 3, 2).names == ["t", "u", "v", "w"]
+    got = list(_packed_firings(net, [2, 1, 0], 2))
     assert got == [
         (((3, 1),), (2, 1, 0), (2, 1, 1)),
         (((3, 2),), (2, 1, 0), (2, 1, 2)),
@@ -313,7 +406,7 @@ def test_firings_match_brute_force_with_unfundable_transitions(data):
         elif not any(src.values()) and width is None:
             src[draw(st.sampled_from(places))] = 1  # unbounded widths need a source
         arcs[name] = (src, {p: draw(st.integers(0, 2)) for p in places})
-    names, need, effect = _vector_tables(arcs, places)
+    net, need, effect = _vector_tables(arcs, places)
     root = [counts[p] for p in places]
     want = list(_brute_firings(need, effect, root, width))
-    assert list(_firings(need, effect, root, width)) == want
+    assert list(_packed_firings(net, root, width)) == want

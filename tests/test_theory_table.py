@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnets import freecat, jsonio
-from qnets.freecat import _firings, _vector_net, hom_enumerate
+from qnets.freecat import _firings, _Packed, hom_enumerate
 from qnets.net import QNet
 from qnets.theory import (
     FreeElem,
@@ -154,9 +154,10 @@ def fired_multisets(pre, room, max_width):
     places = sorted(room.keys() | {p for src in pre.values() for p in src})
     net = QNet(Theory.CMON, tuple(places), {
         name: (multiset(Theory.CMON, src), neutral(Theory.CMON)) for name, src in pre.items()})
-    names, need, effect = _vector_net(net, places)
-    for fired, _, _ in _firings(need, effect, [room.get(p, 0) for p in places], max_width):
-        yield {names[i]: k for i, k in fired}
+    tokens = sum(room.values())
+    packed = _Packed(net, tokens, tokens if max_width is None else max_width)
+    for fired, _, _ in _firings(packed, packed.pack(multiset(Theory.CMON, room)), max_width):
+        yield {packed.names[i]: k for i, k in fired}
 
 
 def ref_fired_multisets(pre, room, max_width):
