@@ -174,28 +174,33 @@ class _Ctx:
     of the net itself leaves no reference cycle, and lets :func:`_context`
     see a net whose ``transitions`` mapping was changed since.
 
-    The search numbers each distinct layer (element or :class:`Perm`) when
-    first met: ``layers`` by id, ``ids`` by layer, and ``gens`` by id holds
-    its generator count for the SEMILAT cap; a form there is the tuple of its
-    layer ids from a start its caller keeps. Moves are pure functions of the
-    net, computed once for its life: ``pairs`` maps two adjacent ids to the
-    id tuples replacing them, ``splits`` an id to its id pairs, ``held`` a
-    letter's end to its id letters. Ids follow the context's history:
-    nothing is ordered by them.
+    ``names`` holds the sorted transition names. The search numbers each
+    distinct layer (element or :class:`Perm`) when first met: ``layers`` by
+    id, ``ids`` by layer, ``occ`` by id its occurrence vector over ``names``
+    (signed for groups, id letters left out, zeros for a permutation) and
+    ``gens`` by id the sum of that vector's absolute values, for the SEMILAT
+    cap. Every count of a layer's firings is read from these two tables. A
+    form there is the tuple of its layer ids from a start its caller keeps.
+    Moves are pure functions of the net, computed once for its life:
+    ``pairs`` maps two adjacent ids to the id tuples replacing them,
+    ``splits`` an id to its id pairs, ``held`` a letter's end to its id
+    letters. Ids follow the context's history: nothing is ordered by them.
     """
 
     net: QNet
     src_images: Mapping[str, FreeElem]
     tgt_images: Mapping[str, FreeElem]
+    names: tuple[str, ...]
     layers: list = field(default_factory=list, repr=False, compare=False)
     ids: dict = field(default_factory=dict, repr=False, compare=False)
     pairs: dict = field(default_factory=dict, repr=False, compare=False)
     splits: dict = field(default_factory=dict, repr=False, compare=False)
+    occ: list = field(default_factory=list, repr=False, compare=False)
     gens: list = field(default_factory=list, repr=False, compare=False)
     held: dict = field(default_factory=dict, repr=False, compare=False)
 
     def caches(self) -> tuple:
-        return self.layers, self.ids, self.pairs, self.splits, self.gens, self.held
+        return self.layers, self.ids, self.pairs, self.splits, self.occ, self.gens, self.held
 
     def number(self, layers: Iterable) -> tuple[int, ...]:
         """The ids of ``layers``, numbering each one not met before."""
@@ -204,7 +209,9 @@ class _Ctx:
             if layer not in self.ids:
                 self.ids[layer] = len(self.layers)
                 self.layers.append(layer)
-                self.gens.append(0 if isinstance(layer, Perm) else _layer_gens_total(layer))
+                counts = {} if isinstance(layer, Perm) else occurrences(layer)
+                self.occ.append(tuple(map(counts.get, self.names, itertools.repeat(0))))
+                self.gens.append(sum(map(abs, self.occ[-1])))
         return tuple(map(self.ids.__getitem__, layers))
 
     def form(self, start: FreeElem, ids: tuple[int, ...]) -> LayeredForm:
@@ -216,8 +223,9 @@ def _context(net: QNet) -> _Ctx:
     the net while the net's theory, places and transitions still equal those
     it was built from; a net whose places or transitions changed is
     validated again. Memory is bounded: a call that finds more than
-    ``DEFAULT_BUDGET`` entries in all its tables, the numbering included,
-    clears them all, only here at its entry, where no search holds ids."""
+    ``DEFAULT_BUDGET`` entries in all its tables, the numbering included
+    (four entries per layer), clears them all, only here at its entry, where
+    no search holds ids."""
     ctx = getattr(net, "_ctx", None)
     if (ctx is not None and ctx.net.theory is net.theory
             and ctx.net.places == tuple(net.places)
@@ -235,7 +243,8 @@ def _context(net: QNet) -> _Ctx:
             f"process semantics reserves the {ID_PREFIX!r} transition prefix")
     held = {ID_PREFIX + p: unit(snap.theory, p) for p in snap.places}
     ctx = _Ctx(snap, {name: arcs[0] for name, arcs in snap.transitions.items()} | held,
-               {name: arcs[1] for name, arcs in snap.transitions.items()} | held)
+               {name: arcs[1] for name, arcs in snap.transitions.items()} | held,
+               tuple(sorted(snap.transitions)))
     # QNet is frozen; the context is not part of its value (see QNet.__reduce__).
     object.__setattr__(net, "_ctx", ctx)
     return ctx
@@ -602,11 +611,6 @@ def _split_candidates(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeEl
     return out
 
 
-def _layer_gens_total(layer: FreeElem) -> int:
-    return sum(abs(c) for name, c in occurrences(layer).items()
-               if not _is_id_sym(name))
-
-
 def _pair_moves(key: tuple[int, int], ctx: _Ctx) -> list[tuple[int, ...]]:
     """The id tuples that may replace two adjacent layers, from the context's
     table: two permutations compose, two firing layers merge (in payload
@@ -661,6 +665,7 @@ def _slide(layer: FreeElem, perm: Perm, ctx: _Ctx,
         starts.append(positions[0])
     order = sorted(range(len(letters)), key=lambda j: starts[j])
     new_letters = tuple(letters[j] for j in order)
+    # A padded permutation's target may cancel (GRP), and then so do these.
     if not th.ops.is_normal(new_letters):
         return []
     new_layer = FreeElem(th, new_letters)
@@ -728,28 +733,18 @@ def _greedy(form: tuple[int, ...], ctx: _Ctx) -> tuple[int, ...]:
 # Equality search
 
 
-def _form_occurrences(layers: Iterable) -> dict[str, int]:
-    totals: dict[str, int] = {}
-    for layer in layers:
-        if isinstance(layer, Perm):
-            continue
-        for name, count in occurrences(layer).items():
-            if not _is_id_sym(name):
-                totals[name] = totals.get(name, 0) + count
-    return {n: c for n, c in totals.items() if c != 0}
-
-
-def _search_connect(f1, f2, neighbors, budget: int, exhausted: str | None,
-                    render) -> EqVerdict:
+def _search_connect(start: FreeElem, f1: tuple[int, ...], f2: tuple[int, ...], ctx: _Ctx,
+                    cap: int | None, budget: int, exhausted: str | None) -> EqVerdict:
     """Bidirectional breadth-first search (Pohl 1971) between two distinct
-    forms.
+    forms from ``start``, as layer ids.
 
-    ``neighbors`` gives one form's moves, and the smaller frontier is expanded
-    first. With ``exhausted`` None the move relation is symmetric, so a side
-    whose queue empties has its whole class and proves ``Distinct``; otherwise
-    exhaustion proves nothing, both sides run to the end and the verdict is
-    ``Unknown`` with reason ``exhausted``. An ``Equal`` witness is the full
-    rewrite path from ``f1`` to ``f2``, each form shown by ``render``.
+    Moves are :func:`_neighbors` within the generator ``cap``, and the smaller
+    frontier is expanded first. With ``exhausted`` None the move relation is
+    symmetric, so a side whose queue empties has its whole class and proves
+    ``Distinct``; otherwise exhaustion proves nothing, both sides run to the
+    end and the verdict is ``Unknown`` with reason ``exhausted``. An ``Equal``
+    witness is the full rewrite path from ``f1`` to ``f2``, each form shown
+    by :func:`layered_repr`.
     """
     sides: tuple[dict, dict] = ({f1: None}, {f2: None})
     queues = (deque([f1]), deque([f2]))
@@ -769,13 +764,14 @@ def _search_connect(f1, f2, neighbors, budget: int, exhausted: str | None,
         expansions += 1
         if expansions > budget:
             return _unknown(f"budget of {budget} nodes exhausted")
-        for nxt in neighbors(node):
+        for nxt in _neighbors(node, ctx, cap):
             if nxt in sides[side]:
                 continue
             sides[side][nxt] = node
             if nxt in sides[1 - side]:
                 path = chain(0, nxt)[::-1] + chain(1, nxt)[1:]
-                return _equal("rewrite path found", tuple(map(render, path)))
+                return _equal("rewrite path found",
+                              tuple(layered_repr(ctx.form(start, f)) for f in path))
             queues[side].append(nxt)
         if exhausted is None and (not queues[0] or not queues[1]):
             return _distinct("one rewrite closure is complete and excludes the other term")
@@ -799,30 +795,32 @@ def _closure(form: tuple[int, ...], ctx: _Ctx, gens_cap: int | None,
 
 
 def _forms_equal(start: FreeElem, f1: tuple[int, ...], f2: tuple[int, ...], ctx: _Ctx,
-                 budget: int | None = None, symmetric: bool = False) -> EqVerdict:
+                 budget: int, symmetric: bool = False) -> EqVerdict:
     """Equality of two forms from ``start``, as layer ids, with the same
-    target, which every caller has already checked. A ``symmetric`` pair,
-    whose forms may hold permutation layers, goes from the invariants
-    straight to the uncapped search."""
+    target, which every caller has already checked, within a checked node
+    ``budget``. Each form's occurrence vector is the sum of its layers' in
+    ``ctx.occ``: outside SEMILAT no move changes it, so different sums prove
+    ``Distinct``; in SEMILAT the larger total caps the search. A
+    ``symmetric`` pair, whose forms may hold permutation layers, goes from
+    the invariants straight to the uncapped search."""
     ops = ctx.net.theory.ops
-    budget = default_budget(budget)
     if f1 == f2:
         return _equal("identical layered forms")
-    occ1, occ2 = (_form_occurrences(map(ctx.layers.__getitem__, f)) for f in (f1, f2))
-    render = lambda form: layered_repr(ctx.form(start, form))
+    zeros = (0,) * len(ctx.names)
+    occ1, occ2 = (tuple(map(sum, zip(zeros, *map(ctx.occ.__getitem__, f)))) for f in (f1, f2))
     if not ops.idempotent and occ1 != occ2:
         return _distinct("generator occurrence counts differ")
     cap, exhausted = None, "closures exhausted; symmetric move set is not known complete"
     if not symmetric:
-        g1 = _greedy(f1, ctx)
-        g2 = _greedy(f2, ctx)
+        g1, g2 = _greedy(f1, ctx), _greedy(f2, ctx)
         if g1 == g2:
-            return _equal("greedy canonical forms agree", tuple(map(render, (f1, g1, f2))))
+            return _equal("greedy canonical forms agree",
+                          tuple(layered_repr(ctx.form(start, f)) for f in (f1, g1, f2)))
         # Only an idempotent split may fire a letter in both halves, which
         # duplicates firings without bound. Elsewhere a split keeps or cancels
         # the letters it fires, so the class is finite without a cap.
         if ops.idempotent:
-            cap = max(sum(occ1.values()), sum(occ2.values()))
+            cap = max(sum(occ1), sum(occ2))
         # Within the searched form space the move relation is symmetric for
         # theories without inverses (merge and split are mutual converses), so
         # exhausting one side enumerates its whole class. With inverses, merges
@@ -832,7 +830,7 @@ def _forms_equal(start: FreeElem, f1: tuple[int, ...], f2: tuple[int, ...], ctx:
         # form is the source and the signed occurrence vector, which the checks
         # above compare.
         exhausted = "closure exhausted; GRP move set is not known complete" if ops.group else None
-    return _search_connect(f1, f2, lambda f: _neighbors(f, ctx, cap), budget, exhausted, render)
+    return _search_connect(start, f1, f2, ctx, cap, budget, exhausted)
 
 
 def _terms_equal(t1: SymTerm, t2: SymTerm, net: QNet, budget: int | None,
@@ -891,14 +889,13 @@ class _Packed:
         return tuple(itertools.compress(zip(self.places, counts), counts))
 
 
-def _firings(packed: _Packed, root: int,
-             max_width: int | None) -> Iterator[tuple[tuple, int, int]]:
-    """Nonempty transition multisets of at most ``max_width`` firings (no bound
-    for None, which needs nonempty sources) that the packed marking ``root``
-    funds, as ``(fired, room, out)``: ``(i, k)`` pairs with k > 0 by
-    transition index, ``root`` less the fired sources and that plus the fired
-    targets, both packed. The order is that of the count sequences
-    ``(k_0, k_1, ...)``: sorted names, smallest count first.
+def _firings(packed: _Packed, root: int, max_width: int) -> Iterator[tuple[tuple, int, int]]:
+    """Nonempty transition multisets of at most ``max_width`` firings that
+    the packed marking ``root`` funds, as ``(fired, room, out)``: ``(i, k)``
+    pairs with k > 0 by transition index, ``root`` less the fired sources and
+    that plus the fired targets, both packed. Where every source is nonempty,
+    the root's token total bounds nothing more. The order is that of the
+    count sequences ``(k_0, k_1, ...)``: sorted names, smallest count first.
     """
     # Room only shrinks down the tree, so only the transitions the root funds
     # are visited. A stack node is a multiset over live[:x], yielded when
@@ -920,8 +917,7 @@ def _firings(packed: _Packed, root: int,
             while k != left and r & guards == guards:
                 k += 1
                 o += effect
-                children.append((y + 1, r, o, fired + ((j, k),),
-                                 None if left is None else left - k))
+                children.append((y + 1, r, o, fired + ((j, k),), left - k))
                 r -= take
             stack += reversed(children)
 
@@ -932,22 +928,35 @@ def _step_layers(ctx: _Ctx, marking: FreeElem, max_width: int) -> list[FreeElem]
     ``marking`` by what it fires; a word layer spells ``marking`` left to
     right. Theories without inverses and positive widths only:
     :func:`hom_enumerate` rejects the others first. CMON packs ``marking``
-    for ``max_width`` firings and decodes each held frame from the room."""
+    for ``max_width`` firings and decodes each held frame from the room. A
+    transition with an empty source fires up to ``max_width`` times, so more
+    than :func:`default_budget` layers is a :class:`QnetError`."""
     th = ctx.net.theory
     ops = th.ops
     out: set[FreeElem] = set()
-    names = sorted(ctx.net.transitions)
+    names = ctx.names
+    # A layer wider than this cap has sub-layers of every width up to it, so
+    # ``add`` refuses before the cap drops any.
+    budget = default_budget()
+    max_width = min(max_width, budget + 1)
+
+    def add(layer: FreeElem) -> None:
+        out.add(layer)
+        if len(out) > budget:
+            raise QnetError(f"a hom-set layer step fires more than {budget} layers;"
+                            " QNET_BUDGET raises the bound")
+
     if ops.commutative and not ops.idempotent:
         packed = _Packed(ctx.net, sum(c for _, c in marking.payload), max_width)
         for fired, room, _ in _firings(packed, packed.pack(marking), max_width):
-            out.add(_framed(th, [(names[i], k) for i, k in fired], packed.payload(room)))
+            add(_framed(th, [(names[i], k) for i, k in fired], packed.payload(room)))
     elif ops.idempotent:
         for r in range(1, min(max_width, len(names)) + 1):
             for group in itertools.combinations(names, r):
                 fired_src = ops.product(*[ctx.src_images[nm].payload for nm in group])
                 gens = [(nm, 1) for nm in group]
                 for rest in ops.residuals(marking.payload, fired_src):
-                    out.add(_framed(th, gens, rest))
+                    add(_framed(th, gens, rest))
     else:
         letters = marking.payload
         # Worklist of (pos, width_left, acc): acc spells letters[:pos], and
@@ -960,7 +969,7 @@ def _step_layers(ctx: _Ctx, marking: FreeElem, max_width: int) -> list[FreeElem]
                 acc += tuple(ID_PREFIX + x for x in letters[pos:])
                 pos = len(letters)
             if pos == len(letters) and width_left != max_width:
-                out.add(FreeElem(th, acc))
+                add(FreeElem(th, acc))
             if width_left != 0:
                 for name in names:
                     src = ctx.net.transitions[name][0].payload
@@ -979,15 +988,17 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     form) order and each joins the first earlier representative it equals,
     that is, whose rewrite closure holds it; representatives are returned in
     that order. Forms are searched as layer-id tuples on the net's kept
-    context (see :class:`_Ctx`). Outside SEMILAT, forms are bucketed by
-    generator occurrence counts, which no move changes, and a
-    representative's closure, computed once a later form reaches its bucket,
-    indexes its members: a form joins by one lookup. SEMILAT scans every
-    representative, with the closure capped at the larger generator count of
-    the two as in :func:`mor_equal` and cached per (representative, cap). A
-    closure of more than ``budget`` forms falls back to the pairwise
-    :func:`mor_equal` decision. :func:`default_budget` checks ``budget``;
-    both bounds must be ints of at least 1.
+    context (see :class:`_Ctx`), and each path's occurrence vector is the
+    sum of its layers' ``ctx.occ``. Outside SEMILAT, forms are bucketed by
+    that vector, which no move changes, and a representative's closure,
+    computed once a later form reaches its bucket, indexes its members: a
+    form joins by one lookup. SEMILAT scans every representative, with the
+    closure capped at the larger vector total of the two as in
+    :func:`mor_equal` and cached per (representative, cap). A closure of more
+    than ``budget`` forms falls back to the pairwise :func:`mor_equal`
+    decision. :func:`default_budget` checks ``budget``; both bounds must be
+    ints of at least 1. A layer step of more than :func:`default_budget`
+    layers, whatever ``budget`` is, is a :class:`QnetError`.
     """
     ops = net.theory.ops
     if ops.group:
@@ -1000,13 +1011,13 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     ctx = _context(net)
     _check_marking(ctx, x)
     _check_marking(ctx, y)
-    names = sorted(ctx.net.transitions)
     forms: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    # Each marking's layer ids, targets and generator counts (by ``names``), built once.
-    steps: dict[FreeElem, list[tuple[int, FreeElem, tuple[int, ...]]]] = {}
-    # Worklist of (marking, layers fired from x to reach it, their generator
-    # counts); the forms are sorted below, so the visiting order does not matter.
-    stack = [(x, (), (0,) * len(names))]
+    # Each marking's layer ids and targets, built once.
+    steps: dict[FreeElem, list[tuple[int, FreeElem]]] = {}
+    # Worklist of (marking, layers fired from x to reach it, the sum of their
+    # occurrence vectors); the forms are sorted below, so the visiting order
+    # does not matter.
+    stack = [(x, (), (0,) * len(ctx.names))]
     while stack:
         marking, acc, occ = stack.pop()
         if marking == y:
@@ -1015,10 +1026,9 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
             continue
         if marking not in steps:
             layers = _step_layers(ctx, marking, max_width)
-            steps[marking] = [(i, _layer_tgt(layer, ctx),
-                               tuple(map(occurrences(layer).get, names, itertools.repeat(0))))
+            steps[marking] = [(i, _layer_tgt(layer, ctx))
                               for i, layer in zip(ctx.number(layers), layers)]
-        stack += [(tgt, acc + (i,), tuple(map(add, occ, gens))) for i, tgt, gens in steps[marking]]
+        stack += [(tgt, acc + (i,), tuple(map(add, occ, ctx.occ[i]))) for i, tgt in steps[marking]]
     forms.sort(key=lambda f: (len(f[0]), tuple(ctx.layers[i].payload for i in f[0])))
     # Merge and split are mutual converses within the searched space (the same
     # fact _search_connect's exhaustion rule rests on), so a class is the
@@ -1148,12 +1158,13 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
     if ops.group:
         raise UnsupportedOperationError(
             f"reachability over {th.value} is not a token game; use the lattice test")
-    _check_marking(_context(net), m0)
+    ctx = _context(net)
+    _check_marking(ctx, m0)
     vectors = ops.commutative and not ops.idempotent  # CMON steps on packed counts
     if vectors and any(src.is_neutral() for src, _ in net.transitions.values()):
         raise UnsupportedOperationError(
             "a transition with empty source makes the step relation infinitely branching")
-    names = sorted(net.transitions)
+    names = ctx.names
     quoted = {x: jsonio.dumps(x) for x in itertools.chain(names, net.places)}
     arcs = [(name, *(arc.payload for arc in net.transitions[name])) for name in names]
     budget = default_budget()
@@ -1272,16 +1283,11 @@ def hom_nonempty_group(net: QNet, x: FreeElem, y: FreeElem) -> bool:
     _check_marking(ctx, x)
     _check_marking(ctx, y)
     places = list(net.places)
-    index = {p: i for i, p in enumerate(places)}
 
     def difference(a: FreeElem, b: FreeElem) -> list[int]:
         """The integer vector b - a over the places."""
-        out = [0] * len(places)
-        for p, c in b.payload:
-            out[index[p]] += c
-        for p, c in a.payload:
-            out[index[p]] -= c
-        return out
+        counts_a, counts_b = dict(a.payload), dict(b.payload)
+        return [counts_b.get(p, 0) - counts_a.get(p, 0) for p in places]
 
     lattice = IntLattice(len(places))
     for src, tgt in net.transitions.values():
@@ -1311,23 +1317,14 @@ def underlying_net(net: QNet, bound: int) -> UnderlyingNet:
         raise UnsupportedOperationError(
             f"underlying-net truncation is not available over {net.theory.value}")
     _context(net)  # validates the net: sorting a mixed-theory net's objects would raise
-    objects: set[FreeElem] = set()
-    for src, tgt in net.transitions.values():
-        objects.add(src)
-        objects.add(tgt)
-    for p in net.places:
-        objects.add(unit(net.theory, p))
+    objects = {end for arcs in net.transitions.values() for end in arcs}
+    objects |= {unit(net.theory, p) for p in net.places}
     ordered = tuple(sorted(objects, key=lambda e: e.payload))
-    transitions = {}
-    reps = {}
-    counter = 0
-    for x in ordered:
-        for y in ordered:
-            for term in hom_enumerate(net, x, y, bound, bound):
-                name = f"mor{counter}"
-                counter += 1
-                transitions[name] = (x, y)
-                reps[name] = term
+    transitions, reps = {}, {}
+    for x, y in itertools.product(ordered, repeat=2):
+        for term in hom_enumerate(net, x, y, bound, bound):
+            name = f"mor{len(reps)}"
+            transitions[name], reps[name] = (x, y), term
     return UnderlyingNet(QNet(net.theory, net.places, transitions), ordered, reps)
 
 

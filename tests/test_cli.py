@@ -368,3 +368,32 @@ def test_enumerations_past_the_budget_are_domain_errors(tmp_path, net, marking):
     assert_json_error(err)
     assert "more than 10000 transitions" in json.loads(err)["error"]
     assert "QNET_BUDGET" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["reach", "--marking", '{"a":1}', "--steps", "1"],
+    ["homset", "--from", '{"a":1}', "--to", '{"a":1}', "--layers", "1", "--width", "1"],
+])
+def test_an_invalid_net_is_one_error_line(tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "theory": "CMON", "places": ["a"],
+        "transitions": {"t": {"src": {"z": 1}, "tgt": {"a": 1}}}}), encoding="utf-8")
+    code, out, err = invoke(argv[:1] + [str(path)] + argv[1:])
+    assert (code, out) == (1, "")
+    assert_json_error(err)
+    assert json.loads(err)["error"] \
+        == f"invalid net {path}: transition 't' src mentions undeclared places ['z']"
+
+
+def test_homset_refuses_a_layer_step_past_the_budget(tmp_path):
+    # t: 0 -> a fires from nothing once per count up to the width, in one layer step.
+    path = write_net(tmp_path, "net.json", petri("a", {"t": ({}, {"a": 1})}))
+    started = time.monotonic()
+    code, out, err = invoke(["homset", path, "--from", "{}", "--to", '{"a":1}',
+                             "--layers", "1", "--width", "10000000"])
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (1, "")
+    assert_json_error(err)
+    assert json.loads(err)["error"] == ("a hom-set layer step fires more than 10000 layers;"
+                                        " QNET_BUDGET raises the bound")

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from qnets import freecat, symmetry
@@ -298,15 +300,15 @@ def test_oracle_spot_agreement(theory_net, terms):
 
 
 def test_equal_terms_share_occurrence_counts():
-    from qnets.freecat import _form_occurrences
+    from layer_refs import form_occurrences
 
     both = Oper("combine", (Gen("t"), Gen("u")))
     seq = Comp(
         Oper("combine", (Gen("u"), Ident(cmon({"b": 1})))),
         Oper("combine", (Gen("t"), Ident(cmon({"b": 1})))))
     assert mor_equal(both, seq, CHAIN).is_equal
-    assert _form_occurrences(layered(both, CHAIN).layers) \
-        == _form_occurrences(layered(seq, CHAIN).layers)
+    assert form_occurrences(layered(both, CHAIN).layers) \
+        == form_occurrences(layered(seq, CHAIN).layers)
 
 
 def test_reach_hom_consistency_both_ways():
@@ -383,6 +385,36 @@ def test_reachable_refuses_more_firings_than_the_budget(monkeypatch, net, m0, st
     monkeypatch.setenv("QNET_BUDGET", str(edges - 1))
     with pytest.raises(QnetError, match=f"more than {edges - 1} transitions.*QNET_BUDGET"):
         reachable(net, m0, steps)
+
+
+# t: 0 -> a fires from nothing k times in one layer for every k up to the width.
+SPRING = petri("a", {"t": ({}, {"a": 1})})
+
+
+def test_hom_enumerate_keeps_small_layer_steps_from_an_empty_source():
+    nothing = neutral(Theory.CMON)
+    for layers in (1, 2):
+        assert hom_enumerate(SPRING, nothing, cmon({"a": 1}), layers, 3, budget=1) == [Gen("t")]
+        for k in (2, 3):
+            assert hom_enumerate(SPRING, nothing, cmon({"a": k}), layers, 3) \
+                == [Oper("combine", (Gen("t"),) * k)]
+
+
+@pytest.mark.parametrize("budget", [None, 1, 10**9])
+def test_hom_enumerate_refuses_a_layer_step_past_the_budget(budget):
+    started = time.monotonic()
+    with pytest.raises(QnetError, match="more than 10000 layers.*QNET_BUDGET"):
+        hom_enumerate(SPRING, neutral(Theory.CMON), cmon({"a": 1}), 1, 10**6, budget)
+    assert time.monotonic() - started < 1.0
+
+
+def test_the_layer_step_bound_follows_qnet_budget(monkeypatch):
+    monkeypatch.setenv("QNET_BUDGET", "5")
+    nothing = neutral(Theory.CMON)
+    assert hom_enumerate(SPRING, nothing, cmon({"a": 5}), 1, 5) \
+        == [Oper("combine", (Gen("t"),) * 5)]
+    with pytest.raises(QnetError, match="more than 5 layers"):
+        hom_enumerate(SPRING, nothing, cmon({"a": 5}), 1, 6)
 
 
 def test_free_edges_morphism_validates():

@@ -15,12 +15,14 @@ from qnets.freecat import (
     _forms_equal,
     _layer_tgt,
     _step_layers,
+    default_budget,
     hom_enumerate,
     layered,
     layered_to_term,
 )
 from qnets.theory import Theory, finset, multiset, unit, word
 
+from layer_refs import form_occurrences, gens_sum, layer_gens, layer_occurrences
 from oracle_rewrite import OracleNet, _form_total, _normal, closure, term_layers
 
 from netzoo import (
@@ -62,7 +64,7 @@ def pairwise_hom_enumerate(net, x, y, max_layers, max_width, budget=None):
     reps = []
     for form in _hom_forms(net, x, y, max_layers, max_width):
         if not any(_forms_equal(x, ctx.number(form.layers), ctx.number(rep.layers), ctx,
-                                budget).is_equal for rep in reps):
+                                default_budget(budget)).is_equal for rep in reps):
             reps.append(form)
     return [layered_to_term(rep, net) for rep in reps]
 
@@ -191,14 +193,14 @@ def test_two_loop_dedup_is_one_lookup_per_form(monkeypatch):
     # 255 forms, each its own class, in buckets of up to 35 representatives;
     # testing each form against every representative in its bucket would
     # make 2,226 closure tests.
-    logs = _logging(monkeypatch, "_closure", "_forms_equal", "_form_occurrences")
+    logs = _logging(monkeypatch, "_closure", "_forms_equal")
     x = cmon({"a": 1})
     reps = hom_enumerate(LOOP, x, x, 7, 1)
     assert len(reps) == 255
     closed = [ctx.form(x, form) for form, ctx, *_ in logs["_closure"]]
     assert len(closed) == len(set(closed))
     assert all(layered_to_term(rep, LOOP) in reps for rep in closed)
-    assert not logs["_forms_equal"] and not logs["_form_occurrences"]
+    assert not logs["_forms_equal"]
 
 
 def test_mixed_budget_bucket_matches_pairwise_reference(monkeypatch):
@@ -216,7 +218,7 @@ def test_mixed_budget_bucket_matches_pairwise_reference(monkeypatch):
 
     def recording(form, ctx, cap, budget):
         closure = real(form, ctx, cap, budget)
-        key = frozenset(freecat._form_occurrences(ctx.form(x, form).layers).items())
+        key = frozenset(form_occurrences(ctx.form(x, form).layers).items())
         outcomes.setdefault(key, set()).add(closure is None)
         return closure
 
@@ -240,11 +242,6 @@ def test_three_layer_semilat_class_matches_pairwise_reference():
 # Per-net move tables against the uncached moves
 
 
-def _gens_sum(form):
-    """A form's total generator count, summed over its layers."""
-    return sum(freecat._layer_gens_total(layer) for layer in form.layers)
-
-
 def _neighbors_ref(form, ctx, gens_cap):
     """The move generator as it was before the caches, on the uncached moves."""
     layers = form.layers
@@ -252,11 +249,11 @@ def _neighbors_ref(form, ctx, gens_cap):
         for merged in freecat._merge_candidates(layers[i], layers[i + 1], ctx):
             mid = () if freecat._pure_id(merged) else (merged,)
             yield LayeredForm(form.start, layers[:i] + mid + layers[i + 2:])
-    total = _gens_sum(form)
+    total = gens_sum(form)
     for i, layer in enumerate(layers):
-        here = freecat._layer_gens_total(layer)
+        here = layer_gens(layer)
         for a, b in freecat._split_candidates(layer, ctx):
-            grown = total - here + freecat._layer_gens_total(a) + freecat._layer_gens_total(b)
+            grown = total - here + layer_gens(a) + layer_gens(b)
             if grown <= gens_cap:
                 yield LayeredForm(form.start, layers[:i] + (a, b) + layers[i + 1:])
 
@@ -290,7 +287,10 @@ def _check_moves(form, cached, plain, cap):
     for i, layer in zip(ids, layers):
         assert [cached.form(form.start, pair).layers for pair in cached.splits[i]] \
             == freecat._split_candidates(layer, plain)
-        assert cached.gens[i] == freecat._layer_gens_total(layer)
+        assert cached.gens[i] == layer_gens(layer)
+        counts = layer_occurrences(layer)
+        assert cached.occ[i] == tuple(counts.get(name, 0)
+                                      for name in sorted(cached.net.transitions))
 
 
 def test_cached_moves_match_uncached_moves_on_whole_closures():
@@ -302,7 +302,7 @@ def test_cached_moves_match_uncached_moves_on_whole_closures():
         assert plain is not cached
         done = set()
         for form in _start_forms(net):
-            cap = _gens_sum(form)
+            cap = gens_sum(form)
             if (form, cap) in done:
                 continue
             closure = _closure(cached.number(form.layers), cached, cap, 5_000)

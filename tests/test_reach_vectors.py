@@ -354,15 +354,17 @@ def _vector_tables(arcs, places):
 
 def _packed_firings(net, counts, max_width):
     """``_firings`` from the count vector ``counts`` (by sorted place), with
-    each packed room and successor read back as a count tuple."""
+    each packed room and successor read back as a count tuple. A ``max_width``
+    of None is the token total, which bounds nothing over nonempty sources."""
     tokens = sum(counts)
-    packed = _Packed(net, tokens, tokens if max_width is None else max_width)
+    width = tokens if max_width is None else max_width
+    packed = _Packed(net, tokens, width)
     root = packed.pack(multiset(Theory.CMON, dict(zip(packed.places, counts))))
 
     def counts_of(m):
         return tuple(dict(packed.payload(m)).get(p, 0) for p in packed.places)
 
-    for fired, room, out in _firings(packed, root, max_width):
+    for fired, room, out in _firings(packed, root, width):
         yield fired, counts_of(room), counts_of(out)
 
 

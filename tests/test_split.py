@@ -21,12 +21,12 @@ from qnets.theory import (
     Theory,
     TheoryArrow,
     combine,
-    lift,
     multiset,
     signed_word,
     unit,
 )
 
+from layer_refs import frame_ref, layer_gens
 from netzoo import (
     ELEMENTARY_NETS,
     EQUALITY_NETS,
@@ -51,15 +51,10 @@ def _outcome(fn, *args):
 # Reference: the split with one arm per family
 
 
-def _frame_ref(th, marking):
-    """The identity layer holding ``marking``, by renaming its places."""
-    return lift(th, {p: ID_PREFIX + p for p in marking.atoms()}, marking)
-
-
 def _held_ref(letter, end, ctx):
     th = ctx.net.theory
     arc = freecat._layer_tgt if end else freecat._layer_src
-    return _frame_ref(th, arc(FreeElem(th, (letter,)), ctx)).payload
+    return frame_ref(th, arc(FreeElem(th, (letter,)), ctx)).payload
 
 
 def _split_candidates_ref(layer, ctx):
@@ -87,7 +82,7 @@ def _split_candidates_ref(layer, ctx):
                      if c - part1.get(n, 0) != 0}
             if part1 and part2:
                 parts.append((multiset(th, part1), multiset(th, part2)))
-    ident = _frame_ref
+    ident = frame_ref
     out = [(combine(th, g1, ident(th, combine(th, held, freecat._layer_src(g2, ctx)))),
             combine(th, g2, ident(th, combine(th, held, freecat._layer_tgt(g1, ctx)))))
            for g1, g2 in parts]
@@ -262,11 +257,11 @@ def test_splits_outside_semilat_never_add_generators():
                 if th is Theory.GRP:
                     assert (_letters_total(th, a) + _letters_total(th, b)
                             <= _letters_total(th, layer))
-                    regrouped += (freecat._layer_gens_total(a) + freecat._layer_gens_total(b)
-                                  != freecat._layer_gens_total(layer))
+                    regrouped += (layer_gens(a) + layer_gens(b)
+                                  != layer_gens(layer))
                 else:
-                    assert (freecat._layer_gens_total(a) + freecat._layer_gens_total(b)
-                            == freecat._layer_gens_total(layer))
+                    assert (layer_gens(a) + layer_gens(b)
+                            == layer_gens(layer))
                     kept += 1
     assert kept > 2000 and regrouped > 0
 

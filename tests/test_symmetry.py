@@ -26,13 +26,13 @@ from qnets.theory import (
     UnsupportedOperationError,
     combine,
     invert,
-    lift,
     neutral,
     signed_word,
     translate,
     word,
 )
 
+from layer_refs import frame_ref
 from netzoo import GROUP_NETS, cmon, petri, prenet, signed
 
 PRENET = prenet("ab", {"t": ("a", "b"), "u": ("ab", "a")})
@@ -216,18 +216,13 @@ def test_deep_symmetric_chain_stays_off_the_call_stack():
 _CANCEL = "a permutation beside a cancelling boundary is not representable letterwise"
 
 
-def _frame_ref(marking):
-    """The identity layer holding ``marking``, by renaming its places."""
-    return lift(marking.theory, {p: freecat.ID_PREFIX + p for p in marking.atoms()}, marking)
-
-
 def _zip_ref(th, a, b):
     """Binary parallel combination: pad the shorter side in front with held
     frames."""
     (start_a, layers_a), (start_b, layers_b) = a, b
     depth = max(len(layers_a), len(layers_b))
-    pad_a = (_frame_ref(start_a),) * (depth - len(layers_a)) + layers_a
-    pad_b = (_frame_ref(start_b),) * (depth - len(layers_b)) + layers_b
+    pad_a = (frame_ref(th, start_a),) * (depth - len(layers_a)) + layers_a
+    pad_b = (frame_ref(th, start_b),) * (depth - len(layers_b)) + layers_b
     return tuple(combine(th, x, y) for x, y in zip(pad_a, pad_b))
 
 
@@ -245,7 +240,7 @@ def _pad_after_ref(layer, suffix):
         if len(word.payload) != len(mapping):
             raise UnsupportedOperationError(_CANCEL)
         return Perm(word, mapping)
-    return combine(th, layer, _frame_ref(suffix))
+    return combine(th, layer, frame_ref(th, suffix))
 
 
 def _pad_before_ref(prefix, layer):
@@ -257,7 +252,7 @@ def _pad_before_ref(prefix, layer):
         if len(word.payload) != len(mapping):
             raise UnsupportedOperationError(_CANCEL)
         return Perm(word, mapping)
-    return combine(th, _frame_ref(prefix), layer)
+    return combine(th, frame_ref(th, prefix), layer)
 
 
 def _sym_elems_ref(t, ctx):

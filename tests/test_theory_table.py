@@ -150,13 +150,15 @@ def ref_unit_payload(theory, place):
 
 def fired_multisets(pre, room, max_width):
     """The library's vector enumerator, with each yield turned back into a
-    name-to-count dict."""
+    name-to-count dict. A ``max_width`` of None is the token total, which
+    bounds nothing over nonempty sources."""
     places = sorted(room.keys() | {p for src in pre.values() for p in src})
     net = QNet(Theory.CMON, tuple(places), {
         name: (multiset(Theory.CMON, src), neutral(Theory.CMON)) for name, src in pre.items()})
     tokens = sum(room.values())
-    packed = _Packed(net, tokens, tokens if max_width is None else max_width)
-    for fired, _, _ in _firings(packed, packed.pack(multiset(Theory.CMON, room)), max_width):
+    width = tokens if max_width is None else max_width
+    packed = _Packed(net, tokens, width)
+    for fired, _, _ in _firings(packed, packed.pack(multiset(Theory.CMON, room)), width):
         yield {packed.names[i]: k for i, k in fired}
 
 
