@@ -36,6 +36,8 @@ from .theory import (
     Theory,
     TheoryMismatchError,
     UnsupportedOperationError,
+    _Record,
+    _setattr,
     extend,
     invert,
     occurrences,
@@ -46,17 +48,21 @@ class IllTypedTermError(QnetError):
     pass
 
 
-@dataclass(frozen=True)
-class Gen:
-    name: str
+class Gen(_Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Ident:
-    obj: FreeElem
+class Ident(_Record):
+    __slots__ = _fields = ("obj",)
+
+    def __init__(self, obj: FreeElem):
+        self._init(obj)
 
 
-# ``Comp`` and ``Oper`` print as the dataclass would, by a fold with an explicit
+# ``Comp`` and ``Oper`` print as their fields would, by a fold with an explicit
 # stack, so a deep term stays off the Python call stack. That text spells out
 # the whole term, so ``==`` and ``hash`` read it: equality of process terms up
 # to the theory's equations is ``mor_equal``'s job, not ``==``'s.
@@ -81,41 +87,44 @@ def _term_repr(self) -> str:
                      oper)
 
 
-@dataclass(frozen=True)
-class Comp:
-    after: "MorTerm"
-    before: "MorTerm"
+class Comp(_Record):
+    __slots__ = _fields = ("after", "before")
+
+    def __init__(self, after: "MorTerm", before: "MorTerm"):
+        _setattr(self, "after", after)
+        _setattr(self, "before", before)
 
     __eq__ = _term_eq
     __hash__ = lambda self: hash(repr(self))
     __repr__ = _term_repr
 
 
-@dataclass(frozen=True)
-class Oper:
-    op: str  # "combine" | "invert"
-    args: tuple["MorTerm", ...]
+class Oper(_Record):
+    __slots__ = _fields = ("op", "args")
+
+    def __init__(self, op: str, args: tuple["MorTerm", ...]):  # op: "combine" | "invert"
+        self._init(op, args)
 
     __eq__ = _term_eq
     __hash__ = lambda self: hash(repr(self))
     __repr__ = _term_repr
 
 
-@dataclass(frozen=True)
-class Perm:
+class Perm(_Record):
     """Position permutation of a word marking: letter ``i`` of ``word`` moves
     to position ``mapping[i]`` of the target word."""
 
-    word: FreeElem
-    mapping: tuple[int, ...]
+    __slots__ = _fields = ("word", "mapping")
+
+    def __init__(self, word: FreeElem, mapping: tuple[int, ...]):
+        self._init(word, mapping)
 
 
 MorTerm = Union[Gen, Ident, Comp, Oper]
 SymTerm = Union[MorTerm, Perm]
 
 
-@dataclass(frozen=True)
-class LayeredForm:
+class LayeredForm(_Record):
     """Sequential decomposition: ``layers[0]`` fires first. Layers are
     elements over transition names and ``id.`` place names, or, in a
     symmetric process, :class:`Perm` leaves, each its own layer; identity
@@ -123,10 +132,15 @@ class LayeredForm:
     The rewrite search runs on layer ids (see :class:`_Ctx`): a form is built
     where a term is layered, a witness shown or a representative returned."""
 
-    start: FreeElem
-    layers: tuple[FreeElem | Perm, ...]
+    __slots__ = _fields = ("start", "layers")
+
+    def __init__(self, start: FreeElem, layers: tuple[FreeElem | Perm, ...]):
+        _setattr(self, "start", start)
+        _setattr(self, "layers", layers)
 
 
+# EqVerdict and ReachResult stay dataclasses: ``perfbench/test_perfbench.py``
+# builds altered results with ``dataclasses.replace``.
 @dataclass(frozen=True)
 class EqVerdict:
     status: str  # "equal" | "distinct" | "unknown"
@@ -162,8 +176,7 @@ def _unknown(reason: str) -> EqVerdict:
 # Evaluation context: symbol images for the layer alphabet
 
 
-@dataclass(frozen=True)
-class _Ctx:
+class _Ctx(_Record):
     """A validated net, its symbol images and its move tables. :func:`_context`
     builds one per net object and keeps it on the net, so every
     :func:`mor_equal`, :func:`hom_enumerate` or ``symmetry.sym_equal`` call on
@@ -187,17 +200,15 @@ class _Ctx:
     letters. Ids follow the context's history: nothing is ordered by them.
     """
 
-    net: QNet
-    src_images: Mapping[str, FreeElem]
-    tgt_images: Mapping[str, FreeElem]
-    names: tuple[str, ...]
-    layers: list = field(default_factory=list, repr=False, compare=False)
-    ids: dict = field(default_factory=dict, repr=False, compare=False)
-    pairs: dict = field(default_factory=dict, repr=False, compare=False)
-    splits: dict = field(default_factory=dict, repr=False, compare=False)
-    occ: list = field(default_factory=list, repr=False, compare=False)
-    gens: list = field(default_factory=list, repr=False, compare=False)
-    held: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("net", "src_images", "tgt_images", "names",
+                 "layers", "ids", "pairs", "splits", "occ", "gens", "held")
+    _fields = __slots__[:4]
+
+    def __init__(self, net: QNet, src_images: Mapping[str, FreeElem],
+                 tgt_images: Mapping[str, FreeElem], names: tuple[str, ...]):
+        self._init(net, src_images, tgt_images, names)
+        for name, empty in zip(self.__slots__[4:], (list, dict, dict, dict, list, list, dict)):
+            _setattr(self, name, empty())
 
     def caches(self) -> tuple:
         return self.layers, self.ids, self.pairs, self.splits, self.occ, self.gens, self.held
@@ -930,7 +941,9 @@ def _step_layers(ctx: _Ctx, marking: FreeElem, max_width: int) -> list[FreeElem]
     :func:`hom_enumerate` rejects the others first. CMON packs ``marking``
     for ``max_width`` firings and decodes each held frame from the room. A
     transition with an empty source fires up to ``max_width`` times, so more
-    than :func:`default_budget` layers is a :class:`QnetError`."""
+    than :func:`default_budget` layers is a :class:`QnetError`, and so is a
+    word step whose layers spell more than that many times the marking's
+    length (at least 1) in letters."""
     th = ctx.net.theory
     ops = th.ops
     out: set[FreeElem] = set()
@@ -959,6 +972,11 @@ def _step_layers(ctx: _Ctx, marking: FreeElem, max_width: int) -> list[FreeElem]
                     add(_framed(th, gens, rest))
     else:
         letters = marking.payload
+        # A layer has one letter per held letter or firing, so a step without
+        # empty-source firings spells at most ``budget`` layers of at most
+        # ``len(letters)`` letters. Past that, empty-source firings lengthen
+        # each layer: the letters built are bounded too, not the layers alone.
+        room, built = budget * max(1, len(letters)), 0
         # Worklist of (pos, width_left, acc): acc spells letters[:pos], and
         # has fired something once width_left is below max_width.
         stack = [(0, max_width, ())]
@@ -970,6 +988,10 @@ def _step_layers(ctx: _Ctx, marking: FreeElem, max_width: int) -> list[FreeElem]
                 pos = len(letters)
             if pos == len(letters) and width_left != max_width:
                 add(FreeElem(th, acc))
+                built += len(acc)
+                if built > room:
+                    raise QnetError(f"a hom-set layer step builds layers of more than {room}"
+                                    " letters; QNET_BUDGET raises the bound")
             if width_left != 0:
                 for name in names:
                     src = ctx.net.transitions[name][0].payload
@@ -998,7 +1020,8 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     than ``budget`` forms falls back to the pairwise :func:`mor_equal`
     decision. :func:`default_budget` checks ``budget``; both bounds must be
     ints of at least 1. A layer step of more than :func:`default_budget`
-    layers, whatever ``budget`` is, is a :class:`QnetError`.
+    layers, or more than that many nonempty layer paths from ``x``, whatever
+    ``budget`` is, is a :class:`QnetError`.
     """
     ops = net.theory.ops
     if ops.group:
@@ -1016,8 +1039,10 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     steps: dict[FreeElem, list[tuple[int, FreeElem]]] = {}
     # Worklist of (marking, layers fired from x to reach it, the sum of their
     # occurrence vectors); the forms are sorted below, so the visiting order
-    # does not matter.
+    # does not matter. Every path is kept or stepped from, so past
+    # ``most_paths`` nonempty ones the answer is refused, not built.
     stack = [(x, (), (0,) * len(ctx.names))]
+    most_paths, paths = default_budget(), 0
     while stack:
         marking, acc, occ = stack.pop()
         if marking == y:
@@ -1028,6 +1053,10 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
             layers = _step_layers(ctx, marking, max_width)
             steps[marking] = [(i, _layer_tgt(layer, ctx))
                               for i, layer in zip(ctx.number(layers), layers)]
+        paths += len(steps[marking])
+        if paths > most_paths:
+            raise QnetError(f"a hom-set has more than {most_paths} layer paths;"
+                            " QNET_BUDGET raises the bound")
         stack += [(tgt, acc + (i,), tuple(map(add, occ, ctx.occ[i]))) for i, tgt in steps[marking]]
     forms.sort(key=lambda f: (len(f[0]), tuple(ctx.layers[i].payload for i in f[0])))
     # Merge and split are mutual converses within the searched space (the same
@@ -1115,6 +1144,7 @@ def _form_term(form: LayeredForm, th: Theory, leaves: dict[str | FreeElem, MorTe
     return term
 
 
+# A dataclass for the reason given above EqVerdict.
 @dataclass(frozen=True)
 class ReachResult:
     start: FreeElem
@@ -1295,13 +1325,13 @@ def hom_nonempty_group(net: QNet, x: FreeElem, y: FreeElem) -> bool:
     return difference(x, y) in lattice
 
 
-@dataclass(frozen=True)
-class UnderlyingNet:
+class UnderlyingNet(_Record):
     """Finite truncation of the net underlying the free category."""
 
-    net: QNet
-    objects: tuple[FreeElem, ...]
-    reps: Mapping[str, MorTerm]
+    __slots__ = _fields = ("net", "objects", "reps")
+
+    def __init__(self, net: QNet, objects: tuple[FreeElem, ...], reps: Mapping[str, MorTerm]):
+        self._init(net, objects, reps)
 
 
 def underlying_net(net: QNet, bound: int) -> UnderlyingNet:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .theory import (
@@ -21,6 +20,7 @@ from .theory import (
     TheoryMismatchError,
     UnmappedNameError,
     UnsupportedOperationError,
+    _Record,
     lift,
     multiset,
     translate,
@@ -59,24 +59,22 @@ class InvalidNetError(QnetError):
     pass
 
 
-@dataclass(frozen=True)
-class QNet:
-    theory: Theory
-    places: tuple[str, ...]
-    transitions: Mapping[str, tuple[FreeElem, FreeElem]]
+class QNet(_Record):
+    # No __slots__: the process semantics keeps a validated context with move
+    # tables on each net it decides on (``_ctx``, in the net's __dict__);
+    # pickle and copy carry the fields alone.
+    _fields = ("theory", "places", "transitions")
 
-    def __reduce__(self):
-        # The process semantics keeps a validated context with move tables on
-        # each net it decides on; pickle and copy carry the fields alone.
-        return QNet, (self.theory, self.places, self.transitions)
+    def __init__(self, theory: Theory, places: tuple[str, ...],
+                 transitions: Mapping[str, tuple[FreeElem, FreeElem]]):
+        self._init(theory, places, transitions)
 
 
-@dataclass(frozen=True)
-class NetMorphism:
-    source: QNet
-    target: QNet
-    f: Mapping[str, str]
-    g: Mapping[str, str]
+class NetMorphism(_Record):
+    __slots__ = _fields = ("source", "target", "f", "g")
+
+    def __init__(self, source: QNet, target: QNet, f: Mapping[str, str], g: Mapping[str, str]):
+        self._init(source, target, f, g)
 
 
 def validate_net(net: QNet) -> list[str]:

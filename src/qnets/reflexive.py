@@ -15,7 +15,6 @@ equality on generators.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import jsonio
@@ -35,47 +34,52 @@ from .theory import (
     Theory,
     TheoryMismatchError,
     UnmappedNameError,
+    _Record,
     extend,
     lift,
     unit,
 )
 
-@dataclass(frozen=True)
-class ReflexiveQNet:
-    net: QNet
-    e: Mapping[str, str]
+class ReflexiveQNet(_Record):
+    __slots__ = _fields = ("net", "e")
+
+    def __init__(self, net: QNet, e: Mapping[str, str]):
+        self._init(net, e)
 
 
-@dataclass(frozen=True)
-class ReflexiveMorphism:
-    source: ReflexiveQNet
-    target: ReflexiveQNet
-    f: Mapping[str, str]
-    g: Mapping[str, str]
+class ReflexiveMorphism(_Record):
+    __slots__ = _fields = ("source", "target", "f", "g")
+
+    def __init__(self, source: ReflexiveQNet, target: ReflexiveQNet,
+                 f: Mapping[str, str], g: Mapping[str, str]):
+        self._init(source, target, f, g)
 
     def as_net_morphism(self) -> NetMorphism:
         return NetMorphism(self.source.net, self.target.net, self.f, self.g)
 
 
-@dataclass(frozen=True)
-class QGraph:
+class QGraph(_Record):
     """Edges form the free model on ``generators``; only generator images of
-    the source, target, and identity homomorphisms are stored."""
+    the source, target, and identity homomorphisms are stored: ``src`` and
+    ``tgt`` map a generator to an element over places, ``ident`` a place to
+    an element over generators."""
 
-    theory: Theory
-    generators: tuple[str, ...]
-    places: tuple[str, ...]
-    src: Mapping[str, FreeElem]    # generator -> element over places
-    tgt: Mapping[str, FreeElem]
-    ident: Mapping[str, FreeElem]  # place -> element over generators
+    __slots__ = _fields = ("theory", "generators", "places", "src", "tgt", "ident")
+
+    def __init__(self, theory: Theory, generators: tuple[str, ...], places: tuple[str, ...],
+                 src: Mapping[str, FreeElem], tgt: Mapping[str, FreeElem],
+                 ident: Mapping[str, FreeElem]):
+        self._init(theory, generators, places, src, tgt, ident)
 
 
-@dataclass(frozen=True)
-class GraphMorphism:
-    source: QGraph
-    target: QGraph
-    f_gen: Mapping[str, FreeElem]  # generator -> element over target generators
-    g: Mapping[str, str]
+class GraphMorphism(_Record):
+    """``f_gen`` maps a generator to an element over the target's generators."""
+
+    __slots__ = _fields = ("source", "target", "f_gen", "g")
+
+    def __init__(self, source: QGraph, target: QGraph, f_gen: Mapping[str, FreeElem],
+                 g: Mapping[str, str]):
+        self._init(source, target, f_gen, g)
 
 
 def validate_reflexive(r: ReflexiveQNet) -> list[str]:

@@ -9,7 +9,6 @@ functions with the case counts pinned there.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import freecat, symmetry
 from .freecat import Comp, Gen, Ident, Oper
@@ -49,6 +48,7 @@ from .theory import (
     FreeElem,
     Theory,
     TheoryArrow,
+    _Record,
     check_canonical,
     combine,
     extend,
@@ -63,11 +63,17 @@ from .theory import (
 PLACE_POOL = ("a", "b", "c", "d")
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int
-    failures: list[str] = field(default_factory=list)
+class SuiteResult(_Record):
+    """One suite's outcome; unlike the package's values, it is mutable and
+    unhashable."""
+
+    __slots__ = _fields = ("name", "cases", "failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, cases: int, failures: list[str] | None = None):
+        self._init(name, cases, [] if failures is None else failures)
 
     @property
     def ok(self) -> bool:
@@ -83,13 +89,15 @@ def _rng(seed: int, name: str) -> random.Random:
 
 
 def rand_elem(rng: random.Random, theory: Theory, places, max_size: int = 4) -> FreeElem:
-    out = neutral(theory)
+    # One product of all the letters drawn: free reduction is confluent, so
+    # this is the element a left fold of binary products would give.
+    parts = []
     for _ in range(rng.randint(0, max_size)):
         e = unit(theory, rng.choice(places))
         if theory.ops.group and rng.random() < 0.4:
             e = invert(e)
-        out = combine(theory, out, e)
-    return out
+        parts.append(e)
+    return combine(theory, *parts)
 
 
 def rand_map(rng: random.Random, src_places, tgt_places) -> dict[str, str]:

@@ -10,7 +10,6 @@ below returns canonical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, product, repeat
@@ -78,8 +77,52 @@ _ARROW_ENDS = {
 }
 
 
-@dataclass(frozen=True)
-class FreeElem:
+_setattr = object.__setattr__
+
+
+class _Record:
+    """Base of the package's value classes. ``==``, ``hash``, ``repr`` and
+    pickling read the fields named in ``_fields``, in order, by the formulas
+    of a frozen dataclass: ``==`` holds only between objects of one class,
+    and assignment raises AttributeError. A subclass stores its fields in
+    ``__slots__`` unless it keeps a ``__dict__``, and sets them in its
+    ``__init__`` through :meth:`_init` or ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        # Pickle and copy rebuild the object through its constructor, from
+        # the fields alone: slots carry no __dict__, and assignment is refused.
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FreeElem(_Record):
     """A canonical element of the free model of ``theory`` on a set of names.
 
     Payload shapes (see the theory table below): CMON/ABGRP sorted ``(name,
@@ -88,22 +131,25 @@ class FreeElem:
     strictly sorted tuple of names.
     """
 
-    theory: Theory
-    payload: tuple
+    __slots__ = ("theory", "payload", "_hash")
+    _fields = ("theory", "payload")
 
-    def __post_init__(self):
-        check_canonical(self.theory, self.payload)
+    def __init__(self, theory: Theory, payload: tuple):
+        check_canonical(theory, payload)
+        _setattr(self, "theory", theory)
+        _setattr(self, "payload", payload)
         # Elements are set and dict keys throughout the layer search, so the
-        # hash is computed once, by the formula the dataclass would use.
-        object.__setattr__(self, "_hash", hash((self.theory, self.payload)))
+        # hash is computed once, by the formula of the fields' tuple. String
+        # hashes differ between processes, so pickle and copy do not carry it.
+        _setattr(self, "_hash", hash((theory, payload)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.theory is other.theory and self.payload == other.payload
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # String hashes differ between processes: pickle and copy rebuild the
-        # element through the checked constructor instead of carrying _hash.
-        return FreeElem, (self.theory, self.payload)
 
     def atoms(self) -> frozenset[str]:
         """Every name mentioned by the payload."""

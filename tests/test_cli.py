@@ -397,3 +397,17 @@ def test_homset_refuses_a_layer_step_past_the_budget(tmp_path):
     assert_json_error(err)
     assert json.loads(err)["error"] == ("a hom-set layer step fires more than 10000 layers;"
                                         " QNET_BUDGET raises the bound")
+
+
+def test_homset_refuses_past_the_budget_of_paths(tmp_path):
+    # Three loops on one token: 3 ** k classes of k layers, each one path.
+    path = write_net(tmp_path, "net.json",
+                     petri("a", {name: ({"a": 1}, {"a": 1}) for name in "tuv"}))
+    started = time.monotonic()
+    code, out, err = invoke(["homset", path, "--from", '{"a":1}', "--to", '{"a":1}',
+                             "--layers", "40", "--width", "1"])
+    assert time.monotonic() - started < 5.0
+    assert (code, out) == (1, "")
+    assert_json_error(err)
+    assert json.loads(err)["error"] == ("a hom-set has more than 10000 layer paths;"
+                                        " QNET_BUDGET raises the bound")

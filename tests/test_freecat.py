@@ -417,6 +417,35 @@ def test_the_layer_step_bound_follows_qnet_budget(monkeypatch):
         hom_enumerate(SPRING, nothing, cmon({"a": 5}), 1, 6)
 
 
+def test_hom_enumerate_refuses_a_word_layer_step_past_the_budget_of_letters():
+    # Each layer t^k is k letters long: counting layers alone built 10**4
+    # layers of up to 10**4 letters before refusing.
+    started = time.monotonic()
+    with pytest.raises(QnetError, match="more than 10000 letters.*QNET_BUDGET"):
+        hom_enumerate(prenet("a", {"t": ("", "a")}), word(""), word("a"), 1, 10**6)
+    assert time.monotonic() - started < 1.0
+
+
+def test_the_word_layer_step_bound_follows_qnet_budget(monkeypatch):
+    monkeypatch.setenv("QNET_BUDGET", "10")
+    net = prenet("a", {"t": ("", "a")})
+    # t, tt, ttt and tttt spell 10 letters.
+    assert hom_enumerate(net, word(""), word("aaaa"), 1, 4) == [Oper("combine", (Gen("t"),) * 4)]
+    with pytest.raises(QnetError, match="more than 10 letters"):
+        hom_enumerate(net, word(""), word("aaaa"), 1, 5)
+
+
+def test_hom_enumerate_refuses_past_the_budget_of_paths(monkeypatch):
+    loops = petri("a", {name: ({"a": 1}, {"a": 1}) for name in "tuv"})
+    one = cmon({"a": 1})
+    # 3 + 9 paths of one or two layers, each its own class, and the identity.
+    monkeypatch.setenv("QNET_BUDGET", "12")
+    assert len(hom_enumerate(loops, one, one, 2, 1)) == 13
+    monkeypatch.setenv("QNET_BUDGET", "11")
+    with pytest.raises(QnetError, match="more than 11 layer paths; QNET_BUDGET"):
+        hom_enumerate(loops, one, one, 2, 1, budget=10**6)
+
+
 def test_free_edges_morphism_validates():
     from qnets.net import NetMorphism
     from qnets.reflexive import (add_identities_morphism, free_edges_morphism,
