@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from . import jsonio
 from .intlattice import IntLattice
-from .net import DEFAULT_BUDGET, ID_PREFIX, InvalidNetError, QNet, default_budget, validate_net
+from .net import ID_PREFIX, InvalidNetError, QNet, default_budget, over_budget, validate_net
 from .theory import (
     FreeElem,
     QnetError,
@@ -234,14 +234,15 @@ def _context(net: QNet) -> _Ctx:
     the net while the net's theory, places and transitions still equal those
     it was built from; a net whose places or transitions changed is
     validated again. Memory is bounded: a call that finds more than
-    ``DEFAULT_BUDGET`` entries in all its tables, the numbering included
+    :func:`default_budget` entries in all its tables, the numbering included
     (four entries per layer), clears them all, only here at its entry, where
-    no search holds ids."""
+    no search holds ids. Every call reads (and so checks) that bound."""
+    bound = default_budget()
     ctx = getattr(net, "_ctx", None)
     if (ctx is not None and ctx.net.theory is net.theory
             and ctx.net.places == tuple(net.places)
             and ctx.net.transitions == net.transitions):
-        if sum(map(len, ctx.caches())) > DEFAULT_BUDGET:
+        if sum(map(len, ctx.caches())) > bound:
             for cache in ctx.caches():
                 cache.clear()
         return ctx
@@ -349,16 +350,19 @@ def perm_tgt(t: Perm) -> FreeElem:
 
 
 def _pad(ops, prefix: tuple, layer, suffix: tuple):
-    """``layer`` between identities on the payloads ``prefix`` and ``suffix``."""
+    """``layer`` between identities on the payloads ``prefix`` and ``suffix``;
+    a permutation whose word or target they cancel (GRP) is refused."""
     if isinstance(layer, Perm):
         m, n = len(prefix), len(layer.mapping)
         word = ops.product(prefix, layer.word.payload, suffix)
         if len(word) != m + n + len(suffix):
             raise UnsupportedOperationError(
                 "a permutation beside a cancelling boundary is not representable letterwise")
-        mapping = (tuple(range(m)) + tuple(m + t for t in layer.mapping)
-                   + tuple(range(m + n, m + n + len(suffix))))
-        return Perm(FreeElem(layer.word.theory, word), mapping)
+        mapping = (*range(m), *(m + t for t in layer.mapping), *range(m + n, len(word)))
+        padded = Perm(FreeElem(layer.word.theory, word), mapping)
+        if ops.group:
+            _check_perm(padded, layer.word.theory)
+        return padded
     return ops.norm(itertools.chain(_id_letters(ops, prefix), ops.letters(layer),
                                     _id_letters(ops, suffix)))
 
@@ -583,8 +587,8 @@ def _split_candidates(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeEl
     second: for counts ``k`` runs up from 0 to ``c`` (signed in ABGRP), a word
     letter fires wholly first or wholly second, in that order, and an
     idempotent letter may also fire in both. Each half holds the ends of what
-    fires in the other, and both must fire something (a group half whose
-    letters cancel fires nothing). Set splits come sorted and deduplicated."""
+    fires in the other, and both must fire something (only a group half can
+    cancel down to id letters). Set splits come sorted and deduplicated."""
     th = ctx.net.theory
     ops = th.ops
 
@@ -615,7 +619,7 @@ def _split_candidates(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeEl
                 first += held(name, k2, 0)
                 second.append((name, k2))
         pair = FreeElem(th, ops.norm(first)), FreeElem(th, ops.norm(second))
-        if not (ops.group and (_pure_id(pair[0]) or _pure_id(pair[1]))):
+        if not (_pure_id(pair[0]) or _pure_id(pair[1])):
             out.append(pair)
     if ops.idempotent:
         out = sorted(set(out), key=lambda pair: (pair[0].payload, pair[1].payload))
@@ -625,21 +629,20 @@ def _split_candidates(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeEl
 def _pair_moves(key: tuple[int, int], ctx: _Ctx) -> list[tuple[int, ...]]:
     """The id tuples that may replace two adjacent layers, from the context's
     table: two permutations compose, two firing layers merge (in payload
-    order), a firing layer slides across a permutation; an identity result
-    leaves ``()``. ``_merge_candidates`` is looked up at call time, so a
+    order), a firing layer slides across a permutation; every result drops
+    its identity layers. ``_merge_candidates`` is looked up at call time, so a
     wrapper on it sees each miss."""
     out = ctx.pairs.get(key)
     if out is None:
         a, b = map(ctx.layers.__getitem__, key)
         perm_a = isinstance(a, Perm)
         if perm_a != isinstance(b, Perm):
-            out = [ctx.number(pair)
-                   for pair in _slide(b if perm_a else a, a if perm_a else b, ctx, not perm_a)]
+            results = _slide(b if perm_a else a, a if perm_a else b, ctx, not perm_a)
+        elif perm_a:
+            results = [(Perm(a.word, tuple(b.mapping[k] for k in a.mapping)),)]
         else:
-            merges = [Perm(a.word, tuple(b.mapping[k] for k in a.mapping))] if perm_a \
-                else _merge_candidates(a, b, ctx)
-            out = [() if _trivial(m) else ctx.number((m,)) for m in merges]
-        ctx.pairs[key] = out
+            results = [(m,) for m in _merge_candidates(a, b, ctx)]
+        out = ctx.pairs[key] = [ctx.number(l for l in ls if not _trivial(l)) for ls in results]
     return out
 
 
@@ -676,7 +679,7 @@ def _slide(layer: FreeElem, perm: Perm, ctx: _Ctx,
         starts.append(positions[0])
     order = sorted(range(len(letters)), key=lambda j: starts[j])
     new_letters = tuple(letters[j] for j in order)
-    # A padded permutation's target may cancel (GRP), and then so do these.
+    # A Perm made directly may have a cancelling target (GRP); then so do these.
     if not th.ops.is_normal(new_letters):
         return []
     new_layer = FreeElem(th, new_letters)
@@ -956,8 +959,7 @@ def _step_layers(ctx: _Ctx, marking: FreeElem, max_width: int) -> list[FreeElem]
     def add(layer: FreeElem) -> None:
         out.add(layer)
         if len(out) > budget:
-            raise QnetError(f"a hom-set layer step fires more than {budget} layers;"
-                            " QNET_BUDGET raises the bound")
+            raise over_budget(budget, "a hom-set layer step fires", "layers")
 
     if ops.commutative and not ops.idempotent:
         packed = _Packed(ctx.net, sum(c for _, c in marking.payload), max_width)
@@ -990,8 +992,7 @@ def _step_layers(ctx: _Ctx, marking: FreeElem, max_width: int) -> list[FreeElem]
                 add(FreeElem(th, acc))
                 built += len(acc)
                 if built > room:
-                    raise QnetError(f"a hom-set layer step builds layers of more than {room}"
-                                    " letters; QNET_BUDGET raises the bound")
+                    raise over_budget(room, "a hom-set layer step builds layers of", "letters")
             if width_left != 0:
                 for name in names:
                     src = ctx.net.transitions[name][0].payload
@@ -1055,8 +1056,7 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
                               for i, layer in zip(ctx.number(layers), layers)]
         paths += len(steps[marking])
         if paths > most_paths:
-            raise QnetError(f"a hom-set has more than {most_paths} layer paths;"
-                            " QNET_BUDGET raises the bound")
+            raise over_budget(most_paths, "a hom-set has", "layer paths")
         stack += [(tgt, acc + (i,), tuple(map(add, occ, ctx.occ[i]))) for i, tgt in steps[marking]]
     forms.sort(key=lambda f: (len(f[0]), tuple(ctx.layers[i].payload for i in f[0])))
     # Merge and split are mutual converses within the searched space (the same
@@ -1260,8 +1260,7 @@ def reachable(net: QNet, m0: FreeElem, max_steps: int) -> ReachResult:
             for key, m2 in steps(m):
                 firings += 1
                 if firings > budget:
-                    raise QnetError(f"the token game fires more than {budget} transitions;"
-                                    " QNET_BUDGET raises the bound")
+                    raise over_budget(budget, "the token game fires", "transitions")
                 text = labels.get(key) or labels.setdefault(key, encode(key))
                 b = ids.get(m2)
                 if b is None:

@@ -35,10 +35,10 @@ DEFAULT_BUDGET = 10_000
 
 
 def default_budget(budget: int | None = None) -> int:
-    """Bound on the enumerations that grow with their input: rewrite-search
-    nodes, hom-set closures, product transitions and token-game firings.
-    ``budget`` if given, else the QNET_BUDGET env var, else
-    ``DEFAULT_BUDGET``; either must be a positive integer (a bool is not)."""
+    """Bound on every enumeration that grows with its input (the README's
+    ``QNET_BUDGET`` paragraph lists them): ``budget`` if given, else the
+    QNET_BUDGET env var, else ``DEFAULT_BUDGET``; either must be a positive
+    integer (a bool is not)."""
     if budget is not None:
         if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
             raise QnetError(f"budget must be a positive integer, got {budget!r}")
@@ -53,6 +53,11 @@ def default_budget(budget: int | None = None) -> int:
     if budget < 1:
         raise QnetError(f"QNET_BUDGET must be a positive integer, got {raw!r}")
     return budget
+
+
+def over_budget(bound: int, what: str, unit: str, error: type = QnetError) -> QnetError:
+    """The error to raise once ``what`` passes its :func:`default_budget`."""
+    return error(f"{what} more than {bound} {unit}; QNET_BUDGET raises the bound")
 
 
 class InvalidNetError(QnetError):
@@ -269,9 +274,8 @@ def product(p1: QNet, p2: QNet) -> tuple[QNet, NetMorphism, NetMorphism]:
                 continue
             tgts = list(itertools.islice(_marginal_fiber(th, t1, t2), left // len(srcs) + 1))
             if len(srcs) * len(tgts) > left:
-                raise UnsupportedOperationError(
-                    f"the product has more than {budget} transitions; QNET_BUDGET raises"
-                    " the bound")
+                raise over_budget(budget, "the product has", "transitions",
+                                  UnsupportedOperationError)
             srcs.sort(key=lambda e: e.payload)
             tgts.sort(key=lambda e: e.payload)
             for k, (u, v) in enumerate(itertools.product(srcs, tgts)):

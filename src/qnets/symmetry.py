@@ -36,7 +36,7 @@ from .freecat import (
     _rebuild_oper,
     perm_tgt,
 )
-from .net import QNet
+from .net import QNet, default_budget, over_budget
 from .theory import (
     FreeElem,
     Theory,
@@ -106,9 +106,6 @@ def translate_term(arrow: TheoryArrow, t: MorTerm) -> MorTerm:
     return freecat.fold_term(t, leaf, Comp, _rebuild_oper)
 
 
-MAX_LINEARIZATIONS = 10_000
-
-
 def _distinct_orderings(letters: tuple) -> list[tuple]:
     """Sorted distinct permutations of a letter multiset, each found from the
     last by the next-permutation step: the work follows their number, not the
@@ -147,20 +144,19 @@ def linearizations(p: QNet) -> list[QNet]:
     CMON nets yield MON nets (all orderings of every arc); ABGRP nets yield
     GRP nets over the fixed signed-letter spelling of each arc, positives
     before negatives, which truncates the infinite true preimage. More than
-    :data:`MAX_LINEARIZATIONS` of them is an error, found from
+    :func:`default_budget` of them is an error, found from the binomials of
     :func:`linearization_count` before any is built.
     """
     arrow = _abelianization(p.theory)
     if arrow is None:
         raise UnsupportedOperationError(
             f"linearization applies to CMON or ABGRP nets, not {p.theory.value}")
-    total = 1
+    budget, total = default_budget(), 1
     for n, k in _binomials(p):
         # C(n, k) >= n for 0 < k < n, so a large n needs no slow huge binomial.
-        total *= n if k < n and n > MAX_LINEARIZATIONS else math.comb(n, k)
-        if total > MAX_LINEARIZATIONS:
-            raise UnsupportedOperationError(
-                f"the net has more than {MAX_LINEARIZATIONS} linearizations")
+        total *= n if k < n and n > budget else math.comb(n, k)
+        if total > budget:
+            raise over_budget(budget, "the net has", "linearizations", UnsupportedOperationError)
     target = arrow.source
     names = sorted(p.transitions)
     per_transition = []

@@ -13,8 +13,9 @@ import pickle
 import pytest
 
 from qnets import freecat, jsonio, symmetry
-from qnets.freecat import DEFAULT_BUDGET, Comp, Gen, Ident, Oper, hom_enumerate, mor_equal
-from qnets.net import InvalidNetError, QNet
+from qnets.freecat import Comp, Gen, Ident, Oper, hom_enumerate, mor_equal
+from qnets.net import DEFAULT_BUDGET, InvalidNetError, QNet
+from qnets.theory import QnetError
 
 from netzoo import (
     ELEMENTARY_NETS,
@@ -159,6 +160,36 @@ def test_tables_are_cleared_only_at_a_call_entry():
     assert freecat._context(net) is ctx
     assert not any(ctx.caches())
     assert mor_equal(lhs, rhs, net) == want
+
+
+def test_qnet_budget_bounds_the_tables(monkeypatch):
+    # The tables of one searched pair, kept while they hold no more than
+    # QNET_BUDGET entries and cleared at the next entry once they hold more.
+    net, lhs, rhs, case = _searched_case()
+    want = mor_equal(lhs, rhs, net)
+    ctx = freecat._context(net)
+    held = sum(map(len, ctx.caches()))
+    assert 0 < held < DEFAULT_BUDGET
+    monkeypatch.setenv("QNET_BUDGET", str(held))
+    assert freecat._context(net) is ctx
+    assert sum(map(len, ctx.caches())) == held
+    monkeypatch.setenv("QNET_BUDGET", str(held - 1))
+    assert freecat._context(net) is ctx
+    assert not any(ctx.caches())
+    monkeypatch.delenv("QNET_BUDGET")
+    assert mor_equal(lhs, rhs, net) == want
+
+
+def test_a_malformed_qnet_budget_is_refused_by_every_call(monkeypatch):
+    # The context reads the bound on every call, kept or not, so a first call
+    # and its repeat refuse alike.
+    net = petri("ab", {"t": ({"a": 1}, {"b": 1})})
+    monkeypatch.setenv("QNET_BUDGET", "abc")
+    for _ in range(2):
+        with pytest.raises(QnetError, match="QNET_BUDGET must be a positive integer"):
+            freecat.layered(Gen("t"), net)
+    monkeypatch.delenv("QNET_BUDGET")
+    assert freecat.layered(Gen("t"), net).layers
 
 
 def test_answers_do_not_depend_on_the_numbering_history():

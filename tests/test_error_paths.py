@@ -58,10 +58,15 @@ _PETRI = petri("ab", {"t": ({"a": 1}, {"b": 1})})
      TheoryMismatchError, "lift over CMON got MON"),
     (lambda: extend(Theory.CMON, {"a": word("a")}, cmon({"a": 1})),
      TheoryMismatchError, "extend over CMON got a MON image for 'a'"),
+    (lambda: extend(Theory.CMON, {}, word("a")),
+     TheoryMismatchError, "extend over CMON got MON"),
     (lambda: FreeElem(Theory.CMON, [("a", 1)]),
      CanonicalFormError, "payload must be a tuple, got list"),
     (lambda: jsonio.elem_from_json(Theory.GRP, [["a", 2]]),
      CanonicalFormError, 'GRP letters must look like ["a","+"]'),
+    # Names that do not sort together fail inside with a TypeError.
+    (lambda: jsonio.elem_from_json(Theory.CMON, {1: 1, "a": 1}),
+     CanonicalFormError, "'<' not supported between instances of"),
     (lambda: IntLattice(2).add([1, 2, 3]), ValueError, "dimension mismatch"),
     (lambda: [1, 2, 3] in IntLattice(2), ValueError, "dimension mismatch"),
 ])

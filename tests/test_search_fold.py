@@ -21,6 +21,7 @@ from qnets.symmetry import Perm
 from qnets.theory import (
     FreeElem,
     Theory,
+    UnsupportedOperationError,
     combine,
     invert,
     signed_word,
@@ -393,21 +394,25 @@ def test_slide_and_neighbors_match_reference_on_criterion_11():
 
 def test_slide_refuses_a_letter_order_that_cancels():
     # On GRP t: c -> b, a beside braid(b, a^-1) after t beside a^-1 pads the
-    # braid with a: its word a b a^-1 is reduced but its target a a^-1 b is not.
-    # Sliding the layer id.a t id.a^-1 across it would order its letters
-    # id.a id.a^-1 t, which cancel, so there is no slide.
+    # braid with a: its word a b a^-1 is reduced but its target a a^-1 b is
+    # not, so the walk refuses it, and so it refuses braid(c, a^-1) beside a.
     net = group_net("abc", {"t": ("c", "b")})
     a, a_inv, b, c = (signed(x) for x in "aAbc")
     lhs = Oper("combine", (Ident(a), Comp(symmetry.braiding(b, a_inv),
                                           Oper("combine", (Gen("t"), Ident(a_inv))))))
     rhs = Comp(Oper("combine", (Ident(a), Ident(a_inv), Gen("t"))),
                Oper("combine", (Ident(a), symmetry.braiding(c, a_inv))))
-    layer, perm = symmetry.sym_layered(lhs, net).layers
+    for term in (lhs, rhs):
+        with pytest.raises(UnsupportedOperationError, match="permutation target would cancel"):
+            symmetry.sym_layered(term, net)
+    with pytest.raises(UnsupportedOperationError, match="permutation target would cancel"):
+        symmetry.sym_equal(lhs, rhs, net)
+    # Made directly, that padded braid is still no slide: the layer
+    # id.a t id.a^-1 would order its letters id.a id.a^-1 t, which cancel.
+    perm = Perm(signed("abA"), (0, 2, 1))
+    layer = signed_word([("id.a", 1), ("t", 1), ("id.a", -1)])
     assert not Theory.GRP.ops.is_normal(freecat._apply_perm(perm.word.payload, perm.mapping))
     assert freecat._slide(layer, perm, freecat._context(net), True) == []
-    verdict = symmetry.sym_equal(lhs, rhs, net)
-    assert (verdict.status, verdict.reason) == (
-        "unknown", "closures exhausted; symmetric move set is not known complete")
 
 
 _GRP_NET = QNet(Theory.GRP, ("a", "b"), {

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qnets import freecat, symmetry
 from qnets.freecat import Comp, Gen, Ident, IllTypedTermError, Oper, mor_equal
-from qnets.net import apply_net_functor
+from qnets.net import apply_net_functor, default_budget
 from qnets.symmetry import (
     Perm,
     braiding,
@@ -133,11 +133,22 @@ def test_linearization_count_formula():
 def test_linearizations_are_bounded_by_their_count():
     seven = {p: 1 for p in "abcdefg"}
     net = petri("abcdefg", {"t": (seven, {"a": 1, "b": 1})})  # 5,040 * 2 nets
-    assert linearization_count(net) == 10_080 > symmetry.MAX_LINEARIZATIONS
+    assert linearization_count(net) == 10_080 > default_budget()
     with pytest.raises(UnsupportedOperationError, match="more than 10000"):
         linearizations(net)
     # Twelve tokens on one place have one ordering, found without 12! steps.
     assert len(linearizations(petri("a", {"t": ({"a": 12}, {})}))) == 1
+
+
+def test_linearizations_follow_qnet_budget(monkeypatch):
+    net = petri("ab", {"t": ({"a": 1, "b": 1}, {"a": 2, "b": 1})})  # 2 * 3 orderings
+    assert len(linearizations(net)) == linearization_count(net) == 6
+    monkeypatch.setenv("QNET_BUDGET", "5")
+    with pytest.raises(UnsupportedOperationError) as info:
+        linearizations(net)
+    assert str(info.value) == "the net has more than 5 linearizations; QNET_BUDGET raises the bound"
+    monkeypatch.setenv("QNET_BUDGET", "6")
+    assert len(linearizations(net)) == 6
 
 
 @settings(max_examples=200, deadline=None)
@@ -290,7 +301,11 @@ def _sym_elems_ref(t, ctx):
         layers = []
         for i, own in enumerate(stacks):
             prefix, suffix = _product_ref(th, tgts[:i]), _product_ref(th, srcs[i + 1:])
-            layers += [_pad_after_ref(_pad_before_ref(prefix, l), suffix) for l in own]
+            for l in own:
+                layers.append(_pad_after_ref(_pad_before_ref(prefix, l), suffix))
+                # A padded permutation's target must not cancel either.
+                if isinstance(l, Perm):
+                    symmetry._check_perm(layers[-1], th)
         return _product_ref(th, srcs), _product_ref(th, tgts), tuple(layers)
     if isinstance(t, Oper) and t.op == "invert":
         if th is not Theory.GRP:
