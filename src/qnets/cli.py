@@ -57,14 +57,23 @@ def _load_elem(theory: Theory, raw: str):
     return jsonio.elem_from_json(theory, _parse(text, "marking"))
 
 
+def _int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+
+
+def _seed(raw: str) -> int:
+    """argparse type: an integer, wrapped to 64 bits."""
+    return _int(raw) & (2 ** 64 - 1)
+
+
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than ``low``."""
 
     def parse(raw: str) -> int:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        value = _int(raw)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
@@ -131,7 +140,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the property suites")
     p.add_argument("--suite", default="all",
                    choices=SUITE_NAMES + ("all",))
-    p.add_argument("--seed", type=lambda s: int(s) & (2 ** 64 - 1), default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--cases", type=_int_at_least(1), default=None)
     return parser
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .theory import (
     FreeElem,
@@ -70,16 +70,9 @@ class QNet(_Record):
     # pickle and copy carry the fields alone.
     _fields = ("theory", "places", "transitions")
 
-    def __init__(self, theory: Theory, places: tuple[str, ...],
-                 transitions: Mapping[str, tuple[FreeElem, FreeElem]]):
-        self._init(theory, places, transitions)
-
 
 class NetMorphism(_Record):
     __slots__ = _fields = ("source", "target", "f", "g")
-
-    def __init__(self, source: QNet, target: QNet, f: Mapping[str, str], g: Mapping[str, str]):
-        self._init(source, target, f, g)
 
 
 def validate_net(net: QNet) -> list[str]:

@@ -15,7 +15,7 @@ equality on generators.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import jsonio
 from .net import (
@@ -43,16 +43,9 @@ from .theory import (
 class ReflexiveQNet(_Record):
     __slots__ = _fields = ("net", "e")
 
-    def __init__(self, net: QNet, e: Mapping[str, str]):
-        self._init(net, e)
-
 
 class ReflexiveMorphism(_Record):
     __slots__ = _fields = ("source", "target", "f", "g")
-
-    def __init__(self, source: ReflexiveQNet, target: ReflexiveQNet,
-                 f: Mapping[str, str], g: Mapping[str, str]):
-        self._init(source, target, f, g)
 
     def as_net_morphism(self) -> NetMorphism:
         return NetMorphism(self.source.net, self.target.net, self.f, self.g)
@@ -66,20 +59,11 @@ class QGraph(_Record):
 
     __slots__ = _fields = ("theory", "generators", "places", "src", "tgt", "ident")
 
-    def __init__(self, theory: Theory, generators: tuple[str, ...], places: tuple[str, ...],
-                 src: Mapping[str, FreeElem], tgt: Mapping[str, FreeElem],
-                 ident: Mapping[str, FreeElem]):
-        self._init(theory, generators, places, src, tgt, ident)
-
 
 class GraphMorphism(_Record):
     """``f_gen`` maps a generator to an element over the target's generators."""
 
     __slots__ = _fields = ("source", "target", "f_gen", "g")
-
-    def __init__(self, source: QGraph, target: QGraph, f_gen: Mapping[str, FreeElem],
-                 g: Mapping[str, str]):
-        self._init(source, target, f_gen, g)
 
 
 def validate_reflexive(r: ReflexiveQNet) -> list[str]:

@@ -73,7 +73,7 @@ class SuiteResult(_Record):
     __hash__ = None
 
     def __init__(self, name: str, cases: int, failures: list[str] | None = None):
-        self._init(name, cases, [] if failures is None else failures)
+        super().__init__(name, cases, [] if failures is None else failures)
 
     @property
     def ok(self) -> bool:

@@ -81,18 +81,30 @@ _setattr = object.__setattr__
 
 
 class _Record:
-    """Base of the package's value classes. ``==``, ``hash``, ``repr`` and
-    pickling read the fields named in ``_fields``, in order, by the formulas
-    of a frozen dataclass: ``==`` holds only between objects of one class,
-    and assignment raises AttributeError. A subclass stores its fields in
-    ``__slots__`` unless it keeps a ``__dict__``, and sets them in its
-    ``__init__`` through :meth:`_init` or ``object.__setattr__``."""
+    """Base of the package's value classes. The constructor, ``==``,
+    ``hash``, ``repr`` and pickling read the fields named in ``_fields``, in
+    order, by the formulas of a frozen dataclass: the constructor binds
+    positional, then keyword, arguments to the fields; ``==`` holds only
+    between objects of one class; and assignment raises AttributeError. A
+    subclass stores its fields in ``__slots__`` unless it keeps a
+    ``__dict__``. Six keep an ``__init__``: ``FreeElem`` (payload check,
+    stored hash), ``_Ctx`` (move tables) and ``SuiteResult`` (default
+    ``failures``), the last two calling this one, and ``Gen``, ``Comp`` and
+    ``LayeredForm``, which the layer search builds on its hot path."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _init(self, *values) -> None:
-        for name, value in zip(self._fields, values):
+    def __init__(self, *values, **named) -> None:
+        fields = self._fields
+        if named or len(values) != len(fields):
+            rest = fields[len(values):]
+            if len(values) > len(fields) or named.keys() != set(rest):
+                # A field is missing, given twice or unknown.
+                raise TypeError(f"{self.__class__.__qualname__}({', '.join(fields)}) got "
+                                f"{len(values)} values and the keywords {sorted(named)}")
+            values += tuple([named[name] for name in rest])
+        for name, value in zip(fields, values):
             _setattr(self, name, value)
 
     def _values(self) -> tuple:

@@ -167,6 +167,14 @@ def test_check_suite_and_determinism(tmp_path):
     assert body["ok"] and body["suites"][0]["name"] == "monad"
 
 
+@pytest.mark.parametrize("seed", ["abc", "1.5"])
+def test_a_bad_seed_is_an_invalid_int_value(seed):
+    code, out, err = invoke(["check", "--seed", seed])
+    assert (code, out) == (2, "")
+    assert err == ('{"error":"qnet check: argument --seed: invalid int value: '
+                   f"'{seed}'\"}}\n")
+
+
 def assert_json_error(err):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1

@@ -4,7 +4,7 @@ part of its message."""
 import pytest
 
 import qnets
-from qnets import jsonio, symmetry
+from qnets import QNet, jsonio, symmetry
 from qnets.freecat import Gen, underlying_net, unit_into_truncation
 from qnets.intlattice import IntLattice
 from qnets.theory import (
@@ -41,6 +41,15 @@ _PETRI = petri("ab", {"t": ({"a": 1}, {"b": 1})})
      UnsupportedOperationError, "symmetric terms need a word-marked net"),
     (lambda: underlying_net(_PETRI, 0),
      UnsupportedOperationError, "enumeration bound must be positive"),
+    # A bound that is not an int is refused, not read as one.
+    (lambda: underlying_net(QNet(Theory.CMON, (), {}), True),
+     UnsupportedOperationError, "enumeration bound must be positive, got True"),
+    (lambda: underlying_net(_PETRI, "x"),
+     UnsupportedOperationError, "enumeration bound must be positive, got 'x'"),
+    (lambda: underlying_net(_PETRI, None),
+     UnsupportedOperationError, "enumeration bound must be positive, got None"),
+    (lambda: underlying_net(_PETRI, 2.5),
+     UnsupportedOperationError, "enumeration bound must be positive, got 2.5"),
     (lambda: underlying_net(integer_net("a", {"t": ({"a": 1}, {"a": -1})}), 1),
      UnsupportedOperationError, "underlying-net truncation is not available over ABGRP"),
     (lambda: underlying_net(GROUP_NETS[0], 1),

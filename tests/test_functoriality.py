@@ -2,7 +2,7 @@
 ``symmetry.translate_term`` is a functor from the free category on a net N to
 the free category on ``apply_net_functor(f, N)``. It keeps every term's
 endpoints, read through ``translate``, and it never separates two terms that
-N identifies.
+N identifies. The catalog square c;b = d;e commutes on MON nets and terms.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 
 from qnets import freecat, symmetry
 from qnets.net import apply_net_functor
-from qnets.theory import TheoryArrow, translate
+from qnets.theory import Theory, TheoryArrow, translate
 
 import netzoo
 from test_verdicts import _mor_terms
@@ -69,3 +69,20 @@ def test_translate_term_never_separates_equal_terms(arrow, net):
     for (a, ea, ta), (b, eb, tb) in itertools.combinations(zip(terms, ends, moved), 2):
         if ea == eb and freecat.mor_equal(a, b, net).is_equal:
             assert not freecat.mor_equal(ta, tb, image).is_distinct, (arrow, net, a, b)
+
+
+MON_NETS = [pytest.param(net, id=f"{family}[{i}]") for family in ZOO
+            for i, net in enumerate(getattr(netzoo, family)) if net.theory is Theory.MON]
+
+
+@pytest.mark.parametrize("net", MON_NETS)
+def test_the_catalog_square_commutes(net):
+    # MON -> CMON -> ABGRP (c, then b) and MON -> GRP -> ABGRP (d, then e).
+    routes = ((TheoryArrow.ABELIANIZE, TheoryArrow.SIGNED),
+              (TheoryArrow.FREE_GROUP, TheoryArrow.GROUP_SIGNED))
+    nets = [apply_net_functor(second, apply_net_functor(first, net)) for first, second in routes]
+    assert nets[0] == nets[1]
+    for t in _mor_terms(net)[:MAX_TERMS]:
+        moved = [symmetry.translate_term(second, symmetry.translate_term(first, t))
+                 for first, second in routes]
+        assert moved[0] == moved[1], t

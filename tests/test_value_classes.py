@@ -1,9 +1,14 @@
 """The package's value classes behave as the frozen dataclasses they replace.
 
 Each class is written out by hand, so that starting ``qnet`` does not
-generate and compile their methods. ``==``, ``hash``, ``repr``, copying,
-pickling and immutability are pinned here against the text and formulas the
-dataclass versions had.
+generate and compile their methods. The constructor, ``==``, ``hash``,
+``repr``, copying, pickling and immutability are pinned here against the
+text and formulas the dataclass versions had. ``theory._Record`` gives every
+class one constructor over its ``_fields``. Six keep their own: ``FreeElem``
+checks its payload and stores its hash, ``_Ctx`` and ``SuiteResult`` extend
+the shared one (move tables, a default for ``failures``), and ``Gen``,
+``Comp`` and ``LayeredForm`` set their fields directly because the layer
+search builds them on its hot path.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import copy
 import importlib
 import inspect
 import pickle
+import re
 
 import pytest
 
@@ -23,6 +29,7 @@ from qnets.net import identity_morphism
 from qnets.reflexive import (add_identities, add_identities_morphism, free_edges,
                              free_edges_morphism)
 from qnets.suites import SuiteResult
+from qnets.theory import _Record
 
 MODULES = ("cli", "freecat", "intlattice", "jsonio", "net", "reflexive", "suites",
            "symmetry", "theory")
@@ -116,6 +123,32 @@ def test_equality_and_hash_follow_the_fields(name):
             hash(x)
     else:
         assert hash(x) == hash(y) == formula(x)
+
+
+def test_six_classes_keep_their_own_constructor():
+    own = {name for name, (make, _, _) in CASES.items() if "__init__" in vars(type(make()))}
+    assert own == {"FreeElem", "Gen", "Comp", "LayeredForm", "_Ctx", "SuiteResult"}
+    assert not hasattr(_Record, "_init")
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_fields_bind_by_position_and_keyword(name):
+    x = CASES[name][0]()
+    cls, fields = type(x), type(x)._fields
+    named = {field: getattr(x, field) for field in fields}
+    values = list(named.values())
+    assert cls(*values) == cls(**named) == cls(values[0], **dict(list(named.items())[1:])) == x
+    required = fields[:-1] if name == "SuiteResult" else fields  # failures has a default
+    for field in required:
+        with pytest.raises(TypeError):
+            cls(**{k: v for k, v in named.items() if k != field})
+    for args, kwargs in (((*values, values[0]), {}), (values, {fields[0]: values[0]}),
+                         (values, {"unknown": 1})):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    if "__init__" not in vars(cls):
+        with pytest.raises(TypeError, match=re.escape(f"{name}({', '.join(fields)}) got")):
+            cls(*values[1:])
 
 
 @pytest.mark.parametrize("name", CASES)
