@@ -28,16 +28,60 @@ def _read(path: str) -> str:
         raise QnetError(f"cannot read {path}: {exc}") from exc
 
 
+# The nesting rule, the same on every interpreter: JSON read or written may
+# nest its arrays and objects only as deeply as Python 3.11's json module can,
+# given the recursion levels left where it is called. With h levels left to
+# its caller, 3.11 decodes at most h - 4 nested containers through json.loads
+# and encodes at most h - 5 through jsonio.dumps: one level per container,
+# plus the Python frames above the C code and one. From 3.12 on the C code
+# keeps its own, larger limit, so the CLI states 3.11's.
+_DECODER_FRAMES = 4
+_ENCODER_FRAMES = 5
+
+
+def _headroom() -> int:
+    """The recursion levels left to the caller: the interpreter's limit less
+    the frames on the stack, the caller's included."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return sys.getrecursionlimit() - depth
+
+
+def _nesting(data) -> int:
+    """How deeply arrays and objects nest in ``data``, walked one level at a
+    time, off the call stack."""
+    depth, level = 0, [data]
+    while True:
+        level = [x.values() if isinstance(x, dict) else x
+                 for x in level if isinstance(x, (dict, list, tuple))]
+        if not level:
+            return depth
+        depth += 1
+        level = [child for x in level for child in x]
+
+
 def _parse(text: str, name: str):
     # ValueError covers malformed JSON and integer literals past the digit
-    # limit of int(). Decoding deeply nested JSON runs out of stack:
-    # RecursionError is an input error here too.
+    # limit of int(). Up to 3.11, decoding past the nesting rule runs out of
+    # stack: RecursionError is the same input error.
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except ValueError as exc:
         raise QnetError(f"{name} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise QnetError(f"{name} is nested too deeply") from exc
+    if _nesting(data) > _headroom() - _DECODER_FRAMES:
+        raise QnetError(f"{name} is nested too deeply")
+    return data
+
+
+def _print(data, stream) -> None:
+    """Write ``data`` as one JSON line, refusing output past the nesting rule
+    (``jsonio.dumps`` still maps the encoder's own RecursionError)."""
+    if _nesting(data) > _headroom() - _ENCODER_FRAMES:
+        raise QnetError("output is nested too deeply to write as JSON")
+    print(jsonio.dumps(data), file=stream)
 
 
 def _load_net(path: str) -> QNet:
@@ -62,6 +106,19 @@ def _int(raw: str) -> int:
         return int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+
+
+def _choice(names) -> dict:
+    """argparse type and metavar: one of ``names``, with the error worded as
+    Python 3.11 words an invalid choice."""
+
+    def parse(raw: str) -> str:
+        if raw not in names:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {raw!r} (choose from {', '.join(map(repr, names))})")
+        return raw
+
+    return {"type": parse, "metavar": "{" + ",".join(names) + "}"}
 
 
 def _seed(raw: str) -> int:
@@ -102,7 +159,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("net")
 
     p = sub.add_parser("translate", help="translate a net along a theory arrow")
-    p.add_argument("--via", required=True, choices=[a.value for a in TheoryArrow])
+    p.add_argument("--via", required=True, **_choice([a.value for a in TheoryArrow]))
     p.add_argument("net")
 
     p = sub.add_parser("reach", help="token-game reachability")
@@ -138,10 +195,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("right")
 
     p = sub.add_parser("check", help="run the property suites")
-    p.add_argument("--suite", default="all",
-                   choices=SUITE_NAMES + ("all",))
+    p.add_argument("--suite", default="all", **_choice(SUITE_NAMES + ("all",)))
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--cases", type=_int_at_least(1), default=None)
+    # Python 3.11's wrapped usage line, stated so that every interpreter
+    # prints it; set last, as the subcommands' own usage lines start from it.
+    indent = "\n" + " " * len("usage: qnet ")
+    parser.usage = indent.join(("%(prog)s [-h]", "{" + ",".join(sub.choices) + "}", "..."))
     return parser
 
 
@@ -151,14 +211,14 @@ def run(argv, stdout=None, stderr=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except _UsageError as exc:
-        print(jsonio.dumps({"error": str(exc)}), file=stderr)
+        _print({"error": str(exc)}, stderr)
         return 2
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
         return _dispatch(args, stdout)
     except QnetError as exc:
-        print(jsonio.dumps({"error": str(exc)}), file=stderr)
+        _print({"error": str(exc)}, stderr)
         return 1
 
 
@@ -166,13 +226,13 @@ def _dispatch(args, out) -> int:
     if args.command == "validate":
         net = _load_net(args.net)
         diags = validate_net(net)
-        print(jsonio.dumps({"diagnostics": diags, "valid": not diags}), file=out)
+        _print({"diagnostics": diags, "valid": not diags}, out)
         return 0 if not diags else 1
 
     if args.command == "translate":
         net = _checked_net(args.net)
         translated = apply_net_functor(TheoryArrow(args.via), net)
-        print(jsonio.dumps(jsonio.net_to_json(translated)), file=out)
+        _print(jsonio.net_to_json(translated), out)
         return 0
 
     if args.command == "reach":
@@ -182,13 +242,13 @@ def _dispatch(args, out) -> int:
         if args.dot:
             out.write(freecat.reachability_dot(result))
             return 0
-        print(jsonio.dumps({
+        _print({
             "start": jsonio.elem_to_json(result.start),
             "steps": result.max_steps,
             "markings": [jsonio.elem_to_json(m) for m in result.markings],
             "edges": [[jsonio.elem_to_json(a), label, jsonio.elem_to_json(b)]
                       for a, label, b in result.edges],
-        }), file=out)
+        }, out)
         return 0
 
     if args.command == "homset":
@@ -196,19 +256,18 @@ def _dispatch(args, out) -> int:
         src = _load_elem(net.theory, args.src)
         tgt = _load_elem(net.theory, args.tgt)
         classes = freecat.hom_enumerate(net, src, tgt, args.layers, args.width)
-        print(jsonio.dumps({
+        _print({
             "from": jsonio.elem_to_json(src),
             "to": jsonio.elem_to_json(tgt),
             "representatives": [jsonio.term_to_json(t) for t in classes],
-        }), file=out)
+        }, out)
         return 0
 
     if args.command == "homgroup":
         net = _checked_net(args.net)
         src = _load_elem(net.theory, args.src)
         tgt = _load_elem(net.theory, args.tgt)
-        print(jsonio.dumps({"nonempty": freecat.hom_nonempty_group(net, src, tgt)}),
-              file=out)
+        _print({"nonempty": freecat.hom_nonempty_group(net, src, tgt)}, out)
         return 0
 
     # ``symmetry`` and ``suites`` are imported only by the commands that use
@@ -217,17 +276,17 @@ def _dispatch(args, out) -> int:
         from . import symmetry
 
         net = _checked_net(args.net)
-        print(jsonio.dumps({
+        _print({
             "linearizations": [jsonio.net_to_json(n)
                                for n in symmetry.linearizations(net)],
-        }), file=out)
+        }, out)
         return 0
 
     if args.command == "linsum":
         from . import symmetry
 
         net = _checked_net(args.net)
-        print(jsonio.dumps(jsonio.net_to_json(symmetry.linearization_sum(net))), file=out)
+        _print(jsonio.net_to_json(symmetry.linearization_sum(net)), out)
         return 0
 
     if args.command in ("product", "coproduct"):
@@ -235,22 +294,22 @@ def _dispatch(args, out) -> int:
         right = _checked_net(args.right)
         op = product if args.command == "product" else coproduct
         net, h1, h2 = op(left, right)
-        print(jsonio.dumps({
+        _print({
             "net": jsonio.net_to_json(net),
             "left": jsonio.morphism_to_json(h1),
             "right": jsonio.morphism_to_json(h2),
-        }), file=out)
+        }, out)
         return 0
 
     from . import suites
 
     names = tuple(suites.SUITES) if args.suite == "all" else (args.suite,)
     results = suites.run_suites(names, seed=args.seed, cases=args.cases)
-    print(jsonio.dumps({
+    _print({
         "ok": all(r.ok for r in results),
         "suites": [{"name": r.name, "cases": r.cases, "failures": r.failures,
                     "ok": r.ok} for r in results],
-    }), file=out)
+    }, out)
     return 0 if all(r.ok for r in results) else 1
 
 

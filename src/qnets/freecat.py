@@ -270,19 +270,6 @@ def _pure_id(layer: FreeElem) -> bool:
     return all(_is_id_sym(a) for a in layer.atoms())
 
 
-def _ids_marking(th: Theory, layer: FreeElem) -> FreeElem:
-    """Marking held by the id letters of a layer (gens are dropped)."""
-    ops = th.ops
-    return FreeElem(th, ops.spell((p[len(ID_PREFIX):], c)
-                                  for p, c in ops.letters(layer.payload) if _is_id_sym(p)))
-
-
-def _gens_part(th: Theory, layer: FreeElem) -> FreeElem:
-    ops = th.ops
-    return FreeElem(th, ops.spell((p, c) for p, c in ops.letters(layer.payload)
-                                  if not _is_id_sym(p)))
-
-
 def _layer_src(layer: FreeElem, ctx: _Ctx) -> FreeElem:
     return extend(ctx.net.theory, ctx.src_images, layer)
 
@@ -506,18 +493,26 @@ def _layered_ctx(t: SymTerm, ctx: _Ctx, symmetric: bool = False) -> tuple[Layere
 
 def _merge_candidates(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
     """Every layer firing ``l1`` and then ``l2`` at once, the split read
-    backwards: a commutative merge holds each residual of ``l1``'s held marking
-    by ``l2``'s source that ``l1``'s targets top up to ``l2``'s held marking."""
+    backwards: a commutative merge holds each residual of ``l1``'s id letters
+    by those holding ``l2``'s source that ``l1``'s targets top up to ``l2``'s
+    id letters. The ends of each generator letter come from :func:`_held`."""
     th = ctx.net.theory
     ops = th.ops
     if not ops.commutative:
         return _merge_words(l1, l2, ctx)
-    g1, g2 = _gens_part(th, l1), _gens_part(th, l2)
-    rests = ops.residuals(_ids_marking(th, l1).payload, _layer_src(g2, ctx).payload)
-    tgt_g1 = tuple(ops.letters(_layer_tgt(g1, ctx).payload))
-    held2 = _ids_marking(th, l2).payload
-    gens = (*ops.letters(g1.payload), *ops.letters(g2.payload))
-    out = {_framed(th, gens, rest) for rest in rests
+
+    def part(layer: FreeElem, ids: bool) -> tuple:
+        """The id (or generator) entries of a sorted payload, a payload too."""
+        return tuple(x for x, name in zip(layer.payload, ops.names(layer.payload))
+                     if _is_id_sym(name) == ids)
+
+    g1, g2 = part(l1, False), part(l2, False)
+    src_g2 = ops.product(*(_held(x, 0, ctx) for x in g2))
+    tgt_g1 = tuple(ops.letters(ops.product(*(_held(x, 1, ctx) for x in g1))))
+    held2 = part(l2, True)
+    gens = (*ops.letters(g1), *ops.letters(g2))
+    out = {FreeElem(th, ops.norm(itertools.chain(gens, ops.letters(rest))))
+           for rest in ops.residuals(part(l1, True), src_g2)
            if ops.norm(itertools.chain(ops.letters(rest), tgt_g1)) == held2}
     return sorted(out, key=lambda e: e.payload)
 

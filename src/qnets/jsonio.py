@@ -22,8 +22,9 @@ def dumps(obj: Any) -> str:
         # conversion (4,300 by default): counts grow by firing.
         raise QnetError(f"output cannot be written as JSON: {exc}") from exc
     except RecursionError as exc:
-        # The stdlib encoder spends two recursion levels per composite term,
-        # so a deep term runs out of stack as deep input does.
+        # The encoder spends a recursion level per container, against the
+        # interpreter's limit up to 3.11 and its own C limit from 3.12, so a
+        # deep term runs out of stack. The CLI states one limit of its own.
         raise QnetError("output is nested too deeply to write as JSON") from exc
 
 

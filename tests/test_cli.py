@@ -1,5 +1,6 @@
 import io
 import json
+import threading
 import time
 
 import pytest
@@ -287,6 +288,52 @@ def test_homset_too_deep_to_print_is_domain_error(tmp_path):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert "too deeply" in json.loads(err)["error"]
+
+
+def _in_thread(fn):
+    """``fn()`` on a new thread, whose stack holds only Python frames: up to
+    3.11 each call into C on the stack also takes a recursion level, and the
+    test runner's own stack holds some."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join()
+    return result[0]
+
+
+@pytest.mark.parametrize("frames", [100, 300])
+def test_the_nesting_rule_is_the_same_on_every_interpreter(tmp_path, frames):
+    # The deepest self-loop hom-set that prints and the deepest marking that
+    # decodes under a stack ``frames`` deep: Python 3.11's own limits, which
+    # the CLI states for every interpreter.
+    path = write_net(tmp_path, "loop.json", petri("a", {"t": ({"a": 1}, {"a": 1})}))
+
+    def homset(layers):
+        with shallow_stack(frames):
+            return invoke(["homset", path, "--from", '{"a":1}', "--to", '{"a":1}',
+                           "--layers", str(layers), "--width", "1"])
+
+    def reach(depth):
+        with shallow_stack(frames):
+            return invoke(["reach", path, "--marking", "[" * depth + "]" * depth,
+                           "--steps", "0"])
+
+    deepest = {100: (46, 93), 300: (146, 293)}[frames]
+    assert _in_thread(lambda: homset(deepest[0]))[0] == 0
+    assert _in_thread(lambda: homset(deepest[0] + 1)) == (
+        1, "", '{"error":"output is nested too deeply to write as JSON"}\n')
+    assert _in_thread(lambda: reach(deepest[1])) == (
+        1, "", '{"error":"CMON element must be an object"}\n')
+    assert _in_thread(lambda: reach(deepest[1] + 1)) == (
+        1, "", '{"error":"marking is nested too deeply"}\n')
+
+
+def test_a_deep_marking_is_refused_on_every_interpreter(tmp_path):
+    # 3,000 nested arrays: 3.11's decoder runs out of stack, 3.12's stops at
+    # its own C limit, and 3.13's decodes them; each is the same refusal.
+    path = write_net(tmp_path, "net.json", petri("a", {}))
+    assert invoke(["reach", path, "--marking", "[" * 3000 + "]" * 3000, "--steps", "0"]) == (
+        1, "", '{"error":"marking is nested too deeply"}\n')
 
 
 def test_lin_refuses_too_many_linearizations_before_building_any(tmp_path):

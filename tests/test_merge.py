@@ -29,7 +29,7 @@ from qnets.theory import (
     unit,
 )
 
-from layer_refs import frame_ref
+from layer_refs import frame_ref, gens_part_ref, ids_marking_ref, outcome
 from netzoo import (
     ELEMENTARY_NETS,
     EQUALITY_NETS,
@@ -44,14 +44,6 @@ from netzoo import (
 )
 
 
-def _outcome(fn, *args):
-    """A call's result, or the type and message of what it raised."""
-    try:
-        return "ok", fn(*args)
-    except Exception as exc:  # compared by the caller, not swallowed
-        return "raised", type(exc).__name__, str(exc)
-
-
 # ---------------------------------------------------------------------------
 # Reference: each caller dividing markings on its own
 
@@ -59,10 +51,10 @@ def _outcome(fn, *args):
 def _merge_candidates_ref(l1, l2, ctx):
     th = ctx.net.theory
     ops = th.ops
-    g1 = freecat._gens_part(th, l1)
-    g2 = freecat._gens_part(th, l2)
+    g1 = gens_part_ref(th, l1)
+    g2 = gens_part_ref(th, l2)
     if not ops.idempotent:
-        frame = occurrences(freecat._ids_marking(th, l1))
+        frame = occurrences(ids_marking_ref(th, l1))
         for p, c in occurrences(freecat._layer_src(g2, ctx)).items():
             frame[p] = frame.get(p, 0) - c
         if not ops.group and any(c < 0 for c in frame.values()):
@@ -70,8 +62,8 @@ def _merge_candidates_ref(l1, l2, ctx):
         merged = combine(th, combine(th, g1, g2),
                          frame_ref(th, multiset(th, frame)))
         return [merged]
-    ids1 = set(freecat._ids_marking(th, l1).payload)
-    ids2 = set(freecat._ids_marking(th, l2).payload)
+    ids1 = set(ids_marking_ref(th, l1).payload)
+    ids2 = set(ids_marking_ref(th, l2).payload)
     src_g2 = set(freecat._layer_src(g2, ctx).payload)
     tgt_g1 = set(freecat._layer_tgt(g1, ctx).payload)
     out = []
@@ -159,14 +151,14 @@ def _frame_over_ref(theory, marking, consumed):
 
 
 def _check_merge(l1, l2, ctx):
-    got = _outcome(freecat._merge_candidates, l1, l2, ctx)
-    assert got == _outcome(_merge_candidates_ref, l1, l2, ctx)
+    got = outcome(freecat._merge_candidates, l1, l2, ctx)
+    assert got == outcome(_merge_candidates_ref, l1, l2, ctx)
     return got
 
 
 def _check_step(ctx, marking, max_width):
-    got = _outcome(freecat._step_layers, ctx, marking, max_width)
-    assert got == _outcome(_step_layers_ref, ctx, marking, max_width)
+    got = outcome(freecat._step_layers, ctx, marking, max_width)
+    assert got == outcome(_step_layers_ref, ctx, marking, max_width)
     return got
 
 

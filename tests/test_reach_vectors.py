@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnets import QNet, jsonio
+from qnets.net import default_budget
 from qnets.freecat import ReachResult, _context, _firings, _Packed, _step_layers, reachable
 from qnets.theory import (
     FreeElem,
@@ -242,7 +243,13 @@ def test_random_nets_match_reference(theory, data):
         with pytest.raises(UnsupportedOperationError):
             reachable(net, m0, steps)
         return
-    assert reachable(net, m0, steps) == reference_reachable(net, m0, steps)
+    want = reference_reachable(net, m0, steps)
+    if len(want.edges) > default_budget():
+        # A game that fires more transitions than the budget is refused.
+        with pytest.raises(QnetError, match="the token game fires more than"):
+            reachable(net, m0, steps)
+        return
+    assert reachable(net, m0, steps) == want
 
 
 def test_frontier_counts_new_markings_per_round():

@@ -29,7 +29,7 @@ from qnets.theory import (
     word,
 )
 
-from layer_refs import form_occurrences, frame_ref, gens_sum
+from layer_refs import form_occurrences, gens_sum, held_ref, outcome, zip_ref
 from netzoo import (
     ELEMENTARY_NETS,
     EQUALITY_NETS,
@@ -47,25 +47,12 @@ from netzoo import (
 from test_context_cache import DECIDE, _pinned
 
 
-def _outcome(fn, *args):
-    """A call's result, or the type and message of what it raised."""
-    try:
-        return "ok", fn(*args)
-    except Exception as exc:  # compared by the caller, not swallowed
-        return "raised", type(exc).__name__, str(exc)
-
-
 # ---------------------------------------------------------------------------
 # References: the code before the folds
 
 
 def _is_perm(layer):
     return isinstance(layer, Perm)
-
-
-def _held_ref(th, letter, end, ctx):
-    arc = freecat._layer_tgt if end else freecat._layer_src
-    return frame_ref(th, arc(FreeElem(th, (letter,)), ctx)).payload
 
 
 def _reduced_ref(pairs):
@@ -76,8 +63,8 @@ def _reduced_ref(pairs):
 def _slide_before_perm_ref(layer, perm, ctx):
     th = ctx.net.theory
     letters = layer.payload
-    tgt_words = [_held_ref(th, l, 1, ctx) for l in letters]
-    src_words = [_held_ref(th, l, 0, ctx) for l in letters]
+    tgt_words = [held_ref(l, 1, ctx) for l in letters]
+    src_words = [held_ref(l, 0, ctx) for l in letters]
     if any(len(w) == 0 for w in tgt_words + src_words):
         return []
     blocks = freecat._blocks([len(w) for w in tgt_words])
@@ -116,8 +103,8 @@ def _slide_before_perm_ref(layer, perm, ctx):
 def _slide_after_perm_ref(perm, layer, ctx):
     th = ctx.net.theory
     letters = layer.payload
-    src_words = [_held_ref(th, l, 0, ctx) for l in letters]
-    tgt_words = [_held_ref(th, l, 1, ctx) for l in letters]
+    src_words = [held_ref(l, 0, ctx) for l in letters]
+    tgt_words = [held_ref(l, 1, ctx) for l in letters]
     if any(len(w) == 0 for w in src_words + tgt_words):
         return []
     blocks = freecat._blocks([len(w) for w in src_words])
@@ -280,19 +267,9 @@ def _layers_ref(t, ctx):
     src, tgt, layers = _layers_ref(t.args[0], ctx)
     for arg in t.args[1:]:
         src_b, tgt_b, layers_b = _layers_ref(arg, ctx)
-        layers = _zip_ref(th, (src, layers), (src_b, layers_b))
+        layers = zip_ref(th, (src, layers), (src_b, layers_b))
         src, tgt = combine(th, src, src_b), combine(th, tgt, tgt_b)
     return src, tgt, layers
-
-
-def _zip_ref(th, a, b):
-    """Binary parallel combination: pad the shorter side in front with held
-    frames."""
-    (start_a, layers_a), (start_b, layers_b) = a, b
-    depth = max(len(layers_a), len(layers_b))
-    pad_a = (frame_ref(th, start_a),) * (depth - len(layers_a)) + layers_a
-    pad_b = (frame_ref(th, start_b),) * (depth - len(layers_b)) + layers_b
-    return tuple(combine(th, x, y) for x, y in zip(pad_a, pad_b))
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +337,12 @@ def _slide_pairs(form):
 def _check_slide(a, b, ctx):
     before = _is_perm(b)
     layer, perm = (a, b) if before else (b, a)
-    expected = _outcome(_slide_before_perm_ref if before else _slide_after_perm_ref, a, b, ctx)
+    expected = outcome(_slide_before_perm_ref if before else _slide_after_perm_ref, a, b, ctx)
     if expected[:2] == ("raised", "IndexError"):
         # The reference read past a permutation shorter than the layer's
         # near end, which happens when that end cancels (GRP); no slide then.
         expected = ("ok", [])
-    assert _outcome(freecat._slide, layer, perm, ctx, before) == expected
+    assert outcome(freecat._slide, layer, perm, ctx, before) == expected
 
 
 def test_slide_and_neighbors_match_reference_on_criterion_11():
@@ -413,6 +390,14 @@ def test_slide_refuses_a_letter_order_that_cancels():
     layer = signed_word([("id.a", 1), ("t", 1), ("id.a", -1)])
     assert not Theory.GRP.ops.is_normal(freecat._apply_perm(perm.word.payload, perm.mapping))
     assert freecat._slide(layer, perm, freecat._context(net), True) == []
+    # The new permutation's source can cancel too. On GRP t: b^-1 b^-1 ->
+    # a^-1 b, the layer id.a id.b t^-1 (source a b b b) slides after
+    # Perm(a b b b, (0, 2, 3, 1)) into the order id.a t^-1 id.b, whose target
+    # a b^-1 a b, carried back across the new permutation, reads a b b^-1 a.
+    net = group_net("ab", {"t": ("BB", "Ab")})
+    layer = signed_word([("id.a", 1), ("id.b", 1), ("t", -1)])
+    assert freecat._slide(layer, Perm(signed("abbb"), (0, 2, 3, 1)), freecat._context(net),
+                          False) == []
 
 
 _GRP_NET = QNet(Theory.GRP, ("a", "b"), {
@@ -618,8 +603,8 @@ def _terms(theory):
 def test_walker_matches_recursive_reference(case):
     net, term = case
     ctx = freecat._context(net)
-    expected = _outcome(_endpoints_ref, term, ctx)
-    assert _outcome(freecat._endpoints, term, ctx) == expected
+    expected = outcome(_endpoints_ref, term, ctx)
+    assert outcome(freecat._endpoints, term, ctx) == expected
     if expected[0] == "ok":
         # The walk is reached only for terms the endpoint check accepts.
         src, tgt, layers = _layers_ref(term, ctx)
@@ -627,7 +612,7 @@ def test_walker_matches_recursive_reference(case):
         assert freecat._layered_ctx(term, ctx) == (freecat.LayeredForm(
             src, tuple(l for l in layers if not freecat._pure_id(l))), tgt)
     else:
-        assert _outcome(freecat._layers_of, term, ctx) == expected
+        assert outcome(freecat._layers_of, term, ctx) == expected
 
 
 # ---------------------------------------------------------------------------

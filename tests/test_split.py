@@ -26,7 +26,14 @@ from qnets.theory import (
     unit,
 )
 
-from layer_refs import frame_ref, layer_gens
+from layer_refs import (
+    frame_ref,
+    gens_part_ref,
+    held_ref,
+    ids_marking_ref,
+    layer_gens,
+    outcome,
+)
 from netzoo import (
     ELEMENTARY_NETS,
     EQUALITY_NETS,
@@ -39,22 +46,8 @@ from netzoo import (
 )
 
 
-def _outcome(fn, *args):
-    """A call's result, or the type and message of what it raised."""
-    try:
-        return "ok", fn(*args)
-    except Exception as exc:  # compared by the caller, not swallowed
-        return "raised", type(exc).__name__, str(exc)
-
-
 # ---------------------------------------------------------------------------
 # Reference: the split with one arm per family
-
-
-def _held_ref(letter, end, ctx):
-    th = ctx.net.theory
-    arc = freecat._layer_tgt if end else freecat._layer_src
-    return frame_ref(th, arc(FreeElem(th, (letter,)), ctx)).payload
 
 
 def _split_candidates_ref(layer, ctx):
@@ -62,8 +55,8 @@ def _split_candidates_ref(layer, ctx):
     ops = th.ops
     if not ops.commutative:
         return _split_word_ref(layer, ctx)
-    gens = freecat._gens_part(th, layer)
-    held = freecat._ids_marking(th, layer)
+    gens = gens_part_ref(th, layer)
+    held = ids_marking_ref(th, layer)
     parts = []
     if ops.idempotent:
         for assign in itertools.product(("L", "R", "B"), repeat=len(gens.payload)):
@@ -108,9 +101,9 @@ def _split_word_ref(layer, ctx):
                 w2.append(letter)
             elif k in early:
                 w1.append(letter)
-                w2.extend(_held_ref(letter, 1, ctx))
+                w2.extend(held_ref(letter, 1, ctx))
             else:
-                w1.extend(_held_ref(letter, 0, ctx))
+                w1.extend(held_ref(letter, 0, ctx))
                 w2.append(letter)
         pair = FreeElem(th, th.ops.canon(tuple(w1))), FreeElem(th, th.ops.canon(tuple(w2)))
         # A GRP half whose letters cancel to held places only fires nothing.
@@ -120,8 +113,8 @@ def _split_word_ref(layer, ctx):
 
 
 def _check(layer, ctx):
-    got = _outcome(freecat._split_candidates, layer, ctx)
-    assert got == _outcome(_split_candidates_ref, layer, ctx)
+    got = outcome(freecat._split_candidates, layer, ctx)
+    assert got == outcome(_split_candidates_ref, layer, ctx)
     return got
 
 
@@ -222,8 +215,8 @@ def test_split_of_unknown_generators_raises_as_reference(case):
     reference named every unknown generator of a whole half."""
     net, layer = case
     ctx = freecat._context(net)
-    got = _outcome(freecat._split_candidates, layer, ctx)
-    want = _outcome(_split_candidates_ref, layer, ctx)
+    got = outcome(freecat._split_candidates, layer, ctx)
+    want = outcome(_split_candidates_ref, layer, ctx)
     if net.theory.ops.commutative:
         got, want = got[:2], want[:2]
     assert got == want

@@ -32,7 +32,7 @@ from qnets.theory import (
     word,
 )
 
-from layer_refs import frame_ref
+from layer_refs import frame_ref, outcome, zip_ref
 from netzoo import GROUP_NETS, cmon, petri, prenet, signed
 
 PRENET = prenet("ab", {"t": ("a", "b"), "u": ("ab", "a")})
@@ -227,16 +227,6 @@ def test_deep_symmetric_chain_stays_off_the_call_stack():
 _CANCEL = "a permutation beside a cancelling boundary is not representable letterwise"
 
 
-def _zip_ref(th, a, b):
-    """Binary parallel combination: pad the shorter side in front with held
-    frames."""
-    (start_a, layers_a), (start_b, layers_b) = a, b
-    depth = max(len(layers_a), len(layers_b))
-    pad_a = (frame_ref(th, start_a),) * (depth - len(layers_a)) + layers_a
-    pad_b = (frame_ref(th, start_b),) * (depth - len(layers_b)) + layers_b
-    return tuple(combine(th, x, y) for x, y in zip(pad_a, pad_b))
-
-
 def _product_ref(th, elems):
     """A left fold of binary combine."""
     return reduce(lambda x, y: combine(th, x, y), elems, neutral(th))
@@ -293,7 +283,7 @@ def _sym_elems_ref(t, ctx):
         if not any(isinstance(l, Perm) for layers in stacks for l in layers):
             src, tgt, layers = walked[0]
             for src_b, tgt_b, layers_b in walked[1:]:
-                layers = _zip_ref(th, (src, layers), (src_b, layers_b))
+                layers = zip_ref(th, (src, layers), (src_b, layers_b))
                 src, tgt = combine(th, src, src_b), combine(th, tgt, tgt_b)
             return src, tgt, layers
         # A permutation anywhere: the arguments fire one after the other, each
@@ -354,14 +344,6 @@ def _translate_ref(arrow, t):
     if isinstance(t, Oper):
         return Oper(t.op, tuple(_translate_ref(arrow, a) for a in t.args))
     raise IllTypedTermError(f"not a process term: {t!r}")
-
-
-def _outcome(fn, *args):
-    """A call's result, or the type and message of what it raised."""
-    try:
-        return "ok", fn(*args)
-    except Exception as exc:  # compared by the caller, not swallowed
-        return "raised", type(exc).__name__, str(exc)
 
 
 def _signed(text):
@@ -493,11 +475,11 @@ def test_permutation_padding_reduces_both_sides_alike():
 def test_symmetric_walks_match_recursive_reference(case):
     net, term = case
     ctx = freecat._context(net)
-    assert _outcome(freecat._layers_of, term, ctx, True) == _outcome(_sym_layers_ref, term, ctx)
-    assert _outcome(erase_symmetries, term) == _outcome(_erase_ref, term)
+    assert outcome(freecat._layers_of, term, ctx, True) == outcome(_sym_layers_ref, term, ctx)
+    assert outcome(erase_symmetries, term) == outcome(_erase_ref, term)
     arrow = TheoryArrow.GROUP_SIGNED if net.theory is Theory.GRP else TheoryArrow.ABELIANIZE
     erased = erase_symmetries(term)
-    assert _outcome(translate_term, arrow, erased) == _outcome(_translate_ref, arrow, erased)
+    assert outcome(translate_term, arrow, erased) == outcome(_translate_ref, arrow, erased)
 
 
 def test_grp_permutations_of_the_wrong_theory_or_a_cancelling_target_are_refused():
