@@ -28,15 +28,13 @@ def _read(path: str) -> str:
         raise QnetError(f"cannot read {path}: {exc}") from exc
 
 
-# The nesting rule, the same on every interpreter: JSON read or written may
-# nest its arrays and objects only as deeply as Python 3.11's json module can,
-# given the recursion levels left where it is called. With h levels left to
-# its caller, 3.11 decodes at most h - 4 nested containers through json.loads
-# and encodes at most h - 5 through jsonio.dumps: one level per container,
-# plus the Python frames above the C code and one. From 3.12 on the C code
-# keeps its own, larger limit, so the CLI states 3.11's.
-_DECODER_FRAMES = 4
-_ENCODER_FRAMES = 5
+# The nesting rule, the same on every interpreter and entry point: JSON read
+# or written may nest at most h - 5 arrays and objects deep, h being the
+# recursion levels left to the caller. That is Python 3.11's encoder limit
+# (one level per container, the Python frames above the C code, and one).
+# Its decoder allows one level more, but not under ``python -m`` on 3.10 and
+# 3.11, where runpy's call into C takes it; 3.12 on allow more still.
+_JSON_FRAMES = 5
 
 
 def _headroom() -> int:
@@ -71,7 +69,7 @@ def _parse(text: str, name: str):
         raise QnetError(f"{name} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise QnetError(f"{name} is nested too deeply") from exc
-    if _nesting(data) > _headroom() - _DECODER_FRAMES:
+    if _nesting(data) > _headroom() - _JSON_FRAMES:
         raise QnetError(f"{name} is nested too deeply")
     return data
 
@@ -79,7 +77,7 @@ def _parse(text: str, name: str):
 def _print(data, stream) -> None:
     """Write ``data`` as one JSON line, refusing output past the nesting rule
     (``jsonio.dumps`` still maps the encoder's own RecursionError)."""
-    if _nesting(data) > _headroom() - _ENCODER_FRAMES:
+    if _nesting(data) > _headroom() - _JSON_FRAMES:
         raise QnetError("output is nested too deeply to write as JSON")
     print(jsonio.dumps(data), file=stream)
 

@@ -835,12 +835,11 @@ def _forms_equal(start: FreeElem, f1: tuple[int, ...], f2: tuple[int, ...], ctx:
     return _search_connect(start, f1, f2, ctx, cap, budget, exhausted)
 
 
-def _terms_equal(t1: SymTerm, t2: SymTerm, net: QNet, budget: int | None,
-                 symmetric: bool) -> EqVerdict:
+def _terms_equal(t1: SymTerm, t2: SymTerm, net: QNet, symmetric: bool) -> EqVerdict:
     """The one decision behind :func:`mor_equal` and ``symmetry.sym_equal``:
-    check the budget, layer both terms, compare their endpoints, then their
-    forms."""
-    budget = default_budget(budget)
+    read the :func:`default_budget`, layer both terms, compare their
+    endpoints, then their forms."""
+    budget = default_budget()
     ctx = _context(net)
     f1, tgt1 = _layered_ctx(t1, ctx, symmetric)
     f2, tgt2 = _layered_ctx(t2, ctx, symmetric)
@@ -850,10 +849,9 @@ def _terms_equal(t1: SymTerm, t2: SymTerm, net: QNet, budget: int | None,
                         symmetric)
 
 
-def mor_equal(t1: MorTerm, t2: MorTerm, net: QNet,
-              budget: int | None = None) -> EqVerdict:
+def mor_equal(t1: MorTerm, t2: MorTerm, net: QNet) -> EqVerdict:
     """Decide equality of two process terms in the free category on ``net``."""
-    return _terms_equal(t1, t2, net, budget, False)
+    return _terms_equal(t1, t2, net, False)
 
 
 # ---------------------------------------------------------------------------
@@ -992,7 +990,7 @@ def _step_layers(ctx: _Ctx, marking: FreeElem, max_width: int) -> list[FreeElem]
 
 
 def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
-                  max_width: int, budget: int | None = None) -> list[MorTerm]:
+                  max_width: int) -> list[MorTerm]:
     """All process-term classes from ``x`` to ``y`` within the layer bounds.
 
     The layered forms are visited in lexicographic (layer count, serialized
@@ -1005,12 +1003,12 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     computed once a later form reaches its bucket, indexes its members: a
     form joins by one lookup. SEMILAT scans every representative, with the
     closure capped at the larger vector total of the two as in
-    :func:`mor_equal` and cached per (representative, cap). A closure of more
-    than ``budget`` forms falls back to the pairwise :func:`mor_equal`
-    decision. :func:`default_budget` checks ``budget``; both bounds must be
-    ints of at least 1. A layer step of more than :func:`default_budget`
-    layers, or more than that many nonempty layer paths from ``x``, whatever
-    ``budget`` is, is a :class:`QnetError`.
+    :func:`mor_equal` and cached per (representative, cap). The
+    :func:`default_budget` is read once and bounds all of it: a closure of
+    more than that many forms falls back to the pairwise :func:`mor_equal`
+    decision, and more than that many nonempty layer paths from ``x``, or a
+    layer step of more than that many layers, is a :class:`QnetError`. Both
+    layer bounds must be ints of at least 1.
     """
     ops = net.theory.ops
     if ops.group:
@@ -1019,7 +1017,7 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     if any(type(bound) is not int or bound < 1 for bound in (max_layers, max_width)):
         raise UnsupportedOperationError("layer and width bounds must be positive integers,"
                                         f" got {max_layers!r} and {max_width!r}")
-    budget = default_budget(budget)
+    budget = default_budget()
     ctx = _context(net)
     _check_marking(ctx, x)
     _check_marking(ctx, y)
@@ -1029,9 +1027,9 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     # Worklist of (marking, layers fired from x to reach it, the sum of their
     # occurrence vectors); the forms are sorted below, so the visiting order
     # does not matter. Every path is kept or stepped from, so past
-    # ``most_paths`` nonempty ones the answer is refused, not built.
+    # ``budget`` nonempty ones the answer is refused, not built.
     stack = [(x, (), (0,) * len(ctx.names))]
-    most_paths, paths = default_budget(), 0
+    paths = 0
     while stack:
         marking, acc, occ = stack.pop()
         if marking == y:
@@ -1043,8 +1041,8 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
             steps[marking] = [(i, _layer_tgt(layer, ctx))
                               for i, layer in zip(ctx.number(layers), layers)]
         paths += len(steps[marking])
-        if paths > most_paths:
-            raise over_budget(most_paths, "a hom-set has", "layer paths")
+        if paths > budget:
+            raise over_budget(budget, "a hom-set has", "layer paths")
         stack += [(tgt, acc + (i,), tuple(map(add, occ, ctx.occ[i]))) for i, tgt in steps[marking]]
     forms.sort(key=lambda f: (len(f[0]), tuple(ctx.layers[i].payload for i in f[0])))
     # Merge and split are mutual converses within the searched space (the same

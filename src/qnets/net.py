@@ -34,15 +34,10 @@ ID_PREFIX = "id."
 DEFAULT_BUDGET = 10_000
 
 
-def default_budget(budget: int | None = None) -> int:
-    """Bound on every enumeration that grows with its input (the README's
-    ``QNET_BUDGET`` paragraph lists them): ``budget`` if given, else the
-    QNET_BUDGET env var, else ``DEFAULT_BUDGET``; either must be a positive
-    integer (a bool is not)."""
-    if budget is not None:
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-            raise QnetError(f"budget must be a positive integer, got {budget!r}")
-        return budget
+def default_budget() -> int:
+    """Bound on every enumeration and search that grows with its input (the
+    README's ``QNET_BUDGET`` paragraph lists them): the QNET_BUDGET env var,
+    else ``DEFAULT_BUDGET``; it must be a positive integer."""
     raw = os.environ.get("QNET_BUDGET")
     if not raw:
         return DEFAULT_BUDGET
@@ -243,7 +238,8 @@ def product(p1: QNet, p2: QNet) -> tuple[QNet, NetMorphism, NetMorphism]:
     source/target fiber elements. ABGRP and GRP are rejected: the fiber over a
     pair of markings is infinite there, so the product net has infinitely many
     transitions. So is a product of more than :func:`default_budget`
-    transitions, found before more than that many fiber elements are built.
+    transitions, found before more than that many fiber elements are built,
+    and one whose pair names, ``(x,y)`` and ``(n1,n2)@k``, coincide.
     """
     if p1.theory is not p2.theory:
         raise TheoryMismatchError("product needs a shared theory")
@@ -251,9 +247,13 @@ def product(p1: QNet, p2: QNet) -> tuple[QNet, NetMorphism, NetMorphism]:
     if th.ops.group:
         raise UnsupportedOperationError(
             f"product over {th.value} is not finitely representable")
-    places = tuple(_pair_name(x, y) for x in p1.places for y in p2.places)
-    g1 = {_pair_name(x, y): x for x in p1.places for y in p2.places}
-    g2 = {_pair_name(x, y): y for x in p1.places for y in p2.places}
+    g1, g2 = {}, {}
+    for x, y in itertools.product(p1.places, p2.places):
+        name = _pair_name(x, y)
+        if name in g1:
+            raise UnsupportedOperationError(f"two product places are named {name!r}")
+        g1[name], g2[name] = x, y
+    places = tuple(g1)
     budget = default_budget()
     transitions = {}
     f1, f2 = {}, {}
@@ -273,6 +273,8 @@ def product(p1: QNet, p2: QNet) -> tuple[QNet, NetMorphism, NetMorphism]:
             tgts.sort(key=lambda e: e.payload)
             for k, (u, v) in enumerate(itertools.product(srcs, tgts)):
                 name = f"{_pair_name(n1, n2)}@{k}"
+                if name in transitions:
+                    raise UnsupportedOperationError(f"two product transitions are named {name!r}")
                 transitions[name] = (u, v)
                 f1[name] = n1
                 f2[name] = n2

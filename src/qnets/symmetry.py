@@ -74,8 +74,7 @@ def _sym_neighbors(form: tuple[int, ...], ctx) -> Iterator[tuple[int, ...]]:
     return freecat._neighbors(form, ctx)
 
 
-def sym_equal(t1: SymTerm, t2: SymTerm, net: QNet,
-              budget: int | None = None) -> EqVerdict:
+def sym_equal(t1: SymTerm, t2: SymTerm, net: QNet) -> EqVerdict:
     """Equality in the freely symmetrized category on a word-marked net.
 
     ``Distinct`` comes only from invariants (endpoints, generator counts);
@@ -83,7 +82,7 @@ def sym_equal(t1: SymTerm, t2: SymTerm, net: QNet,
     """
     if net.theory.ops.commutative:
         raise UnsupportedOperationError("symmetric terms need a word-marked net")
-    return freecat._terms_equal(t1, t2, net, budget, True)
+    return freecat._terms_equal(t1, t2, net, True)
 
 
 def erase_symmetries(t: SymTerm) -> MorTerm:

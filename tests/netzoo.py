@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
 from contextlib import contextmanager
 
@@ -59,6 +60,13 @@ def signed(letters: str) -> object:
 def group_net(places, arcs) -> QNet:
     return QNet(Theory.GRP, tuple(places),
                 {name: (signed(src), signed(tgt)) for name, (src, tgt) in arcs.items()})
+
+
+def words_up_to(places, max_len: int) -> list:
+    """Every word over ``places`` of at most ``max_len`` letters, shortest
+    first and in lexicographic order within one length."""
+    return [word(letters) for length in range(max_len + 1)
+            for letters in itertools.product(places, repeat=length)]
 
 
 TOKEN_GAME_NETS = [

@@ -35,6 +35,7 @@ from netzoo import (
     intvec,
     petri,
     prenet,
+    words_up_to,
 )
 from oracle_rewrite import oracle_equal
 from oracle_tokengame import cmon_reachable
@@ -265,17 +266,10 @@ def test_criterion_10_semilat_idempotence():
                         assert list(m.payload) == sorted(set(m.payload))
 
 
-def _words_up_to(places, max_len):
-    out = [()]
-    for length in range(1, max_len + 1):
-        out.extend(itertools.product(places, repeat=length))
-    return [word(letters) for letters in out]
-
-
 def test_criterion_11_symmetry_axioms():
     with criterion(11, "braiding axioms and naturality", 30):
         for net in SYMMETRY_NETS:
-            words = _words_up_to(net.places, 4)
+            words = words_up_to(net.places, 4)
             for x in words:
                 for y in words:
                     if x.size() + y.size() > 4:

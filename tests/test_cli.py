@@ -148,6 +148,15 @@ def test_product_and_coproduct_roundtrip(tmp_path):
         assert jsonio.dumps(jsonio.net_to_json(reparsed)) == jsonio.dumps(body["net"])
 
 
+def test_product_refuses_two_places_of_one_name(tmp_path):
+    left = write_net(tmp_path, "l.json", petri(["a,b", "a"], {}))
+    right = write_net(tmp_path, "r.json", petri(["c", "b,c"], {}))
+    code, out, err = invoke(["product", left, right])
+    assert (code, out) == (1, "")
+    assert_json_error(err)
+    assert json.loads(err)["error"] == "two product places are named '(a,b,c)'"
+
+
 def test_product_group_rejected(tmp_path):
     from netzoo import integer_net
 
@@ -318,7 +327,7 @@ def test_the_nesting_rule_is_the_same_on_every_interpreter(tmp_path, frames):
             return invoke(["reach", path, "--marking", "[" * depth + "]" * depth,
                            "--steps", "0"])
 
-    deepest = {100: (46, 93), 300: (146, 293)}[frames]
+    deepest = {100: (46, 92), 300: (146, 292)}[frames]
     assert _in_thread(lambda: homset(deepest[0]))[0] == 0
     assert _in_thread(lambda: homset(deepest[0] + 1)) == (
         1, "", '{"error":"output is nested too deeply to write as JSON"}\n')

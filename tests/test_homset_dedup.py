@@ -58,13 +58,13 @@ def _hom_forms(net, x, y, max_layers, max_width):
     return sorted(forms, key=lambda f: (len(f.layers), tuple(l.payload for l in f.layers)))
 
 
-def pairwise_hom_enumerate(net, x, y, max_layers, max_width, budget=None):
+def pairwise_hom_enumerate(net, x, y, max_layers, max_width):
     """Reference: each form is compared with every earlier representative."""
-    ctx = _context(net)
+    ctx, budget = _context(net), default_budget()
     reps = []
     for form in _hom_forms(net, x, y, max_layers, max_width):
         if not any(_forms_equal(x, ctx.number(form.layers), ctx.number(rep.layers), ctx,
-                                default_budget(budget)).is_equal for rep in reps):
+                                budget).is_equal for rep in reps):
             reps.append(form)
     return [layered_to_term(rep, net) for rep in reps]
 
@@ -158,21 +158,36 @@ def test_random_nets_match_oracle_reference(theory, data):
     assert hom_enumerate(net, x, y, max_layers, max_width) == want
 
 
+# Four independent steps t: a -> b, u: c -> d, v: e -> f, w: g -> h. From
+# a+c+e+g to b+d+f+h within 2 layers of width 4 there are 65 layer paths and
+# one class of 15 forms, whose closure holds 75 forms.
+FOUR_STEPS = petri("abcdefgh", {name: ({src: 1}, {tgt: 1})
+                                for name, src, tgt in ("tab", "ucd", "vef", "wgh")})
+
+
 def test_budget_fallback_uses_pairwise_search(monkeypatch):
-    x = cmon({"a": 2})
-    full = hom_enumerate(LOOP, x, x, 2, 2)
-    want = pairwise_hom_enumerate(LOOP, x, x, 2, 2, budget=1)
-    calls = []
+    # Past the closure's 75 forms but within the 65 paths, the closure
+    # passes the budget and the other 14 forms are compared pairwise.
+    x, y = cmon({p: 1 for p in "aceg"}), cmon({p: 1 for p in "bdfh"})
+    full = hom_enumerate(FOUR_STEPS, x, y, 2, 4)
+    assert len(full) == 1
+    logs = _logging(monkeypatch, "_forms_equal")
+    closed = []
+    real = freecat._closure
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return _forms_equal(*args, **kwargs)
+    def recording(*args):
+        closed.append(real(*args))
+        return closed[-1]
 
-    monkeypatch.setattr(freecat, "_forms_equal", counting)
-    tight = hom_enumerate(LOOP, x, x, 2, 2, budget=1)
-    assert calls
-    assert tight == want
-    assert len(tight) >= len(full)
+    monkeypatch.setattr(freecat, "_closure", recording)
+    for budget in (65, 74):
+        monkeypatch.setenv("QNET_BUDGET", str(budget))
+        closed.clear()
+        logs["_forms_equal"].clear()
+        tight = hom_enumerate(FOUR_STEPS, x, y, 2, 4)
+        assert closed == [None]
+        assert len(logs["_forms_equal"]) == 14
+        assert tight == full == pairwise_hom_enumerate(FOUR_STEPS, x, y, 2, 4)
 
 
 def _logging(monkeypatch, *names):
@@ -205,8 +220,10 @@ def test_two_loop_dedup_is_one_lookup_per_form(monkeypatch):
 
 def test_mixed_budget_bucket_matches_pairwise_reference(monkeypatch):
     # t: ab -> c, u: c -> ab, from cc to cab: one bucket holds closures of
-    # 1 and 5 forms, so a budget between them indexes some representatives
-    # of that bucket and compares the others pairwise.
+    # 1 and 5 forms, so a closure bound between them indexes some
+    # representatives of that bucket and compares the others pairwise. A
+    # QNET_BUDGET that low would refuse the layer paths, so the bound is set
+    # on _closure alone.
     net, x, y = PRE_NETS[5], word("cc"), word("cab")
     ctx = _context(net)
     sizes = [len(_closure(ctx.number(form.layers), ctx, None, 100))
@@ -216,17 +233,19 @@ def test_mixed_budget_bucket_matches_pairwise_reference(monkeypatch):
     outcomes: dict[frozenset, set[bool]] = {}
     real = freecat._closure
 
-    def recording(form, ctx, cap, budget):
+    def recording(form, ctx, cap, _):
         closure = real(form, ctx, cap, budget)
         key = frozenset(form_occurrences(ctx.form(x, form).layers).items())
         outcomes.setdefault(key, set()).add(closure is None)
         return closure
 
+    want = hom_enumerate(net, x, y, 3, 1)
+    logs = _logging(monkeypatch, "_forms_equal")
     monkeypatch.setattr(freecat, "_closure", recording)
-    got = hom_enumerate(net, x, y, 3, 1, budget=budget)
+    got = hom_enumerate(net, x, y, 3, 1)
     assert {True, False} in outcomes.values()
-    assert got == pairwise_hom_enumerate(net, x, y, 3, 1, budget=budget)
-    assert len(got) > len(hom_enumerate(net, x, y, 3, 1))
+    assert logs["_forms_equal"]
+    assert got == want == pairwise_hom_enumerate(net, x, y, 3, 1)
 
 
 def test_three_layer_semilat_class_matches_pairwise_reference():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -189,6 +190,25 @@ def test_product_skips_a_pair_with_an_empty_fiber_before_refusing():
     assert product(wide, narrow)[0].transitions == {}
     flipped = [elementary("abcd", {"t": (b, a)}) for a, b in (("abcd", ""), ("abcd", "a"))]
     assert product(*flipped)[0].transitions == {}
+
+
+@pytest.mark.parametrize("left,right,what,name", [
+    # Places a,b and a against c and b,c: (a,b) with c and a with (b,c).
+    (petri(["a,b", "a"], {}), petri(["c", "b,c"], {}), "places", "(a,b,c)"),
+    (petri("a", {"t,u": ({"a": 1}, {"a": 1}), "t": ({"a": 1}, {"a": 1})}),
+     petri("b", {"v": ({"b": 1}, {"b": 1}), "u,v": ({"b": 1}, {"b": 1})}),
+     "transitions", "(t,u,v)@0"),
+])
+def test_product_refuses_two_pairs_of_one_name(left, right, what, name):
+    with pytest.raises(UnsupportedOperationError,
+                       match=re.escape(f"two product {what} are named '{name}'")):
+        product(left, right)
+    # Without the second colliding name, every pair name is unique.
+    for one in (left, right):
+        kept = QNet(one.theory, one.places[:1], dict(list(one.transitions.items())[:1]))
+        out, proj1, proj2 = product(kept, right if one is left else left)
+        assert validate_net(out) == []
+        assert validate_morphism(proj1) == [] and validate_morphism(proj2) == []
 
 
 def _brute_force_tables(rows, cols):

@@ -43,6 +43,7 @@ from netzoo import (
     petri,
     prenet,
     signed,
+    words_up_to,
 )
 from test_context_cache import DECIDE, _pinned
 
@@ -276,19 +277,10 @@ def _layers_ref(t, ctx):
 # Fixtures
 
 
-def _words_up_to(places, max_len):
-    out = [word("")]
-    frontier = [""]
-    for _ in range(max_len):
-        frontier = [w + p for w in frontier for p in places]
-        out.extend(word(w) for w in frontier)
-    return out
-
-
 def _criterion_11_pairs():
     """The braid-axiom and naturality instances of acceptance criterion 11."""
     for net in SYMMETRY_NETS:
-        words = _words_up_to(net.places, 4)
+        words = words_up_to(net.places, 4)
         for x in words:
             for y in words:
                 if x.size() + y.size() <= 4:
@@ -440,11 +432,15 @@ def test_slide_matches_reference_on_drawn_words(case):
 # One search engine
 
 
-def test_sym_equal_matches_reference():
+def test_sym_equal_matches_reference(monkeypatch):
     seen = set()
     cases = [(net, lhs, rhs, None) for net, lhs, rhs in _criterion_11_pairs()]
     for net, lhs, rhs, budget in cases + list(_unequal_sym_pairs()):
-        verdict = symmetry.sym_equal(lhs, rhs, net, budget)
+        if budget is None:
+            monkeypatch.delenv("QNET_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("QNET_BUDGET", str(budget))
+        verdict = symmetry.sym_equal(lhs, rhs, net)
         assert (verdict.status, verdict.reason) == _sym_equal_ref(lhs, rhs, net, budget)
         seen.add((verdict.status, verdict.reason))
     assert {("equal", "rewrite path found"), ("unknown", "budget of 3 nodes exhausted"),
@@ -559,7 +555,9 @@ def test_the_search_calls_neighbors_once_per_expansion(monkeypatch):
         assert len(set(calls)) == expanded
         assert all(isinstance(i, int) for form in calls for i in form)
         calls.clear()
-        verdict = decide(t1, t2, net, expanded - 1)
+        monkeypatch.setenv("QNET_BUDGET", str(expanded - 1))
+        verdict = decide(t1, t2, net)
+        monkeypatch.delenv("QNET_BUDGET")
         assert verdict.reason == f"budget of {expanded - 1} nodes exhausted"
         assert len(calls) == expanded - 1
     assert searched > 40

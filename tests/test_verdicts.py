@@ -19,17 +19,10 @@ from qnets import freecat, jsonio, symmetry
 from qnets.freecat import Comp, Gen, Ident, Oper
 from qnets.theory import Theory, combine, unit, word
 
-from netzoo import EQUALITY_NETS, PRE_NETS, SYMMETRY_NETS
+from netzoo import EQUALITY_NETS, PRE_NETS, SYMMETRY_NETS, words_up_to
 
 EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                         "verdicts.jsonl")
-
-
-def _words_up_to(places, max_len):
-    out = [word("")]
-    for length in range(1, max_len + 1):
-        out.extend(word("".join(p)) for p in itertools.product(places, repeat=length))
-    return out
 
 
 def _sym_cases():
@@ -40,7 +33,7 @@ def _sym_cases():
     for family, nets, size in (("PRE_NETS", PRE_NETS, 2), ("SYMMETRY_NETS", SYMMETRY_NETS, 3)):
         for i, net in enumerate(nets):
             label = f"{family}[{i}]"
-            words = _words_up_to(net.places, 3)
+            words = words_up_to(net.places, 3)
             for x in words:
                 for y in words:
                     if 0 < x.size() + y.size() <= size:
