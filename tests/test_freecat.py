@@ -380,11 +380,18 @@ def test_hom_enumerate_keeps_small_layer_steps_from_an_empty_source():
                 == [Oper("combine", (Gen("t"),) * k)]
 
 
-def test_hom_enumerate_refuses_a_layer_step_past_the_budget():
+@pytest.mark.parametrize("budget", [None, 1, 10**9])
+def test_hom_enumerate_refuses_a_layer_step_past_the_budget(budget):
     started = time.monotonic()
     with pytest.raises(QnetError, match="more than 10000 layers.*QNET_BUDGET"):
         hom_enumerate(SPRING, neutral(Theory.CMON), cmon({"a": 1}), 1, 10**6)
     assert time.monotonic() - started < 1.0
+    # No budget passed with the call lifts or lowers the bound: QNET_BUDGET
+    # is the only one.
+    with pytest.raises(TypeError):
+        hom_enumerate(SPRING, neutral(Theory.CMON), cmon({"a": 1}), 1, 10**6, budget)
+    with pytest.raises(TypeError):
+        hom_enumerate(SPRING, neutral(Theory.CMON), cmon({"a": 1}), 1, 10**6, budget=budget)
 
 
 def test_the_layer_step_bound_follows_qnet_budget(monkeypatch):
