@@ -221,94 +221,58 @@ def run(argv, stdout=None, stderr=None) -> int:
 
 
 def _dispatch(args, out) -> int:
-    if args.command == "validate":
-        net = _load_net(args.net)
-        diags = validate_net(net)
-        _print({"diagnostics": diags, "valid": not diags}, out)
-        return 0 if not diags else 1
-
-    if args.command == "translate":
-        net = _checked_net(args.net)
-        translated = apply_net_functor(TheoryArrow(args.via), net)
-        _print(jsonio.net_to_json(translated), out)
-        return 0
-
-    if args.command == "reach":
-        net = _checked_net(args.net)
-        marking = _load_elem(net.theory, args.marking)
-        result = freecat.reachable(net, marking, args.steps)
-        if args.dot:
-            out.write(freecat.reachability_dot(result))
-            return 0
-        _print({
-            "start": jsonio.elem_to_json(result.start),
-            "steps": result.max_steps,
-            "markings": [jsonio.elem_to_json(m) for m in result.markings],
-            "edges": [[jsonio.elem_to_json(a), label, jsonio.elem_to_json(b)]
-                      for a, label, b in result.edges],
-        }, out)
-        return 0
-
-    if args.command == "homset":
-        net = _checked_net(args.net)
-        src = _load_elem(net.theory, args.src)
-        tgt = _load_elem(net.theory, args.tgt)
-        classes = freecat.hom_enumerate(net, src, tgt, args.layers, args.width)
-        _print({
-            "from": jsonio.elem_to_json(src),
-            "to": jsonio.elem_to_json(tgt),
-            "representatives": [jsonio.term_to_json(t) for t in classes],
-        }, out)
-        return 0
-
-    if args.command == "homgroup":
-        net = _checked_net(args.net)
-        src = _load_elem(net.theory, args.src)
-        tgt = _load_elem(net.theory, args.tgt)
-        _print({"nonempty": freecat.hom_nonempty_group(net, src, tgt)}, out)
-        return 0
-
     # ``symmetry`` and ``suites`` are imported only by the commands that use
     # them, so the others start without compiling them.
-    if args.command == "lin":
-        from . import symmetry
+    command, code = args.command, 0
+    if command == "validate":
+        diags = validate_net(_load_net(args.net))
+        code = 1 if diags else 0
+        data = {"diagnostics": diags, "valid": not diags}
+    elif command in ("product", "coproduct"):
+        op = product if command == "product" else coproduct
+        net, h1, h2 = op(_checked_net(args.left), _checked_net(args.right))
+        data = {"net": jsonio.net_to_json(net), "left": jsonio.morphism_to_json(h1),
+                "right": jsonio.morphism_to_json(h2)}
+    elif command == "check":
+        from . import suites
 
+        names = tuple(suites.SUITES) if args.suite == "all" else (args.suite,)
+        results = suites.run_suites(names, seed=args.seed, cases=args.cases)
+        code = 0 if all(r.ok for r in results) else 1
+        data = {"ok": not code, "suites": [{"name": r.name, "cases": r.cases,
+                                            "failures": r.failures, "ok": r.ok}
+                                           for r in results]}
+    else:
         net = _checked_net(args.net)
-        _print({
-            "linearizations": [jsonio.net_to_json(n)
-                               for n in symmetry.linearizations(net)],
-        }, out)
-        return 0
+        if command in ("homset", "homgroup"):
+            src, tgt = _load_elem(net.theory, args.src), _load_elem(net.theory, args.tgt)
+        if command == "translate":
+            data = jsonio.net_to_json(apply_net_functor(TheoryArrow(args.via), net))
+        elif command == "reach":
+            result = freecat.reachable(net, _load_elem(net.theory, args.marking), args.steps)
+            if args.dot:
+                out.write(freecat.reachability_dot(result))
+                return 0
+            data = {"start": jsonio.elem_to_json(result.start), "steps": result.max_steps,
+                    "markings": [jsonio.elem_to_json(m) for m in result.markings],
+                    "edges": [[jsonio.elem_to_json(a), label, jsonio.elem_to_json(b)]
+                              for a, label, b in result.edges]}
+        elif command == "homset":
+            classes = freecat.hom_enumerate(net, src, tgt, args.layers, args.width)
+            data = {"from": jsonio.elem_to_json(src), "to": jsonio.elem_to_json(tgt),
+                    "representatives": [jsonio.term_to_json(t) for t in classes]}
+        elif command == "homgroup":
+            data = {"nonempty": freecat.hom_nonempty_group(net, src, tgt)}
+        else:
+            from . import symmetry
 
-    if args.command == "linsum":
-        from . import symmetry
-
-        net = _checked_net(args.net)
-        _print(jsonio.net_to_json(symmetry.linearization_sum(net)), out)
-        return 0
-
-    if args.command in ("product", "coproduct"):
-        left = _checked_net(args.left)
-        right = _checked_net(args.right)
-        op = product if args.command == "product" else coproduct
-        net, h1, h2 = op(left, right)
-        _print({
-            "net": jsonio.net_to_json(net),
-            "left": jsonio.morphism_to_json(h1),
-            "right": jsonio.morphism_to_json(h2),
-        }, out)
-        return 0
-
-    from . import suites
-
-    names = tuple(suites.SUITES) if args.suite == "all" else (args.suite,)
-    results = suites.run_suites(names, seed=args.seed, cases=args.cases)
-    _print({
-        "ok": all(r.ok for r in results),
-        "suites": [{"name": r.name, "cases": r.cases, "failures": r.failures,
-                    "ok": r.ok} for r in results],
-    }, out)
-    return 0 if all(r.ok for r in results) else 1
+            if command == "lin":
+                data = {"linearizations": [jsonio.net_to_json(n)
+                                           for n in symmetry.linearizations(net)]}
+            else:
+                data = jsonio.net_to_json(symmetry.linearization_sum(net))
+    _print(data, out)
+    return code
 
 
 def main() -> None:

@@ -1094,7 +1094,10 @@ def layered_to_term(form: LayeredForm, net: QNet) -> SymTerm:
     """Convert a layered form back into a process term, which must be
     well-typed on ``net`` and start at ``form.start``."""
     th, ctx = net.theory, _context(net)
-    if any(l.theory is not th for l in (form.start, *form.layers) if not isinstance(l, Perm)):
+    elems = [form.start, *(l for l in form.layers if not isinstance(l, Perm))]
+    if not all(isinstance(l, FreeElem) for l in elems):
+        raise IllTypedTermError("form has a start or layer that is not an element or a permutation")
+    if any(l.theory is not th for l in elems):
         raise IllTypedTermError(f"form has elements outside the net's theory {th.value}")
     term = _form_term(form, th, {})
     start = _layers_of(term, ctx, True)[0]

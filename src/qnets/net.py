@@ -286,13 +286,19 @@ def enumerate_morphisms(p: QNet, q: QNet) -> list[NetMorphism]:
     """The full hom-set, for small nets in tests and suites. For each place
     map, a transition of ``p`` may go to each transition of ``q`` whose arcs
     are its lifted arcs, so both squares commute, and the transition maps are
-    the product of those choices."""
+    the product of those choices. More than :func:`default_budget` place
+    maps is an error, found before any is tried."""
     if p.theory is not q.theory:
         return []
     src_trans = sorted(p.transitions)
     tgt_trans = sorted(q.transitions)
     if src_trans and not tgt_trans:
         return []
+    budget, maps = default_budget(), 1
+    for _ in p.places:
+        maps *= len(q.places)
+        if maps > budget:
+            raise over_budget(budget, "enumerating morphisms tries", "place maps")
     out = []
     for g_imgs in itertools.product(q.places, repeat=len(p.places)):
         g = dict(zip(p.places, g_imgs))

@@ -5,7 +5,14 @@ import pytest
 
 import qnets
 from qnets import QNet, jsonio, symmetry
-from qnets.freecat import Gen, underlying_net, unit_into_truncation
+from qnets.freecat import (
+    Gen,
+    IllTypedTermError,
+    LayeredForm,
+    layered_to_term,
+    underlying_net,
+    unit_into_truncation,
+)
 from qnets.intlattice import IntLattice
 from qnets.theory import (
     CanonicalFormError,
@@ -24,6 +31,8 @@ from qnets.theory import (
 from netzoo import GROUP_NETS, cmon, elementary, integer_net, petri, prenet, signed
 
 _PETRI = petri("ab", {"t": ({"a": 1}, {"b": 1})})
+_PRENET = prenet("ab", {"t": ("a", "b")})
+_NOT_A_FORM = "form has a start or layer that is not an element or a permutation"
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -78,6 +87,13 @@ _PETRI = petri("ab", {"t": ({"a": 1}, {"b": 1})})
      CanonicalFormError, "'<' not supported between instances of"),
     (lambda: IntLattice(2).add([1, 2, 3]), ValueError, "dimension mismatch"),
     (lambda: [1, 2, 3] in IntLattice(2), ValueError, "dimension mismatch"),
+    # A layered form holds elements and permutations only: a term, a bare
+    # name or a string is refused before its theory is read.
+    (lambda: layered_to_term(LayeredForm(word("a"), (Gen("t"),)), _PRENET),
+     IllTypedTermError, _NOT_A_FORM),
+    (lambda: layered_to_term(LayeredForm("x", ()), _PRENET), IllTypedTermError, _NOT_A_FORM),
+    (lambda: layered_to_term(LayeredForm(word("a"), ("junk",)), _PRENET),
+     IllTypedTermError, _NOT_A_FORM),
 ])
 def test_refusals_name_their_reason(call, error, message):
     with pytest.raises(error) as info:

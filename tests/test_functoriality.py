@@ -3,6 +3,12 @@
 the free category on ``apply_net_functor(f, N)``. It keeps every term's
 endpoints, read through ``translate``, and it never separates two terms that
 N identifies. The catalog square c;b = d;e commutes on MON nets and terms.
+
+The free model is functorial in the net as well: a net morphism h maps the
+terms on its source to terms on its target, between the lifted endpoints, with
+identities and composites kept, and outside the group theories it maps each
+marking the token game reaches to one the target's game reaches in as many
+steps.
 """
 
 from __future__ import annotations
@@ -12,8 +18,9 @@ import itertools
 import pytest
 
 from qnets import freecat, symmetry
-from qnets.net import apply_net_functor
-from qnets.theory import Theory, TheoryArrow, translate
+from qnets.freecat import Comp, Gen, Ident, Oper
+from qnets.net import apply_net_functor, compose, enumerate_morphisms, identity_morphism
+from qnets.theory import Theory, TheoryArrow, lift, translate
 
 import netzoo
 from test_verdicts import _mor_terms
@@ -86,3 +93,63 @@ def test_the_catalog_square_commutes(net):
         moved = [symmetry.translate_term(second, symmetry.translate_term(first, t))
                  for first, second in routes]
         assert moved[0] == moved[1], t
+
+
+NETS = [(f"{family}[{i}]", net) for family in ZOO for i, net in enumerate(getattr(netzoo, family))]
+
+
+def _morphisms(net):
+    """Every morphism from ``net`` into a zoo net of its theory."""
+    return [h for _, q in NETS if q.theory is net.theory for h in enumerate_morphisms(net, q)]
+
+
+def _map_term(h, t):
+    """``t`` pushed along the net morphism ``h``: each generator to its image
+    transition, each identity to the identity on its lifted marking."""
+    th = h.source.theory
+
+    def leaf(node):
+        return Gen(h.f[node.name]) if isinstance(node, Gen) else Ident(lift(th, h.g, node.obj))
+
+    return freecat.fold_term(t, leaf, Comp, lambda node, args: Oper(node.op, tuple(args)))
+
+
+def test_the_zoo_has_net_morphisms():
+    assert sum(len(_morphisms(net)) for _, net in NETS) > 150
+
+
+ZOO_NETS = [pytest.param(net, id=label) for label, net in NETS]
+
+
+@pytest.mark.parametrize("net", ZOO_NETS)
+def test_net_morphisms_map_terms_between_lifted_endpoints(net):
+    terms = _mor_terms(net)
+    for h in _morphisms(net):
+        for t in terms:
+            image = _map_term(h, t)
+            assert freecat.mor_src(image, h.target) == lift(net.theory, h.g, freecat.mor_src(t, net))
+            assert freecat.mor_tgt(image, h.target) == lift(net.theory, h.g, freecat.mor_tgt(t, net))
+
+
+@pytest.mark.parametrize("net", ZOO_NETS)
+def test_net_morphisms_keep_identities_and_composites(net):
+    terms = _mor_terms(net)
+    same = identity_morphism(net)
+    assert [_map_term(same, t) for t in terms] == terms
+    for first in _morphisms(net):
+        for then in _morphisms(first.target):
+            both = compose(then, first)
+            for t in terms:
+                assert _map_term(both, t) == _map_term(then, _map_term(first, t))
+
+
+@pytest.mark.parametrize("net", [pytest.param(net, id=label) for label, net in NETS
+                                 if not net.theory.ops.group])
+def test_net_morphisms_map_reachable_markings_into_reachable_markings(net):
+    starts = sorted({freecat.mor_src(t, net) for t in _mor_terms(net)}, key=lambda e: e.payload)
+    for h in _morphisms(net):
+        for m in starts:
+            for steps in range(4):
+                image = freecat.reachable(h.target, lift(net.theory, h.g, m), steps)
+                assert {lift(net.theory, h.g, x)
+                        for x in freecat.reachable(net, m, steps).markings} <= set(image.markings)

@@ -3,7 +3,8 @@ pairwise mor_equal dedup it replaced and against the independent rewrite
 oracle's closures, and the move tables each net keeps against the uncached
 moves."""
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qnets import QNet, freecat
 from qnets.freecat import (
@@ -20,7 +21,7 @@ from qnets.freecat import (
     layered,
     layered_to_term,
 )
-from qnets.theory import Theory, finset, multiset, unit, word
+from qnets.theory import QnetError, Theory, finset, multiset, unit, word
 
 from layer_refs import form_occurrences, gens_sum, layer_gens, layer_occurrences
 from oracle_rewrite import OracleNet, _form_total, _normal, closure, term_layers
@@ -134,10 +135,10 @@ def _marking(theory, draw, min_size=0):
     return finset(draw(st.sets(st.sampled_from("ab"), min_size=min_size)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(ENUMERABLE), st.data())
-def test_random_nets_match_oracle_reference(theory, data):
-    draw = data.draw
+@st.composite
+def _hom_cases(draw):
+    """A two-transition net, a source, layer bounds and a target."""
+    theory = draw(st.sampled_from(ENUMERABLE))
     # Sources are nonempty and SEMILAT stops at two layers: empty sources
     # multiply the layers of every width, and idempotent duplication makes
     # SEMILAT classes large, so the reference would take minutes.
@@ -154,6 +155,40 @@ def test_random_nets_match_oracle_reference(theory, data):
         if not layers:
             break
         y = _layer_tgt(draw(st.sampled_from(layers)), ctx)
+    return net, x, y, max_layers, max_width
+
+
+def _layer_paths(net, x, max_layers, max_width, bound):
+    """The nonempty layer paths from ``x`` within the bounds, as
+    hom_enumerate counts them, counted until the count passes ``bound``."""
+    ctx = _context(net)
+    count, stack = 0, [(x, 0)]
+    while stack and count <= bound:
+        marking, depth = stack.pop()
+        if depth < max_layers:
+            targets = [_layer_tgt(layer, ctx) for layer in _step_layers(ctx, marking, max_width)]
+            count += len(targets)
+            stack += [(tgt, depth + 1) for tgt in targets]
+    return count
+
+
+# t: b -> bb and u: bb -> (the empty word) have 34,674 layer paths from bb
+# within 4 layers of width 2.
+DOUBLING = QNet(Theory.MON, ("a", "b"), {"t": (word("b"), word("bb")),
+                                          "u": (word("bb"), word(""))})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hom_cases())
+@example((DOUBLING, word("bb"), word("bbbb"), 4, 2))
+def test_random_nets_match_oracle_reference(case):
+    net, x, y, max_layers, max_width = case
+    if _layer_paths(net, x, max_layers, max_width, default_budget()) > default_budget():
+        # A hom-set with more layer paths than the budget is refused, before
+        # the reference would spend minutes on it.
+        with pytest.raises(QnetError, match="a hom-set has more than .* layer paths; QNET_BUDGET"):
+            hom_enumerate(net, x, y, max_layers, max_width)
+        return
     want = oracle_hom_enumerate(net, x, y, max_layers, max_width)
     assert hom_enumerate(net, x, y, max_layers, max_width) == want
 

@@ -426,6 +426,27 @@ def test_enumerate_morphisms_matches_validating_every_combination():
     assert found > 300 and raised > 10
 
 
+def test_enumerate_morphisms_refuses_past_the_budget_of_place_maps(monkeypatch):
+    from qnets.reflexive import add_identities, enumerate_reflexive_morphisms
+
+    # Every one of the 5^5 place maps of five loose places is a morphism.
+    five = petri("abcde", {})
+    assert len(enumerate_morphisms(five, five)) == 3125
+    monkeypatch.setenv("QNET_BUDGET", "3124")
+    with pytest.raises(QnetError, match="more than 3124 place maps; QNET_BUDGET"):
+        enumerate_morphisms(five, five)
+    # Seven places have 823,543 place maps: refused before any is tried, and
+    # the reflexive enumeration, built on this one, is refused with it.
+    monkeypatch.delenv("QNET_BUDGET")
+    seven = petri("abcdefg", {})
+    start = time.perf_counter()
+    with pytest.raises(QnetError, match="more than 10000 place maps; QNET_BUDGET"):
+        enumerate_morphisms(seven, seven)
+    with pytest.raises(QnetError, match="more than 10000 place maps"):
+        enumerate_reflexive_morphisms(add_identities(seven), add_identities(seven))
+    assert time.perf_counter() - start < 1
+
+
 PLACES_AB = petri("ab", {"t": ({"a": 1}, {"b": 1})})
 WORDS_AB = prenet("ab", {"t": ("a", "b")})
 # (what is checked, the check, its diagnostics or the exception it raises)
