@@ -122,8 +122,8 @@ class LayeredForm(_Record):
     elements over transition names and ``id.`` place names, or, in a
     symmetric process, :class:`Perm` leaves, each its own layer; identity
     layers are never stored, so the empty tuple is the identity on ``start``.
-    The rewrite search runs on layer ids (see :class:`_Ctx`): a form is built
-    where a term is layered, a witness shown or a representative returned."""
+    The equality decision and its search run on layer ids (see :class:`_Ctx`):
+    a form is built only where one is returned."""
 
     __slots__ = _fields = ("start", "layers")
 
@@ -153,18 +153,6 @@ class EqVerdict:
         return self.status == "unknown"
 
 
-def _equal(reason: str, witness: tuple[str, ...] = ()) -> EqVerdict:
-    return EqVerdict("equal", reason, witness)
-
-
-def _distinct(reason: str) -> EqVerdict:
-    return EqVerdict("distinct", reason)
-
-
-def _unknown(reason: str) -> EqVerdict:
-    return EqVerdict("unknown", reason)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation context: symbol images for the layer alphabet
 
@@ -180,17 +168,17 @@ class _Ctx(_Record):
     of the net itself leaves no reference cycle, and lets :func:`_context`
     see a net whose ``transitions`` mapping was changed since.
 
-    ``names`` holds the sorted transition names. The search numbers each
-    distinct layer (element or :class:`Perm`) when first met: ``layers`` by
-    id, ``ids`` by layer, ``occ`` by id its occurrence vector over ``names``
-    (signed for groups, id letters left out, zeros for a permutation) and
-    ``gens`` by id the sum of that vector's absolute values, for the SEMILAT
-    cap. Every count of a layer's firings is read from these two tables. A
-    form there is the tuple of its layer ids from a start its caller keeps.
-    Moves are pure functions of the net, computed once for its life:
-    ``pairs`` maps two adjacent ids to the id tuples replacing them,
-    ``splits`` an id to its id pairs, ``held`` a letter's end to its id
-    letters. Ids follow the context's history: nothing is ordered by them.
+    ``names`` holds the sorted transition names. Each distinct layer is
+    numbered when first met, keyed by its payload (one context holds one
+    theory; a :class:`Perm` is its own key): ``layers`` by id, ``ids`` by
+    key, ``occ`` by id its occurrence vector over ``names`` (signed for
+    groups, id letters left out, zeros for a permutation) and ``gens`` by id
+    the sum of its absolute values, for the SEMILAT cap; every count of a
+    layer's firings is read from these two. A form is the tuple of its layer
+    ids from a start its caller keeps. Moves are pure functions of the net,
+    computed once for its life: ``pairs`` maps two adjacent ids to the id
+    tuples replacing them, ``splits`` an id to its id pairs, ``held`` a
+    letter's end to its id letters. Nothing is ordered by ids.
     """
 
     __slots__ = ("net", "src_images", "tgt_images", "names",
@@ -207,16 +195,19 @@ class _Ctx(_Record):
         return self.layers, self.ids, self.pairs, self.splits, self.occ, self.gens, self.held
 
     def number(self, layers: Iterable) -> tuple[int, ...]:
-        """The ids of ``layers``, numbering each one not met before."""
-        layers = tuple(layers)
+        """The ids of ``layers`` (elements, their payloads or permutations),
+        numbering each one not met before, a new payload as a checked element."""
+        keys = []
         for layer in layers:
-            if layer not in self.ids:
-                self.ids[layer] = len(self.layers)
+            keys.append(layer.payload if layer.__class__ is FreeElem else layer)
+            if keys[-1] not in self.ids:
+                self.ids[keys[-1]] = len(self.layers)
+                layer = FreeElem(self.net.theory, layer) if layer.__class__ is tuple else layer
                 self.layers.append(layer)
                 counts = {} if isinstance(layer, Perm) else occurrences(layer)
                 self.occ.append(tuple(map(counts.get, self.names, itertools.repeat(0))))
                 self.gens.append(sum(map(abs, self.occ[-1])))
-        return tuple(map(self.ids.__getitem__, layers))
+        return tuple(map(self.ids.__getitem__, keys))
 
     def form(self, start: FreeElem, ids: tuple[int, ...]) -> LayeredForm:
         return LayeredForm(start, tuple(map(self.layers.__getitem__, ids)))
@@ -255,11 +246,12 @@ def _context(net: QNet) -> _Ctx:
     return ctx
 
 
-def _check_marking(ctx: _Ctx, m: FreeElem) -> None:
-    if m.theory is not ctx.net.theory:
-        raise TheoryMismatchError("marking theory differs from net theory")
-    if m.atoms() - set(ctx.net.places):
-        raise InvalidNetError("marking mentions undeclared places")
+def _check_marking(ctx: _Ctx, *markings: FreeElem) -> None:
+    for m in markings:
+        if m.theory is not ctx.net.theory:
+            raise TheoryMismatchError("marking theory differs from net theory")
+        if m.atoms() - set(ctx.net.places):
+            raise InvalidNetError("marking mentions undeclared places")
 
 
 def _is_id_sym(name: str) -> bool:
@@ -288,10 +280,17 @@ def form_tgt(form: LayeredForm, ctx: _Ctx) -> FreeElem:
 def layered_repr(form: LayeredForm) -> str:
     """A form's start, then its layers in firing order; a permutation layer
     shows as ``perm[...]``, the target position of each letter."""
-    start = jsonio.dumps(jsonio.elem_to_json(form.start))
-    steps = " ; ".join(f"perm{list(l.mapping)}" if isinstance(l, Perm)
-                       else jsonio.dumps(jsonio.elem_to_json(l)) for l in form.layers)
-    return f"{start} [{steps}]"
+    return _shown(form.start, [range(len(form.layers))], form.layers)[0]
+
+
+def _shown(start: FreeElem, forms: list | tuple, layers) -> tuple[str, ...]:
+    """:func:`layered_repr` of each form from ``start``, a form given as
+    indices into ``layers``; the start and each distinct layer render once."""
+    head = jsonio.dumps(jsonio.elem_to_json(start))
+    steps = {i: f"perm{list(l.mapping)}" if isinstance(l, Perm)
+             else jsonio.dumps(jsonio.elem_to_json(l)) for i in set().union(*forms)
+             for l in (layers[i],)}
+    return tuple(f"{head} [{' ; '.join(map(steps.__getitem__, f))}]" for f in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +315,9 @@ def _apply_perm(payload: tuple, mapping: tuple[int, ...]) -> tuple:
 def _check_perm(t: Perm, theory: Theory) -> None:
     if theory.ops.commutative:
         raise IllTypedTermError("permutations need a word theory")
-    if t.word.theory is not theory:
+    if not isinstance(t.word, FreeElem) or t.word.theory is not theory:
         raise IllTypedTermError("permutation word has the wrong theory")
-    if sorted(t.mapping) != list(range(len(t.word.payload))):
+    if not isinstance(t.mapping, tuple) or sorted(t.mapping) != list(range(len(t.word.payload))):
         raise IllTypedTermError("mapping is not a permutation of the letter positions")
     if not theory.ops.is_normal(_apply_perm(t.word.payload, t.mapping)):
         raise UnsupportedOperationError(
@@ -410,11 +409,13 @@ def _layers_of(t: SymTerm, ctx: _Ctx, symmetric: bool = False) -> tuple[tuple, t
 
     def leaf(t: SymTerm) -> tuple[tuple, tuple, tuple]:
         if isinstance(t, Gen):
-            if t.name not in ctx.net.transitions:
+            if not isinstance(t.name, str) or t.name not in ctx.net.transitions:
                 raise IllTypedTermError(f"unknown transition {t.name!r}")
             src, tgt = ctx.net.transitions[t.name]
             return src.payload, tgt.payload, (ops.spell(((t.name, 1),)),)
         if isinstance(t, Ident):
+            if not isinstance(t.obj, FreeElem):
+                raise IllTypedTermError(f"identity object is not an element: {t.obj!r}")
             if t.obj.theory is not th:
                 raise IllTypedTermError(
                     f"identity object has theory {t.obj.theory.value}, net is {th.value}")
@@ -474,17 +475,21 @@ def _layers_of(t: SymTerm, ctx: _Ctx, symmetric: bool = False) -> tuple[tuple, t
 
 
 def layered(t: MorTerm, net: QNet) -> LayeredForm:
-    """Canonical-ish sequentialization of a term; denotes the same morphism."""
-    return _layered_ctx(t, _context(net))[0]
+    """Canonical-ish sequentialization of a term, read off its layer ids on the
+    net's context (see :func:`_layered_ctx`); denotes the same morphism."""
+    ctx = _context(net)
+    return ctx.form(*_layered_ctx(t, ctx)[:2])
 
 
-def _layered_ctx(t: SymTerm, ctx: _Ctx, symmetric: bool = False) -> tuple[LayeredForm, FreeElem]:
-    """The layered form of a term and the term's target, from one walk."""
+def _layered_ctx(t: SymTerm, ctx: _Ctx, symmetric: bool = False) -> tuple:
+    """A term's start, the ids of its firing layers by :meth:`_Ctx.number`
+    and its target, from one walk: identity layers are dropped unchecked, and
+    the ends are checked elements."""
     th = ctx.net.theory
     src, tgt, layers = _layers_of(t, ctx, symmetric)
-    kept = tuple(l if isinstance(l, Perm) else FreeElem(th, l) for l in layers if not (
+    ids = ctx.number(l for l in layers if not (
         _trivial(l) if isinstance(l, Perm) else all(map(_is_id_sym, th.ops.names(l)))))
-    return LayeredForm(FreeElem(th, src), kept), FreeElem(th, tgt)
+    return FreeElem(th, src), ids, FreeElem(th, tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +516,10 @@ def _merge_candidates(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
     tgt_g1 = tuple(ops.letters(ops.product(*(_held(x, 1, ctx) for x in g1))))
     held2 = part(l2, True)
     gens = (*ops.letters(g1), *ops.letters(g2))
-    out = {FreeElem(th, ops.norm(itertools.chain(gens, ops.letters(rest))))
-           for rest in ops.residuals(part(l1, True), src_g2)
-           if ops.norm(itertools.chain(ops.letters(rest), tgt_g1)) == held2}
-    return sorted(out, key=lambda e: e.payload)
+    merged = {ops.norm(itertools.chain(gens, ops.letters(rest)))
+              for rest in ops.residuals(part(l1, True), src_g2)
+              if ops.norm(itertools.chain(ops.letters(rest), tgt_g1)) == held2}
+    return [FreeElem(th, p) for p in sorted(merged)]
 
 
 def _framed(th: Theory, gens: Iterable[tuple[str, int]], rest: Iterable) -> FreeElem:
@@ -563,8 +568,7 @@ def _merge_words(l1: FreeElem, l2: FreeElem, ctx: _Ctx) -> list[FreeElem]:
             held = _held(w2[j], 0, ctx)
             if w1[i:i + len(held)] == held:
                 stack.append((i + len(held), j + 1, acc + (w2[j],)))
-    out = {FreeElem(th, th.ops.canon(acc)) for acc in results}
-    return sorted(out, key=lambda e: e.payload)
+    return [FreeElem(th, p) for p in sorted({th.ops.canon(acc) for acc in results})]
 
 
 def _split_candidates(layer: FreeElem, ctx: _Ctx) -> list[tuple[FreeElem, FreeElem]]:
@@ -679,9 +683,8 @@ def _slide(layer: FreeElem, perm: Perm, ctx: _Ctx,
             forward[off + k] = new_offsets[j] + k
     new_mapping = tuple(forward) if before else _inverse(forward)
     word = _layer_src(layer, ctx) if before else _layer_tgt(new_layer, ctx)
-    if len(word.payload) != len(new_mapping):
-        return []
-    if not th.ops.is_normal(_apply_perm(word.payload, new_mapping)):
+    if len(word.payload) != len(new_mapping) or not th.ops.is_normal(
+            _apply_perm(word.payload, new_mapping)):
         return []
     new_perm = Perm(word, new_mapping)
     return [(new_perm, new_layer) if before else (new_layer, new_perm)]
@@ -765,19 +768,19 @@ def _search_connect(start: FreeElem, f1: tuple[int, ...], f2: tuple[int, ...], c
         node = queues[side].popleft()
         expansions += 1
         if expansions > budget:
-            return _unknown(f"budget of {budget} nodes exhausted")
+            return EqVerdict("unknown", f"budget of {budget} nodes exhausted")
         for nxt in _neighbors(node, ctx, cap):
             if nxt in sides[side]:
                 continue
             sides[side][nxt] = node
             if nxt in sides[1 - side]:
                 path = chain(0, nxt)[::-1] + chain(1, nxt)[1:]
-                return _equal("rewrite path found",
-                              tuple(layered_repr(ctx.form(start, f)) for f in path))
+                return EqVerdict("equal", "rewrite path found", _shown(start, path, ctx.layers))
             queues[side].append(nxt)
         if exhausted is None and (not queues[0] or not queues[1]):
-            return _distinct("one rewrite closure is complete and excludes the other term")
-    return _unknown(exhausted)
+            return EqVerdict("distinct",
+                             "one rewrite closure is complete and excludes the other term")
+    return EqVerdict("unknown", exhausted)
 
 
 def _closure(form: tuple[int, ...], ctx: _Ctx, gens_cap: int | None,
@@ -807,17 +810,17 @@ def _forms_equal(start: FreeElem, f1: tuple[int, ...], f2: tuple[int, ...], ctx:
     the invariants straight to the uncapped search."""
     ops = ctx.net.theory.ops
     if f1 == f2:
-        return _equal("identical layered forms")
+        return EqVerdict("equal", "identical layered forms")
     zeros = (0,) * len(ctx.names)
     occ1, occ2 = (tuple(map(sum, zip(zeros, *map(ctx.occ.__getitem__, f)))) for f in (f1, f2))
     if not ops.idempotent and occ1 != occ2:
-        return _distinct("generator occurrence counts differ")
+        return EqVerdict("distinct", "generator occurrence counts differ")
     cap, exhausted = None, "closures exhausted; symmetric move set is not known complete"
     if not symmetric:
         g1, g2 = _greedy(f1, ctx), _greedy(f2, ctx)
         if g1 == g2:
-            return _equal("greedy canonical forms agree",
-                          tuple(layered_repr(ctx.form(start, f)) for f in (f1, g1, f2)))
+            return EqVerdict("equal", "greedy canonical forms agree",
+                             _shown(start, (f1, g1, f2), ctx.layers))
         # Only an idempotent split may fire a letter in both halves, which
         # duplicates firings without bound. Elsewhere a split keeps or cancels
         # the letters it fires, so the class is finite without a cap.
@@ -837,16 +840,14 @@ def _forms_equal(start: FreeElem, f1: tuple[int, ...], f2: tuple[int, ...], ctx:
 
 def _terms_equal(t1: SymTerm, t2: SymTerm, net: QNet, symmetric: bool) -> EqVerdict:
     """The one decision behind :func:`mor_equal` and ``symmetry.sym_equal``:
-    read the :func:`default_budget`, layer both terms, compare their
-    endpoints, then their forms."""
-    budget = default_budget()
+    layer both terms, compare their endpoints, then their forms within the
+    :func:`default_budget`."""
     ctx = _context(net)
-    f1, tgt1 = _layered_ctx(t1, ctx, symmetric)
-    f2, tgt2 = _layered_ctx(t2, ctx, symmetric)
-    if (f1.start, tgt1) != (f2.start, tgt2):
-        return _distinct("source/target pairs differ")
-    return _forms_equal(f1.start, ctx.number(f1.layers), ctx.number(f2.layers), ctx, budget,
-                        symmetric)
+    start, f1, tgt = _layered_ctx(t1, ctx, symmetric)
+    start2, f2, tgt2 = _layered_ctx(t2, ctx, symmetric)
+    if (start, tgt) != (start2, tgt2):
+        return EqVerdict("distinct", "source/target pairs differ")
+    return _forms_equal(start, f1, f2, ctx, default_budget(), symmetric)
 
 
 def mor_equal(t1: MorTerm, t2: MorTerm, net: QNet) -> EqVerdict:
@@ -1019,8 +1020,7 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
                                         f" got {max_layers!r} and {max_width!r}")
     budget = default_budget()
     ctx = _context(net)
-    _check_marking(ctx, x)
-    _check_marking(ctx, y)
+    _check_marking(ctx, x, y)
     forms: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     # Each marking's layer ids and targets, built once.
     steps: dict[FreeElem, list[tuple[int, FreeElem]]] = {}
@@ -1298,8 +1298,7 @@ def hom_nonempty_group(net: QNet, x: FreeElem, y: FreeElem) -> bool:
         raise UnsupportedOperationError(
             "the lattice test answers hom-nonemptiness for ABGRP nets only")
     ctx = _context(net)
-    _check_marking(ctx, x)
-    _check_marking(ctx, y)
+    _check_marking(ctx, x, y)
     places = list(net.places)
 
     def difference(a: FreeElem, b: FreeElem) -> list[int]:

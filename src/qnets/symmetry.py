@@ -63,9 +63,10 @@ def braiding(x: FreeElem, y: FreeElem) -> Perm:
 
 
 def sym_layered(t: SymTerm, net: QNet) -> LayeredForm:
-    """The layered form of a symmetric term: a :class:`LayeredForm` whose
-    layers may include :class:`Perm` leaves."""
-    return freecat._layered_ctx(t, _context(net), True)[0]
+    """The layered form of a symmetric term, read off its layer ids on the net's
+    context: a :class:`LayeredForm` whose layers may include :class:`Perm` leaves."""
+    ctx = _context(net)
+    return ctx.form(*freecat._layered_ctx(t, ctx, True)[:2])
 
 
 def _sym_neighbors(form: tuple[int, ...], ctx) -> Iterator[tuple[int, ...]]:

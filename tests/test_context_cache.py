@@ -2,29 +2,34 @@
 give the verdicts and representatives that fresh nets give, whatever order
 the context numbered its layers in, a changed net is validated again, the
 tables are bounded and cleared only at a call's entry, and pickle and copy
-leave them out."""
+leave them out. Layers are numbered by payload, so a warm decision checks
+only its terms' ends, and a witness renders from ids as ``layered_repr``
+renders the form."""
 
 from __future__ import annotations
 
 import copy
 import json
 import pickle
+import random
 
 import pytest
 
-from qnets import freecat, jsonio, symmetry
-from qnets.freecat import Comp, Gen, Ident, Oper, hom_enumerate, mor_equal
+from qnets import freecat, jsonio, symmetry, theory
+from qnets.freecat import Comp, Gen, Ident, Oper, Perm, hom_enumerate, mor_equal
 from qnets.net import DEFAULT_BUDGET, InvalidNetError, QNet
-from qnets.theory import QnetError
+from qnets.theory import FreeElem, QnetError, word
 
 from netzoo import (
     ELEMENTARY_NETS,
     EQUALITY_NETS,
+    GROUP_NETS,
     PRE_NETS,
     SYMMETRY_NETS,
     TOKEN_GAME_NETS,
     cmon,
     petri,
+    signed,
 )
 from test_homset_dedup import _objects
 from test_verdicts import EXPECTED
@@ -228,3 +233,92 @@ def test_pickle_and_copy_leave_the_context_out():
     for clone in (copy.deepcopy(used), copy.copy(used), pickle.loads(pickle.dumps(used))):
         assert clone == unused
         assert vars(clone) == vars(copy.deepcopy(unused))
+
+
+# ---------------------------------------------------------------------------
+# Numbering by payload, and witnesses rendered from ids
+
+
+def _pinned_case(reason: str):
+    """The first pinned ``mor_equal`` pair decided for ``reason``, on an
+    unused copy of its net."""
+    case, net = next((c, n) for c, n in _pinned()
+                     if c["decide"] == "mor_equal" and c["reason"] == reason)
+    net = _fresh(net)
+    return (net, jsonio.term_from_json(net.theory, case["lhs"]),
+            jsonio.term_from_json(net.theory, case["rhs"]), case)
+
+
+@pytest.mark.parametrize("reason", ["rewrite path found", "greedy canonical forms agree"])
+def test_a_warm_repeat_checks_only_the_ends(monkeypatch, reason):
+    net, lhs, rhs, case = _pinned_case(reason)
+    want = mor_equal(lhs, rhs, net)
+    assert _outcome(want) == {k: case[k] for k in ("status", "reason", "witness")}
+    ctx = freecat._context(net)
+    ends = {end for term in (lhs, rhs) for end in freecat._layers_of(term, ctx)[:2]}
+    calls = []
+    real = theory.check_canonical
+    monkeypatch.setattr(theory, "check_canonical",
+                        lambda th, payload: calls.append(payload) or real(th, payload))
+    assert mor_equal(lhs, rhs, net) == want
+    # The two starts and the two targets, checked again; no layer is.
+    assert len(calls) <= 4 and set(calls) <= ends
+    assert not set(calls) & {layer.payload for layer in ctx.layers}
+
+
+def test_equal_layers_built_apart_get_one_id():
+    ctx = freecat._context(_fresh(SYMMETRY_NETS[0]))
+    first, second = (FreeElem(ctx.net.theory, ("t", "id.b")) for _ in range(2))
+    perms = [symmetry.braiding(word("a"), word("b")) for _ in range(2)]
+    assert first == second and first is not second and perms[0] is not perms[1]
+    (i,), (j,) = ctx.number([first]), ctx.number([second])
+    assert i == j and ctx.layers[i] is first
+    # A payload is its element's key; a permutation is its own.
+    assert ctx.number([first.payload, perms[0]]) == (i, ctx.number([perms[1]])[0])
+    assert ctx.layers[-1] is perms[0] and len(ctx.layers) == len(ctx.ids) == 2
+
+
+def _renderer_contexts():
+    """Contexts of zoo nets that the pinned decisions filled with CMON,
+    SEMILAT and ABGRP layers and MON permutations, and a GRP context holding
+    signed layers, from the moves of one layering, and a permutation."""
+    nets: dict[int, QNet] = {}
+    for case, net in _pinned():
+        net = nets.setdefault(id(net), _fresh(net))
+        DECIDE[case["decide"]](jsonio.term_from_json(net.theory, case["lhs"]),
+                               jsonio.term_from_json(net.theory, case["rhs"]), net)
+    grp = freecat._context(_fresh(GROUP_NETS[0]))
+    _, ids, _ = freecat._layered_ctx(
+        Oper("combine", (Gen("u"), Oper("invert", (Gen("t"),)))), grp)
+    list(freecat._neighbors(ids, grp))
+    grp.number([symmetry.braiding(signed("aB"), signed("a"))])
+    return [freecat._context(net) for net in nets.values()] + [grp]
+
+
+def test_witnesses_render_as_layered_repr(monkeypatch):
+    contexts = _renderer_contexts()
+    kinds = {(ctx.net.theory, isinstance(layer, Perm)) for ctx in contexts
+             for layer in ctx.layers}
+    assert {(th, False) for th in theory.Theory} | {
+        (theory.Theory.MON, True), (theory.Theory.GRP, True)} <= kinds
+    assert any(c < 0 for ctx in contexts if ctx.net.theory is theory.Theory.GRP
+               for layer in ctx.layers if not isinstance(layer, Perm) for _, c in layer.payload)
+    rng = random.Random(33)
+    dumps = []
+    real = jsonio.dumps
+    monkeypatch.setattr(jsonio, "dumps", lambda obj: dumps.append(obj) or real(obj))
+    for ctx in contexts:
+        start = next(iter(ctx.net.transitions.values()))[0]
+        forms = [tuple(rng.randrange(len(ctx.layers)) for _ in range(rng.randrange(5)))
+                 for _ in range(12)]
+        del dumps[:]
+        shown = freecat._shown(start, forms, ctx.layers)
+        # The start once, then each distinct element layer once.
+        assert len(dumps) == 1 + len({i for f in forms for i in f
+                                      if not isinstance(ctx.layers[i], Perm)})
+        assert shown == tuple(freecat.layered_repr(ctx.form(start, f)) for f in forms)
+        for text, form in zip(shown, forms):
+            steps = [f"perm{list(layer.mapping)}" if isinstance(layer, Perm)
+                     else real(jsonio.elem_to_json(layer))
+                     for layer in ctx.form(start, form).layers]
+            assert text == f"{real(jsonio.elem_to_json(start))} [{' ; '.join(steps)}]"

@@ -7,9 +7,12 @@ import qnets
 from qnets import QNet, jsonio, symmetry
 from qnets.freecat import (
     Gen,
+    Ident,
     IllTypedTermError,
     LayeredForm,
+    Perm,
     layered_to_term,
+    mor_equal,
     underlying_net,
     unit_into_truncation,
 )
@@ -94,6 +97,19 @@ _NOT_A_FORM = "form has a start or layer that is not an element or a permutation
     (lambda: layered_to_term(LayeredForm("x", ()), _PRENET), IllTypedTermError, _NOT_A_FORM),
     (lambda: layered_to_term(LayeredForm(word("a"), ("junk",)), _PRENET),
      IllTypedTermError, _NOT_A_FORM),
+    # A leaf whose field has the wrong type is refused as ill-typed, before
+    # the field is read as a name, an element or a word.
+    (lambda: mor_equal(None, Gen("t"), _PRENET), IllTypedTermError, "not a process term: None"),
+    (lambda: mor_equal(Gen(3), Gen("t"), _PRENET), IllTypedTermError, "unknown transition 3"),
+    (lambda: mor_equal(Gen(["x"]), Gen("t"), _PRENET),
+     IllTypedTermError, "unknown transition ['x']"),
+    (lambda: mor_equal(Ident("a"), Gen("t"), _PRENET),
+     IllTypedTermError, "identity object is not an element: 'a'"),
+    (lambda: symmetry.sym_equal(Perm("ab", (1, 0)), Gen("t"), _PRENET),
+     IllTypedTermError, "permutation word has the wrong theory"),
+    # A mapping is a tuple: a list is refused before it is used as a key.
+    (lambda: symmetry.sym_equal(Perm(word("ab"), [1, 0]), Ident(word("ba")), _PRENET),
+     IllTypedTermError, "mapping is not a permutation of the letter positions"),
 ])
 def test_refusals_name_their_reason(call, error, message):
     with pytest.raises(error) as info:

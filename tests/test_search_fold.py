@@ -179,9 +179,9 @@ def _sym_equal_ref(t1, t2, net, budget=None, expanded=None):
     if budget is None:
         budget = freecat.default_budget()
     ctx = freecat._context(net)
-    f1, tgt1 = freecat._layered_ctx(t1, ctx, True)
-    f2, tgt2 = freecat._layered_ctx(t2, ctx, True)
-    if (f1.start, tgt1) != (f2.start, tgt2):
+    (s1, ids1, tgt1), (s2, ids2, tgt2) = (freecat._layered_ctx(t, ctx, True) for t in (t1, t2))
+    f1, f2 = ctx.form(s1, ids1), ctx.form(s2, ids2)
+    if (s1, tgt1) != (s2, tgt2):
         return "distinct", "source/target pairs differ"
     if f1 == f2:
         return "equal", "identical layered forms"
@@ -607,7 +607,8 @@ def test_walker_matches_recursive_reference(case):
         # The walk is reached only for terms the endpoint check accepts.
         src, tgt, layers = _layers_ref(term, ctx)
         assert freecat._layers_of(term, ctx) == _payloads(src, tgt, layers)
-        assert freecat._layered_ctx(term, ctx) == (freecat.LayeredForm(
+        start, ids, end = freecat._layered_ctx(term, ctx)
+        assert (ctx.form(start, ids), end) == (freecat.LayeredForm(
             src, tuple(l for l in layers if not freecat._pure_id(l))), tgt)
     else:
         assert outcome(freecat._layers_of, term, ctx) == expected
@@ -696,7 +697,8 @@ def test_walker_matches_recursive_reference_on_well_typed_terms(case):
     src, tgt, layers = _layers_ref(term, ctx)
     assert freecat._layers_of(term, ctx) == _payloads(src, tgt, layers)
     kept = tuple(l for l in layers if not freecat._pure_id(l))
-    assert freecat._layered_ctx(term, ctx) == (LayeredForm(src, kept), tgt)
+    start, ids, end = freecat._layered_ctx(term, ctx)
+    assert (ctx.form(start, ids), end) == (LayeredForm(src, kept), tgt)
     assert freecat._endpoints(term, ctx) == (src, tgt)
 
 
@@ -728,12 +730,17 @@ def _wide_deep(net, frame, before, after):
     (EQUALITY_NETS[4], Oper("combine", (Gen("t"), Oper("invert", (Gen("t"),)))), 0),
 ], ids=["CMON", "MON", "ABGRP"])
 def test_layering_checks_only_its_ends_and_kept_layers(monkeypatch, net, term, depth):
-    ctx = freecat._context(net)
+    # A copy of the net, whose context has numbered no layer yet.
+    ctx = freecat._context(QNet(net.theory, net.places, dict(net.transitions)))
     src, tgt, layers = _layers_ref(term, ctx)
     calls = _counting_checks(monkeypatch)
-    form, _ = freecat._layered_ctx(term, ctx)
-    assert len(layers) == max(depth, 1) and len(form.layers) == depth
-    assert len(calls) == depth + 2
+    start, ids, end = freecat._layered_ctx(term, ctx)
+    assert len(layers) == max(depth, 1) and len(ids) == depth and (start, end) == (src, tgt)
+    assert len(calls) == len(set(ids)) + 2
+    # Layered again, the term checks its ends alone: the context has its layers.
+    del calls[:]
+    assert freecat._layered_ctx(term, ctx) == (start, ids, end)
+    assert len(calls) == 2
     del calls[:]
     assert freecat._endpoints(term, ctx) == (src, tgt)
     assert len(calls) == 2
