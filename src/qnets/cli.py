@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import freecat, jsonio
@@ -276,7 +277,15 @@ def _dispatch(args, out) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        print(end="", flush=True)  # flushes stdout, if fd 1 was open at start
+    except BrokenPipeError:
+        # The reader closed stdout: on devnull, the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _print({"error": "stdout was closed before the output was written"}, sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

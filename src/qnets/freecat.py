@@ -11,12 +11,9 @@ explored by a budgeted bidirectional rewrite search over layer merges and
 splits. A symmetric term over a word-marked net may also hold :class:`Perm`
 leaves, each of which is a layer of the same forms as it stands.
 
-``Distinct`` verdicts are sound with respect to that rewrite closure: they are
-issued when invariants differ or when one term's entire closure was
-enumerated without meeting the other. ``Unknown`` means the search proved
-nothing, and its reason says why: the node budget ran out, or, for GRP and
-symmetric terms, whose move sets are not known complete, both closures were
-exhausted without meeting.
+``Distinct`` verdicts are sound with respect to that rewrite closure, and
+``Unknown`` says why the search proved nothing. What tells one theory's forms
+apart is its :class:`_Rule`.
 """
 
 from __future__ import annotations
@@ -173,7 +170,7 @@ class _Ctx(_Record):
     theory; a :class:`Perm` is its own key): ``layers`` by id, ``ids`` by
     key, ``occ`` by id its occurrence vector over ``names`` (signed for
     groups, id letters left out, zeros for a permutation) and ``gens`` by id
-    the sum of its absolute values, for the SEMILAT cap; every count of a
+    the sum of its absolute values, for a capped rule; every count of a
     layer's firings is read from these two. A form is the tuple of its layer
     ids from a start its caller keeps. Moves are pure functions of the net,
     computed once for its life: ``pairs`` maps two adjacent ids to the id
@@ -248,6 +245,8 @@ def _context(net: QNet) -> _Ctx:
 
 def _check_marking(ctx: _Ctx, *markings: FreeElem) -> None:
     for m in markings:
+        if not isinstance(m, FreeElem):
+            raise TheoryMismatchError(f"marking is not an element, got {type(m).__name__}")
         if m.theory is not ctx.net.theory:
             raise TheoryMismatchError("marking theory differs from net theory")
         if m.atoms() - set(ctx.net.places):
@@ -738,18 +737,47 @@ def _greedy(form: tuple[int, ...], ctx: _Ctx) -> tuple[int, ...]:
 # Equality search
 
 
+class _Rule(_Record):
+    """How a theory's forms are told apart, read by :func:`_forms_equal` and
+    :func:`hom_enumerate`; ``_SYMMETRIC`` serves ``sym_equal``'s forms.
+
+    ``keyed``: no move changes a form's occurrence vector, so different
+    vectors prove ``Distinct``. A split keeps or (GRP) cancels the letters it
+    fires; only an idempotent (SEMILAT) split may fire one in both halves,
+    duplicating firings without bound, so ``capped`` caps that search at the
+    larger generator total of the two forms. ``greedy``: try :func:`_greedy`
+    first. ``exhausted``: None if an exhausted closure proves ``Distinct``,
+    else the ``Unknown`` reason. Without inverses merge and split are mutual
+    converses within the searched form space, so one side's closure is its
+    whole class. With inverses, merges can cancel a layer away without a
+    converse insertion move, and word reduction can hide merge patterns; the
+    symmetric move set is not known complete either. ABGRP gets no further
+    than :func:`_greedy`: all its adjacent layers merge, so its greedy form
+    is the source and the signed occurrence vector, which the key compares."""
+
+    __slots__ = _fields = ("keyed", "greedy", "capped", "exhausted")
+
+
+_GROUP = _Rule(True, True, False, "closure exhausted; GRP move set is not known complete")
+_RULES = {Theory.CMON: _Rule(True, True, False, None),
+          Theory.MON: _Rule(True, True, False, None),
+          Theory.SEMILAT: _Rule(False, True, True, None),
+          Theory.ABGRP: _GROUP, Theory.GRP: _GROUP}
+_SYMMETRIC = _Rule(True, False, False,
+                   "closures exhausted; symmetric move set is not known complete")
+
+
 def _search_connect(start: FreeElem, f1: tuple[int, ...], f2: tuple[int, ...], ctx: _Ctx,
                     cap: int | None, budget: int, exhausted: str | None) -> EqVerdict:
     """Bidirectional breadth-first search (Pohl 1971) between two distinct
     forms from ``start``, as layer ids.
 
     Moves are :func:`_neighbors` within the generator ``cap``, and the smaller
-    frontier is expanded first. With ``exhausted`` None the move relation is
-    symmetric, so a side whose queue empties has its whole class and proves
-    ``Distinct``; otherwise exhaustion proves nothing, both sides run to the
-    end and the verdict is ``Unknown`` with reason ``exhausted``. An ``Equal``
-    witness is the full rewrite path from ``f1`` to ``f2``, each form shown
-    by :func:`layered_repr`.
+    frontier is expanded first. ``cap`` and ``exhausted`` come from a
+    :class:`_Rule`: with ``exhausted`` None a side whose queue empties proves
+    ``Distinct``, else both sides run to the end and the verdict is
+    ``Unknown`` with that reason. An ``Equal`` witness is the full rewrite
+    path from ``f1`` to ``f2``, each form shown by :func:`layered_repr`.
     """
     sides: tuple[dict, dict] = ({f1: None}, {f2: None})
     queues = (deque([f1]), deque([f2]))
@@ -803,39 +831,22 @@ def _forms_equal(start: FreeElem, f1: tuple[int, ...], f2: tuple[int, ...], ctx:
                  budget: int, symmetric: bool = False) -> EqVerdict:
     """Equality of two forms from ``start``, as layer ids, with the same
     target, which every caller has already checked, within a checked node
-    ``budget``. Each form's occurrence vector is the sum of its layers' in
-    ``ctx.occ``: outside SEMILAT no move changes it, so different sums prove
-    ``Distinct``; in SEMILAT the larger total caps the search. A
-    ``symmetric`` pair, whose forms may hold permutation layers, goes from
-    the invariants straight to the uncapped search."""
-    ops = ctx.net.theory.ops
+    ``budget``, by the :class:`_Rule` of the net's theory or of a
+    ``symmetric`` pair. A form's occurrence vector sums its layers' ``ctx.occ``."""
+    rule = _SYMMETRIC if symmetric else _RULES[ctx.net.theory]
     if f1 == f2:
         return EqVerdict("equal", "identical layered forms")
     zeros = (0,) * len(ctx.names)
     occ1, occ2 = (tuple(map(sum, zip(zeros, *map(ctx.occ.__getitem__, f)))) for f in (f1, f2))
-    if not ops.idempotent and occ1 != occ2:
+    if rule.keyed and occ1 != occ2:
         return EqVerdict("distinct", "generator occurrence counts differ")
-    cap, exhausted = None, "closures exhausted; symmetric move set is not known complete"
-    if not symmetric:
+    if rule.greedy:
         g1, g2 = _greedy(f1, ctx), _greedy(f2, ctx)
         if g1 == g2:
             return EqVerdict("equal", "greedy canonical forms agree",
                              _shown(start, (f1, g1, f2), ctx.layers))
-        # Only an idempotent split may fire a letter in both halves, which
-        # duplicates firings without bound. Elsewhere a split keeps or cancels
-        # the letters it fires, so the class is finite without a cap.
-        if ops.idempotent:
-            cap = max(sum(occ1), sum(occ2))
-        # Within the searched form space the move relation is symmetric for
-        # theories without inverses (merge and split are mutual converses), so
-        # exhausting one side enumerates its whole class. With inverses, merges
-        # can cancel a layer away without a converse insertion move, and word
-        # reduction can hide merge patterns, so exhaustion proves nothing.
-        # ABGRP never gets here: all its adjacent layers merge, so its greedy
-        # form is the source and the signed occurrence vector, which the checks
-        # above compare.
-        exhausted = "closure exhausted; GRP move set is not known complete" if ops.group else None
-    return _search_connect(start, f1, f2, ctx, cap, budget, exhausted)
+    cap = max(sum(occ1), sum(occ2)) if rule.capped else None
+    return _search_connect(start, f1, f2, ctx, cap, budget, rule.exhausted)
 
 
 def _terms_equal(t1: SymTerm, t2: SymTerm, net: QNet, symmetric: bool) -> EqVerdict:
@@ -995,24 +1006,20 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
     """All process-term classes from ``x`` to ``y`` within the layer bounds.
 
     The layered forms are visited in lexicographic (layer count, serialized
-    form) order and each joins the first earlier representative it equals,
-    that is, whose rewrite closure holds it; representatives are returned in
-    that order. Forms are searched as layer-id tuples on the net's kept
-    context (see :class:`_Ctx`), and each path's occurrence vector is the
-    sum of its layers' ``ctx.occ``. Outside SEMILAT, forms are bucketed by
-    that vector, which no move changes, and a representative's closure,
-    computed once a later form reaches its bucket, indexes its members: a
-    form joins by one lookup. SEMILAT scans every representative, with the
-    closure capped at the larger vector total of the two as in
-    :func:`mor_equal` and cached per (representative, cap). The
+    form) order and each joins the first earlier representative whose
+    rewrite closure holds it; representatives are returned in that order.
+    One loop reads the theory's :class:`_Rule`: a keyed rule buckets forms
+    (layer ids) by occurrence vector, a capped one caps each pair's closure
+    at the larger vector total, as :func:`mor_equal` does, and closures are
+    cached per (representative, cap). An uncapped one indexes its members
+    instead, so a form joins its class by one lookup. The
     :func:`default_budget` is read once and bounds all of it: a closure of
-    more than that many forms falls back to the pairwise :func:`mor_equal`
-    decision, and more than that many nonempty layer paths from ``x``, or a
-    layer step of more than that many layers, is a :class:`QnetError`. Both
-    layer bounds must be ints of at least 1.
+    more than that many forms falls back to the pairwise decision, and more
+    than that many nonempty layer paths from ``x``, or a layer step of more
+    than that many layers, is a :class:`QnetError`. Both layer bounds must
+    be ints of at least 1.
     """
-    ops = net.theory.ops
-    if ops.group:
+    if net.theory.ops.group:
         raise UnsupportedOperationError(
             f"hom-sets over {net.theory.value} are infinite whenever nonempty")
     if any(type(bound) is not int or bound < 1 for bound in (max_layers, max_width)):
@@ -1045,47 +1052,30 @@ def hom_enumerate(net: QNet, x: FreeElem, y: FreeElem, max_layers: int,
             raise over_budget(budget, "a hom-set has", "layer paths")
         stack += [(tgt, acc + (i,), tuple(map(add, occ, ctx.occ[i]))) for i, tgt in steps[marking]]
     forms.sort(key=lambda f: (len(f[0]), tuple(ctx.layers[i].payload for i in f[0])))
-    # Merge and split are mutual converses within the searched space (the same
-    # fact _search_connect's exhaustion rule rests on), so a class is the
-    # closure of any member and pairwise equality is closure membership. A
-    # closure of at most ``budget`` forms also bounds the pairwise search's
-    # expansions, so that search would not have run out of budget either.
-    reps: list[tuple[int, ...]] = []
-    if ops.idempotent:
-        closures: dict[tuple[tuple[int, ...], int], set[tuple[int, ...]] | None] = {}
-
-        def same_class(form: tuple[int, ...], rep: tuple[int, ...], cap: int) -> bool:
-            if (rep, cap) not in closures:
-                closures[rep, cap] = _closure(rep, ctx, cap, budget)
-            closure = closures[rep, cap]
-            return _forms_equal(x, form, rep, ctx, budget).is_equal if closure is None \
-                else form in closure
-
-        capped: list[tuple[tuple[int, ...], int]] = []
-        for form, occ in forms:
-            gens = sum(occ)
-            if not any(same_class(form, rep, max(gens, rep_gens)) for rep, rep_gens in capped):
-                capped.append((form, gens))
-                reps.append(form)
-    else:
-        # Buckets are unions of disjoint classes, so one set holds the members
-        # of every closure enumerated; a closure waits in ``pending`` until a
-        # later form needs it, and one past the budget goes to ``over``.
-        members: set[tuple[int, ...]] = set()
-        buckets: dict[tuple[int, ...], tuple[list, list]] = {}
-        for form, occ in forms:
-            pending, over = buckets.setdefault(occ, ([], []))
-            for rep in pending:
-                closure = _closure(rep, ctx, None, budget)
-                if closure is None:
-                    over.append(rep)
-                else:
-                    members |= closure
-            pending.clear()
-            if form not in members and not any(
-                    _forms_equal(x, form, rep, ctx, budget).is_equal for rep in over):
-                pending.append(form)
-                reps.append(form)
+    # Within the searched space a class is the closure of any member (see
+    # _Rule), so classes are disjoint and one set can index them all. The
+    # pairwise search would stay within ``budget`` on a closure that does.
+    rule = _RULES[net.theory]
+    reps, members, buckets, cached = [], set(), {}, {}
+    for form, occ in forms:
+        gens, bucket = sum(occ), buckets.setdefault(occ if rule.keyed else (), [])
+        joined = form in members
+        for entry in bucket[:]:
+            if joined:
+                break
+            rep, cap = entry[0], max(gens, entry[1]) if rule.capped else None
+            closure = cached[rep, cap] if (rep, cap) in cached else _closure(rep, ctx, cap, budget)
+            if closure is not None and cap is None:
+                members |= closure
+                bucket.remove(entry)
+                joined = form in members
+            else:
+                cached[rep, cap] = closure
+                joined = form in closure if closure is not None else \
+                    _forms_equal(x, form, rep, ctx, budget).is_equal
+        if not joined:
+            bucket.append((form, gens))
+            reps.append(form)
     leaves: dict[str | FreeElem, MorTerm] = {}
     return [_form_term(ctx.form(x, rep), net.theory, leaves) for rep in reps]
 

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -9,6 +12,8 @@ from qnets import jsonio
 from qnets.cli import run
 
 from netzoo import elementary, petri, prenet, shallow_stack
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def invoke(argv):
@@ -189,6 +194,34 @@ def assert_json_error(err):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--suite", "freecat", "--seed", "7"],
+    ["reach", "{net}", "--marking", '{{"a":3}}', "--steps", "3", "--dot"]])
+def test_a_closed_stdout_is_one_error_line(tmp_path, argv):
+    # stdout is a pipe whose read end was closed before the spawn, as when
+    # the reader of `qnet ... | head -c 10` exits first.
+    net = write_net(tmp_path, "net.json", petri("ab", {"t": ({"a": 1}, {"b": 1})}))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qnets", *(a.format(net=net) for a in argv)],
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert_json_error(proc.stderr)
+
+
+def test_a_missing_stdout_is_no_traceback():
+    # With fd 1 closed at start, Python sets sys.stdout to None and print
+    # writes nothing.
+    proc = subprocess.run([sys.executable, "-m", "qnets", "check", "--suite", "monad", "--cases",
+                           "1"], preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_usage_error_exit_code():

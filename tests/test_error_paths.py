@@ -11,8 +11,11 @@ from qnets.freecat import (
     IllTypedTermError,
     LayeredForm,
     Perm,
+    hom_enumerate,
+    hom_nonempty_group,
     layered_to_term,
     mor_equal,
+    reachable,
     underlying_net,
     unit_into_truncation,
 )
@@ -31,10 +34,11 @@ from qnets.theory import (
     word,
 )
 
-from netzoo import GROUP_NETS, cmon, elementary, integer_net, petri, prenet, signed
+from netzoo import GROUP_NETS, cmon, elementary, integer_net, intvec, petri, prenet, signed
 
 _PETRI = petri("ab", {"t": ({"a": 1}, {"b": 1})})
 _PRENET = prenet("ab", {"t": ("a", "b")})
+_INTEGER = integer_net("a", {"t": ({"a": 1}, {"a": -1})})
 _NOT_A_FORM = "form has a start or layer that is not an element or a permutation"
 
 
@@ -110,6 +114,16 @@ _NOT_A_FORM = "form has a start or layer that is not an element or a permutation
     # A mapping is a tuple: a list is refused before it is used as a key.
     (lambda: symmetry.sym_equal(Perm(word("ab"), [1, 0]), Ident(word("ba")), _PRENET),
      IllTypedTermError, "mapping is not a permutation of the letter positions"),
+    # A marking that is not an element is refused before its theory is read.
+    (lambda: reachable(_PETRI, "a", 1), TheoryMismatchError, "marking is not an element, got str"),
+    (lambda: hom_enumerate(_PETRI, {"a": 1}, cmon({"b": 1}), 1, 1),
+     TheoryMismatchError, "marking is not an element, got dict"),
+    (lambda: hom_enumerate(_PETRI, cmon({"a": 1}), None, 1, 1),
+     TheoryMismatchError, "marking is not an element, got NoneType"),
+    (lambda: hom_nonempty_group(_INTEGER, intvec({"a": 1}), [("a", 1)]),
+     TheoryMismatchError, "marking is not an element, got list"),
+    (lambda: reachable(_PETRI, word("a"), 1),
+     TheoryMismatchError, "marking theory differs from net theory"),
 ])
 def test_refusals_name_their_reason(call, error, message):
     with pytest.raises(error) as info:
